@@ -48,14 +48,34 @@ _LN2 = math.log(2.0)
 _SLACK = 1e-12  # absolute slack accepted (and clipped) on probability inputs
 
 
-def _prepare_prob(x, name: str) -> np.ndarray:
-    """Validate an array-or-scalar probability and clip it into [0, 1]."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InputDomainError(f"{name} must be finite")
-    if np.any(arr < -_SLACK) or np.any(arr > 1.0 + _SLACK):
-        bad = float(np.ravel(arr)[int(np.argmax((arr < -_SLACK) | (arr > 1.0 + _SLACK)))])
-        raise InputDomainError(f"{name}={bad!r} lies outside [0, 1]")
+def _prepare_prob(x, name: str):
+    """Validate an array-or-scalar probability and clip it into [0, 1].
+
+    Returns ``np.float64`` for 0-d input and a new float array otherwise.
+    This runs on every call of every public function, so an accepted input
+    costs one range test: plain float comparisons for 0-d input, one
+    min/max pair for arrays (NaN fails both).  Only a rejected or empty
+    array goes through the elementwise checks.
+    """
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return _prepare_prob_array(x, name)
+    return np.float64(_require_prob_scalar(float(x), name))
+
+
+def _prepare_prob_array(arr: np.ndarray, name: str) -> np.ndarray:
+    in_range = (
+        arr.size
+        and -_SLACK <= np.minimum.reduce(arr, axis=None)
+        and np.maximum.reduce(arr, axis=None) <= 1.0 + _SLACK
+    )
+    if not in_range:
+        if not np.all(np.isfinite(arr)):
+            raise InputDomainError(f"{name} must be finite")
+        if np.any(arr < -_SLACK) or np.any(arr > 1.0 + _SLACK):
+            bad = float(np.ravel(arr)[int(np.argmax((arr < -_SLACK) | (arr > 1.0 + _SLACK)))])
+            raise InputDomainError(f"{name}={bad!r} lies outside [0, 1]")
     return np.clip(arr, 0.0, 1.0)
 
 
@@ -64,9 +84,9 @@ def _scalarize(arr: np.ndarray, scalar_in: bool):
 
 
 def _require_prob_scalar(x: float, name: str) -> float:
-    if not math.isfinite(x):
-        raise InputDomainError(f"{name} must be finite")
-    if x < -_SLACK or x > 1.0 + _SLACK:
+    if not -_SLACK <= x <= 1.0 + _SLACK:  # NaN fails this test too
+        if not math.isfinite(x):
+            raise InputDomainError(f"{name} must be finite")
         raise InputDomainError(f"{name}={x!r} lies outside [0, 1]")
     return min(max(x, 0.0), 1.0)
 

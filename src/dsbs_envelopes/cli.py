@@ -54,15 +54,12 @@ class CliConfig:
     grid_n: int = 201
     tol_overrides: dict | None = None
     out_dir: str = "."
-    out_format: str = "csv"
 
     def __post_init__(self) -> None:
         if not 1e-6 < self.rho < 1.0 - 1e-6:
             raise InputDomainError(f"rho={self.rho!r} outside (1e-6, 1-1e-6)")
         if not 51 <= self.grid_n <= 2001:
             raise InputDomainError(f"grid_n={self.grid_n!r} outside [51, 2001]")
-        if self.out_format not in ("csv", "json", "svg"):
-            raise InputDomainError(f"unknown output format {self.out_format!r}")
 
 
 def _g12(x: float) -> str:

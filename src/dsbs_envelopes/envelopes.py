@@ -206,43 +206,48 @@ def _q_opt(s_vals: np.ndarray, q: float, params: DsbsParams, *, kind: str):
     """Optimize ``t -> slice(s, t) - t/q`` per row of ``s_vals``.
 
     ``kind`` selects the phi slice with minimization or the psi slice with
-    maximization.  Dense 2001-point grid seeding (guards against missed
-    basins), then lockstep golden-section refinement of the winning cell to
-    1e-12.  Ties resolve to the smallest t: the grid argmin takes the first
-    index, golden-section shrinks leftward on ties, and the grid candidate
-    wins when the refinement cannot strictly improve it.
+    maximization.  The search runs in bias coordinates, where t comes in
+    closed form: with ``b = d2_inv(t)`` in [0, 1/2] the objective is
+    ``slice(a, b) - d2(b)/q``, so ``d2_inv`` is solved once, for the
+    2001-point seeding grid ``b_k = d2_inv(k/2000)`` (which guards against
+    missed basins).  Grid and refinement evaluate this one function of b.
+    The winning cell is refined by lockstep golden-section search to 1e-12
+    in b, and the reported argmin is ``d2(b_opt)``.  The objective is flat
+    at its optimum, so that t is reproducible only to about 1e-7: a 1e-9
+    change in ``d2_inv`` moves it by up to that much, while the value moves
+    only by about the size of the change.
+
+    Ties resolve to the smallest t: the grid argmin takes the first index;
+    the search variable is ``x = -b`` (exact, and increasing in t), so
+    golden-section's leftward shrinking on ties favours small t; and the
+    grid candidate wins when the refinement cannot strictly improve it.
     """
     minimize = kind == "phi"
-    a_axis = np.asarray(d2_inv(s_vals))
-    t_grid = np.linspace(0.0, 1.0, _T_GRID_N)
-    b_axis = np.asarray(d2_inv(t_grid))
-    if not minimize:
-        b_axis = 1.0 - b_axis
     sign = 1.0 if minimize else -1.0
+    a_axis = np.asarray(d2_inv(s_vals))
+    x_grid = -np.asarray(d2_inv(np.linspace(0.0, 1.0, _T_GRID_N)))
 
-    def objective(a_col: np.ndarray, t: np.ndarray) -> np.ndarray:
-        b = np.asarray(d2_inv(t)) if minimize else 1.0 - np.asarray(d2_inv(t))
-        return sign * (dd2_value(a_col, b, params) - t / q)
+    def objective(a_col: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b = -x
+        slice_b = b if minimize else 1.0 - b
+        return sign * (dd2_value(a_col, slice_b, params) - np.asarray(d2(b)) / q)
 
     best_val = np.empty(s_vals.size)
     best_idx = np.empty(s_vals.size, dtype=int)
     for start in range(0, s_vals.size, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, s_vals.size)
-        block = sign * (
-            dd2_value(a_axis[start:stop, None], b_axis[None, :], params)
-            - t_grid[None, :] / q
-        )
+        block = objective(a_axis[start:stop, None], x_grid[None, :])
         best_idx[start:stop] = np.argmin(block, axis=1)
         best_val[start:stop] = np.take_along_axis(
             block, best_idx[start:stop, None], axis=1
         )[:, 0]
-    lo = t_grid[np.maximum(best_idx - 1, 0)]
-    hi = t_grid[np.minimum(best_idx + 1, _T_GRID_N - 1)]
-    t_ref, f_ref = golden_min_vec(lambda t: objective(a_axis, t), lo, hi, xtol=1e-12)
+    lo = x_grid[np.maximum(best_idx - 1, 0)]
+    hi = x_grid[np.minimum(best_idx + 1, _T_GRID_N - 1)]
+    x_ref, f_ref = golden_min_vec(lambda x: objective(a_axis, x), lo, hi, xtol=1e-12)
     improved = f_ref < best_val
-    t_opt = np.where(improved, t_ref, t_grid[best_idx])
+    b_opt = -np.where(improved, x_ref, x_grid[best_idx])
     value = sign * np.where(improved, f_ref, best_val)
-    return value, t_opt
+    return value, np.asarray(d2(b_opt))
 
 
 def phi_q_full(s, qp: QParam, params: DsbsParams):

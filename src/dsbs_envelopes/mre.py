@@ -33,7 +33,7 @@ from scipy.special import xlogy
 
 from ._optim import golden_min, golden_min_vec
 from .binary import Coupling2x2, DsbsParams, d2, _prepare_prob, _scalarize
-from .errors import FeasibilityError
+from .errors import FeasibilityError, InconsistencyError
 
 __all__ = [
     "MreResult",
@@ -125,7 +125,7 @@ def p_star(a, b, params: DsbsParams):
     t = (k - 1.0) * (av + bv) + 1.0
     delta = t * t - 4.0 * k * (k - 1.0) * av * bv
     if np.any(delta < -1e-12):
-        raise AssertionError("negative discriminant in p_star; invariant Delta >= 1 broken")
+        raise InconsistencyError("negative discriminant in p_star; invariant Delta >= 1 broken")
     p = 2.0 * k * av * bv / (t + np.sqrt(np.maximum(delta, 0.0)))
     lo, hi = _feasible_interval(av, bv)
     return _scalarize(np.clip(p, lo, hi), scalar)

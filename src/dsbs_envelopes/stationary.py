@@ -426,16 +426,7 @@ def gamma_extremum(
         )
         i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
         neg = lambda a, b: -(float(dd2_value(a, b, params)) - lam * float(d2(a)) - mu * float(d2(b)))
-
-        def inner(a: float):
-            return golden_min(
-                lambda b: neg(a, b), max(0.5, axis_b[j] - 2 * h), min(1.0, axis_b[j] + 2 * h), xtol=1e-10
-            )
-
-        a_ref, _ = golden_min(
-            lambda a: inner(a)[1], max(0.0, axis[i] - 2 * h), min(0.5, axis[i] + 2 * h), xtol=1e-10
-        )
-        b_ref, negf = inner(a_ref)
+        a_ref, b_ref, negf = _refine_2d(neg, axis[i], axis_b[j], h, h, 0.5, 1.0)
         if -negf > grid[i, j]:
             a_opt, b_opt, value = a_ref, b_ref, -negf
         else:

@@ -12,6 +12,7 @@ from dsbs_envelopes import (
     Coupling2x2,
     DsbsParams,
     InputDomainError,
+    QParam,
     bconv,
     bdeconv,
     d2,
@@ -20,7 +21,11 @@ from dsbs_envelopes import (
     h2_inv,
     kl_binary,
     kl_joint,
+    phi_q_full,
+    phi_tilde_ab,
 )
+from dsbs_envelopes.binary import _prepare_prob
+from dsbs_envelopes.mre import dd2_value
 
 # Reference values computed with mpmath at mp.dps = 50.
 H2_011 = 0.499915958164528
@@ -175,3 +180,72 @@ def test_kl_joint_against_source():
     assert kl_joint(params.joint(), params) == 0.0
     uniform = Coupling2x2(0.25, 0.25, 0.25, 0.25)
     assert kl_joint(uniform, params) == pytest.approx(KL_UNIFORM_JOINT_09, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# probability validation shared by every public function
+# ---------------------------------------------------------------------------
+
+FORMS = {
+    "float": float,
+    "np.float64": np.float64,
+    "0-d": np.asarray,
+    "1-D": lambda v: np.array([0.5, v]),
+    "2-D": lambda v: np.array([[0.25, 0.5], [0.75, v]]),
+}
+
+REJECTED = [
+    (math.nan, "a must be finite"),
+    (math.inf, "a must be finite"),
+    (-math.inf, "a must be finite"),
+    (-1e-11, "a=-1e-11 lies outside [0, 1]"),
+    (1.0 + 1e-11, "a=1.00000000001 lies outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("value, message", REJECTED)
+def test_prepare_prob_rejects(form, value, message):
+    with pytest.raises(InputDomainError) as info:
+        _prepare_prob(FORMS[form](value), "a")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("value, expected", [(-1e-13, 0.0), (1.0 + 1e-13, 1.0), (0.3, 0.3), (-0.0, -0.0)])
+def test_prepare_prob_clips_within_slack(form, value, expected):
+    x = FORMS[form](value)
+    out = _prepare_prob(x, "a")
+    want = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    if np.ndim(x) == 0:
+        assert type(out) is np.float64
+    else:
+        assert isinstance(out, np.ndarray) and out.shape == want.shape
+        assert out is not x
+    assert np.asarray(out).tobytes() == want.tobytes()  # bitwise, so -0.0 stays -0.0
+    assert np.ravel(out)[-1] == expected
+
+
+def test_prepare_prob_empty_and_integer_input():
+    for shape in ((0,), (0, 3)):
+        out = _prepare_prob(np.zeros(shape), "a")
+        assert out.shape == shape and out.dtype == float
+    assert type(_prepare_prob(1, "a")) is np.float64
+    np.testing.assert_array_equal(_prepare_prob([0, 1], "a"), [0.0, 1.0])
+    with pytest.raises(InputDomainError, match=r"^a=2\.0 lies outside"):
+        _prepare_prob(2, "a")
+    with pytest.raises(InputDomainError, match="must be finite"):
+        _prepare_prob([[0.5, math.nan], [-5.0, 0.5]], "a")  # finiteness is checked first
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-11, 1.0 + 1e-11, np.array([0.5, math.inf])])
+def test_public_functions_reject_bad_probability(bad):
+    params = DsbsParams(0.9)
+    for call in (
+        lambda: d2(bad),
+        lambda: dd2_value(0.3, bad, params),
+        lambda: phi_tilde_ab(bad, 0.2, params),
+        lambda: phi_q_full(bad, QParam.from_q(2.0), params),
+    ):
+        with pytest.raises(InputDomainError):
+            call()

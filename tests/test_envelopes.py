@@ -30,6 +30,7 @@ from dsbs_envelopes import (
     psi_q_tilde,
     psi_tilde_oracle,
 )
+from dsbs_envelopes import envelopes
 from dsbs_envelopes.envelopes import _psi_q_tilde_lattice, _psi_tilde_oracle_lattice
 
 RHO = DsbsParams(0.9)
@@ -212,3 +213,34 @@ def test_psi_q_tilde_lattice_gap():
 def test_psi_q_tilde_rejects_convex_range():
     with pytest.raises(InputDomainError):
         psi_q_tilde(0.5, QParam.from_q(2.0), RHO)
+
+
+@pytest.mark.parametrize(
+    "rho, s, q",
+    [(0.7654547163403725, 0.2463202533898854, -2.0), (0.6225223405473079, 0.15848905843730465, 1.0)],
+)
+def test_q_search_grid_only_seeds_the_answer(monkeypatch, rho, s, q):
+    # d2_inv only seeds the q-family search: with every d2_inv result moved
+    # by 1e-9, the argmin t must stay put and the value must be the exact
+    # optimum at the moved point s' = d2(d2_inv(s)).  A grid that scored
+    # cells with a different function of b than the refinement moved the
+    # argmin of these two points by up to 5e-5.
+    params, qp = DsbsParams(rho), QParam.from_q(q)
+    exact = envelopes.d2_inv
+    _, t_ref = phi_q_full(s, qp, params)
+    moved_s, values, argmins = [], [], []
+    for shift in (0.0, -1e-9, 1e-9):
+        def shifted(x, _shift=shift):
+            out = np.clip(np.asarray(exact(x)) + _shift, 0.0, 0.5)
+            return float(out) if out.ndim == 0 else out
+
+        monkeypatch.setattr(envelopes, "d2_inv", shifted)
+        value, t_opt = phi_q_full(s, qp, params)
+        moved_s.append(d2(shifted(s)))
+        values.append(value)
+        argmins.append(t_opt)
+    monkeypatch.setattr(envelopes, "d2_inv", exact)
+    t = np.linspace(0.0, 1.0, 400_001)
+    dense = np.min(phi(np.array(moved_s)[:, None], t[None, :], params) - t / q, axis=1)
+    assert np.max(np.abs(np.array(argmins) - t_ref)) <= 1e-6
+    assert np.max(np.abs(dense - np.array(values))) <= 1e-9

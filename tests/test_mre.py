@@ -1,13 +1,14 @@
 """Minimum-divergence surface: closed-form minimizer vs brute-force oracle."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsbs_envelopes import DsbsParams, FeasibilityError, dd2, dd2_oracle, p_star, region_sample
+from dsbs_envelopes import DsbsParams, FeasibilityError, InconsistencyError, dd2, dd2_oracle, p_star, region_sample
 from dsbs_envelopes.mre import _dd2_oracle_batch, d2ab, dd2_value
 
 RHO = DsbsParams(0.9)
@@ -105,3 +106,11 @@ def test_region_sample_surface():
         assert 0.0 <= pt.x <= 1.0
         assert 0.0 <= pt.y <= 1.0
         assert pt.z >= -1e-15
+
+
+def test_p_star_negative_discriminant_is_a_library_error():
+    # k = -1 is not a valid cross ratio; at a = b = 1/2 it gives Delta = -1,
+    # which must surface as a DsbsError, never as a bare AssertionError.
+    broken = types.SimpleNamespace(k=-1.0)
+    with pytest.raises(InconsistencyError, match="negative discriminant"):
+        p_star(0.5, 0.5, broken)
