@@ -61,7 +61,7 @@ def _prepare_prob(x, name: str):
         x = np.asarray(x, dtype=float)
         if x.ndim:
             return _prepare_prob_array(x, name)
-    return np.float64(_require_prob_scalar(float(x), name))
+    return np.float64(_require_prob_scalar(x, name))
 
 
 def _prepare_prob_array(arr: np.ndarray, name: str) -> np.ndarray:
@@ -83,7 +83,8 @@ def _scalarize(arr: np.ndarray, scalar_in: bool):
     return float(np.asarray(arr).item()) if scalar_in else arr
 
 
-def _require_prob_scalar(x: float, name: str) -> float:
+def _require_prob_scalar(x, name: str) -> float:
+    x = float(x)  # numpy scalars are reported and stored as plain floats
     if not -_SLACK <= x <= 1.0 + _SLACK:  # NaN fails this test too
         if not math.isfinite(x):
             raise InputDomainError(f"{name} must be finite")

@@ -14,10 +14,13 @@ collapses to the scalar root equation
 
     W(v*W(h)) = r*v*h,            h = ln z,  r = (p-1)(q-1),
 
-(`aux_phi_h` is its left-minus-right side).  For ``|v| > 1``,
-``theta in (0,1)`` and ``0 < r < rho^2`` this has exactly one root with
-h > 0; the bend point h0 below which no root can sit comes from the
-eta-substitution ``eta = 1/w(e^h)`` (`h0_threshold`).
+(`aux_phi_h` is its left-minus-right side, evaluated as that very
+composition of W).  For ``|v| > 1``, ``theta in (0,1)`` and
+``0 < r < rho^2`` this has exactly one root with h > 0; the bend point h0
+below which no root can sit comes from the eta-substitution
+``eta = 1/w(e^h)`` (`h0_threshold`).  `count_roots_scan` certifies the
+uniqueness by brute force on one cached, read-only 10^6-point grid,
+evaluated in chunks of 2^14 points.
 
 Case conventions (the error-prone bookkeeping, centralized here):
 
@@ -38,6 +41,7 @@ log space and normalized through logsumexp, so astronomically large z
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,6 +70,7 @@ __all__ = [
 ]
 
 _SIGN_SLACK = 1e-9  # tolerance on the case sign patterns, in log-ratio units
+_SCAN_CHUNK = 1 << 14  # points per aux_phi_h call in count_roots_scan
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,24 +158,19 @@ def _log_w_of_h(h, theta: float):
 def aux_phi_h(h, prob: RootProblem):
     """Left minus right side of the root equation: W(v*W(h)) - r*v*h, h >= 0.
 
-    Evaluated as a difference of two logaddexp terms so large |v| never
-    overflows: with A = ln(theta + e^-h) and B = ln(1 + theta*e^-h),
-
-        aux = logaddexp(v*A + ln(theta), v*B) - logaddexp(v*B + ln(theta), v*A) - r*v*h.
-
-    ``B`` uses plain log, not log1p, so that A and B are bitwise equal at
-    h = 0 and the value there is exactly 0.
+    Evaluated as the composition itself, through the overflow-safe
+    `eta_of_h`: four transcendentals per point (two exp, two log).  Large
+    |v| never overflows, because exp(-|x|) of a large outer argument
+    x = v*W(h) underflows to 0 and eta saturates at theta (or 1/theta).
+    The value at h = 0 is exactly 0: eta_of_h(0) = 1, so both W terms are
+    zero.
     """
     scalar = np.ndim(h) == 0
     hv = np.asarray(h, dtype=float)
     if np.any(hv < 0.0):
         raise InputDomainError("aux_phi_h is defined for h >= 0")
     theta, v, r = prob.theta, prob.v, prob.r
-    e = np.exp(-hv)
-    a = np.log(theta + e)
-    b = np.log(1.0 + theta * e)
-    lth = math.log(theta)
-    out = np.logaddexp(v * a + lth, v * b) - np.logaddexp(v * b + lth, v * a) - r * v * hv
+    out = _log_w_of_h(v * _log_w_of_h(hv, theta), theta) - r * v * hv
     return float(out) if scalar else out
 
 
@@ -226,20 +226,38 @@ def solve_root_z(prob: RootProblem) -> float:
     return math.exp(_solve_root_h(prob))
 
 
+@functools.lru_cache(maxsize=1)
+def _scan_grid(n: int) -> np.ndarray:
+    """The read-only logarithmic h-grid of `count_roots_scan`, built once per n."""
+    h = np.geomspace(1e-8, 1e4, n)
+    h.flags.writeable = False
+    return h
+
+
 def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
     """Sign changes of aux_phi_h on a logarithmic h-grid over (1e-8, 1e4).
 
     Independent of the bisection solver; exists to certify uniqueness of the
     root by brute force.  Grid points where the function is exactly zero are
-    skipped rather than double-counted.
+    skipped rather than double-counted.  The grid is cached (one read-only
+    array, shared by every problem of the same n) and evaluated in chunks of
+    2^14 points, carrying the last nonzero sign across chunk boundaries, so
+    a scan allocates no temporary wider than one chunk; the only full-size
+    array is the grid itself (8 MB at the default n).
     """
     if n < 100_000:
         raise InputDomainError("n must be at least 1e5")
-    h = np.geomspace(1e-8, 1e4, n)
-    vals = aux_phi_h(h, prob)
-    signs = np.sign(vals)
-    signs = signs[signs != 0.0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    h = _scan_grid(n)
+    count = 0
+    last = 0.0  # last nonzero sign seen so far; 0 before the first
+    for start in range(0, n, _SCAN_CHUNK):
+        signs = np.sign(aux_phi_h(h[start : start + _SCAN_CHUNK], prob))
+        signs = signs[signs != 0.0]
+        if signs.size:
+            count += int(np.count_nonzero(signs[1:] != signs[:-1]))
+            count += int(last * signs[0] < 0.0)
+            last = signs[-1]
+    return count
 
 
 # ---------------------------------------------------------------------------

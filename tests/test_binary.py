@@ -249,3 +249,17 @@ def test_public_functions_reject_bad_probability(bad):
     ):
         with pytest.raises(InputDomainError):
             call()
+
+
+@pytest.mark.parametrize("form", ["float", "np.float64"])
+@pytest.mark.parametrize("value, message", REJECTED)
+def test_dataclass_validation_matches_prepare_prob(form, value, message):
+    x = FORMS[form](value)
+    with pytest.raises(InputDomainError) as info:
+        BinaryDist(x)
+    assert str(info.value) == "p1" + message[1:]
+    with pytest.raises(InputDomainError) as info:
+        Coupling2x2(0.25, 0.25, 0.25, x)
+    assert str(info.value) == "q11" + message[1:]
+    assert type(BinaryDist(FORMS[form](0.3)).p1) is float
+    assert type(Coupling2x2(*map(FORMS[form], (0.4, 0.1, 0.2, 0.3))).q00) is float

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,9 @@ from dsbs_envelopes import (
     solve_root_z,
     stationary_point,
 )
+from dsbs_envelopes import stationary
 from dsbs_envelopes.mre import dd2_value
+from dsbs_envelopes.stationary import _SCAN_CHUNK, _log_w_of_h
 
 RHO = DsbsParams(0.9)
 THETA_09 = (1 - 0.9) / (1 + 0.9)  # = 1/19
@@ -72,6 +75,38 @@ def test_aux_phi_frozen_value():
     assert aux_phi_h(0.5, prob) == pytest.approx(AUX_AT_HALF, abs=1e-14)
 
 
+def _random_root_problems(seed, k, v_max=50.0):
+    """Problems drawn the way claim U draws them, |v| up to v_max."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(k):
+        theta = rng.uniform(0.02, 0.9)
+        v = math.copysign(math.exp(rng.uniform(math.log(1.05), math.log(v_max))), rng.choice([-1.0, 1.0]))
+        rho = (1.0 - theta) / (1.0 + theta)
+        problems.append(RootProblem(theta, v, rho * rho * rng.uniform(0.05, 0.95)))
+    return problems
+
+
+def _aux_mp(h, prob):
+    """W(v*W(h)) - r*v*h at 50 digits, from the float inputs taken exactly."""
+    theta, v = mpmath.mpf(prob.theta), mpmath.mpf(prob.v)
+
+    def w(x):
+        return mpmath.log((mpmath.exp(x) + theta) / (1 + theta * mpmath.exp(x)))
+
+    h = mpmath.mpf(h)
+    return w(v * w(h)) - mpmath.mpf(prob.r) * v * h
+
+
+def test_aux_phi_h_matches_mpmath():
+    rng = np.random.default_rng(2024)
+    with mpmath.workdps(50):
+        for prob in _random_root_problems(11, 40, v_max=1000.0):
+            for h in (1e-8, 1e-3, rng.uniform(0.0, 3.0), rng.uniform(3.0, 50.0), 1e3, 1e4):
+                err = abs(aux_phi_h(h, prob) - float(_aux_mp(h, prob)))
+                assert err <= 1e-15 * abs(prob.v) * (1.0 + h), (prob, h, err)
+
+
 def test_h0_threshold_and_root():
     prob = RootProblem(THETA_09, 2.0, 0.5)
     h0 = h0_threshold(prob)
@@ -96,6 +131,56 @@ def test_count_roots_scan_guards_resolution():
     prob = RootProblem(THETA_09, 2.0, 0.5)
     with pytest.raises(InputDomainError):
         count_roots_scan(prob, 10_000)
+
+
+def _whole_grid_count(prob, n):
+    """Reference scan: signs of aux_phi_h on the whole grid at once, zeros dropped."""
+    signs = np.sign(aux_phi_h(np.geomspace(1e-8, 1e4, n), prob))
+    signs = signs[signs != 0.0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+@pytest.mark.parametrize("n", [100_000, 100_001, 1_000_000])
+def test_count_roots_scan_matches_whole_grid(n):
+    for prob in _random_root_problems(n, 3):
+        assert count_roots_scan(prob, n) == _whole_grid_count(prob, n) == 1
+
+
+# The root is built inside the grid cell that ends at index `cell`: two
+# cells on a chunk edge, and the last cell of the grid, which sits in a
+# partial final chunk.  Index 2^14 itself lies below h = 1e-6 for every n
+# the scan accepts; there r = W(v*W(h))/(v*h) is within rounding of rho^2
+# and the sign of aux_phi_h is noise, so the edge cells are later ones.
+@pytest.mark.parametrize(
+    "n, cell", [(100_001, 4 * _SCAN_CHUNK), (1_000_000, 40 * _SCAN_CHUNK), (100_001, 100_000)]
+)
+@pytest.mark.parametrize("theta, v", [(0.3, 2.0), (THETA_09, -5.0), (0.05, 1000.0)])
+def test_count_roots_scan_root_in_chosen_cell(n, cell, theta, v):
+    grid = np.geomspace(1e-8, 1e4, n)
+    h_b = math.sqrt(grid[cell - 1] * grid[cell])
+    r = float(_log_w_of_h(v * float(_log_w_of_h(h_b, theta)), theta)) / (v * h_b)
+    prob = RootProblem(theta, v, r)
+    left, right = aux_phi_h(grid[cell - 1 : cell + 1], prob)
+    assert left * right < 0.0
+    assert count_roots_scan(prob, n) == _whole_grid_count(prob, n) == 1
+
+
+@pytest.mark.parametrize("after, expected", [(-1.0, 1), (1.0, 0)])
+@pytest.mark.parametrize(
+    "zero_span",
+    [(_SCAN_CHUNK - 1, _SCAN_CHUNK + 1), (_SCAN_CHUNK - 1, 2 * _SCAN_CHUNK + 1)],
+    ids=["edge", "whole-chunk"],
+)
+def test_count_roots_scan_skips_zeros_at_chunk_edge(monkeypatch, zero_span, after, expected):
+    # sign +1, then exact zeros on grid indices [first, end) straddling a
+    # chunk edge, then `after`: "+,0,-" is one root and "+,0,+" none
+    n = 100_000
+    grid = np.geomspace(1e-8, 1e4, n)
+    first, end = zero_span
+    lo, hi = grid[first], grid[end - 1]
+    fake = lambda h, prob: np.where(h < lo, 1.0, np.where(h > hi, after, 0.0))
+    monkeypatch.setattr(stationary, "aux_phi_h", fake)
+    assert count_roots_scan(RootProblem(THETA_09, 2.0, 0.5), n) == expected
 
 
 @given(
