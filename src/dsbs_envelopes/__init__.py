@@ -2,8 +2,8 @@
 
 The package is organised bottom-up:
 
-- :mod:`.binary` — scalar binary entropy/divergence machinery and the
-  source parameters.
+- :mod:`.binary` — scalar binary entropy/divergence machinery, the
+  source parameters and couplings.
 - :mod:`.mre` — the two-letter divergence surface ``dd2`` and its exact
   minimizer ``p_star``.
 - :mod:`.envelopes` — the surface slices ``phi``/``psi``, their monotone
@@ -18,41 +18,32 @@ The package is organised bottom-up:
 __version__ = "0.1.0"
 
 from .binary import (
-    BinaryDist,
     Coupling2x2,
     DsbsParams,
     bconv,
-    bdeconv,
     d2,
     d2_inv,
     h2,
     h2_inv,
-    kl_binary,
     kl_joint,
 )
 from .envelopes import (
     QParam,
     in_s0,
-    in_s0_transpose,
     phi,
     phi_grid,
     phi_q,
     phi_q_full,
-    phi_q_tilde,
     phi_tilde,
     phi_tilde_ab,
     phi_tilde_grid,
-    phi_tilde_oracle,
     psi,
     psi_grid,
     psi_q,
     psi_q_full,
-    psi_q_tilde,
-    psi_tilde_oracle,
 )
 from .errors import (
     DsbsError,
-    FeasibilityError,
     InconsistencyError,
     InputDomainError,
     NoRootError,
@@ -69,7 +60,7 @@ from .hulls import (
     lower_convex_envelope,
     upper_concave_envelope,
 )
-from .mre import MreResult, RegionPoint, d2ab, dd2, dd2_oracle, p_star, region_sample
+from .mre import MreResult, dd2, p_star
 from .stationary import (
     GammaExtremum,
     RootProblem,
@@ -94,14 +85,12 @@ from .verify import (
 )
 
 __all__ = [
-    "BinaryDist",
     "CLAIM_IDS",
     "ClaimResult",
     "ConvexityReport",
     "Coupling2x2",
     "DsbsError",
     "DsbsParams",
-    "FeasibilityError",
     "GammaExtremum",
     "GridFn",
     "InconsistencyError",
@@ -109,14 +98,12 @@ __all__ = [
     "MreResult",
     "NoRootError",
     "QParam",
-    "RegionPoint",
     "RootProblem",
     "StationaryPoint",
     "VerificationReport",
     "VerifyOptions",
     "aux_phi_h",
     "bconv",
-    "bdeconv",
     "check_midpoint_concave",
     "check_midpoint_convex",
     "check_monotone",
@@ -124,9 +111,7 @@ __all__ = [
     "count_roots_scan",
     "d2",
     "d2_inv",
-    "d2ab",
     "dd2",
-    "dd2_oracle",
     "default_tolerances",
     "eta_of_h",
     "gamma_extremum",
@@ -135,8 +120,6 @@ __all__ = [
     "h2_inv",
     "hypercontractive_regime",
     "in_s0",
-    "in_s0_transpose",
-    "kl_binary",
     "kl_joint",
     "legendre_envelope_1d",
     "legendre_envelope_2d",
@@ -146,19 +129,14 @@ __all__ = [
     "phi_grid",
     "phi_q",
     "phi_q_full",
-    "phi_q_tilde",
     "phi_tilde",
     "phi_tilde_ab",
     "phi_tilde_grid",
-    "phi_tilde_oracle",
     "psi",
     "psi_grid",
     "psi_q",
     "psi_q_full",
-    "psi_q_tilde",
-    "psi_tilde_oracle",
     "reconstruct_coupling",
-    "region_sample",
     "solve_root_z",
     "stationary_point",
     "upper_concave_envelope",

@@ -32,15 +32,12 @@ from .errors import InputDomainError
 
 __all__ = [
     "DsbsParams",
-    "BinaryDist",
     "Coupling2x2",
     "h2",
     "h2_inv",
     "d2",
     "d2_inv",
     "bconv",
-    "bdeconv",
-    "kl_binary",
     "kl_joint",
 ]
 
@@ -162,16 +159,6 @@ def bconv(x, y):
     return _scalarize(xv + yv - 2.0 * xv * yv, scalar)
 
 
-def bdeconv(z, y):
-    """Bias ``x`` with ``bconv(x, y) = z``; singular at ``y = 1/2``."""
-    scalar = np.ndim(z) == 0 and np.ndim(y) == 0
-    zv = _prepare_prob(z, "z")
-    yv = _prepare_prob(y, "y")
-    if np.any(np.abs(yv - 0.5) <= _SLACK):
-        raise InputDomainError("bdeconv is singular at y = 1/2")
-    return _scalarize((zv - yv) / (1.0 - 2.0 * yv), scalar)
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -213,30 +200,6 @@ class DsbsParams:
         differ = 0.25 * (1.0 - self.rho)
         return np.array([agree, differ, differ, agree])
 
-    def joint(self) -> "Coupling2x2":
-        """The joint distribution of the pair as a :class:`Coupling2x2`."""
-        agree = 0.25 * (1.0 + self.rho)
-        differ = 0.25 * (1.0 - self.rho)
-        return Coupling2x2(agree, differ, differ, agree)
-
-
-@dataclass(frozen=True, slots=True)
-class BinaryDist:
-    """Distribution of one bit, stored as ``p1 = P(bit = 1)``."""
-
-    p1: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", _require_prob_scalar(self.p1, "p1"))
-
-    @property
-    def p0(self) -> float:
-        return 1.0 - self.p1
-
-    @classmethod
-    def uniform(cls) -> "BinaryDist":
-        return cls(0.5)
-
 
 @dataclass(frozen=True, slots=True)
 class Coupling2x2:
@@ -257,37 +220,10 @@ class Coupling2x2:
     def as_array(self) -> np.ndarray:
         return np.array([self.q00, self.q01, self.q10, self.q11])
 
-    def x_marginal(self) -> BinaryDist:
-        return BinaryDist(self.q10 + self.q11)
-
-    def y_marginal(self) -> BinaryDist:
-        return BinaryDist(self.q01 + self.q11)
-
 
 # ---------------------------------------------------------------------------
 # divergences
 # ---------------------------------------------------------------------------
-
-
-def kl_binary(q: BinaryDist, p: BinaryDist, *, strict: bool = False) -> float:
-    """Relative entropy D(q || p) of two bit distributions, in bits.
-
-    When ``q`` puts mass where ``p`` has none the divergence is infinite; by
-    default that returns ``math.inf``, with ``strict=True`` it raises
-    :class:`InputDomainError` instead.
-    """
-    total = 0.0
-    for qm, pm in ((q.p0, p.p0), (q.p1, p.p1)):
-        if qm == 0.0:
-            continue
-        if pm <= 0.0:
-            if strict:
-                raise InputDomainError(
-                    "relative entropy is infinite: q has mass outside the support of p"
-                )
-            return math.inf
-        total += qm * math.log2(qm / pm)
-    return total
 
 
 def kl_joint(q: Coupling2x2, params: DsbsParams) -> float:

@@ -23,7 +23,6 @@ from .binary import DsbsParams, d2, d2_inv, h2
 from .envelopes import (
     QParam,
     in_s0,
-    in_s0_transpose,
     phi,
     phi_grid,
     phi_q_full,
@@ -37,6 +36,8 @@ from .errors import DsbsError, InputDomainError, NoRootError
 from .mre import dd2, p_star
 from .stationary import (
     RootProblem,
+    _regime_case,
+    _root_side,
     aux_phi_h,
     count_roots_scan,
     h0_threshold,
@@ -124,7 +125,7 @@ def cmd_eval(args) -> int:
         value = phi_tilde(s, t, params)
         if in_s0(s, t, params):
             lines = ["branch = alpha-plane"]
-        elif in_s0_transpose(s, t, params):
+        elif in_s0(t, s, params):
             lines = ["branch = beta-plane"]
         else:
             a, b = d2_inv(s), d2_inv(t)
@@ -277,9 +278,15 @@ def cmd_roots(args) -> int:
         theta = params.theta
         qp = QParam(args.p, args.q)
         r = qp.r
-        v = qp.v if abs(qp.v) >= abs(qp.u) else qp.u
-        side = "v" if abs(qp.v) >= abs(qp.u) else "u"
-        print(f"theta = {_g12(theta)}   exponent side: {side} = {_g12(v)}   r = {_g12(r)}")
+        case = _regime_case(qp)
+        if case is None:
+            print(f"theta = {_g12(theta)}   case: none   r = {_g12(r)}")
+        else:
+            side, v = _root_side(qp, case)
+            print(
+                f"theta = {_g12(theta)}   case: {case}   exponent side: {side} = {_g12(v)}"
+                f"   r = {_g12(r)}"
+            )
     else:
         if args.theta is None or args.v is None or args.r is None:
             raise InputDomainError("--theta, --v and --r must be given together")
@@ -294,6 +301,11 @@ def cmd_roots(args) -> int:
     if r > rho_sq * (1.0 + 1e-12):
         print(f"regime: r = {_g12(r)} > rho^2 = {_g12(rho_sq)} — no interior root")
         return 0
+    if pq_form and case is None:
+        raise InputDomainError(
+            f"(p, q)=({qp.p!r}, {qp.q!r}) lies in none of the forward, reverse and mixed "
+            "regimes, so no root problem is posed"
+        )
     print(f"regime: r = {_g12(r)} <= rho^2 = {_g12(rho_sq)} — root regime")
     prob = RootProblem(theta, v, r)
     try:

@@ -19,11 +19,15 @@ the envelope equals ``alpha`` (the surface touches its tangent plane along
 the curve ``b = bconv(a, c)``, where ``dd2(a, bconv(a, c)) = d2(a)``); on the
 transposed region it equals ``beta``; elsewhere it equals ``phi`` itself.
 The two regions meet only at the origin, so branch order is immaterial.
+The branch rule lives in one private mask, which one private kernel in
+bias coordinates applies for `phi_tilde`, `phi_tilde_ab` and
+`phi_tilde_grid`; `in_s0` reads the same mask.
 
-Brute-force envelope oracles (`phi_tilde_oracle`, `psi_tilde_oracle`, and
-the lattice variants) never consult the closed form; they exist to certify
-it, and the verification layer treats their agreement as a claim to test,
-not an assumption.
+The brute-force envelope oracles (the running-extremum lattices
+`_phi_tilde_oracle_lattice`, `_psi_tilde_oracle_lattice` and
+`_psi_q_tilde_lattice`) never consult the closed form; they exist to
+certify it, and the verification layer treats their agreement as a claim
+to test, not an assumption.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .mre import dd2_value
 __all__ = [
     "QParam",
     "in_s0",
-    "in_s0_transpose",
     "phi",
     "psi",
     "phi_grid",
@@ -53,10 +56,6 @@ __all__ = [
     "psi_q_full",
     "phi_tilde",
     "phi_tilde_ab",
-    "phi_tilde_oracle",
-    "psi_tilde_oracle",
-    "phi_q_tilde",
-    "psi_q_tilde",
 ]
 
 _CHUNK_ROWS = 256  # row blocking for the dense grid evaluators
@@ -112,24 +111,37 @@ def _require_q_nonzero(qp: QParam) -> float:
 
 
 # ---------------------------------------------------------------------------
-# region membership
+# the phi_tilde kernel and region membership
 # ---------------------------------------------------------------------------
 
 
+def _flat(a, b, c: float):
+    """Branch mask of S0 in bias coordinates: ``b >= bconv(a, c)``."""
+    return b >= np.asarray(bconv(a, c))
+
+
+def _phi_tilde_kernel(a, b, val_a, val_b, params: DsbsParams):
+    """phi_tilde at biases (a, b) in [0, 1/2]^2, broadcasting.
+
+    ``val_a`` and ``val_b`` are the flat-branch values d2(a) and d2(b), in
+    whatever form the caller already holds them (the deficits themselves,
+    or d2 of the biases).
+    """
+    c = params.crossover
+    vals = dd2_value(a, b, params)
+    return np.where(_flat(a, b, c), val_a, np.where(_flat(b, a, c), val_b, vals))
+
+
 def in_s0(alpha, beta, params: DsbsParams):
-    """Membership of (alpha, beta) in the flat region where the envelope is alpha."""
+    """Membership of (alpha, beta) in the flat region where the envelope is alpha.
+
+    The transposed region, where the envelope is beta, is ``in_s0(beta, alpha)``.
+    """
     scalar = np.ndim(alpha) == 0 and np.ndim(beta) == 0
-    av = _prepare_prob(alpha, "alpha")
-    bv = _prepare_prob(beta, "beta")
-    a = np.asarray(d2_inv(av))
-    b = np.asarray(d2_inv(bv))
-    out = b >= np.asarray(bconv(a, params.crossover))
+    a = np.asarray(d2_inv(_prepare_prob(alpha, "alpha")))
+    b = np.asarray(d2_inv(_prepare_prob(beta, "beta")))
+    out = _flat(a, b, params.crossover)
     return bool(out) if scalar else out
-
-
-def in_s0_transpose(alpha, beta, params: DsbsParams):
-    """Membership in the transposed flat region, where the envelope is beta."""
-    return in_s0(beta, alpha, params)
 
 
 # ---------------------------------------------------------------------------
@@ -152,47 +164,43 @@ def psi(s, t, params: DsbsParams):
     return dd2_value(d2_inv(sv), 1.0 - b, params)
 
 
-def _outer_eval(a_axis: np.ndarray, b_axis: np.ndarray, params: DsbsParams) -> np.ndarray:
-    """dd2 over the outer product of two bias axes, chunked by rows."""
-    out = np.empty((a_axis.size, b_axis.size))
-    for start in range(0, a_axis.size, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, a_axis.size)
-        out[start:stop] = dd2_value(a_axis[start:stop, None], b_axis[None, :], params)
+def _outer_eval(n_rows: int, n_cols: int, block) -> np.ndarray:
+    """An n_rows x n_cols grid filled by ``block(rows)``, one row slice at a time."""
+    out = np.empty((n_rows, n_cols))
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
+        out[rows] = block(rows)
     return out
+
+
+def _grid_axes(s_vals, t_vals, names=("s_vals", "t_vals")):
+    """The validated deficit axes of a grid and their biases d2_inv."""
+    sv = np.atleast_1d(_prepare_prob(s_vals, names[0]))
+    tv = np.atleast_1d(_prepare_prob(t_vals, names[1]))
+    return sv, tv, np.asarray(d2_inv(sv)), np.asarray(d2_inv(tv))
 
 
 def phi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
     """phi on the grid ``s_vals x t_vals``; axis 0 indexes s."""
-    sv = np.atleast_1d(_prepare_prob(s_vals, "s_vals"))
-    tv = np.atleast_1d(_prepare_prob(t_vals, "t_vals"))
-    return _outer_eval(np.asarray(d2_inv(sv)), np.asarray(d2_inv(tv)), params)
+    sv, tv, a, b = _grid_axes(s_vals, t_vals)
+    return _outer_eval(sv.size, tv.size, lambda rows: dd2_value(a[rows, None], b[None, :], params))
 
 
 def psi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
     """psi on the grid ``s_vals x t_vals``; axis 0 indexes s."""
-    sv = np.atleast_1d(_prepare_prob(s_vals, "s_vals"))
-    tv = np.atleast_1d(_prepare_prob(t_vals, "t_vals"))
-    return _outer_eval(np.asarray(d2_inv(sv)), 1.0 - np.asarray(d2_inv(tv)), params)
+    sv, tv, a, b = _grid_axes(s_vals, t_vals)
+    b = 1.0 - b
+    return _outer_eval(sv.size, tv.size, lambda rows: dd2_value(a[rows, None], b[None, :], params))
 
 
 def phi_tilde_grid(alpha_vals, beta_vals, params: DsbsParams) -> np.ndarray:
     """phi_tilde on the grid ``alpha_vals x beta_vals``; axis 0 indexes alpha."""
-    av = np.atleast_1d(_prepare_prob(alpha_vals, "alpha_vals"))
-    bv = np.atleast_1d(_prepare_prob(beta_vals, "beta_vals"))
-    a_axis = np.asarray(d2_inv(av))
-    b_axis = np.asarray(d2_inv(bv))
-    out = np.empty((av.size, bv.size))
-    c = params.crossover
-    for start in range(0, av.size, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, av.size)
-        a = a_axis[start:stop, None]
-        b = b_axis[None, :]
-        flat_a = b >= np.asarray(bconv(a, c))
-        flat_b = a >= np.asarray(bconv(b, c))
-        vals = dd2_value(a, b, params)
-        block = np.where(flat_a, av[start:stop, None], np.where(flat_b, bv[None, :], vals))
-        out[start:stop] = block
-    return out
+    av, bv, a, b = _grid_axes(alpha_vals, beta_vals, ("alpha_vals", "beta_vals"))
+
+    def block(rows):
+        return _phi_tilde_kernel(a[rows, None], b[None, :], av[rows, None], bv[None, :], params)
+
+    return _outer_eval(av.size, bv.size, block)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +296,7 @@ def phi_tilde(alpha, beta, params: DsbsParams):
     scalar = np.ndim(alpha) == 0 and np.ndim(beta) == 0
     av = _prepare_prob(alpha, "alpha")
     bv = _prepare_prob(beta, "beta")
-    a = np.asarray(d2_inv(av))
-    b = np.asarray(d2_inv(bv))
-    c = params.crossover
-    flat_a = b >= np.asarray(bconv(a, c))
-    flat_b = a >= np.asarray(bconv(b, c))
-    vals = dd2_value(a, b, params)
-    out = np.where(flat_a, av, np.where(flat_b, bv, vals))
+    out = _phi_tilde_kernel(np.asarray(d2_inv(av)), np.asarray(d2_inv(bv)), av, bv, params)
     return _scalarize(np.asarray(out, dtype=float), scalar)
 
 
@@ -309,38 +311,8 @@ def phi_tilde_ab(a, b, params: DsbsParams):
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
-    c = params.crossover
-    flat_a = bv >= np.asarray(bconv(av, c))
-    flat_b = av >= np.asarray(bconv(bv, c))
-    vals = dd2_value(av, bv, params)
-    out = np.where(flat_a, np.asarray(d2(av)), np.where(flat_b, np.asarray(d2(bv)), vals))
+    out = _phi_tilde_kernel(av, bv, np.asarray(d2(av)), np.asarray(d2(bv)), params)
     return _scalarize(np.asarray(out, dtype=float), scalar)
-
-
-def phi_tilde_oracle(alpha: float, beta: float, params: DsbsParams, n: int = 2001) -> float:
-    """Brute-force ``min phi(s, t)`` over an n-by-n grid of [alpha,1] x [beta,1].
-
-    Upper-bounds the true envelope and converges to it as n grows; never
-    consults the piecewise form.
-    """
-    if n < 101:
-        raise InputDomainError("n must be at least 101")
-    av = float(_prepare_prob(alpha, "alpha"))
-    bv = float(_prepare_prob(beta, "beta"))
-    s_vals = np.linspace(av, 1.0, n)
-    t_vals = np.linspace(bv, 1.0, n)
-    return float(np.min(phi_grid(s_vals, t_vals, params)))
-
-
-def psi_tilde_oracle(alpha: float, beta: float, params: DsbsParams, n: int = 2001) -> float:
-    """Brute-force ``max psi(s, t)`` over an n-by-n grid of [0,alpha] x [0,beta]."""
-    if n < 101:
-        raise InputDomainError("n must be at least 101")
-    av = float(_prepare_prob(alpha, "alpha"))
-    bv = float(_prepare_prob(beta, "beta"))
-    s_vals = np.linspace(0.0, av, n)
-    t_vals = np.linspace(0.0, bv, n)
-    return float(np.max(psi_grid(s_vals, t_vals, params)))
 
 
 def _suffix_min_2d(values: np.ndarray) -> np.ndarray:
@@ -374,33 +346,6 @@ def _psi_tilde_oracle_lattice(params: DsbsParams, master_n: int = 2001, stride: 
     grid = np.linspace(0.0, 1.0, master_n)
     env = _prefix_max_2d(psi_grid(grid, grid, params))
     return grid[::stride], env[::stride, ::stride]
-
-
-def phi_q_tilde(alpha: float, qp: QParam, params: DsbsParams, grid_n: int = _T_GRID_N) -> float:
-    """``min of phi_q over s in [alpha, 1]`` by brute-force grid; q >= 1 only."""
-    _require_q_nonzero(qp)
-    if qp.q < 1.0:
-        raise InputDomainError("phi_q_tilde is defined for q >= 1")
-    av = float(_prepare_prob(alpha, "alpha"))
-    s_vals = np.linspace(av, 1.0, grid_n)
-    value, _ = _q_opt(s_vals, qp.q, params, kind="phi")
-    return float(np.min(value))
-
-
-def psi_q_tilde(alpha: float, qp: QParam, params: DsbsParams, grid_n: int = _T_GRID_N) -> float:
-    """``max over s in [0, alpha]`` of phi_q (q < 0) or psi_q (0 < q < 1).
-
-    The two cases carry different inner slices; q outside them is a domain
-    error rather than a silent extrapolation.
-    """
-    q = _require_q_nonzero(qp)
-    if not (q < 0.0 or 0.0 < q < 1.0):
-        raise InputDomainError("psi_q_tilde is defined for q < 0 or 0 < q < 1")
-    av = float(_prepare_prob(alpha, "alpha"))
-    s_vals = np.linspace(0.0, av, grid_n)
-    kind = "phi" if q < 0.0 else "psi"
-    value, _ = _q_opt(s_vals, q, params, kind=kind)
-    return float(np.max(value))
 
 
 def _psi_q_tilde_lattice(

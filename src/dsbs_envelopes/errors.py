@@ -11,7 +11,6 @@ from __future__ import annotations
 __all__ = [
     "DsbsError",
     "InputDomainError",
-    "FeasibilityError",
     "NoRootError",
     "InconsistencyError",
 ]
@@ -23,18 +22,6 @@ class DsbsError(Exception):
 
 class InputDomainError(DsbsError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class FeasibilityError(InputDomainError):
-    """A coupling parameter violates the feasible interval for its marginals.
-
-    Instances carry the interval on attributes ``lo`` and ``hi``.
-    """
-
-    def __init__(self, message: str, lo: float | None = None, hi: float | None = None):
-        super().__init__(message)
-        self.lo = lo
-        self.hi = hi
 
 
 class NoRootError(DsbsError, ArithmeticError):

@@ -19,8 +19,9 @@ The discriminant satisfies ``Delta >= 1`` everywhere on the unit square
 ``1 + 4*(k-1)*a*(1-a)``), so neither the square root nor the division ever
 loses precision.
 
-A brute-force minimizer over the segment is provided as an independent
-check of the closed form; it never consults the quadratic.
+A vectorized brute-force minimizer over the segment
+(`_dd2_oracle_batch`, used by claim P) is the independent check of the
+closed form; it never consults the quadratic.
 """
 
 from __future__ import annotations
@@ -31,23 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from ._optim import golden_min, golden_min_vec
-from .binary import Coupling2x2, DsbsParams, d2, _prepare_prob, _scalarize
-from .errors import FeasibilityError, InconsistencyError
+from ._optim import golden_min_vec
+from .binary import Coupling2x2, DsbsParams, _prepare_prob, _scalarize
+from .errors import InconsistencyError
 
 __all__ = [
     "MreResult",
-    "RegionPoint",
-    "d2ab",
     "p_star",
     "dd2",
     "dd2_value",
-    "dd2_oracle",
-    "region_sample",
 ]
 
 _LN2 = math.log(2.0)
-_SLACK = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,15 +53,6 @@ class MreResult:
     value: float
     p_star: float
     coupling: Coupling2x2
-
-
-@dataclass(frozen=True, slots=True)
-class RegionPoint:
-    """One surface sample: marginal deficits (x, y) and the minimum divergence z."""
-
-    x: float
-    y: float
-    z: float
 
 
 def _feasible_interval(a, b):
@@ -94,30 +81,8 @@ def _objective(a, b, p, params: DsbsParams):
     return _kl_cells(q00, q01, q10, q11, params)
 
 
-def d2ab(a, b, p, params: DsbsParams):
-    """Divergence of the coupling of (a, b) with mass ``p`` on cell (1,1)."""
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(p) == 0
-    av = _prepare_prob(a, "a")
-    bv = _prepare_prob(b, "b")
-    pv = np.asarray(p, dtype=float)
-    lo, hi = _feasible_interval(av, bv)
-    bad = (pv < lo - _SLACK) | (pv > hi + _SLACK) | ~np.isfinite(pv)
-    if np.any(bad):
-        idx = int(np.argmax(np.ravel(bad)))
-        lo_b = float(np.ravel(np.broadcast_to(lo, bad.shape))[idx])
-        hi_b = float(np.ravel(np.broadcast_to(hi, bad.shape))[idx])
-        p_b = float(np.ravel(np.broadcast_to(pv, bad.shape))[idx])
-        raise FeasibilityError(
-            f"p={p_b!r} outside the feasible coupling interval [{lo_b!r}, {hi_b!r}]",
-            lo=lo_b,
-            hi=hi_b,
-        )
-    pv = np.clip(pv, lo, hi)
-    return _scalarize(_objective(av, bv, pv, params), scalar)
-
-
 def p_star(a, b, params: DsbsParams):
-    """Minimizer of ``p -> d2ab(a, b, p)``, by the stable quadratic root."""
+    """Minimizing cell mass p on the feasible segment, by the stable quadratic root."""
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
@@ -145,36 +110,11 @@ def dd2(a: float, b: float, params: DsbsParams) -> MreResult:
     av = float(_prepare_prob(a, "a"))
     bv = float(_prepare_prob(b, "b"))
     p = float(p_star(av, bv, params))
-    lo, hi = _feasible_interval(av, bv)
     # Rebuild cells from exact marginal arithmetic, then snap fp spill.
     cells = np.maximum([1.0 + p - av - bv, bv - p, av - p, p], 0.0)
     coupling = Coupling2x2(*(cells / cells.sum()))
     value = float(_objective(av, bv, p, params))
     return MreResult(value=value, p_star=p, coupling=coupling)
-
-
-def dd2_oracle(a: float, b: float, params: DsbsParams, grid_n: int = 1000) -> float:
-    """Brute-force minimum of ``d2ab`` over the feasible segment.
-
-    Scans ``grid_n`` equispaced feasible values of ``p`` and refines around the
-    best cell by golden-section search down to an interval of width 1e-12.
-    Never consults the closed-form minimizer.
-    """
-    if grid_n < 100:
-        raise FeasibilityError("grid_n must be at least 100", lo=100.0)
-    av = float(_prepare_prob(a, "a"))
-    bv = float(_prepare_prob(b, "b"))
-    lo, hi = _feasible_interval(av, bv)
-    lo, hi = float(lo), float(hi)
-    if hi - lo <= 0.0:
-        return float(_objective(av, bv, lo, params))
-    grid = np.linspace(lo, hi, grid_n)
-    vals = _objective(av, bv, grid, params)
-    i = int(np.argmin(vals))
-    blo = grid[max(i - 1, 0)]
-    bhi = grid[min(i + 1, grid_n - 1)]
-    _, fx = golden_min(lambda p: float(_objective(av, bv, p, params)), blo, bhi, xtol=1e-12)
-    return min(fx, float(vals[i]))
 
 
 def _argmin_polish(a, b, p, params: DsbsParams):
@@ -222,15 +162,3 @@ def _dd2_oracle_batch(a, b, params: DsbsParams):
     p_opt = np.where(point, lo, p_opt)
     f_opt = np.where(point, _objective(av, bv, lo, params), f_opt)
     return p_opt, f_opt
-
-
-def region_sample(params: DsbsParams, n: int) -> list[RegionPoint]:
-    """Surface samples (d2(a), d2(b), dd2(a, b)) on an n-by-n grid of (a, b)."""
-    if n < 2:
-        raise FeasibilityError("n must be at least 2", lo=2.0)
-    axis = np.linspace(0.0, 1.0, n)
-    aa, bb = np.meshgrid(axis, axis, indexing="ij")
-    zz = dd2_value(aa.ravel(), bb.ravel(), params)
-    xx = np.asarray(d2(aa.ravel()))
-    yy = np.asarray(d2(bb.ravel()))
-    return [RegionPoint(float(x), float(y), float(z)) for x, y, z in zip(xx, yy, zz)]

@@ -339,35 +339,42 @@ def reconstruct_coupling(
     return _reconstruct_from_h(max(math.log(z), 0.0), qp, params, case)
 
 
-def stationary_point(qp: QParam, params: DsbsParams, case: str = "forward") -> StationaryPoint:
-    """Solve the case's root problem and reconstruct its stationary coupling.
+def _regime_case(qp: QParam) -> str | None:
+    """The first case whose exponent regime holds (p, q), or None."""
+    return next((c for c in ("forward", "reverse", "mixed") if _case_regime_ok(c, qp)), None)
 
-    forward: solves whichever of the v-side / u-side problems has the larger
-    exponent magnitude (they are equivalent; |exponent| > 1 is required by
-    the root analysis, and max(|u|, |v|) = 1/min... their product is 1/r > 1
-    so at least one side qualifies; ties prefer v).  reverse: v < -1 always,
-    solved directly.  mixed: u < -1 always; the root is the negative-branch
-    Y-side variable, so ln z = -u * W(h*) with h* the root.
+
+def _root_side(qp: QParam, case: str) -> tuple[str, float]:
+    """The side ("v" or "u") of the scalar root problem that ``case`` solves,
+    with its exponent.
+
+    forward: whichever side has the larger exponent magnitude (the two
+    problems are equivalent; the exponents' product is 1/r > 1, so at least
+    one has the |exponent| > 1 the root analysis needs; ties prefer v).
+    reverse: the v-side, v < -1.  mixed: the u-side, u < -1.
+    `stationary_point` and the ``roots`` command both take the problem from
+    here.
     """
     if not _case_regime_ok(case, qp):
         raise InputDomainError(f"(p, q)=({qp.p!r}, {qp.q!r}) is outside the {case} regime")
-    theta, r = params.theta, qp.r
-    if case == "forward":
-        if abs(qp.v) >= abs(qp.u):
-            h_a = _solve_root_h(RootProblem(theta, qp.v, r))
-        else:
-            h_star = _solve_root_h(RootProblem(theta, qp.u, r))
-            h_a = qp.u * float(_log_w_of_h(h_star, theta))
-    elif case == "reverse":
-        if not math.isfinite(qp.v) or not math.isfinite(qp.u):
-            raise InputDomainError("reverse stationary point needs p, q strictly inside (0, 1)")
-        h_a = _solve_root_h(RootProblem(theta, qp.v, r))
-    else:  # mixed
-        if not math.isfinite(qp.u):
-            raise InputDomainError("mixed stationary point needs p strictly below 1")
-        h_star = _solve_root_h(RootProblem(theta, qp.u, r))
-        # Negative branch: h_b = -h*, hence h_a = u*W(-h*) = -u*W(h*) > 0.
-        h_a = -qp.u * float(_log_w_of_h(h_star, theta))
+    if case == "reverse" or (case == "forward" and abs(qp.v) >= abs(qp.u)):
+        return "v", qp.v
+    return "u", qp.u
+
+
+def stationary_point(qp: QParam, params: DsbsParams, case: str = "forward") -> StationaryPoint:
+    """Solve the case's root problem and reconstruct its stationary coupling.
+
+    The problem comes from `_root_side`.  On the v-side the root is
+    h_a = ln z itself.  On the u-side the root h* is the Y-side variable and
+    ln z = u*W(h*) is derived; in the mixed case it is the negative branch,
+    h_b = -h*, so ln z = u*W(-h*) = -u*W(h*) > 0.
+    """
+    side, exponent = _root_side(qp, case)
+    h_a = _solve_root_h(RootProblem(params.theta, exponent, qp.r))
+    if side == "u":
+        sign = -1.0 if case == "mixed" else 1.0
+        h_a = sign * qp.u * float(_log_w_of_h(h_a, params.theta))
     return _reconstruct_from_h(h_a, qp, params, case)
 
 
@@ -381,15 +388,31 @@ def hypercontractive_regime(qp: QParam, params: DsbsParams) -> bool:
     return qp.r > params.rho * params.rho
 
 
-def _refine_2d(f, a0: float, b0: float, ha: float, hb: float, lo_b: float, hi_b: float):
-    """Nested golden refinement of a 2-D grid argmin within +-2 cells."""
+def _refine_2d(
+    f, a0: float, b0: float, ha: float, hb: float, lo_b: float, hi_b: float, sign: float = 1.0
+):
+    """Nested golden refinement of a 2-D grid optimum within +-2 cells.
+
+    The inner search minimizes f over b; the outer one minimizes
+    ``sign * (inner minimum)`` over a, so ``sign = -1`` gives a max-min.
+    """
 
     def inner(a: float):
         return golden_min(lambda b: f(a, b), max(lo_b, b0 - 2 * hb), min(hi_b, b0 + 2 * hb), xtol=1e-10)
 
-    a_ref, _ = golden_min(lambda a: inner(a)[1], max(0.0, a0 - 2 * ha), min(0.5, a0 + 2 * ha), xtol=1e-10)
+    a_ref, _ = golden_min(
+        lambda a: sign * inner(a)[1], max(0.0, a0 - 2 * ha), min(0.5, a0 + 2 * ha), xtol=1e-10
+    )
     b_ref, f_ref = inner(a_ref)
     return a_ref, b_ref, f_ref
+
+
+def _better_of(sign: float, refined: tuple, grid_opt: tuple) -> GammaExtremum:
+    """The refined (a, b, value) if its ``sign * value`` is strictly below
+    the grid optimum's, else the grid optimum."""
+    best = refined if sign * refined[2] < sign * grid_opt[2] else grid_opt
+    a, b, value = (float(x) for x in best)
+    return GammaExtremum(value, a, b, float(d2(a)), float(d2(b)))
 
 
 def gamma_extremum(
@@ -425,12 +448,8 @@ def gamma_extremum(
         )
         i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
         fn = lambda a, b: float(phi_tilde_ab(a, b, params)) - lam * float(d2(a)) - mu * float(d2(b))
-        a_ref, b_ref, f_ref = _refine_2d(fn, axis[i], axis[j], h, h, 0.0, 0.5)
-        if f_ref < grid[i, j]:
-            a_opt, b_opt, value = a_ref, b_ref, f_ref
-        else:
-            a_opt, b_opt, value = float(axis[i]), float(axis[j]), float(grid[i, j])
-        return GammaExtremum(value, a_opt, b_opt, float(d2(a_opt)), float(d2(b_opt)))
+        refined = _refine_2d(fn, axis[i], axis[j], h, h, 0.0, 0.5)
+        return _better_of(1.0, refined, (axis[i], axis[j], grid[i, j]))
 
     if problem == "reverse_max":
         if not (0.0 < qp.p <= 1.0 and 0.0 < qp.q <= 1.0):
@@ -445,11 +464,7 @@ def gamma_extremum(
         i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
         neg = lambda a, b: -(float(dd2_value(a, b, params)) - lam * float(d2(a)) - mu * float(d2(b)))
         a_ref, b_ref, negf = _refine_2d(neg, axis[i], axis_b[j], h, h, 0.5, 1.0)
-        if -negf > grid[i, j]:
-            a_opt, b_opt, value = a_ref, b_ref, -negf
-        else:
-            a_opt, b_opt, value = float(axis[i]), float(axis_b[j]), float(grid[i, j])
-        return GammaExtremum(value, a_opt, b_opt, float(d2(a_opt)), float(d2(b_opt)))
+        return _better_of(-1.0, (a_ref, b_ref, -negf), (axis[i], axis_b[j], grid[i, j]))
 
     if problem == "mixed_maxmin":
         if not (0.0 < qp.p <= 1.0 and qp.q < 0.0):
@@ -467,32 +482,9 @@ def gamma_extremum(
         inner_b = np.where(improved, b_ref, axis[idx])
         outer = inner_val - lam * d2_axis
         i = int(np.argmax(outer))
-
-        def inner_scalar(a: float):
-            vals = dd2_value(np.full(n, a), axis, params) - mu * d2_axis
-            jj = int(np.argmin(vals))
-            b_r, f_r = golden_min(
-                lambda b: float(dd2_value(a, b, params)) - mu * float(d2(b)),
-                max(0.0, axis[jj] - h),
-                min(0.5, axis[jj] + h),
-                xtol=1e-10,
-            )
-            if f_r < vals[jj]:
-                return b_r, f_r
-            return float(axis[jj]), float(vals[jj])
-
-        a_ref, _ = golden_min(
-            lambda a: -(inner_scalar(a)[1] - lam * float(d2(a))),
-            max(0.0, axis[i] - 2 * h),
-            min(0.5, axis[i] + 2 * h),
-            xtol=1e-10,
-        )
-        b_at_ref, f_at_ref = inner_scalar(a_ref)
-        if f_at_ref - lam * float(d2(a_ref)) > outer[i]:
-            a_opt, b_opt, value = a_ref, b_at_ref, f_at_ref - lam * float(d2(a_ref))
-        else:
-            a_opt, b_opt, value = float(axis[i]), float(inner_b[i]), float(outer[i])
-        return GammaExtremum(value, a_opt, b_opt, float(d2(a_opt)), float(d2(b_opt)))
+        fn = lambda a, b: float(dd2_value(a, b, params)) - mu * float(d2(b)) - lam * float(d2(a))
+        refined = _refine_2d(fn, axis[i], inner_b[i], h, h, 0.0, 0.5, sign=-1.0)
+        return _better_of(-1.0, refined, (axis[i], inner_b[i], outer[i]))
 
     raise InputDomainError(
         f"unknown problem {problem!r}; expected forward_min, reverse_max or mixed_maxmin"

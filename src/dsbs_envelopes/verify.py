@@ -17,13 +17,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from ._optim import golden_min
-from .binary import DsbsParams, d2
+from .binary import DsbsParams
 from .envelopes import (
     QParam,
     phi,
@@ -46,7 +45,14 @@ from .hulls import (
     upper_concave_envelope,
 )
 from .mre import _dd2_oracle_batch, dd2_value, p_star
-from .stationary import RootProblem, aux_phi_h, gamma_extremum, solve_root_z, count_roots_scan
+from .stationary import (
+    RootProblem,
+    aux_phi_h,
+    count_roots_scan,
+    gamma_extremum,
+    hypercontractive_regime,
+    solve_root_z,
+)
 
 __all__ = [
     "VerifyOptions",
@@ -144,7 +150,7 @@ class VerificationReport:
             d["runtime_ms"] = self.runtimes_ms[c.claim_id]
         return d
 
-    def to_json_dict(self) -> dict:
+    def _payload(self, with_runtime: bool) -> dict:
         return {
             "meta": {
                 "rho": self.rho,
@@ -152,20 +158,15 @@ class VerificationReport:
                 "tolerances": dict(sorted(self.tolerances.items())),
                 "version": __version__,
             },
-            "claims": [self._claim_dict(c, with_runtime=True) for c in self.claims],
+            "claims": [self._claim_dict(c, with_runtime) for c in self.claims],
         }
+
+    def to_json_dict(self) -> dict:
+        return self._payload(with_runtime=True)
 
     def canonical_bytes(self) -> bytes:
         """Byte-identical across runs with identical inputs: no runtimes."""
-        payload = {
-            "meta": {
-                "rho": self.rho,
-                "grid_n": self.grid_n,
-                "tolerances": dict(sorted(self.tolerances.items())),
-                "version": __version__,
-            },
-            "claims": [self._claim_dict(c, with_runtime=False) for c in self.claims],
-        }
+        payload = self._payload(with_runtime=False)
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -477,7 +478,7 @@ def _claim_h(ctx) -> ClaimResult:
                 "a": ext.a,
                 "b": ext.b,
                 "value": ext.value,
-                "hypercontractive": bool(qp.r > ctx.params.rho**2),
+                "hypercontractive": hypercontractive_regime(qp, ctx.params),
             }
     return ClaimResult("H", _ANCHORS["H"], bool(worst <= 0.0), float(worst), _jsonify(witness))
 

@@ -8,18 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsbs_envelopes import (
-    BinaryDist,
     Coupling2x2,
     DsbsParams,
     InputDomainError,
     QParam,
     bconv,
-    bdeconv,
     d2,
     d2_inv,
     h2,
     h2_inv,
-    kl_binary,
     kl_joint,
     phi_q_full,
     phi_tilde_ab,
@@ -32,11 +29,9 @@ H2_011 = 0.499915958164528
 H2_03 = 0.88129089923069262
 D2_03 = 0.11870910076930738
 D2_INV_04 = 0.14610240341188702
-KL_03_07 = 0.48895696853457917
 KL_UNIFORM_JOINT_09 = 1.1979643381655696  # = -log2(0.19)/2
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-inner_probs = st.floats(min_value=1e-9, max_value=0.5 - 1e-9)
 
 
 def test_h2_frozen_values():
@@ -116,37 +111,10 @@ def test_bconv_range_and_symmetry(x, y):
     assert z == pytest.approx(bconv(y, x), abs=0.0)
 
 
-@given(inner_probs, inner_probs)
-@settings(max_examples=300)
-def test_bdeconv_inverts_bconv(x, y):
-    z = bconv(x, y)
-    # deconvolution divides by (1 - 2y); the tolerance carries that factor
-    tol = 1e-12 + 4e-15 / abs(1.0 - 2.0 * y)
-    assert bdeconv(z, y) == pytest.approx(x, abs=tol)
-
-
 def test_bconv_identity_elements():
     assert bconv(0.3, 0.0) == pytest.approx(0.3)
     assert bconv(0.3, 0.5) == pytest.approx(0.5)
     assert bconv(0.3, 1.0) == pytest.approx(0.7)
-
-
-def test_kl_binary_frozen_value():
-    assert kl_binary(BinaryDist(0.3), BinaryDist(0.7)) == pytest.approx(KL_03_07, abs=1e-14)
-    assert kl_binary(BinaryDist(0.3), BinaryDist(0.3)) == 0.0
-
-
-def test_kl_binary_absolute_continuity():
-    # q puts mass where p has none: +inf unless strict, which raises
-    assert kl_binary(BinaryDist(0.5), BinaryDist(0.0)) == math.inf
-    with pytest.raises(InputDomainError):
-        kl_binary(BinaryDist(0.5), BinaryDist(0.0), strict=True)
-
-
-@given(inner_probs, inner_probs)
-@settings(max_examples=200)
-def test_kl_binary_nonnegative(p, q):
-    assert kl_binary(BinaryDist(p), BinaryDist(q)) >= 0.0
 
 
 def test_dsbs_params_fields():
@@ -168,8 +136,6 @@ def test_dsbs_params_rejects_degenerate_rho():
 
 def test_coupling_marginals_and_validation():
     q = Coupling2x2(0.4, 0.1, 0.2, 0.3)
-    assert q.x_marginal().p1 == pytest.approx(0.5)
-    assert q.y_marginal().p1 == pytest.approx(0.4)
     np.testing.assert_allclose(q.as_array(), [0.4, 0.1, 0.2, 0.3])
     with pytest.raises(InputDomainError):
         Coupling2x2(0.5, 0.5, 0.5, 0.5)
@@ -177,7 +143,7 @@ def test_coupling_marginals_and_validation():
 
 def test_kl_joint_against_source():
     params = DsbsParams(0.9)
-    assert kl_joint(params.joint(), params) == 0.0
+    assert kl_joint(Coupling2x2(*params.joint_cells()), params) == 0.0
     uniform = Coupling2x2(0.25, 0.25, 0.25, 0.25)
     assert kl_joint(uniform, params) == pytest.approx(KL_UNIFORM_JOINT_09, abs=1e-14)
 
@@ -256,10 +222,6 @@ def test_public_functions_reject_bad_probability(bad):
 def test_dataclass_validation_matches_prepare_prob(form, value, message):
     x = FORMS[form](value)
     with pytest.raises(InputDomainError) as info:
-        BinaryDist(x)
-    assert str(info.value) == "p1" + message[1:]
-    with pytest.raises(InputDomainError) as info:
         Coupling2x2(0.25, 0.25, 0.25, x)
     assert str(info.value) == "q11" + message[1:]
-    assert type(BinaryDist(FORMS[form](0.3)).p1) is float
     assert type(Coupling2x2(*map(FORMS[form], (0.4, 0.1, 0.2, 0.3))).q00) is float

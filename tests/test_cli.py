@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dsbs_envelopes import DsbsParams, QParam, phi_q_full
+from dsbs_envelopes import DsbsParams, QParam, phi_q_full, stationary_point
 from dsbs_envelopes.cli import main
 from dsbs_envelopes.mre import dd2
 
@@ -145,6 +145,32 @@ def test_roots_pq_form(capsys):
     z = float(z_line.split()[2])
     assert z == pytest.approx(14.985902196432242, rel=1e-10)
     assert "scan_count = 1" in out
+
+
+def test_roots_pq_form_solves_the_stationary_point_problem(capsys):
+    # reverse case with |u| > |v|: stationary_point solves the v-side, and
+    # so must roots (choosing the u-side by magnitude printed z = 64.98...)
+    code, out, _ = run_cli(
+        capsys, "roots", "--rho", "0.9", "--p", "0.6", "--q", "0.3", "--scan-n", "100000"
+    )
+    assert code == 0
+    assert "z = 830.387718615 " in out
+    assert "case: reverse   exponent side: v" in out
+    z = stationary_point(QParam(0.6, 0.3), DsbsParams(0.9), "reverse").z
+    z_line = next(ln for ln in out.splitlines() if ln.startswith("z = "))
+    assert float(z_line.split()[2]) == pytest.approx(z, rel=1e-10)
+
+
+def test_roots_pq_outside_every_regime(capsys):
+    # r = 0.75 lies in the root range, but p < 0 < q < 1 is no case's regime
+    code, out, err = run_cli(capsys, "roots", "--rho", "0.9", "--p", "-0.5", "--q", "0.5")
+    assert code == 2
+    assert "case: none" in out and "root regime" not in out
+    assert "none of the forward, reverse and mixed regimes" in err
+    # out of the root range the output stays informational
+    code, out, _ = run_cli(capsys, "roots", "--rho", "0.9", "--p", "2", "--q", "0.5")
+    assert code == 0
+    assert "does not apply" in out
 
 
 def test_roots_no_root_regime_informational(capsys):

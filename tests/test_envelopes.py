@@ -13,25 +13,23 @@ from dsbs_envelopes import (
     QParam,
     d2,
     in_s0,
-    in_s0_transpose,
     phi,
     phi_grid,
     phi_q,
     phi_q_full,
-    phi_q_tilde,
     phi_tilde,
     phi_tilde_ab,
     phi_tilde_grid,
-    phi_tilde_oracle,
     psi,
     psi_grid,
     psi_q,
-    psi_q_full,
-    psi_q_tilde,
-    psi_tilde_oracle,
 )
 from dsbs_envelopes import envelopes
-from dsbs_envelopes.envelopes import _psi_q_tilde_lattice, _psi_tilde_oracle_lattice
+from dsbs_envelopes.envelopes import (
+    _phi_tilde_oracle_lattice,
+    _psi_q_tilde_lattice,
+    _psi_tilde_oracle_lattice,
+)
 
 RHO = DsbsParams(0.9)
 
@@ -78,15 +76,30 @@ def test_grids_match_pointwise():
 
 
 def test_phi_tilde_piecewise_branches():
-    # beta-plane: alpha = 0 forces the value beta exactly
+    # beta-plane: alpha = 0 forces the value beta exactly; the transposed
+    # region is in_s0 with its arguments swapped
     assert phi_tilde(0.0, 0.7, RHO) == 0.7
-    assert in_s0_transpose(0.0, 0.7, RHO)
+    assert in_s0(0.7, 0.0, RHO) and not in_s0(0.0, 0.7, RHO)
     # alpha-plane by symmetry
     assert phi_tilde(0.7, 0.0, RHO) == 0.7
-    assert in_s0(0.7, 0.0, RHO)
     # interior point: strictly above both flat values
-    assert not in_s0(0.7, 0.7, RHO) and not in_s0_transpose(0.7, 0.7, RHO)
+    assert not in_s0(0.7, 0.7, RHO)
     assert phi_tilde(0.7, 0.7, RHO) == pytest.approx(0.7418130313508429, abs=1e-13)
+
+
+def test_phi_tilde_branches_follow_in_s0_on_lattice():
+    # the shared kernel: alpha on S0, beta on its transpose, phi elsewhere
+    axis = np.linspace(0.0, 1.0, 101)
+    alpha, beta = np.meshgrid(axis, axis, indexing="ij")
+    values = phi_tilde(alpha, beta, RHO)
+    flat_alpha = in_s0(alpha, beta, RHO)
+    flat_beta = in_s0(beta, alpha, RHO) & ~flat_alpha
+    interior = ~(flat_alpha | flat_beta)
+    assert flat_alpha.any() and flat_beta.any() and interior.any()
+    assert np.array_equal(values[flat_alpha], alpha[flat_alpha])
+    assert np.array_equal(values[flat_beta], beta[flat_beta])
+    assert np.array_equal(values[interior], phi(alpha, beta, RHO)[interior])
+    assert np.array_equal(phi_tilde_grid(axis, axis, RHO), values)
 
 
 @given(units, units)
@@ -117,19 +130,21 @@ def test_phi_tilde_ab_consistent_with_deficit_coords():
 
 
 def test_phi_tilde_oracle_agrees_with_piecewise():
-    # dual route: direct minimization over dominating arguments
-    for s, t in ((0.2, 0.3), (0.7, 0.7), (0.0, 0.9), (0.5, 0.1)):
-        assert phi_tilde_oracle(s, t, RHO, n=2001) == pytest.approx(
-            phi_tilde(s, t, RHO), abs=2e-5
-        )
+    # dual route: minimum of phi over dominating arguments on a 2001^2
+    # master grid, compared with the piecewise form on every lattice point
+    for rho in (0.5, 0.9):
+        params = DsbsParams(rho)
+        axis, env = _phi_tilde_oracle_lattice(params, 2001, 20)
+        assert axis.shape == (101,)
+        assert np.max(np.abs(env - phi_tilde_grid(axis, axis, params))) <= 2e-5
 
 
 def test_psi_tilde_oracle_is_psi():
-    # the rearrangement leaves psi unchanged; oracle confirms on a few points
-    for s, t in ((0.2, 0.3), (0.6, 0.8), (1.0, 0.4)):
-        assert psi_tilde_oracle(s, t, RHO, n=2001) == pytest.approx(
-            psi(s, t, RHO), abs=2e-5
-        )
+    # the rearrangement leaves psi unchanged: at rho = 0.5 too, the running
+    # maximum over dominated arguments reproduces psi on every lattice point
+    params = DsbsParams(0.5)
+    axis, env = _psi_tilde_oracle_lattice(params, master_n=2001, stride=20)
+    assert np.max(np.abs(env - psi_grid(axis, axis, params))) <= 2e-5
 
 
 def test_psi_tilde_lattice_oracle_gap():
@@ -195,13 +210,11 @@ def test_phi_q_at_vanishing_slope_weight():
 
 
 def test_phi_q_tilde_matches_phi_q_for_convex_q():
-    # for q >= 1 the curve is nondecreasing, so the min over dominating
-    # arguments lands at the threshold itself
-    qp = QParam.from_q(2.0)
-    for alpha in np.linspace(0.0, 1.0, 11):
-        direct = phi_q(float(alpha), qp, RHO)
-        env = phi_q_tilde(float(alpha), qp, RHO)
-        assert env == pytest.approx(direct, abs=1e-6)
+    # for q >= 1 the curve is nondecreasing, so its envelope (the minimum
+    # over dominating arguments, a reversed running minimum) is the curve
+    curve = phi_q_full(np.linspace(0.0, 1.0, 2001), QParam.from_q(2.0), RHO)[0]
+    env = np.minimum.accumulate(curve[::-1])[::-1]
+    assert np.max(np.abs(env - curve)) <= 1e-6
 
 
 def test_psi_q_tilde_lattice_gap():
@@ -212,7 +225,7 @@ def test_psi_q_tilde_lattice_gap():
 
 def test_psi_q_tilde_rejects_convex_range():
     with pytest.raises(InputDomainError):
-        psi_q_tilde(0.5, QParam.from_q(2.0), RHO)
+        _psi_q_tilde_lattice(QParam.from_q(2.0), RHO)
 
 
 @pytest.mark.parametrize(

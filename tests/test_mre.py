@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsbs_envelopes import DsbsParams, FeasibilityError, InconsistencyError, dd2, dd2_oracle, p_star, region_sample
-from dsbs_envelopes.mre import _dd2_oracle_batch, d2ab, dd2_value
+from dsbs_envelopes import Coupling2x2, DsbsParams, InconsistencyError, dd2, kl_joint, p_star
+from dsbs_envelopes.mre import _dd2_oracle_batch, dd2_value
 
 RHO = DsbsParams(0.9)
 
@@ -36,9 +36,11 @@ def test_frozen_minimizers(a, b, rho, p_ref, v_ref):
 
 @pytest.mark.parametrize("a, b, rho, p_ref, v_ref", FROZEN)
 def test_oracle_agrees_on_frozen_points(a, b, rho, p_ref, v_ref):
-    # independent route: grid scan plus parabolic polish, no quadratic formula
+    # independent route: golden-section search plus parabolic polish, no
+    # quadratic formula
     params = DsbsParams(rho)
-    assert dd2_oracle(a, b, params) == pytest.approx(v_ref, abs=1e-10)
+    _, value = _dd2_oracle_batch(np.array([a]), np.array([b]), params)
+    assert value[0] == pytest.approx(v_ref, abs=1e-10)
 
 
 def test_exact_anchors():
@@ -53,8 +55,8 @@ def test_exact_anchors():
 def test_coupling_witness_consistency():
     res = dd2(0.3, 0.4, RHO)
     q = res.coupling
-    assert q.x_marginal().p1 == pytest.approx(0.3, abs=1e-12)
-    assert q.y_marginal().p1 == pytest.approx(0.4, abs=1e-12)
+    assert q.q10 + q.q11 == pytest.approx(0.3, abs=1e-12)  # P(X = 1)
+    assert q.q01 + q.q11 == pytest.approx(0.4, abs=1e-12)  # P(Y = 1)
     assert q.q11 == pytest.approx(res.p_star, abs=1e-15)
 
 
@@ -65,10 +67,11 @@ def test_p_star_feasible_and_stationary(a, b):
     lo = max(0.0, a + b - 1.0)
     hi = min(a, b)
     assert lo - 1e-12 <= p <= hi + 1e-12
-    # value at p_star never exceeds the endpoint values
+    # value at p_star never exceeds the endpoint couplings' divergences
     v = dd2_value(a, b, RHO)
     for endpoint in (lo, hi):
-        assert v <= d2ab(a, b, endpoint, RHO) + 1e-12
+        cells = Coupling2x2(1.0 + endpoint - a - b, b - endpoint, a - endpoint, endpoint)
+        assert v <= kl_joint(cells, RHO) + 1e-12
 
 
 @given(probs, probs)
@@ -90,22 +93,6 @@ def test_batch_oracle_matches_closed_form():
     p_o, v_o = _dd2_oracle_batch(a, b, RHO)
     assert np.max(np.abs(p_star(a, b, RHO) - p_o)) <= 1e-9
     assert np.max(np.abs(dd2_value(a, b, RHO) - v_o)) <= 1e-9
-
-
-def test_d2ab_rejects_infeasible_p():
-    with pytest.raises(FeasibilityError):
-        d2ab(0.3, 0.4, 0.35, RHO)  # p > min(a, b)
-    with pytest.raises(FeasibilityError):
-        d2ab(0.7, 0.8, 0.45, RHO)  # p < a + b - 1
-
-
-def test_region_sample_surface():
-    pts = region_sample(RHO, 16)
-    assert len(pts) == 16 * 16
-    for pt in pts[:8]:
-        assert 0.0 <= pt.x <= 1.0
-        assert 0.0 <= pt.y <= 1.0
-        assert pt.z >= -1e-15
 
 
 def test_p_star_negative_discriminant_is_a_library_error():

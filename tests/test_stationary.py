@@ -317,13 +317,13 @@ def test_gamma_mixed_matches_stationary_value():
     # which d2 cannot tell apart from its reflection
     from dsbs_envelopes import d2_inv
 
-    qp = QParam(0.8, -2.0)
-    ext = gamma_extremum(qp, RHO, "mixed_maxmin", n=201)
-    pt = stationary_point(qp, RHO, case="mixed")
-    assert ext.s == pytest.approx(pt.s, abs=1e-7)
-    assert ext.t == pytest.approx(pt.t, abs=1e-7)
-    saddle = dd2_value(d2_inv(pt.s), d2_inv(pt.t), RHO) - pt.s / qp.p - pt.t / qp.q
-    assert ext.value == pytest.approx(saddle, abs=1e-6)
+    for qp in (QParam(0.8, -2.0), QParam(0.9, -5.0)):
+        ext = gamma_extremum(qp, RHO, "mixed_maxmin", n=201)
+        pt = stationary_point(qp, RHO, case="mixed")
+        assert ext.s == pytest.approx(pt.s, abs=1e-7)
+        assert ext.t == pytest.approx(pt.t, abs=1e-7)
+        saddle = dd2_value(d2_inv(pt.s), d2_inv(pt.t), RHO) - pt.s / qp.p - pt.t / qp.q
+        assert ext.value == pytest.approx(saddle, abs=1e-6)
 
 
 def test_gamma_rejects_mismatched_problem():
