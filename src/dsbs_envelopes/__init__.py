@@ -7,7 +7,8 @@ The package is organised bottom-up:
 - :mod:`.mre` — the two-letter divergence surface ``dd2`` and its exact
   minimizer ``p_star``.
 - :mod:`.envelopes` — the surface slices ``phi``/``psi``, their monotone
-  rearrangements, and the slope-indexed families ``phi_q``/``psi_q``.
+  rearrangements, and the slope-indexed families phi_q/psi_q
+  (``phi_q_full``/``psi_q_full``).
 - :mod:`.hulls` — grid convex-hull and curvature certificates.
 - :mod:`.stationary` — stationarity root equation, coupling
   reconstruction, and saddle-value extrema.
@@ -32,14 +33,12 @@ from .envelopes import (
     in_s0,
     phi,
     phi_grid,
-    phi_q,
     phi_q_full,
     phi_tilde,
     phi_tilde_ab,
     phi_tilde_grid,
     psi,
     psi_grid,
-    psi_q,
     psi_q_full,
 )
 from .errors import (
@@ -71,7 +70,6 @@ from .stationary import (
     gamma_extremum,
     h0_threshold,
     hypercontractive_regime,
-    reconstruct_coupling,
     solve_root_z,
     stationary_point,
 )
@@ -127,16 +125,13 @@ __all__ = [
     "p_star",
     "phi",
     "phi_grid",
-    "phi_q",
     "phi_q_full",
     "phi_tilde",
     "phi_tilde_ab",
     "phi_tilde_grid",
     "psi",
     "psi_grid",
-    "psi_q",
     "psi_q_full",
-    "reconstruct_coupling",
     "solve_root_z",
     "stationary_point",
     "upper_concave_envelope",

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .stationary import (
     _root_side,
     aux_phi_h,
     count_roots_scan,
+    eta_of_h,
     h0_threshold,
     solve_root_z,
 )
@@ -47,20 +48,6 @@ from .verify import VerifyOptions, verify_all
 
 _FIG_Q_PHI = (1.0, 2.0, 10.0, -0.5, -2.0, -10.0)
 _FIG_Q_PSI = (0.25, 0.5, 0.75)
-
-
-@dataclass(frozen=True, slots=True)
-class CliConfig:
-    rho: float
-    grid_n: int = 201
-    tol_overrides: dict | None = None
-    out_dir: str = "."
-
-    def __post_init__(self) -> None:
-        if not 1e-6 < self.rho < 1.0 - 1e-6:
-            raise InputDomainError(f"rho={self.rho!r} outside (1e-6, 1-1e-6)")
-        if not 51 <= self.grid_n <= 2001:
-            raise InputDomainError(f"grid_n={self.grid_n!r} outside [51, 2001]")
 
 
 def _g12(x: float) -> str:
@@ -87,7 +74,6 @@ def _need(args, *names) -> list:
 
 
 def cmd_eval(args) -> int:
-    CliConfig(rho=args.rho)
     params = DsbsParams(args.rho)
     fn = args.fn
     lines: list
@@ -174,20 +160,21 @@ def _contour_levels(grid) -> list:
 
 
 def cmd_figure(args) -> int:
-    config = CliConfig(rho=args.rho, grid_n=args.grid_n, out_dir=args.out)
-    params = DsbsParams(config.rho)
-    axis = np.linspace(0.0, 1.0, config.grid_n)
+    params = DsbsParams(args.rho)
+    if not 51 <= args.grid_n <= 2001:
+        raise InputDomainError(f"grid_n={args.grid_n!r} outside [51, 2001]")
+    axis = np.linspace(0.0, 1.0, args.grid_n)
     surfaces = {
         "phi": phi_grid(axis, axis, params),
         "phi_tilde": phi_tilde_grid(axis, axis, params),
         "psi": psi_grid(axis, axis, params),
     }
     try:
-        os.makedirs(config.out_dir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         for name, grid in surfaces.items():
-            _write_atomic(os.path.join(config.out_dir, f"{name}.csv"), _surface_csv(axis, grid))
+            _write_atomic(os.path.join(args.out, f"{name}.csv"), _surface_csv(axis, grid))
         q_csv, q_curves = _q_family_rows(axis, params)
-        _write_atomic(os.path.join(config.out_dir, "q_family.csv"), q_csv)
+        _write_atomic(os.path.join(args.out, "q_family.csv"), q_csv)
         if args.svg:
             for name, grid in surfaces.items():
                 svg = contour_plot(
@@ -195,7 +182,7 @@ def cmd_figure(args) -> int:
                     title=f"{name} level sets (rho = {params.rho:g})",
                     xlabel="s", ylabel="t",
                 )
-                _write_atomic(os.path.join(config.out_dir, f"{name}.svg"), svg)
+                _write_atomic(os.path.join(args.out, f"{name}.svg"), svg)
             series = [
                 (axis, vals, f"{family} q = {q:g}") for (_qc, q, vals, family) in q_curves
             ]
@@ -204,12 +191,12 @@ def cmd_figure(args) -> int:
                 title=f"slope-family envelopes (rho = {params.rho:g})",
                 xlabel="s", ylabel="value",
             )
-            _write_atomic(os.path.join(config.out_dir, "q_family.svg"), svg)
+            _write_atomic(os.path.join(args.out, "q_family.svg"), svg)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     n_files = 4 + (4 if args.svg else 0)
-    print(f"wrote {n_files} files to {config.out_dir}")
+    print(f"wrote {n_files} files to {args.out}")
     return 0
 
 
@@ -232,15 +219,15 @@ def _parse_tols(pairs) -> dict:
 
 
 def cmd_verify(args) -> int:
-    config = CliConfig(rho=args.rho, grid_n=args.grid_n, tol_overrides=_parse_tols(args.tol))
-    params = DsbsParams(config.rho)
+    tols = _parse_tols(args.tol)
+    params = DsbsParams(args.rho)
     options = VerifyOptions.small() if args.fast else VerifyOptions()
     if args.seed is not None:
         options = replace(options, seed=args.seed)
     report = verify_all(
         params,
-        grid_n=config.grid_n,
-        tols=config.tol_overrides,
+        grid_n=args.grid_n,
+        tols=tols,
         inject_fault=args.inject_fault,
         options=options,
     )
@@ -273,7 +260,6 @@ def cmd_roots(args) -> int:
     if pq_form:
         if args.p is None or args.q is None:
             raise InputDomainError("--p and --q must be given together")
-        CliConfig(rho=args.rho)
         params = DsbsParams(args.rho)
         theta = params.theta
         qp = QParam(args.p, args.q)
@@ -310,7 +296,7 @@ def cmd_roots(args) -> int:
     prob = RootProblem(theta, v, r)
     try:
         h0 = h0_threshold(prob)
-        eta0 = (1.0 + theta * math.exp(h0)) / (theta + math.exp(h0)) if h0 < 700 else theta
+        eta0 = eta_of_h(h0, theta)
         z = solve_root_z(prob)
     except NoRootError as exc:
         print(f"no root: {exc}")

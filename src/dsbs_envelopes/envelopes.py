@@ -50,8 +50,6 @@ __all__ = [
     "phi_grid",
     "psi_grid",
     "phi_tilde_grid",
-    "phi_q",
-    "psi_q",
     "phi_q_full",
     "psi_q_full",
     "phi_tilde",
@@ -92,7 +90,8 @@ class QParam:
                 raise InputDomainError(f"{name} must be a finite real number")
         object.__setattr__(self, "lam", _inv_or_inf(self.p))
         object.__setattr__(self, "mu", _inv_or_inf(self.q))
-        object.__setattr__(self, "r", (self.p - 1.0) * (self.q - 1.0))
+        # + 0.0 stores r = 0 as +0.0, never -0.0 (p = 1 with q < 1)
+        object.__setattr__(self, "r", (self.p - 1.0) * (self.q - 1.0) + 0.0)
         object.__setattr__(self, "u", _inv_or_inf(self.p - 1.0))
         object.__setattr__(self, "v", _inv_or_inf(self.q - 1.0))
         q_conj = math.inf if abs(self.q - 1.0) < 1e-300 else self.q / (self.q - 1.0)
@@ -274,16 +273,6 @@ def psi_q_full(s, qp: QParam, params: DsbsParams):
     sv = np.atleast_1d(_prepare_prob(s, "s"))
     value, t_opt = _q_opt(sv, q, params, kind="psi")
     return _scalarize(value, scalar), _scalarize(t_opt, scalar)
-
-
-def phi_q(s, qp: QParam, params: DsbsParams):
-    """``min_t phi(s, t) - t/q``; array-polymorphic in s."""
-    return phi_q_full(s, qp, params)[0]
-
-
-def psi_q(s, qp: QParam, params: DsbsParams):
-    """``max_t psi(s, t) - t/q``; array-polymorphic in s."""
-    return psi_q_full(s, qp, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,14 @@ below which no root can sit comes from the eta-substitution
 uniqueness by brute force on one cached, read-only 10^6-point grid,
 evaluated in chunks of 2^14 points.
 
+W itself is evaluated as ``ln(1/eta) = log1p(1/eta - 1)`` with the
+difference written out, ``1/eta - 1 = (1-theta)*(1 - e)/(theta + e)`` for
+``e = exp(-|h|)`` (through expm1), and the sign of h restored.  Nothing
+cancels, so W keeps full relative precision as h -> 0, where the root
+signal near r = rho^2 lives.  Only exp(-|h|) is ever taken, so W never
+overflows: for large |h| (a large outer argument v*W(h)) it underflows to
+0 and W saturates at +-ln(1/theta).
+
 Case conventions (the error-prone bookkeeping, centralized here):
 
     case      exponents          solved problem      branch      ratio signs
@@ -63,7 +71,6 @@ __all__ = [
     "h0_threshold",
     "solve_root_z",
     "count_roots_scan",
-    "reconstruct_coupling",
     "stationary_point",
     "gamma_extremum",
     "hypercontractive_regime",
@@ -151,19 +158,24 @@ def eta_of_h(h, theta: float):
 
 
 def _log_w_of_h(h, theta: float):
-    """W(h) = ln w(e^h) with w(x) = (x+theta)/(1+theta*x); odd in h."""
-    return -np.log(eta_of_h(h, theta))
+    """W(h) = ln w(e^h) with w(x) = (x+theta)/(1+theta*x); odd in h.
+
+    The cancellation-free log1p form of the module docstring; -log(eta)
+    loses relative precision as h -> 0.
+    """
+    x = -np.abs(np.asarray(h, dtype=float))
+    return np.copysign(np.log1p((1.0 - theta) * -np.expm1(x) / (theta + np.exp(x))), h)
 
 
 def aux_phi_h(h, prob: RootProblem):
     """Left minus right side of the root equation: W(v*W(h)) - r*v*h, h >= 0.
 
-    Evaluated as the composition itself, through the overflow-safe
-    `eta_of_h`: four transcendentals per point (two exp, two log).  Large
-    |v| never overflows, because exp(-|x|) of a large outer argument
-    x = v*W(h) underflows to 0 and eta saturates at theta (or 1/theta).
-    The value at h = 0 is exactly 0: eta_of_h(0) = 1, so both W terms are
-    zero.
+    Evaluated as the composition itself, each W in the log1p form of the
+    module docstring: six transcendentals per point (exp, expm1 and log1p
+    per W).  Large |v| never overflows: W only exponentiates -|x|, so for a
+    large outer argument x = v*W(h) exp(-|x|) underflows to 0 and the outer
+    W saturates at +-ln(1/theta).  The value at h = 0 is exactly 0:
+    expm1(0) = 0, so both W terms are zero.
     """
     scalar = np.ndim(h) == 0
     hv = np.asarray(h, dtype=float)
@@ -320,25 +332,6 @@ def _reconstruct_from_h(h_a: float, qp: QParam, params: DsbsParams, case: str) -
     )
 
 
-def reconstruct_coupling(
-    z: float, qp: QParam, params: DsbsParams, case: str = "forward"
-) -> StationaryPoint:
-    """Coupling with cells proportional to (y*z, z*theta, y*theta, 1), y = w(z)^v.
-
-    ``z`` must come from the case's root problem (see the module table);
-    both stationarity conditions are re-derived from the cells in log space
-    and their residuals checked.  ``z = 1`` is accepted and reproduces the
-    source matrix itself with (s, t) = (0, 0).
-    """
-    if not _case_regime_ok(case, qp):
-        raise InputDomainError(f"(p, q)=({qp.p!r}, {qp.q!r}) is outside the {case} regime")
-    if not math.isfinite(qp.v) or qp.q == 0.0:
-        raise InputDomainError("reconstruction needs finite v: q must differ from 1 and 0")
-    if not z >= 1.0 - 1e-12:
-        raise InputDomainError(f"z={z!r} must be >= 1")
-    return _reconstruct_from_h(max(math.log(z), 0.0), qp, params, case)
-
-
 def _regime_case(qp: QParam) -> str | None:
     """The first case whose exponent regime holds (p, q), or None."""
     return next((c for c in ("forward", "reverse", "mixed") if _case_regime_ok(c, qp)), None)
@@ -389,30 +382,37 @@ def hypercontractive_regime(qp: QParam, params: DsbsParams) -> bool:
 
 
 def _refine_2d(
-    f, a0: float, b0: float, ha: float, hb: float, lo_b: float, hi_b: float, sign: float = 1.0
+    f, a0: float, b0: float, h: float, lo_b: float, hi_b: float, outer: float, inner: float
 ):
     """Nested golden refinement of a 2-D grid optimum within +-2 cells.
 
-    The inner search minimizes f over b; the outer one minimizes
-    ``sign * (inner minimum)`` over a, so ``sign = -1`` gives a max-min.
+    The inner search minimizes ``inner * f`` over b in [lo_b, hi_b]; the
+    outer one minimizes ``outer * f`` at the inner optimum over a in
+    [0, 1/2].  Returns (a, b, f(a, b)).
     """
 
-    def inner(a: float):
-        return golden_min(lambda b: f(a, b), max(lo_b, b0 - 2 * hb), min(hi_b, b0 + 2 * hb), xtol=1e-10)
+    def inner_opt(a: float):
+        return golden_min(
+            lambda b: inner * f(a, b), max(lo_b, b0 - 2 * h), min(hi_b, b0 + 2 * h), xtol=1e-10
+        )
 
     a_ref, _ = golden_min(
-        lambda a: sign * inner(a)[1], max(0.0, a0 - 2 * ha), min(0.5, a0 + 2 * ha), xtol=1e-10
+        lambda a: outer * inner * inner_opt(a)[1],
+        max(0.0, a0 - 2 * h),
+        min(0.5, a0 + 2 * h),
+        xtol=1e-10,
     )
-    b_ref, f_ref = inner(a_ref)
-    return a_ref, b_ref, f_ref
+    b_ref, g_ref = inner_opt(a_ref)
+    return a_ref, b_ref, inner * g_ref
 
 
-def _better_of(sign: float, refined: tuple, grid_opt: tuple) -> GammaExtremum:
-    """The refined (a, b, value) if its ``sign * value`` is strictly below
-    the grid optimum's, else the grid optimum."""
-    best = refined if sign * refined[2] < sign * grid_opt[2] else grid_opt
-    a, b, value = (float(x) for x in best)
-    return GammaExtremum(value, a, b, float(d2(a)), float(d2(b)))
+# problem -> (case, b-interval, outer sign, inner sign, surface); a sign of
+# +1 minimizes and -1 maximizes, the inner search over b and the outer over a
+_PROBLEMS = {
+    "forward_min": ("forward", (0.0, 0.5), 1.0, 1.0, phi_tilde_ab),
+    "reverse_max": ("reverse", (0.5, 1.0), -1.0, -1.0, dd2_value),
+    "mixed_maxmin": ("mixed", (0.0, 0.5), -1.0, 1.0, dd2_value),
+}
 
 
 def gamma_extremum(
@@ -420,72 +420,57 @@ def gamma_extremum(
 ) -> GammaExtremum:
     """Brute-force extremum of the case's Lagrangian sweep on an n-by-n grid.
 
-    forward_min  — min over (a, b) in [0,1/2]^2 of the monotone-envelope
-                   surface minus lam*d2(a) + mu*d2(b); requires p, q >= 1.
-    reverse_max  — max over a in [0,1/2], b in [1/2,1] of the surface minus
-                   the same linear terms; requires 0 < p, q <= 1.
-    mixed_maxmin — max over a of [min over b of surface - mu*d2(b)] minus
-                   lam*d2(a), both axes on [0,1/2]; requires 0 < p <= 1, q < 0.
+    Each problem optimizes ``f(a, b) = surface(a, b) - lam*d2(a) - mu*d2(b)``
+    for (p, q) in its case's regime (see the module table):
 
-    The winning grid cell is golden-refined (+-2 cells, nested per axis) and
-    the reported value never exceeds (min) / falls below (max) the grid
-    optimum.  First-index argmin keeps reports deterministic.
+    forward_min  — min over (a, b) in [0,1/2]^2; surface `phi_tilde_ab`.
+    reverse_max  — max over a in [0,1/2], b in [1/2,1]; surface `dd2_value`.
+    mixed_maxmin — max over a in [0,1/2] of the min over b in [0,1/2];
+                   surface `dd2_value`.
+
+    The grid step takes each row's inner optimum, then the best row (first
+    index on ties, so reports are deterministic); the saddle first
+    golden-polishes each row's optimum within +-1 cell.  `_refine_2d`
+    refines the winning cell (+-2 cells, nested per axis), and the reported
+    value never exceeds (min) / falls below (max) the grid optimum.
     """
     if n < 101:
         raise InputDomainError("n must be at least 101")
+    if problem not in _PROBLEMS:
+        raise InputDomainError(
+            f"unknown problem {problem!r}; expected forward_min, reverse_max or mixed_maxmin"
+        )
+    case, (lo_b, hi_b), outer, inner, surface = _PROBLEMS[problem]
+    if not _case_regime_ok(case, qp):
+        raise InputDomainError(
+            f"{problem} requires (p, q) in the {case} regime, got ({qp.p!r}, {qp.q!r})"
+        )
     lam, mu = qp.lam, qp.mu
-    axis = np.linspace(0.0, 0.5, n)
-    h = 0.5 / (n - 1)
-    d2_axis = np.asarray(d2(axis))
 
-    if problem == "forward_min":
-        if not (qp.p >= 1.0 and qp.q >= 1.0):
-            raise InputDomainError("forward_min requires p, q >= 1")
-        grid = (
-            phi_tilde_ab(axis[:, None], axis[None, :], params)
-            - lam * d2_axis[:, None]
-            - mu * d2_axis[None, :]
+    def f(a, b):
+        return surface(a, b, params) - lam * d2(a) - mu * d2(b)
+
+    axis_a = np.linspace(0.0, 0.5, n)
+    axis_b = np.linspace(lo_b, hi_b, n)
+    grid = f(axis_a[:, None], axis_b[None, :])
+    j = np.argmin(inner * grid, axis=1)
+    b_row = axis_b[j]
+    val_row = grid[np.arange(n), j]
+    if outer != inner:
+        # the saddle's outer step needs each row's inner optimum off the grid
+        b_pol, g_pol = golden_min_vec(
+            lambda b: inner * f(axis_a, b),
+            axis_b[np.maximum(j - 1, 0)],
+            axis_b[np.minimum(j + 1, n - 1)],
+            xtol=1e-10,
         )
-        i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
-        fn = lambda a, b: float(phi_tilde_ab(a, b, params)) - lam * float(d2(a)) - mu * float(d2(b))
-        refined = _refine_2d(fn, axis[i], axis[j], h, h, 0.0, 0.5)
-        return _better_of(1.0, refined, (axis[i], axis[j], grid[i, j]))
-
-    if problem == "reverse_max":
-        if not (0.0 < qp.p <= 1.0 and 0.0 < qp.q <= 1.0):
-            raise InputDomainError("reverse_max requires 0 < p, q <= 1")
-        axis_b = np.linspace(0.5, 1.0, n)
-        d2_b = np.asarray(d2(axis_b))
-        grid = (
-            dd2_value(axis[:, None], axis_b[None, :], params)
-            - lam * d2_axis[:, None]
-            - mu * d2_b[None, :]
-        )
-        i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-        neg = lambda a, b: -(float(dd2_value(a, b, params)) - lam * float(d2(a)) - mu * float(d2(b)))
-        a_ref, b_ref, negf = _refine_2d(neg, axis[i], axis_b[j], h, h, 0.5, 1.0)
-        return _better_of(-1.0, (a_ref, b_ref, -negf), (axis[i], axis_b[j], grid[i, j]))
-
-    if problem == "mixed_maxmin":
-        if not (0.0 < qp.p <= 1.0 and qp.q < 0.0):
-            raise InputDomainError("mixed_maxmin requires 0 < p <= 1 and q < 0")
-        surface = dd2_value(axis[:, None], axis[None, :], params) - mu * d2_axis[None, :]
-        idx = np.argmin(surface, axis=1)
-        lo = axis[np.maximum(idx - 1, 0)]
-        hi = axis[np.minimum(idx + 1, n - 1)]
-        b_ref, f_ref = golden_min_vec(
-            lambda b: dd2_value(axis, b, params) - mu * np.asarray(d2(b)), lo, hi, xtol=1e-10
-        )
-        row_min = np.take_along_axis(surface, idx[:, None], axis=1)[:, 0]
-        improved = f_ref < row_min
-        inner_val = np.where(improved, f_ref, row_min)
-        inner_b = np.where(improved, b_ref, axis[idx])
-        outer = inner_val - lam * d2_axis
-        i = int(np.argmax(outer))
-        fn = lambda a, b: float(dd2_value(a, b, params)) - mu * float(d2(b)) - lam * float(d2(a))
-        refined = _refine_2d(fn, axis[i], inner_b[i], h, h, 0.0, 0.5, sign=-1.0)
-        return _better_of(-1.0, refined, (axis[i], inner_b[i], outer[i]))
-
-    raise InputDomainError(
-        f"unknown problem {problem!r}; expected forward_min, reverse_max or mixed_maxmin"
-    )
+        improved = g_pol < inner * val_row
+        b_row = np.where(improved, b_pol, b_row)
+        val_row = np.where(improved, inner * g_pol, val_row)
+    i = int(np.argmin(outer * val_row))
+    best = (axis_a[i], b_row[i], val_row[i])
+    refined = _refine_2d(f, axis_a[i], b_row[i], 0.5 / (n - 1), lo_b, hi_b, outer, inner)
+    if outer * refined[2] < outer * best[2]:
+        best = refined
+    a, b, value = (float(x) for x in best)
+    return GammaExtremum(value, a, b, float(d2(a)), float(d2(b)))

@@ -68,6 +68,9 @@ _C_Q_CONCAVE = (0.25, 0.5, 0.75)
 _L_Q_NEG = (-2.0, -10.0)
 _B_T = (0.2, 0.5, 0.8)
 _B_PQ = ((1.5, 1.5), (3.0, 3.0))
+_H_GAMMA_N = 101
+_H_FORWARD = ((2.0, 2.0), (3.0, 1.5), (1.95, 1.9), (5.0, 1.21), (10.0, 1.1))
+_H_REVERSE = ((0.05, 0.1), (0.05, 0.05), (0.02, 0.15), (0.1, 0.05), (0.03, 0.12))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,23 +80,17 @@ class VerifyOptions:
     pstar_samples: int = 500
     root_problems: int = 200
     root_scan_n: int = 1_000_000
-    gamma_n: int = 101
     curve_points: int = 501
-    q_curve_grid: int = 2001
     master_n: int = 2001
     lattice_n: int = 101
     mono_n: int = 501
     seed: int = 7
-    hyper_forward: tuple = ((2.0, 2.0), (3.0, 1.5), (1.95, 1.9), (5.0, 1.21), (10.0, 1.1))
-    hyper_reverse: tuple = ((0.05, 0.1), (0.05, 0.05), (0.02, 0.15), (0.1, 0.05), (0.03, 0.12))
 
     def __post_init__(self) -> None:
         if min(self.pstar_samples, self.root_problems) < 1:
             raise InputDomainError("sample counts must be positive")
         if self.root_scan_n < 100_000:
             raise InputDomainError("root_scan_n must be at least 1e5")
-        if self.gamma_n < 101:
-            raise InputDomainError("gamma_n must be at least 101")
         if self.curve_points < 51 or self.mono_n < 51:
             raise InputDomainError("curve_points and mono_n must be at least 51")
         if self.master_n < 101 or self.lattice_n < 3:
@@ -108,9 +105,7 @@ class VerifyOptions:
             pstar_samples=40,
             root_problems=5,
             root_scan_n=100_000,
-            gamma_n=101,
             curve_points=101,
-            q_curve_grid=501,
             master_n=501,
             lattice_n=51,
             mono_n=101,
@@ -456,17 +451,16 @@ def _claim_u(ctx) -> ClaimResult:
 
 
 def _claim_h(ctx) -> ClaimResult:
-    n = ctx.opts.gamma_n
-    cell = 0.5 / (n - 1)
-    settings = [(p, q, "forward_min") for (p, q) in ctx.opts.hyper_forward]
-    settings += [(p, q, "reverse_max") for (p, q) in ctx.opts.hyper_reverse]
+    cell = 0.5 / (_H_GAMMA_N - 1)
+    settings = [(p, q, "forward_min") for (p, q) in _H_FORWARD]
+    settings += [(p, q, "reverse_max") for (p, q) in _H_REVERSE]
     if ctx.fault == "H":
         settings.append((1.2, 1.2, "forward_min"))
     worst = -math.inf
     witness = {}
     for p, q, problem in settings:
         qp = QParam(p, q)
-        ext = gamma_extremum(qp, ctx.params, problem, n=n)
+        ext = gamma_extremum(qp, ctx.params, problem, n=_H_GAMMA_N)
         dist = max(abs(ext.a - 0.5), abs(ext.b - 0.5))
         excess = dist - cell
         if excess > worst:

@@ -173,6 +173,15 @@ def test_roots_pq_outside_every_regime(capsys):
     assert "does not apply" in out
 
 
+def test_roots_prints_zero_r_without_sign(capsys):
+    # p = 1 makes r = (p-1)(q-1) zero; with q < 1 the product is -0.0
+    code, out, _ = run_cli(capsys, "roots", "--rho", "0.9", "--p", "1", "--q", "0.5")
+    assert code == 0
+    header, regime = out.splitlines()
+    assert header.endswith("   r = 0")
+    assert regime.startswith("regime: r = 0 <= 0")
+
+
 def test_roots_no_root_regime_informational(capsys):
     code, out, _ = run_cli(capsys, "roots", "--rho", "0.9", "--p", "2", "--q", "2")
     assert code == 0

@@ -15,14 +15,13 @@ from dsbs_envelopes import (
     in_s0,
     phi,
     phi_grid,
-    phi_q,
     phi_q_full,
     phi_tilde,
     phi_tilde_ab,
     phi_tilde_grid,
     psi,
     psi_grid,
-    psi_q,
+    psi_q_full,
 )
 from dsbs_envelopes import envelopes
 from dsbs_envelopes.envelopes import (
@@ -176,8 +175,9 @@ def test_qparam_algebra():
 
 
 def test_phi_q_scalar_and_argmin():
-    value, t_opt = phi_q_full(0.5, QParam.from_q(2.0), RHO)
-    assert value == pytest.approx(phi_q(0.5, QParam.from_q(2.0), RHO), abs=0.0)
+    qp = QParam.from_q(2.0)
+    value, t_opt = phi_q_full(0.5, qp, RHO)
+    assert value == pytest.approx(phi_q_full(np.array([0.5]), qp, RHO)[0][0], abs=0.0)
     # the minimizer is interior here and the value is phi(s, t*) - t*/q
     assert 0.0 < t_opt < 1.0
     assert value == pytest.approx(phi(0.5, t_opt, RHO) - t_opt / 2.0, abs=1e-9)
@@ -187,7 +187,7 @@ def test_phi_q_envelope_property():
     # phi_q(s) <= phi(s, t) - t/q for every t; equality at the minimizer
     qp = QParam.from_q(-2.0)
     for s in (0.1, 0.5, 0.9):
-        v = phi_q(s, qp, RHO)
+        v = phi_q_full(s, qp, RHO)[0]
         for t in np.linspace(0.0, 1.0, 41):
             assert v <= phi(s, t, RHO) - t / -2.0 + 1e-10
 
@@ -195,7 +195,7 @@ def test_phi_q_envelope_property():
 def test_psi_q_envelope_property():
     qp = QParam.from_q(0.5)
     for s in (0.1, 0.5, 0.9):
-        v = psi_q(s, qp, RHO)
+        v = psi_q_full(s, qp, RHO)[0]
         for t in np.linspace(0.0, 1.0, 41):
             assert v >= psi(s, t, RHO) - t / 0.5 - 1e-10
 

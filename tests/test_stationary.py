@@ -23,7 +23,6 @@ from dsbs_envelopes import (
     hypercontractive_regime,
     phi_tilde_ab,
     psi,
-    reconstruct_coupling,
     solve_root_z,
     stationary_point,
 )
@@ -105,6 +104,31 @@ def test_aux_phi_h_matches_mpmath():
             for h in (1e-8, 1e-3, rng.uniform(0.0, 3.0), rng.uniform(3.0, 50.0), 1e3, 1e4):
                 err = abs(aux_phi_h(h, prob) - float(_aux_mp(h, prob)))
                 assert err <= 1e-15 * abs(prob.v) * (1.0 + h), (prob, h, err)
+
+
+def test_log_w_of_h_matches_mpmath():
+    # W(h) = ln w(e^h) at 50 digits: relative error at rounding level for
+    # tiny |h| (where -log(eta) cancels) and for saturating large |h|
+    with mpmath.workdps(50):
+        for theta in (1e-20, 1e-15, 1e-8, 0.02, THETA_09, 0.3, 0.9):
+            t = mpmath.mpf(theta)
+            for h in (1e-12, 1e-10, 1e-8, 1e-5, 1e-3, 0.5, 3.0, 40.0, 1e3, 1e5):
+                for x in (h, -h):
+                    e = mpmath.exp(mpmath.mpf(x))
+                    ref = float(mpmath.log((e + t) / (1 + t * e)))
+                    got = float(_log_w_of_h(x, theta))
+                    assert abs(got - ref) <= 2e-15 * abs(ref), (theta, x, got, ref)
+
+
+def test_count_roots_scan_near_rho_squared():
+    # r within 1e-8..1e-12 (relative) below rho^2: the signal v*h*(rho^2 - r)
+    # near h = 1e-8 is far below W(h) itself, so W must keep full relative
+    # precision there for the scan to see the single root
+    theta = 0.3
+    rho_sq = ((1 - theta) / (1 + theta)) ** 2
+    for v in (2.0, -5.0, 40.0):
+        for gap in (1e-8, 1e-10, 1e-12):
+            assert count_roots_scan(RootProblem(theta, v, rho_sq * (1 - gap))) == 1, (v, gap)
 
 
 def test_h0_threshold_and_root():
@@ -231,14 +255,6 @@ def test_stationary_point_rejects_wrong_regime():
         stationary_point(QParam(2.0, 1.5), RHO, case="reverse")
     with pytest.raises(InputDomainError):
         stationary_point(QParam(2.0, 1.5), RHO, case="nonsense")
-
-
-def test_reconstruct_at_unit_z_gives_source():
-    qp = QParam(2.0, 1.5)
-    st_pt = reconstruct_coupling(1.0, qp, RHO, case="forward")
-    np.testing.assert_allclose(st_pt.coupling.as_array(), RHO.joint_cells(), atol=1e-12)
-    assert st_pt.s == pytest.approx(0.0, abs=1e-12)
-    assert st_pt.t == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reconstruction_marginal_deficits_consistent():
