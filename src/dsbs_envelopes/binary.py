@@ -80,6 +80,13 @@ def _scalarize(arr: np.ndarray, scalar_in: bool):
     return float(np.asarray(arr).item()) if scalar_in else arr
 
 
+def _require_finite_real(**values) -> None:
+    """Reject any keyword value that is not a finite int or float."""
+    for name, val in values.items():
+        if not isinstance(val, (int, float)) or not math.isfinite(val):
+            raise InputDomainError(f"{name} must be a finite real number")
+
+
 def _require_prob_scalar(x, name: str) -> float:
     x = float(x)  # numpy scalars are reported and stored as plain floats
     if not -_SLACK <= x <= 1.0 + _SLACK:  # NaN fails this test too
@@ -179,8 +186,7 @@ class DsbsParams:
     theta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rho, (int, float)) or not math.isfinite(self.rho):
-            raise InputDomainError("rho must be a finite real number")
+        _require_finite_real(rho=self.rho)
         if not 1e-6 < self.rho < 1.0 - 1e-6:
             raise InputDomainError(
                 f"rho={self.rho!r} outside the supported open interval (1e-06, 1 - 1e-06)"

@@ -9,6 +9,7 @@ apart from that formatting there is no CLI-side arithmetic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._svg import contour_plot, polyline_plot
-from .binary import DsbsParams, d2, d2_inv, h2
+from .binary import DsbsParams, _require_finite_real, d2, d2_inv, h2
 from .envelopes import (
     QParam,
     in_s0,
@@ -56,9 +57,14 @@ def _g12(x: float) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +283,12 @@ def cmd_roots(args) -> int:
         if args.theta is None or args.v is None or args.r is None:
             raise InputDomainError("--theta, --v and --r must be given together")
         theta, v, r = args.theta, args.v, args.r
+        _require_finite_real(theta=theta, v=v, r=r)
         if not 0.0 < theta < 1.0 or abs(v) <= 1.0:
             raise InputDomainError("need theta in (0,1) and |v| > 1")
     rho = (1.0 - theta) / (1.0 + theta)
     rho_sq = rho * rho
-    if not math.isfinite(r) or r <= 0.0:
+    if r <= 0.0:
         print(f"regime: r = {_g12(r)} <= 0 — stationarity root machinery does not apply")
         return 0
     if r > rho_sq * (1.0 + 1e-12):

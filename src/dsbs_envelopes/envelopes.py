@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import golden_min_vec
-from .binary import DsbsParams, bconv, d2, d2_inv, _prepare_prob, _scalarize
+from .binary import DsbsParams, bconv, d2, d2_inv, _prepare_prob, _require_finite_real, _scalarize
 from .errors import InputDomainError
 from .mre import dd2_value
 
@@ -84,10 +84,7 @@ class QParam:
     q_conj: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("p", "q"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise InputDomainError(f"{name} must be a finite real number")
+        _require_finite_real(p=self.p, q=self.q)
         object.__setattr__(self, "lam", _inv_or_inf(self.p))
         object.__setattr__(self, "mu", _inv_or_inf(self.q))
         # + 0.0 stores r = 0 as +0.0, never -0.0 (p = 1 with q < 1)

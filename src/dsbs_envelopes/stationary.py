@@ -56,8 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from ._optim import bisect_root, golden_min, golden_min_vec
-from .binary import Coupling2x2, DsbsParams, d2
+from ._optim import bisect_root
+from .binary import Coupling2x2, DsbsParams, _require_finite_real, d2
 from .envelopes import QParam, phi_tilde_ab
 from .errors import InconsistencyError, InputDomainError, NoRootError
 from .mre import dd2_value
@@ -78,6 +78,7 @@ __all__ = [
 
 _SIGN_SLACK = 1e-9  # tolerance on the case sign patterns, in log-ratio units
 _SCAN_CHUNK = 1 << 14  # points per aux_phi_h call in count_roots_scan
+_WINDOW_K = 17  # points per axis of each gamma_extremum refinement window
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,10 +96,7 @@ class RootProblem:
     rho: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("theta", "v", "r"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise InputDomainError(f"{name} must be a finite real number")
+        _require_finite_real(theta=self.theta, v=self.v, r=self.r)
         if not 0.0 < self.theta < 1.0:
             raise InputDomainError(f"theta={self.theta!r} outside (0, 1)")
         if abs(self.v) <= 1.0:
@@ -381,33 +379,9 @@ def hypercontractive_regime(qp: QParam, params: DsbsParams) -> bool:
     return qp.r > params.rho * params.rho
 
 
-def _refine_2d(
-    f, a0: float, b0: float, h: float, lo_b: float, hi_b: float, outer: float, inner: float
-):
-    """Nested golden refinement of a 2-D grid optimum within +-2 cells.
-
-    The inner search minimizes ``inner * f`` over b in [lo_b, hi_b]; the
-    outer one minimizes ``outer * f`` at the inner optimum over a in
-    [0, 1/2].  Returns (a, b, f(a, b)).
-    """
-
-    def inner_opt(a: float):
-        return golden_min(
-            lambda b: inner * f(a, b), max(lo_b, b0 - 2 * h), min(hi_b, b0 + 2 * h), xtol=1e-10
-        )
-
-    a_ref, _ = golden_min(
-        lambda a: outer * inner * inner_opt(a)[1],
-        max(0.0, a0 - 2 * h),
-        min(0.5, a0 + 2 * h),
-        xtol=1e-10,
-    )
-    b_ref, g_ref = inner_opt(a_ref)
-    return a_ref, b_ref, inner * g_ref
-
-
 # problem -> (case, b-interval, outer sign, inner sign, surface); a sign of
-# +1 minimizes and -1 maximizes, the inner search over b and the outer over a
+# +1 minimizes and -1 maximizes, the inner step over b and the outer over a.
+# The full grid and every refinement window run the same step.
 _PROBLEMS = {
     "forward_min": ("forward", (0.0, 0.5), 1.0, 1.0, phi_tilde_ab),
     "reverse_max": ("reverse", (0.5, 1.0), -1.0, -1.0, dd2_value),
@@ -429,10 +403,12 @@ def gamma_extremum(
                    surface `dd2_value`.
 
     The grid step takes each row's inner optimum, then the best row (first
-    index on ties, so reports are deterministic); the saddle first
-    golden-polishes each row's optimum within +-1 cell.  `_refine_2d`
-    refines the winning cell (+-2 cells, nested per axis), and the reported
-    value never exceeds (min) / falls below (max) the grid optimum.
+    index on ties, so reports are deterministic).  The same step then reruns
+    on `_WINDOW_K` points per axis spanning +-2 cells around the winner,
+    clipped to the domain, so the cell shrinks by 4/(_WINDOW_K - 1) per pass
+    until it is below 1e-10.  Each window contains the previous winner, so
+    for the two joint problems the reported value never exceeds (min) /
+    falls below (max) the grid optimum.
     """
     if n < 101:
         raise InputDomainError("n must be at least 101")
@@ -447,30 +423,21 @@ def gamma_extremum(
         )
     lam, mu = qp.lam, qp.mu
 
-    def f(a, b):
-        return surface(a, b, params) - lam * d2(a) - mu * d2(b)
+    def step(axis_a: np.ndarray, axis_b: np.ndarray):
+        a, b = axis_a[:, None], axis_b[None, :]
+        grid = surface(a, b, params) - lam * d2(a) - mu * d2(b)
+        j = np.argmin(inner * grid, axis=1)
+        val_row = grid[np.arange(axis_a.size), j]
+        i = int(np.argmin(outer * val_row))
+        return axis_a[i], axis_b[j[i]], val_row[i]
 
-    axis_a = np.linspace(0.0, 0.5, n)
-    axis_b = np.linspace(lo_b, hi_b, n)
-    grid = f(axis_a[:, None], axis_b[None, :])
-    j = np.argmin(inner * grid, axis=1)
-    b_row = axis_b[j]
-    val_row = grid[np.arange(n), j]
-    if outer != inner:
-        # the saddle's outer step needs each row's inner optimum off the grid
-        b_pol, g_pol = golden_min_vec(
-            lambda b: inner * f(axis_a, b),
-            axis_b[np.maximum(j - 1, 0)],
-            axis_b[np.minimum(j + 1, n - 1)],
-            xtol=1e-10,
+    a, b, value = step(np.linspace(0.0, 0.5, n), np.linspace(lo_b, hi_b, n))
+    offsets = np.linspace(-2.0, 2.0, _WINDOW_K)  # the middle one is exactly 0
+    cell = 0.5 / (n - 1)
+    while cell >= 1e-10:
+        a, b, value = step(
+            np.clip(a + cell * offsets, 0.0, 0.5), np.clip(b + cell * offsets, lo_b, hi_b)
         )
-        improved = g_pol < inner * val_row
-        b_row = np.where(improved, b_pol, b_row)
-        val_row = np.where(improved, inner * g_pol, val_row)
-    i = int(np.argmin(outer * val_row))
-    best = (axis_a[i], b_row[i], val_row[i])
-    refined = _refine_2d(f, axis_a[i], b_row[i], 0.5 / (n - 1), lo_b, hi_b, outer, inner)
-    if outer * refined[2] < outer * best[2]:
-        best = refined
-    a, b, value = (float(x) for x in best)
+        cell *= 4.0 / (_WINDOW_K - 1)
+    a, b, value = float(a), float(b), float(value)
     return GammaExtremum(value, a, b, float(d2(a)), float(d2(b)))

@@ -101,6 +101,25 @@ def test_figure_grid_bounds(capsys, tmp_path):
     assert "grid_n" in err
 
 
+def test_failed_writes_leave_no_temp_file(tmp_path, capsys):
+    # a directory where an output file should go makes the final replace fail
+    out = tmp_path / "fig"
+    (out / "phi.csv").mkdir(parents=True)
+    code, _, err = run_cli(
+        capsys, "figure", "--rho", "0.9", "--grid-n", "51", "--out", str(out)
+    )
+    assert code == 3
+    assert "i/o error" in err
+    report = tmp_path / "rep"
+    report.mkdir()
+    code, _, err = run_cli(
+        capsys, "verify", "--rho", "0.9", "--grid-n", "101", "--fast", "--out", str(report)
+    )
+    assert code == 3
+    assert "i/o error" in err
+    assert not list(tmp_path.rglob("*.tmp*"))
+
+
 def test_verify_fast_report(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, out, _ = run_cli(
@@ -192,6 +211,16 @@ def test_roots_requires_one_form(capsys):
     code, _, err = run_cli(capsys, "roots", "--rho", "0.9", "--p", "2", "--theta", "0.3")
     assert code == 2
     assert "either" in err
+
+
+@pytest.mark.parametrize(
+    "theta, v, r", [("0.5", "2", "nan"), ("0.5", "2", "inf"), ("0.5", "nan", "-1")]
+)
+def test_roots_theta_form_rejects_non_finite(capsys, theta, v, r):
+    code, out, err = run_cli(capsys, "roots", "--theta", theta, "--v", v, "--r", r)
+    assert code == 2
+    assert out == ""
+    assert "must be a finite real number" in err
 
 
 def test_roots_theta_form_matches_pq(capsys):

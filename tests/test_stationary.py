@@ -29,6 +29,7 @@ from dsbs_envelopes import (
 from dsbs_envelopes import stationary
 from dsbs_envelopes.mre import dd2_value
 from dsbs_envelopes.stationary import _SCAN_CHUNK, _log_w_of_h
+from dsbs_envelopes.verify import _H_FORWARD, _H_GAMMA_N, _H_REVERSE
 
 RHO = DsbsParams(0.9)
 THETA_09 = (1 - 0.9) / (1 + 0.9)  # = 1/19
@@ -328,18 +329,44 @@ def _ab_of(pt):
 
 
 def test_gamma_mixed_matches_stationary_value():
-    # the saddle search and the root-equation route must land on the same
-    # point and value; the search works with the b <= 1/2 representative,
-    # which d2 cannot tell apart from its reflection
-    from dsbs_envelopes import d2_inv
-
-    for qp in (QParam(0.8, -2.0), QParam(0.9, -5.0)):
-        ext = gamma_extremum(qp, RHO, "mixed_maxmin", n=201)
-        pt = stationary_point(qp, RHO, case="mixed")
+    # the sweep and the root-equation route must land on the same point and
+    # value, for every table row; (s, t) are compared because reverse_max
+    # sweeps b in [1/2, 1], and the value is taken at the coupling's marginals
+    for qp, problem, case in (
+        (QParam(0.8, -2.0), "mixed_maxmin", "mixed"),
+        (QParam(0.9, -5.0), "mixed_maxmin", "mixed"),
+        (QParam(2.0, 1.5), "forward_min", "forward"),
+        (QParam(0.3, 0.5), "reverse_max", "reverse"),
+    ):
+        ext = gamma_extremum(qp, RHO, problem, n=201)
+        pt = stationary_point(qp, RHO, case=case)
         assert ext.s == pytest.approx(pt.s, abs=1e-7)
         assert ext.t == pytest.approx(pt.t, abs=1e-7)
-        saddle = dd2_value(d2_inv(pt.s), d2_inv(pt.t), RHO) - pt.s / qp.p - pt.t / qp.q
-        assert ext.value == pytest.approx(saddle, abs=1e-6)
+        c = pt.coupling
+        a, b = c.q10 + c.q11, c.q01 + c.q11
+        lagrangian = dd2_value(a, b, RHO) - pt.s / qp.p - pt.t / qp.q
+        assert ext.value == pytest.approx(lagrangian, abs=1e-6)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_gamma_never_worse_than_its_grid(rho):
+    # the refinement may only improve on the n-grid optimum; the grid is
+    # built here as one full meshgrid, reduced by a plain min / max
+    params = DsbsParams(rho)
+    n = _H_GAMMA_N
+    for pairs, problem, surface, lo_b, sign in (
+        (_H_FORWARD, "forward_min", phi_tilde_ab, 0.0, 1.0),
+        (_H_REVERSE, "reverse_max", dd2_value, 0.5, -1.0),
+    ):
+        a, b = np.meshgrid(
+            np.linspace(0.0, 0.5, n), np.linspace(lo_b, lo_b + 0.5, n), indexing="ij"
+        )
+        for p, q in pairs:
+            qp = QParam(p, q)
+            grid = surface(a, b, params) - qp.lam * d2(a) - qp.mu * d2(b)
+            grid_opt = float(np.min(sign * grid))
+            ext = gamma_extremum(qp, params, problem, n=n)
+            assert sign * ext.value <= grid_opt, (problem, p, q)
 
 
 def test_gamma_rejects_mismatched_problem():
