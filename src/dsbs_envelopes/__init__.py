@@ -54,8 +54,6 @@ from .hulls import (
     check_midpoint_convex,
     check_monotone,
     check_slope_bounds,
-    legendre_envelope_1d,
-    legendre_envelope_2d,
     lower_convex_envelope,
     upper_concave_envelope,
 )
@@ -119,8 +117,6 @@ __all__ = [
     "hypercontractive_regime",
     "in_s0",
     "kl_joint",
-    "legendre_envelope_1d",
-    "legendre_envelope_2d",
     "lower_convex_envelope",
     "p_star",
     "phi",

@@ -1,18 +1,11 @@
 """Discrete convex/concave envelopes and grid certifiers.
 
 Functions here operate on samples over the uniform lattice of [0,1] or
-[0,1]^2 wrapped in :class:`GridFn`.  Two independent envelope algorithms are
-provided on purpose:
-
-* :func:`lower_convex_envelope` — geometric route: the lower facets of the
-  convex hull of the graph points (monotone chain in 1-D, Qhull in 2-D),
-  interpolated back onto the lattice.  This is the production path.
-* :func:`legendre_envelope_1d` / :func:`legendre_envelope_2d` — algebraic
-  route: a double discrete Legendre transform (biconjugate).  The 1-D
-  version uses every pairwise chord slope and is exact; the 2-D version uses
-  a dense slope grid and lower-bounds the true envelope by a documented
-  O(slope-spacing) margin.  These exist to cross-validate the hull route and
-  never share code with it.
+[0,1]^2 wrapped in :class:`GridFn`.  :func:`lower_convex_envelope` takes the
+geometric route: the lower facets of the convex hull of the graph points
+(monotone chain in 1-D, Qhull in 2-D), interpolated back onto the lattice.
+Its independent oracle, a double discrete Legendre transform that shares no
+code with it, lives with the tests.
 
 The certifiers (`check_midpoint_convex`, `check_midpoint_concave`,
 `check_slope_bounds`, `check_monotone`) report the worst violation found and
@@ -36,8 +29,6 @@ __all__ = [
     "ConvexityReport",
     "lower_convex_envelope",
     "upper_concave_envelope",
-    "legendre_envelope_1d",
-    "legendre_envelope_2d",
     "check_midpoint_convex",
     "check_midpoint_concave",
     "check_slope_bounds",
@@ -162,77 +153,6 @@ def lower_convex_envelope(f: GridFn) -> GridFn:
 def upper_concave_envelope(f: GridFn) -> GridFn:
     """Pointwise-smallest concave majorant: exact negation dual of the convex one."""
     return GridFn(-lower_convex_envelope(GridFn(-f.values)).values)
-
-
-# ---------------------------------------------------------------------------
-# envelopes — algebraic route (cross-validation oracles)
-# ---------------------------------------------------------------------------
-
-
-def legendre_envelope_1d(f: GridFn) -> GridFn:
-    """Exact 1-D biconjugate: double discrete Legendre transform.
-
-    The slope set is every pairwise chord slope of the samples, which
-    contains every edge slope of the lower hull, so the biconjugate equals
-    the discrete envelope exactly (up to rounding).  O(n^3) and independent
-    of the monotone-chain route.
-    """
-    if f.dims != 1:
-        raise InputDomainError("legendre_envelope_1d takes a 1-D GridFn")
-    v = f.values
-    x = f.axis()
-    jj, kk = np.triu_indices(v.size, k=1)
-    slopes = (v[kk] - v[jj]) / (x[kk] - x[jj])
-    env = np.full_like(v, -np.inf)
-    for start in range(0, slopes.size, 4096):
-        s = slopes[start : start + 4096, None]
-        conj = np.max(s * x[None, :] - v[None, :], axis=1, keepdims=True)
-        np.maximum(env, np.max(s * x[None, :] - conj, axis=0), out=env)
-    return GridFn(np.minimum(env, v))
-
-
-def legendre_envelope_2d(f: GridFn, n_slopes: int = 513) -> GridFn:
-    """Approximate 2-D biconjugate over a dense factorized slope grid.
-
-    Slopes per axis span the forward-difference range.  Restricting the
-    slope set can only lower the plane maximum, so the result lower-bounds
-    the true discrete envelope, with a shortfall of order
-    slope-spacing = (quotient range)/(n_slopes-1).  Use as an independent
-    lower bracket for the hull route, not as a drop-in envelope.
-    """
-    if f.dims != 2:
-        raise InputDomainError("legendre_envelope_2d takes a 2-D GridFn")
-    v = f.values
-    x = f.axis()
-    n = v.shape[0]
-    h = x[1] - x[0]
-
-    def slope_axis(diffs: np.ndarray) -> np.ndarray:
-        lo, hi = float(np.min(diffs)), float(np.max(diffs))
-        if hi - lo < 1e-12:
-            lo, hi = lo - 1.0, hi + 1.0
-        return np.linspace(lo, hi, n_slopes)
-
-    sx = slope_axis(np.diff(v, axis=0) / h)
-    sy = slope_axis(np.diff(v, axis=1) / h)
-    # conj[a, b] = max_{i,j} sx_a x_i + sy_b x_j - v_ij, factorized per axis
-    # and chunked to keep the broadcast temporaries small.
-    inner = np.empty((n_slopes, n))  # inner[b, i] = max_j sy_b x_j - v[i, j]
-    for b0 in range(0, n_slopes, 64):
-        b1 = min(b0 + 64, n_slopes)
-        inner[b0:b1] = np.max(sy[b0:b1, None, None] * x[None, None, :] - v[None, :, :], axis=2)
-    conj = np.empty((n_slopes, n_slopes))
-    for a in range(n_slopes):
-        conj[a] = np.max(sx[a] * x[None, :] + inner, axis=1)
-    # env[i, j] = max_{a,b} sx_a x_i + sy_b x_j - conj[a, b], same trick back.
-    back = np.empty((n, n_slopes))  # back[i, b] = max_a sx_a x_i - conj[a, b]
-    for i0 in range(0, n, 16):
-        i1 = min(i0 + 16, n)
-        back[i0:i1] = np.max(sx[None, :, None] * x[i0:i1, None, None] - conj[None, :, :], axis=1)
-    env = np.empty_like(v)
-    for i in range(n):
-        env[i] = np.max(back[i][:, None] + sy[:, None] * x[None, :], axis=0)
-    return GridFn(np.minimum(env, v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Certification registry: every structural claim checked as one report record.
 
-Each claim gets an id, a human-readable anchor string, and a runner that
-measures the worst violation as an *excess past its tolerance* — a claim
-passes iff its excess is <= 0.  Failures are recorded, never raised, so a
-report always completes.  Reports are deterministic: all sweeps use fixed
-seeds, argmins break ties toward the first index, and runtimes live outside
-the canonical byte representation.
+Each claim has an id, a human-readable anchor string and a runner.  A runner
+is a generator of *legs*: ``(excess, witness)`` pairs, where ``excess`` is a
+measured violation minus its tolerance and ``witness`` says where it was
+measured.  One reducer keeps the first leg with the largest excess, ranking
+a NaN excess as +inf, and a claim passes iff that worst excess is <= 0; so a
+value that fails to compute can only fail its claim.  A runner that raises a
+:class:`DsbsError` records its claim as failed, with ``worst_violation = inf``
+and the error as witness.  Failures are recorded, never raised, so a report
+always completes.  Reports are deterministic: all sweeps use fixed seeds,
+argmins and the reducer break ties toward the first index, and runtimes live
+outside the canonical byte representation.
 
 Fault injection (`inject_fault="T1"` etc.) plants a counterexample into the
 named claim's private copy of its data, as a self-test that each certifier
@@ -34,7 +39,7 @@ from .envelopes import (
     _psi_q_tilde_lattice,
     _psi_tilde_oracle_lattice,
 )
-from .errors import InputDomainError, NoRootError
+from .errors import DsbsError, InputDomainError, NoRootError
 from .hulls import (
     GridFn,
     check_midpoint_concave,
@@ -116,9 +121,13 @@ class VerifyOptions:
 class ClaimResult:
     claim_id: str
     anchor: str
-    passed: bool
     worst_violation: float
     witness: dict
+
+    @property
+    def passed(self) -> bool:
+        """The claim holds iff its worst excess past tolerance is <= 0."""
+        return self.worst_violation <= 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,6 +190,8 @@ def default_tolerances(grid_n: int) -> dict:
 
 
 def _jsonify(obj):
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -192,195 +203,137 @@ def _jsonify(obj):
     return obj
 
 
+@dataclass(frozen=True, slots=True)
 class _Context:
-    """Shared lattices and settings for one verification run."""
+    """Settings and the two shared lattices of one verification run."""
 
-    def __init__(self, params, grid_n, tolerances, options, fault):
-        self.params = params
-        self.grid_n = grid_n
-        self.tol = tolerances
-        self.opts = options
-        self.fault = fault
-        self.axis = np.linspace(0.0, 1.0, grid_n)
-        self._phi_tilde = None
-        self._psi = None
-
-    def phi_tilde_lattice(self) -> np.ndarray:
-        if self._phi_tilde is None:
-            self._phi_tilde = phi_tilde_grid(self.axis, self.axis, self.params)
-        return self._phi_tilde
-
-    def psi_lattice(self) -> np.ndarray:
-        if self._psi is None:
-            self._psi = psi_grid(self.axis, self.axis, self.params)
-        return self._psi
+    params: DsbsParams
+    tol: dict
+    opts: VerifyOptions
+    fault: str | None
+    axis: np.ndarray
+    phi_tilde: np.ndarray
+    psi: np.ndarray
 
 
-def _from_report(ctx, cid: str, anchor: str, rep, extra: dict | None = None) -> ClaimResult:
-    # Grid reports carry raw violations; claim records carry the excess past
-    # tolerance, so that passed <=> worst_violation <= 0 uniformly.
-    witness = {"where": _jsonify(rep.witness)}
-    if extra:
-        witness.update(_jsonify(extra))
-    return ClaimResult(
-        cid, anchor, bool(rep.passed), float(rep.worst_violation - rep.tol), witness
-    )
+def _worst(legs) -> tuple[float, dict]:
+    """The first leg with the largest excess; a NaN excess ranks as +inf."""
+    ranked = ((math.inf if math.isnan(excess) else float(excess), w) for excess, w in legs)
+    return max(ranked, key=lambda leg: leg[0])
 
 
-def _claim_t1(ctx) -> ClaimResult:
-    v = ctx.phi_tilde_lattice().copy()
-    if ctx.fault == "T1":
-        v[ctx.grid_n // 2, ctx.grid_n // 2] += 0.01
+def _leg(rep, **witness) -> tuple:
+    """A grid certifier's report as one leg: its excess past tolerance."""
+    return rep.worst_violation - rep.tol, {"where": rep.witness, **witness}
+
+
+def _plant(ctx, cid: str, values: np.ndarray, delta: float) -> np.ndarray:
+    """``values``, with ``delta`` added at the centre when ``cid`` is the fault."""
+    if ctx.fault != cid:
+        return values
+    values = values.copy()
+    values[(len(values) // 2,) * values.ndim] += delta
+    return values
+
+
+def _claim_t1(ctx):
+    v = _plant(ctx, "T1", ctx.phi_tilde, 0.01)
     rep = check_midpoint_convex(GridFn(v), ctx.tol["midpoint"], seed=ctx.opts.seed)
-    return _from_report(ctx, "T1", _ANCHORS["T1"], rep, {"n_pairs": rep.n_pairs})
+    yield _leg(rep, n_pairs=rep.n_pairs)
 
 
-def _claim_t2(ctx) -> ClaimResult:
-    v = ctx.psi_lattice().copy()
-    if ctx.fault == "T2":
-        v[ctx.grid_n // 2, ctx.grid_n // 2] -= 0.01
+def _claim_t2(ctx):
+    v = _plant(ctx, "T2", ctx.psi, -0.01)
     rep = check_midpoint_concave(GridFn(v), ctx.tol["midpoint"], seed=ctx.opts.seed)
-    return _from_report(ctx, "T2", _ANCHORS["T2"], rep, {"n_pairs": rep.n_pairs})
+    yield _leg(rep, n_pairs=rep.n_pairs)
 
 
-def _curve_family(ctx, q_list, kind: str, fault_first: float):
-    """Worst midpoint-curvature excess across a family of q-slice curves."""
+def _curve_family(ctx, curve_fn, check, q_list, cid=None, delta=0.0, **witness):
+    """Midpoint-curvature legs across a family of q-slice curves.
+
+    The fault for ``cid`` goes on the first curve.
+    """
     axis = np.linspace(0.0, 1.0, ctx.opts.curve_points)
-    worst = -math.inf
-    worst_witness = {}
-    all_pass = True
     for idx, q in enumerate(q_list):
-        curve = (phi_q_full if kind != "psi" else psi_q_full)(axis, QParam.from_q(q), ctx.params)[0]
-        if fault_first and idx == 0:
-            curve = curve.copy()
-            curve[len(curve) // 2] += fault_first
-        if (kind == "phi_convex") or (kind == "phi" and q >= 1.0):
-            rep = check_midpoint_convex(GridFn(curve), ctx.tol["midpoint"])
-        else:
-            rep = check_midpoint_concave(GridFn(curve), ctx.tol["midpoint"])
-        all_pass &= rep.passed
-        excess = rep.worst_violation - rep.tol
-        if excess > worst:
-            worst = excess
-            worst_witness = {"q": q, "where": _jsonify(rep.witness)}
-    return all_pass, worst, worst_witness
+        curve = curve_fn(axis, QParam.from_q(q), ctx.params)[0]
+        if idx == 0 and cid is not None:
+            curve = _plant(ctx, cid, curve, delta)
+        yield _leg(check(GridFn(curve), ctx.tol["midpoint"]), q=q, **witness)
 
 
-def _claim_t3(ctx) -> ClaimResult:
-    fault = -0.01 if ctx.fault == "T3" else 0.0
-    ok, worst, witness = _curve_family(ctx, _T3_Q, "phi", fault)
-    return ClaimResult("T3", _ANCHORS["T3"], bool(ok), float(worst), witness)
+def _claim_t3(ctx):
+    yield from _curve_family(ctx, phi_q_full, check_midpoint_concave, _T3_Q, "T3", -0.01)
 
 
-def _claim_c(ctx) -> ClaimResult:
-    fault = +0.01 if ctx.fault == "C" else 0.0
-    ok1, worst1, wit1 = _curve_family(ctx, _C_Q_CONVEX, "phi_convex", fault)
-    ok2, worst2, wit2 = _curve_family(ctx, _C_Q_CONCAVE, "psi", 0.0)
-    worst, wit = (worst1, wit1) if worst1 >= worst2 else (worst2, wit2)
-    wit = dict(wit)
-    wit["family"] = "phi_q" if worst1 >= worst2 else "psi_q"
-    return ClaimResult("C", _ANCHORS["C"], bool(ok1 and ok2), float(worst), wit)
-
-
-def _claim_l1(ctx) -> ClaimResult:
-    theta = GridFn(ctx.phi_tilde_lattice())
-    theta_bar_vals = np.maximum.accumulate(
-        np.maximum.accumulate(ctx.psi_lattice(), axis=0), axis=1
+def _claim_c(ctx):
+    yield from _curve_family(
+        ctx, phi_q_full, check_midpoint_convex, _C_Q_CONVEX, "C", 0.01, family="phi_q"
     )
+    yield from _curve_family(ctx, psi_q_full, check_midpoint_concave, _C_Q_CONCAVE, family="psi_q")
+
+
+def _claim_l1(ctx):
+    theta = GridFn(ctx.phi_tilde)
+    theta_bar_vals = np.maximum.accumulate(np.maximum.accumulate(ctx.psi, axis=0), axis=1)
     if ctx.fault == "L1":
-        theta_bar_vals = theta_bar_vals.copy()
-        m = ctx.grid_n // 2
+        m = len(ctx.axis) // 2
         theta_bar_vals[m, m] = theta_bar_vals[m - 1, m]  # one flat step: quotient 0
     theta_bar = GridFn(theta_bar_vals)
     tol = ctx.tol["slope"]
-    legs = []
     for ax in (0, 1):
-        legs.append(("theta_le", ax, check_slope_bounds(theta, ax, 1.0, "le", tol)))
-        legs.append(("theta_bar_ge", ax, check_slope_bounds(theta_bar, ax, 1.0, "ge", tol)))
+        yield _leg(check_slope_bounds(theta, ax, 1.0, "le", tol), leg="theta_le", axis=ax)
+        yield _leg(check_slope_bounds(theta_bar, ax, 1.0, "ge", tol), leg="theta_bar_ge", axis=ax)
     for q in _L_Q_NEG:
         curve = phi_q_full(ctx.axis, QParam.from_q(q), ctx.params)[0]
         env = GridFn(np.maximum.accumulate(curve))
-        legs.append((f"theta_bar_q={q}", 0, check_slope_bounds(env, 0, 1.0, "ge", tol)))
-    worst_leg = max(legs, key=lambda leg: leg[2].worst_violation)
-    passed = all(leg[2].passed for leg in legs)
-    rep = worst_leg[2]
-    witness = {"leg": worst_leg[0], "axis": worst_leg[1], "where": _jsonify(rep.witness)}
-    return ClaimResult(
-        "L1", _ANCHORS["L1"], bool(passed), float(rep.worst_violation - rep.tol), witness
-    )
+        yield _leg(check_slope_bounds(env, 0, 1.0, "ge", tol), leg=f"theta_bar_q={q}", axis=0)
 
 
 def _lattice_stride(ctx) -> int:
     return (ctx.opts.master_n - 1) // (ctx.opts.lattice_n - 1)
 
 
-def _claim_l2(ctx) -> ClaimResult:
+def _claim_l2(ctx):
     axis, env = _psi_tilde_oracle_lattice(
         ctx.params, master_n=ctx.opts.master_n, stride=_lattice_stride(ctx)
     )
     if ctx.fault == "L2":
         env = env + 2e-5
-    direct = psi_grid(axis, axis, ctx.params)
-    gaps = np.abs(env - direct)
-    ij = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    gap_excess = float(gaps[ij]) - ctx.tol["psi_tilde_gap"]
-
+    gaps = np.abs(env - psi_grid(axis, axis, ctx.params))
+    i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
     mono_axis = np.linspace(0.0, 1.0, ctx.opts.mono_n)
     mono = check_monotone(GridFn(psi_grid(mono_axis, mono_axis, ctx.params)), ctx.tol["monotone"])
-    worst = max(gap_excess, mono.worst_violation - mono.tol)
-    witness = {
-        "oracle_gap_at": [float(axis[ij[0]]), float(axis[ij[1]])],
-        "oracle_gap": float(gaps[ij]),
-        "monotone": _jsonify(mono.witness),
-    }
-    return ClaimResult("L2", _ANCHORS["L2"], bool(worst <= 0.0), float(worst), witness)
+    witness = {"oracle_gap_at": [axis[i], axis[j]], "oracle_gap": gaps[i, j]}
+    witness["monotone"] = mono.witness
+    yield gaps[i, j] - ctx.tol["psi_tilde_gap"], witness
+    yield mono.worst_violation - mono.tol, witness
 
 
-def _claim_l3(ctx) -> ClaimResult:
-    stride = _lattice_stride(ctx)
-    worst = -math.inf
-    witness = {}
+def _claim_l3(ctx):
     for q in _L_Q_NEG:
-        qp = QParam.from_q(q)
         axis, env, curve = _psi_q_tilde_lattice(
-            qp, ctx.params, master_n=ctx.opts.master_n, stride=stride
+            QParam.from_q(q), ctx.params, master_n=ctx.opts.master_n, stride=_lattice_stride(ctx)
         )
         if ctx.fault == "L3":
             env = env + 2e-6
         gaps = np.abs(env - curve)
         i = int(np.argmax(gaps))
-        excess = float(gaps[i]) - ctx.tol["phi_q_env_gap"]
-        if excess > worst:
-            worst = excess
-            witness = {"q": q, "alpha": float(axis[i]), "gap": float(gaps[i])}
-    return ClaimResult("L3", _ANCHORS["L3"], bool(worst <= 0.0), float(worst), witness)
+        yield gaps[i] - ctx.tol["phi_q_env_gap"], {"q": q, "alpha": axis[i], "gap": gaps[i]}
 
 
-def _claim_e(ctx) -> ClaimResult:
-    tol = ctx.tol["envelope_fixpoint"]
-    pt = ctx.phi_tilde_lattice().copy()
-    if ctx.fault == "E":
-        pt[ctx.grid_n // 2, ctx.grid_n // 2] -= 0.05
-    lce = lower_convex_envelope(GridFn(pt)).values
-    gap_phi = np.abs(lce - pt)
-    ij = np.unravel_index(int(np.argmax(gap_phi)), gap_phi.shape)
-    ps = ctx.psi_lattice()
-    uce = upper_concave_envelope(GridFn(ps)).values
-    gap_psi = np.abs(uce - ps)
-    kl = np.unravel_index(int(np.argmax(gap_psi)), gap_psi.shape)
-    worst = float(max(gap_phi[ij], gap_psi[kl])) - tol
-    which = "phi_tilde" if gap_phi[ij] >= gap_psi[kl] else "psi"
-    at = ij if which == "phi_tilde" else kl
-    witness = {
-        "surface": which,
-        "s": float(ctx.axis[at[0]]),
-        "t": float(ctx.axis[at[1]]),
-        "gap": float(max(gap_phi[ij], gap_psi[kl])),
-    }
-    return ClaimResult("E", _ANCHORS["E"], bool(worst <= 0.0), worst, witness)
+def _claim_e(ctx):
+    surfaces = (
+        ("phi_tilde", _plant(ctx, "E", ctx.phi_tilde, -0.05), lower_convex_envelope),
+        ("psi", ctx.psi, upper_concave_envelope),
+    )
+    for surface, values, envelope in surfaces:
+        gaps = np.abs(envelope(GridFn(values)).values - values)
+        i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+        witness = {"surface": surface, "s": ctx.axis[i], "t": ctx.axis[j], "gap": gaps[i, j]}
+        yield gaps[i, j] - ctx.tol["envelope_fixpoint"], witness
 
 
-def _claim_p(ctx) -> ClaimResult:
+def _claim_p(ctx):
     rng = np.random.default_rng(ctx.opts.seed)
     a = rng.uniform(0.0, 1.0, ctx.opts.pstar_samples)
     b = rng.uniform(0.0, 1.0, ctx.opts.pstar_samples)
@@ -393,13 +346,9 @@ def _claim_p(ctx) -> ClaimResult:
     gap_v = np.abs(closed_v - oracle_v)
     i = int(np.argmax(gap_p))
     j = int(np.argmax(gap_v))
-    worst = float(max(gap_p[i], gap_v[j])) - ctx.tol["pstar_gap"]
-    witness = {
-        "argmin_gap": float(gap_p[i]),
-        "value_gap": float(gap_v[j]),
-        "at": [float(a[i]), float(b[i])],
-    }
-    return ClaimResult("P", _ANCHORS["P"], bool(worst <= 0.0), worst, witness)
+    witness = {"argmin_gap": gap_p[i], "value_gap": gap_v[j], "at": [a[i], b[i]]}
+    yield gap_p[i] - ctx.tol["pstar_gap"], witness
+    yield gap_v[j] - ctx.tol["pstar_gap"], witness
 
 
 def _root_problem_unchecked(theta: float, v: float, r: float) -> RootProblem:
@@ -412,7 +361,7 @@ def _root_problem_unchecked(theta: float, v: float, r: float) -> RootProblem:
     return prob
 
 
-def _claim_u(ctx) -> ClaimResult:
+def _claim_u(ctx):
     rng = np.random.default_rng(ctx.opts.seed + 1)
     problems = []
     for _ in range(ctx.opts.root_problems):
@@ -427,9 +376,6 @@ def _claim_u(ctx) -> ClaimResult:
         theta = 0.5
         rho = (1.0 - theta) / (1.0 + theta)
         problems.append(_root_problem_unchecked(theta, 2.0, 1.2 * rho * rho))
-    worst = -math.inf
-    witness = {}
-    tol = ctx.tol["root_residual"]
     for prob in problems:
         try:
             z = solve_root_z(prob)
@@ -437,54 +383,31 @@ def _claim_u(ctx) -> ClaimResult:
             count = count_roots_scan(prob, ctx.opts.root_scan_n)
         except NoRootError:
             residual, count = math.inf, 0
-        excess = max(residual - tol, abs(count - 1) - 0.5)
-        if excess > worst:
-            worst = excess
-            witness = {
-                "theta": prob.theta,
-                "v": prob.v,
-                "r": prob.r,
-                "residual": residual,
-                "scan_count": count,
-            }
-    return ClaimResult("U", _ANCHORS["U"], bool(worst <= 0.0), float(worst), _jsonify(witness))
+        witness = dict(theta=prob.theta, v=prob.v, r=prob.r, residual=residual, scan_count=count)
+        yield residual - ctx.tol["root_residual"], witness
+        yield abs(count - 1) - 0.5, witness
 
 
-def _claim_h(ctx) -> ClaimResult:
+def _claim_h(ctx):
     cell = 0.5 / (_H_GAMMA_N - 1)
     settings = [(p, q, "forward_min") for (p, q) in _H_FORWARD]
     settings += [(p, q, "reverse_max") for (p, q) in _H_REVERSE]
     if ctx.fault == "H":
         settings.append((1.2, 1.2, "forward_min"))
-    worst = -math.inf
-    witness = {}
     for p, q, problem in settings:
         qp = QParam(p, q)
         ext = gamma_extremum(qp, ctx.params, problem, n=_H_GAMMA_N)
-        dist = max(abs(ext.a - 0.5), abs(ext.b - 0.5))
-        excess = dist - cell
-        if excess > worst:
-            worst = excess
-            witness = {
-                "p": p,
-                "q": q,
-                "problem": problem,
-                "a": ext.a,
-                "b": ext.b,
-                "value": ext.value,
-                "hypercontractive": hypercontractive_regime(qp, ctx.params),
-            }
-    return ClaimResult("H", _ANCHORS["H"], bool(worst <= 0.0), float(worst), _jsonify(witness))
+        witness = {"p": p, "q": q, "problem": problem, "a": ext.a, "b": ext.b, "value": ext.value}
+        witness["hypercontractive"] = hypercontractive_regime(qp, ctx.params)
+        yield abs(ext.a - 0.5) - cell, witness
+        yield abs(ext.b - 0.5) - cell, witness
 
 
-def _claim_b(ctx) -> ClaimResult:
+def _claim_b(ctx):
     # The edge slope converges to 1 only logarithmically (the inner bias
     # enters through its own logarithm), so the certificate is a strictly
     # shrinking |Q-1| chain over four step sizes plus a calibrated absolute
     # bound at the finest step — not machine-level closeness.
-    tol = ctx.tol["boundary_slope"]
-    worst = -math.inf
-    witness = {}
     for t in _B_T:
         base = float(psi(1.0, t, ctx.params))
         quotients = [
@@ -494,54 +417,50 @@ def _claim_b(ctx) -> ClaimResult:
         if ctx.fault == "B" and t == _B_T[0]:
             quotients[-1] += 0.1
         gaps = [abs(qv - 1.0) for qv in quotients]
-        chain_excess = max(nxt - cur for cur, nxt in zip(gaps, gaps[1:]))
-        excess = max(gaps[-1] - tol, chain_excess)
-        if excess > worst:
-            worst = excess
-            witness = {"check": "psi_slope", "t": t, "quotients": quotients}
+        witness = {"check": "psi_slope", "t": t, "quotients": quotients}
+        yield gaps[-1] - ctx.tol["boundary_slope"], witness
+        for cur, nxt in zip(gaps, gaps[1:]):
+            yield nxt - cur, witness
     for p, q in _B_PQ:
-        qp = QParam(p, q)
         for t in _B_T:
             g_edge = float(phi(1.0, t, ctx.params)) - 1.0 / p - t / q
             g_in = float(phi(1.0 - 1e-4, t, ctx.params)) - (1.0 - 1e-4) / p - t / q
-            excess = g_in - g_edge
-            if excess > worst:
-                worst = excess
-                witness = {"check": "edge_not_optimal", "p": p, "q": q, "t": t, "gap": g_edge - g_in}
-    return ClaimResult("B", _ANCHORS["B"], bool(worst <= 0.0), float(worst), _jsonify(witness))
+            witness = {"check": "edge_not_optimal", "p": p, "q": q, "t": t, "gap": g_edge - g_in}
+            yield g_in - g_edge, witness
 
 
-_ANCHORS = {
-    "T1": "phi_tilde is midpoint-convex on the unit square",
-    "T2": "psi is midpoint-concave on the unit square",
-    "T3": "phi_q is concave for q in {-0.5, -2, -10}",
-    "C": "phi_q is convex for q in {1, 2, 10}; psi_q is concave for q in {0.25, 0.5, 0.75}",
-    "L1": "axis slopes: phi_tilde quotients <= 1; upper envelopes' quotients >= 1",
-    "L2": "running-max oracle over the master grid reproduces psi; psi is nondecreasing",
-    "L3": "running-max envelope of the q<0 slice family equals the family itself",
-    "E": "phi_tilde is a fixed point of the lower convex envelope; psi of the upper concave one",
-    "P": "closed-form inner minimizer matches the brute-force argmin and value",
-    "U": "the stationarity root equation has exactly one root beyond the bend point",
-    "H": "above the critical exponent product the Lagrangian optimizer sits at the corner",
-    "B": "the slope of psi at the s=1 edge tends to 1, and that edge is never optimal for p>1",
+# id -> (anchor, runner); the order here is the report order.
+_CLAIMS = {
+    "T1": ("phi_tilde is midpoint-convex on the unit square", _claim_t1),
+    "T2": ("psi is midpoint-concave on the unit square", _claim_t2),
+    "T3": ("phi_q is concave for q in {-0.5, -2, -10}", _claim_t3),
+    "C": (
+        "phi_q is convex for q in {1, 2, 10}; psi_q is concave for q in {0.25, 0.5, 0.75}",
+        _claim_c,
+    ),
+    "L1": ("axis slopes: phi_tilde quotients <= 1; upper envelopes' quotients >= 1", _claim_l1),
+    "L2": (
+        "running-max oracle over the master grid reproduces psi; psi is nondecreasing",
+        _claim_l2,
+    ),
+    "L3": ("running-max envelope of the q<0 slice family equals the family itself", _claim_l3),
+    "E": (
+        "phi_tilde is a fixed point of the lower convex envelope; psi of the upper concave one",
+        _claim_e,
+    ),
+    "P": ("closed-form inner minimizer matches the brute-force argmin and value", _claim_p),
+    "U": ("the stationarity root equation has exactly one root beyond the bend point", _claim_u),
+    "H": (
+        "above the critical exponent product the Lagrangian optimizer sits at the corner",
+        _claim_h,
+    ),
+    "B": (
+        "the slope of psi at the s=1 edge tends to 1, and that edge is never optimal for p>1",
+        _claim_b,
+    ),
 }
 
-_RUNNERS = {
-    "T1": _claim_t1,
-    "T2": _claim_t2,
-    "T3": _claim_t3,
-    "C": _claim_c,
-    "L1": _claim_l1,
-    "L2": _claim_l2,
-    "L3": _claim_l3,
-    "E": _claim_e,
-    "P": _claim_p,
-    "U": _claim_u,
-    "H": _claim_h,
-    "B": _claim_b,
-}
-
-CLAIM_IDS = tuple(_RUNNERS)
+CLAIM_IDS = tuple(_CLAIMS)
 
 
 def _merge_tolerances(tols: dict | None, grid_n: int) -> dict:
@@ -568,17 +487,29 @@ def verify_all(
     """Run every claim in the registry and assemble the report in fixed order."""
     if not 51 <= grid_n <= 1001:
         raise InputDomainError("grid_n must be in [51, 1001]")
-    if inject_fault is not None and inject_fault not in _RUNNERS:
-        raise InputDomainError(f"unknown claim id {inject_fault!r}; known: {sorted(_RUNNERS)}")
-    opts = options if options is not None else VerifyOptions()
+    if inject_fault is not None and inject_fault not in _CLAIMS:
+        raise InputDomainError(f"unknown claim id {inject_fault!r}; known: {sorted(_CLAIMS)}")
     tolerances = _merge_tolerances(tols, grid_n)
-    ctx = _Context(params, grid_n, tolerances, opts, inject_fault)
+    axis = np.linspace(0.0, 1.0, grid_n)
+    ctx = _Context(
+        params=params,
+        tol=tolerances,
+        opts=options if options is not None else VerifyOptions(),
+        fault=inject_fault,
+        axis=axis,
+        phi_tilde=phi_tilde_grid(axis, axis, params),
+        psi=psi_grid(axis, axis, params),
+    )
     claims = []
     runtimes = {}
-    for cid in CLAIM_IDS:
+    for cid, (anchor, runner) in _CLAIMS.items():
         start = time.perf_counter()
-        claims.append(_RUNNERS[cid](ctx))
+        try:
+            worst, witness = _worst(runner(ctx))
+        except DsbsError as exc:
+            worst, witness = math.inf, {"error": f"{type(exc).__name__}: {exc}"}
         runtimes[cid] = (time.perf_counter() - start) * 1000.0
+        claims.append(ClaimResult(cid, anchor, worst, _jsonify(witness)))
     return VerificationReport(
         rho=params.rho,
         grid_n=grid_n,

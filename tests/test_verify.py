@@ -1,10 +1,14 @@
 """Claim registry: health, determinism, fault injection, serialization."""
 
+import dataclasses
 import json
+import math
 
 import jsonschema
+import numpy as np
 import pytest
 
+from dsbs_envelopes import verify
 from dsbs_envelopes import (
     CLAIM_IDS,
     DsbsParams,
@@ -93,6 +97,39 @@ def test_fault_injection_trips_exactly_one_claim():
         failed = [c.claim_id for c in report.claims if not c.passed]
         assert failed == [fault], f"fault {fault} tripped {failed}"
         assert not report.passed
+
+
+def _nan_arrays(out):
+    return tuple(np.full_like(x, np.nan) for x in out)
+
+
+def _nan_extremum(ext):
+    return dataclasses.replace(ext, value=math.nan, a=math.nan, b=math.nan)
+
+
+# verify global -> (claim that reads it, its result turned to NaN)
+NAN_SOURCES = {
+    "gamma_extremum": ("H", _nan_extremum),
+    "_psi_q_tilde_lattice": ("L3", _nan_arrays),
+    "solve_root_z": ("U", lambda z: math.nan),
+    "psi": ("B", lambda v: math.nan),
+    "p_star": ("P", lambda p: np.full_like(p, np.nan)),
+    "phi_q_full": ("T3", _nan_arrays),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_SOURCES))
+def test_nan_fails_closed(monkeypatch, name):
+    # A value that fails to compute must fail its claim, never pass it; a
+    # raised DsbsError (T3: GridFn refuses NaN) fails the claim, not the run.
+    cid, to_nan = NAN_SOURCES[name]
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args, **kw: to_nan(real(*args, **kw)))
+    report = verify_all(RHO, grid_n=101, options=FAST)
+    assert [c.claim_id for c in report.claims] == list(CLAIM_IDS)
+    claim = next(c for c in report.claims if c.claim_id == cid)
+    assert not claim.passed
+    assert claim.worst_violation == math.inf
 
 
 def test_unknown_fault_rejected():
