@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
             f"[{runtime:8.1f} ms] {claim.anchor}"
         )
     try:
-        _write_atomic(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
+        _write_atomic(args.out, json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -3,7 +3,8 @@
 Functions here operate on samples over the uniform lattice of [0,1] or
 [0,1]^2 wrapped in :class:`GridFn`.  :func:`lower_convex_envelope` takes the
 geometric route: the lower facets of the convex hull of the graph points
-(monotone chain in 1-D, Qhull in 2-D), interpolated back onto the lattice.
+(monotone chain in 1-D, Qhull in 2-D), interpolated back onto the lattice;
+in 2-D every facet fills its lattice bounding box in chunked array passes.
 Its independent oracle, a double discrete Legendre transform that shares no
 code with it, lives with the tests.
 
@@ -15,7 +16,6 @@ index wins), so failing runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +37,7 @@ __all__ = [
 
 _FULL_ENUMERATION_MAX_N = 201  # 2-D full midpoint enumeration up to this n
 _DEFAULT_SUBSAMPLE = 10_000_000
+_FILL_CHUNK = 1 << 16  # (facet, lattice point) pairs per pass of the 2-D hull fill
 
 
 @dataclass(frozen=True)
@@ -118,19 +119,29 @@ def _lower_hull_2d(v: np.ndarray) -> np.ndarray:
         return v.copy()
     eqs = hull.equations
     lower = eqs[:, 2] < -1e-12
-    env = np.full((n, n), -np.inf)
     h = 1.0 / (n - 1)
-    for simplex, (nx, ny, nz, off) in zip(hull.simplices[lower], eqs[lower]):
-        px = pts[simplex, 0]
-        py = pts[simplex, 1]
-        i0 = max(0, math.ceil(px.min() / h - 1e-9))
-        i1 = min(n - 1, math.floor(px.max() / h + 1e-9))
-        j0 = max(0, math.ceil(py.min() / h - 1e-9))
-        j1 = min(n - 1, math.floor(py.max() / h + 1e-9))
-        if i1 < i0 or j1 < j0:
-            continue
-        plane = -(nx * x[i0 : i1 + 1, None] + ny * x[None, j0 : j1 + 1] + off) / nz
-        np.maximum(env[i0 : i1 + 1, j0 : j1 + 1], plane, out=env[i0 : i1 + 1, j0 : j1 + 1])
+    # Each lower facet's lattice bounding box, rows lo[:, 0]..hi[:, 0] and
+    # columns lo[:, 1]..hi[:, 1]; facets whose box is empty cover no point.
+    corners = pts[hull.simplices[lower], :2]
+    lo = np.maximum(np.ceil(corners.min(axis=1) / h - 1e-9), 0).astype(np.intp)
+    hi = np.minimum(np.floor(corners.max(axis=1) / h + 1e-9), n - 1).astype(np.intp)
+    keep = np.all(hi >= lo, axis=1)
+    nx, ny, nz, off = eqs[lower][keep].T
+    (i0, j0), (ni, nj) = lo[keep].T, (hi - lo + 1)[keep].T
+    # Pair p in [starts[f], ends[f]) is facet f at box offset p - starts[f].
+    # Chunks of pairs bound the memory; maximum.at applies planes in facet order.
+    ends = np.cumsum(ni * nj)
+    starts = ends - ni * nj
+    total = int(ends[-1]) if ends.size else 0
+    env = np.full(n * n, -np.inf)
+    for s in range(0, total, _FILL_CHUNK):
+        e = min(s + _FILL_CHUNK, total)
+        fr = np.arange(np.searchsorted(ends, s, side="right"), np.searchsorted(starts, e))
+        f = np.repeat(fr, np.minimum(ends[fr], e) - np.maximum(starts[fr], s))
+        k = np.arange(s, e) - starts[f]
+        ii, jj = i0[f] + k // nj[f], j0[f] + k % nj[f]
+        np.maximum.at(env, ii * n + jj, -(nx[f] * x[ii] + ny[f] * x[jj] + off[f]) / nz[f])
+    env = env.reshape(n, n)
     env = np.where(np.isneginf(env), v, env)
     return np.minimum(env, v)
 
@@ -140,9 +151,11 @@ def lower_convex_envelope(f: GridFn) -> GridFn:
 
     1-D: monotone-chain lower hull, interpolated across non-vertex points.
     2-D: lower facets of the 3-D convex hull of the graph; the envelope at a
-    lattice point is the max over the lower facet planes whose projection
-    covers it (every lower facet plane supports the hull from below, so the
-    covering facet's plane is that maximum).  The result is clipped to
+    lattice point is the max over the lower facet planes whose lattice
+    bounding box holds it (every lower facet plane supports the hull from
+    below, so the covering facet's plane is that maximum).  The (facet,
+    lattice point) pairs are evaluated as arrays, a bounded chunk at a time,
+    and reduced with ``np.maximum.at``.  The result is clipped to
     ``min(env, f)`` so floating-point spill never breaks dominance.
     """
     if f.dims == 1:
@@ -251,11 +264,14 @@ def check_midpoint_convex(
     """
     if tol <= 0.0:
         raise InputDomainError("tol must be positive")
+    if max_pairs is not None and max_pairs < 1:
+        raise InputDomainError("max_pairs must be at least 1")
     if f.dims == 1:
         return _midpoint_convex_1d(f.values, tol)
     if max_pairs is None and f.n <= _FULL_ENUMERATION_MAX_N:
         return _midpoint_convex_2d_full(f.values, tol)
-    return _midpoint_convex_2d_sampled(f.values, tol, max_pairs or _DEFAULT_SUBSAMPLE, seed)
+    pairs = _DEFAULT_SUBSAMPLE if max_pairs is None else max_pairs
+    return _midpoint_convex_2d_sampled(f.values, tol, pairs, seed)
 
 
 def check_midpoint_concave(

@@ -155,7 +155,7 @@ class VerificationReport:
         return d
 
     def _payload(self, with_runtime: bool) -> dict:
-        return {
+        return _jsonify({
             "meta": {
                 "rho": self.rho,
                 "grid_n": self.grid_n,
@@ -163,7 +163,7 @@ class VerificationReport:
                 "version": __version__,
             },
             "claims": [self._claim_dict(c, with_runtime) for c in self.claims],
-        }
+        })
 
     def to_json_dict(self) -> dict:
         return self._payload(with_runtime=True)
@@ -171,7 +171,7 @@ class VerificationReport:
     def canonical_bytes(self) -> bytes:
         """Byte-identical across runs with identical inputs: no runtimes."""
         payload = self._payload(with_runtime=False)
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
 
 
 def default_tolerances(grid_n: int) -> dict:
@@ -193,7 +193,8 @@ def _jsonify(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        # strict JSON has no inf/nan: write "inf", "-inf" or "nan" instead
+        return float(obj) if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):

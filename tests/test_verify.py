@@ -78,7 +78,12 @@ def test_canonical_bytes_deterministic(healthy_report):
     again = verify_all(RHO, grid_n=101, options=FAST)
     assert healthy_report.canonical_bytes() == again.canonical_bytes()
     # runtimes differ run to run yet never reach the canonical form
-    assert healthy_report.runtimes_ms != again.runtimes_ms or True
+    slower = {cid: ms + 1000.0 for cid, ms in healthy_report.runtimes_ms.items()}
+    retimed = dataclasses.replace(healthy_report, runtimes_ms=slower)
+    assert retimed.canonical_bytes() == healthy_report.canonical_bytes()
+    assert [c["runtime_ms"] for c in retimed.to_json_dict()["claims"]] == [
+        slower[cid] for cid in CLAIM_IDS
+    ]
     assert b"runtime" not in healthy_report.canonical_bytes()
 
 
@@ -118,6 +123,10 @@ NAN_SOURCES = {
 }
 
 
+def _reject_constant(token):
+    raise AssertionError(f"non-finite token {token} in report JSON")
+
+
 @pytest.mark.parametrize("name", sorted(NAN_SOURCES))
 def test_nan_fails_closed(monkeypatch, name):
     # A value that fails to compute must fail its claim, never pass it; a
@@ -130,6 +139,10 @@ def test_nan_fails_closed(monkeypatch, name):
     claim = next(c for c in report.claims if c.claim_id == cid)
     assert not claim.passed
     assert claim.worst_violation == math.inf
+    # both serialized forms stay strict JSON: no Infinity or NaN tokens
+    for text in (report.canonical_bytes(), json.dumps(report.to_json_dict())):
+        doc = json.loads(text, parse_constant=_reject_constant)
+        assert next(c for c in doc["claims"] if c["id"] == cid)["worst_violation"] == "inf"
 
 
 def test_unknown_fault_rejected():
