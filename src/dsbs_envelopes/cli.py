@@ -32,6 +32,7 @@ from .envelopes import (
     psi,
     psi_grid,
     psi_q_full,
+    _q_opt,
 )
 from .errors import DsbsError, InputDomainError, NoRootError
 from .mre import dd2, p_star
@@ -146,14 +147,9 @@ def _surface_csv(axis, grid) -> str:
 def _q_family_rows(axis, params):
     rows = ["q_conj,s,value,family"]
     curves = []
-    for q in _FIG_Q_PHI:
-        qp = QParam.from_q(q)
-        vals = phi_q_full(axis, qp, params)[0]
-        curves.append((qp.q_conj, q, vals, "phi_q"))
-    for q in _FIG_Q_PSI:
-        qp = QParam.from_q(q)
-        vals = psi_q_full(axis, qp, params)[0]
-        curves.append((qp.q_conj, q, vals, "psi_q"))
+    for kind, qs in (("phi", _FIG_Q_PHI), ("psi", _FIG_Q_PSI)):
+        for q, vals in zip(qs, _q_opt(axis, qs, params, kind=kind)[0]):
+            curves.append((QParam.from_q(q).q_conj, q, vals, f"{kind}_q"))
     for q_conj, _q, vals, family in curves:
         for s, v in zip(axis, vals):
             rows.append(f"{_g12(q_conj)},{_g12(s)},{_g12(v)},{family}")

@@ -32,6 +32,7 @@ to test, not an assumption.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,12 +99,6 @@ class QParam:
     def from_q(cls, q: float) -> "QParam":
         """Envelope-only parameter: q with the neutral exponent p = 1."""
         return cls(1.0, q)
-
-
-def _require_q_nonzero(qp: QParam) -> float:
-    if qp.q == 0.0:
-        raise InputDomainError("q must be nonzero")
-    return qp.q
 
 
 # ---------------------------------------------------------------------------
@@ -206,70 +201,97 @@ def phi_tilde_grid(alpha_vals, beta_vals, params: DsbsParams) -> np.ndarray:
 _T_GRID_N = 2001
 
 
-def _q_opt(s_vals: np.ndarray, q: float, params: DsbsParams, *, kind: str):
-    """Optimize ``t -> slice(s, t) - t/q`` per row of ``s_vals``.
+@functools.lru_cache(maxsize=1)
+def _seed_grid() -> tuple:
+    """The read-only seeding grid of `_q_opt`: ``x_k = -d2_inv(k/2000)`` and ``d2(-x_k)``.
 
-    ``kind`` selects the phi slice with minimization or the psi slice with
-    maximization.  The search runs in bias coordinates, where t comes in
+    It depends on nothing but ``_T_GRID_N``, so it is built once per process.
+    """
+    x = -np.asarray(d2_inv(np.linspace(0.0, 1.0, _T_GRID_N)))
+    d2_b = np.asarray(d2(-x))
+    x.flags.writeable = False
+    d2_b.flags.writeable = False
+    return x, d2_b
+
+
+def _q_opt(s, qs, params: DsbsParams, *, kind: str):
+    """Optimize ``t -> slice(s, t) - t/q`` per point of ``s``, for every q in ``qs``.
+
+    Returns ``(values, t_opt)``, each of shape ``(len(qs), n)`` with one row
+    per q, where ``n`` is the number of points of ``s`` (a scalar counts as
+    one).  ``kind`` selects the phi slice with minimization or the psi slice
+    with maximization.  The search runs in bias coordinates, where t comes in
     closed form: with ``b = d2_inv(t)`` in [0, 1/2] the objective is
-    ``slice(a, b) - d2(b)/q``, so ``d2_inv`` is solved once, for the
-    2001-point seeding grid ``b_k = d2_inv(k/2000)`` (which guards against
-    missed basins).  Grid and refinement evaluate this one function of b.
-    The winning cell is refined by lockstep golden-section search to 1e-12
-    in b, and the reported argmin is ``d2(b_opt)``.  The objective is flat
-    at its optimum, so that t is reproducible only to about 1e-7: a 1e-9
-    change in ``d2_inv`` moves it by up to that much, while the value moves
-    only by about the size of the change.
+    ``slice(a, b) - d2(b)/q``, so ``d2_inv`` is solved once per process, for
+    the 2001-point seeding grid ``b_k = d2_inv(k/2000)`` (which guards
+    against missed basins).  Grid and refinement evaluate this one function
+    of b.  The surface term ``slice(a, b_k)`` does not depend on q: each
+    chunk of rows evaluates it once as a table, and every q scores its grid
+    cells from that table.  Each q's winning cells are then refined by their
+    own lockstep golden-section search to 1e-12 in b (one search per q: its
+    iteration count follows its widest bracket, so a search shared across q
+    would move digits), and the reported argmin is ``d2(b_opt)``.  So a row
+    of a batched call equals the one-q call bit for bit.  ``s`` and every q
+    are validated here, for all callers.  The objective is flat at its optimum, so that t is
+    reproducible only to about 1e-7: a 1e-9 change in ``d2_inv`` moves it by
+    up to that much, while the value moves only by about the size of the
+    change.
 
     Ties resolve to the smallest t: the grid argmin takes the first index;
     the search variable is ``x = -b`` (exact, and increasing in t), so
     golden-section's leftward shrinking on ties favours small t; and the
     grid candidate wins when the refinement cannot strictly improve it.
     """
+    if 0.0 in qs:
+        raise InputDomainError("q must be nonzero")
+    s_vals = np.atleast_1d(_prepare_prob(s, "s"))
     minimize = kind == "phi"
     sign = 1.0 if minimize else -1.0
     a_axis = np.asarray(d2_inv(s_vals))
-    x_grid = -np.asarray(d2_inv(np.linspace(0.0, 1.0, _T_GRID_N)))
+    x_grid, d2_grid = _seed_grid()
+    b_grid = -x_grid
+    slice_grid = b_grid if minimize else 1.0 - b_grid
 
-    def objective(a_col: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def objective(a_col: np.ndarray, x: np.ndarray, q: float) -> np.ndarray:
         b = -x
         slice_b = b if minimize else 1.0 - b
         return sign * (dd2_value(a_col, slice_b, params) - np.asarray(d2(b)) / q)
 
-    best_val = np.empty(s_vals.size)
-    best_idx = np.empty(s_vals.size, dtype=int)
+    shape = (len(qs), s_vals.size)
+    best_val = np.empty(shape)
+    best_idx = np.empty(shape, dtype=int)
     for start in range(0, s_vals.size, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, s_vals.size)
-        block = objective(a_axis[start:stop, None], x_grid[None, :])
-        best_idx[start:stop] = np.argmin(block, axis=1)
-        best_val[start:stop] = np.take_along_axis(
-            block, best_idx[start:stop, None], axis=1
-        )[:, 0]
-    lo = x_grid[np.maximum(best_idx - 1, 0)]
-    hi = x_grid[np.minimum(best_idx + 1, _T_GRID_N - 1)]
-    x_ref, f_ref = golden_min_vec(lambda x: objective(a_axis, x), lo, hi, xtol=1e-12)
-    improved = f_ref < best_val
-    b_opt = -np.where(improved, x_ref, x_grid[best_idx])
-    value = sign * np.where(improved, f_ref, best_val)
-    return value, np.asarray(d2(b_opt))
+        rows = slice(start, min(start + _CHUNK_ROWS, s_vals.size))
+        table = dd2_value(a_axis[rows, None], slice_grid[None, :], params)
+        for k, q in enumerate(qs):
+            block = sign * (table - d2_grid / q)
+            best_idx[k, rows] = np.argmin(block, axis=1)
+            best_val[k, rows] = np.take_along_axis(block, best_idx[k, rows, None], axis=1)[:, 0]
+        table = block = None  # freed before the next table and the refinement: peak memory
+    values = np.empty(shape)
+    t_opt = np.empty(shape)
+    for k, q in enumerate(qs):
+        lo = x_grid[np.maximum(best_idx[k] - 1, 0)]
+        hi = x_grid[np.minimum(best_idx[k] + 1, _T_GRID_N - 1)]
+        x_ref, f_ref = golden_min_vec(lambda x: objective(a_axis, x, q), lo, hi, xtol=1e-12)
+        improved = f_ref < best_val[k]
+        values[k] = sign * np.where(improved, f_ref, best_val[k])
+        t_opt[k] = d2(-np.where(improved, x_ref, x_grid[best_idx[k]]))
+    return values, t_opt
 
 
 def phi_q_full(s, qp: QParam, params: DsbsParams):
     """Value and minimizing t of ``min_t phi(s, t) - t/q``."""
-    q = _require_q_nonzero(qp)
+    value, t_opt = _q_opt(s, (qp.q,), params, kind="phi")
     scalar = np.ndim(s) == 0
-    sv = np.atleast_1d(_prepare_prob(s, "s"))
-    value, t_opt = _q_opt(sv, q, params, kind="phi")
-    return _scalarize(value, scalar), _scalarize(t_opt, scalar)
+    return _scalarize(value[0], scalar), _scalarize(t_opt[0], scalar)
 
 
 def psi_q_full(s, qp: QParam, params: DsbsParams):
     """Value and maximizing t of ``max_t psi(s, t) - t/q``."""
-    q = _require_q_nonzero(qp)
+    value, t_opt = _q_opt(s, (qp.q,), params, kind="psi")
     scalar = np.ndim(s) == 0
-    sv = np.atleast_1d(_prepare_prob(s, "s"))
-    value, t_opt = _q_opt(sv, q, params, kind="psi")
-    return _scalarize(value, scalar), _scalarize(t_opt, scalar)
+    return _scalarize(value[0], scalar), _scalarize(t_opt[0], scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +356,17 @@ def _psi_tilde_oracle_lattice(params: DsbsParams, master_n: int = 2001, stride: 
     return grid[::stride], env[::stride, ::stride]
 
 
-def _psi_q_tilde_lattice(
-    qp: QParam, params: DsbsParams, master_n: int = _T_GRID_N, stride: int = 20
-):
-    """Batched q < 0 envelope: prefix cumulative max of one phi_q master curve.
+def _psi_q_tilde_lattice(qs, params: DsbsParams, master_n: int = _T_GRID_N, stride: int = 20):
+    """Batched q < 0 envelopes: prefix cumulative max of each phi_q master curve.
 
-    Returns (axis, envelope_lattice, phi_q_lattice) so callers can compare
-    the envelope against the curve itself without re-evaluating it.
+    ``qs`` is a tuple of q values, all negative; their master curves come
+    from one `_q_opt` call.  Returns (axis, envelope_lattices,
+    phi_q_lattices), one row per q, so callers can compare each envelope
+    against its curve without re-evaluating it.
     """
-    q = _require_q_nonzero(qp)
-    if q >= 0.0:
+    if not all(q < 0.0 for q in qs):
         raise InputDomainError("lattice envelope helper covers q < 0 only")
     grid = np.linspace(0.0, 1.0, master_n)
-    curve, _ = _q_opt(grid, q, params, kind="phi")
-    env = np.maximum.accumulate(curve)
-    return grid[::stride], env[::stride], curve[::stride]
+    curves, _ = _q_opt(grid, qs, params, kind="phi")
+    env = np.maximum.accumulate(curves, axis=1)
+    return grid[::stride], env[:, ::stride], curves[:, ::stride]

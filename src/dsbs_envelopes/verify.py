@@ -31,13 +31,12 @@ from .binary import DsbsParams
 from .envelopes import (
     QParam,
     phi,
-    phi_q_full,
     phi_tilde_grid,
     psi,
     psi_grid,
-    psi_q_full,
     _psi_q_tilde_lattice,
     _psi_tilde_oracle_lattice,
+    _q_opt,
 )
 from .errors import DsbsError, InputDomainError, NoRootError
 from .hulls import (
@@ -249,28 +248,29 @@ def _claim_t2(ctx):
     yield _leg(rep, n_pairs=rep.n_pairs)
 
 
-def _curve_family(ctx, curve_fn, check, q_list, cid=None, delta=0.0, **witness):
+def _curve_family(ctx, kind, check, q_list, cid=None, delta=0.0, **witness):
     """Midpoint-curvature legs across a family of q-slice curves.
 
-    The fault for ``cid`` goes on the first curve.
+    The whole family comes from one `_q_opt` call; the fault for ``cid``
+    goes on the first curve.
     """
     axis = np.linspace(0.0, 1.0, ctx.opts.curve_points)
-    for idx, q in enumerate(q_list):
-        curve = curve_fn(axis, QParam.from_q(q), ctx.params)[0]
+    curves = _q_opt(axis, q_list, ctx.params, kind=kind)[0]
+    for idx, (q, curve) in enumerate(zip(q_list, curves)):
         if idx == 0 and cid is not None:
             curve = _plant(ctx, cid, curve, delta)
         yield _leg(check(GridFn(curve), ctx.tol["midpoint"]), q=q, **witness)
 
 
 def _claim_t3(ctx):
-    yield from _curve_family(ctx, phi_q_full, check_midpoint_concave, _T3_Q, "T3", -0.01)
+    yield from _curve_family(ctx, "phi", check_midpoint_concave, _T3_Q, "T3", -0.01)
 
 
 def _claim_c(ctx):
     yield from _curve_family(
-        ctx, phi_q_full, check_midpoint_convex, _C_Q_CONVEX, "C", 0.01, family="phi_q"
+        ctx, "phi", check_midpoint_convex, _C_Q_CONVEX, "C", 0.01, family="phi_q"
     )
-    yield from _curve_family(ctx, psi_q_full, check_midpoint_concave, _C_Q_CONCAVE, family="psi_q")
+    yield from _curve_family(ctx, "psi", check_midpoint_concave, _C_Q_CONCAVE, family="psi_q")
 
 
 def _claim_l1(ctx):
@@ -284,8 +284,7 @@ def _claim_l1(ctx):
     for ax in (0, 1):
         yield _leg(check_slope_bounds(theta, ax, 1.0, "le", tol), leg="theta_le", axis=ax)
         yield _leg(check_slope_bounds(theta_bar, ax, 1.0, "ge", tol), leg="theta_bar_ge", axis=ax)
-    for q in _L_Q_NEG:
-        curve = phi_q_full(ctx.axis, QParam.from_q(q), ctx.params)[0]
+    for q, curve in zip(_L_Q_NEG, _q_opt(ctx.axis, _L_Q_NEG, ctx.params, kind="phi")[0]):
         env = GridFn(np.maximum.accumulate(curve))
         yield _leg(check_slope_bounds(env, 0, 1.0, "ge", tol), leg=f"theta_bar_q={q}", axis=0)
 
@@ -311,10 +310,10 @@ def _claim_l2(ctx):
 
 
 def _claim_l3(ctx):
-    for q in _L_Q_NEG:
-        axis, env, curve = _psi_q_tilde_lattice(
-            QParam.from_q(q), ctx.params, master_n=ctx.opts.master_n, stride=_lattice_stride(ctx)
-        )
+    axis, envs, curves = _psi_q_tilde_lattice(
+        _L_Q_NEG, ctx.params, master_n=ctx.opts.master_n, stride=_lattice_stride(ctx)
+    )
+    for q, env, curve in zip(_L_Q_NEG, envs, curves):
         if ctx.fault == "L3":
             env = env + 2e-6
         gaps = np.abs(env - curve)
@@ -472,8 +471,8 @@ def _merge_tolerances(tols: dict | None, grid_n: int) -> dict:
             raise InputDomainError(f"unknown tolerance keys: {sorted(unknown)}")
         for key, val in tols.items():
             val = float(val)
-            if not val > 0.0:
-                raise InputDomainError(f"tolerance {key} must be positive")
+            if not 0.0 < val < math.inf:  # NaN fails this test too
+                raise InputDomainError(f"tolerance {key} must be positive and finite")
             merged[key] = val
     return merged
 

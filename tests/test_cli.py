@@ -156,6 +156,19 @@ def test_verify_tol_override_parsing(capsys, tmp_path):
     assert "NAME=VALUE" in err
 
 
+def test_verify_rejects_infinite_tolerance(capsys, tmp_path):
+    # with midpoint=inf a planted T1 fault used to print "T1 PASS worst=-inf"
+    report = tmp_path / "r.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--rho", "0.9", "--fast", "--grid-n", "101",
+        "--tol", "midpoint=inf", "--inject-fault", "T1", "--out", str(report),
+    )
+    assert code == 2
+    assert "midpoint" in err
+    assert out == ""
+    assert not report.exists()
+
+
 def test_roots_pq_form(capsys):
     code, out, _ = run_cli(capsys, "roots", "--rho", "0.9", "--p", "2", "--q", "1.5")
     assert code == 0

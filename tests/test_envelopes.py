@@ -1,5 +1,6 @@
 """Surface slices, monotone rearrangement, and the slope-indexed families."""
 
+import functools
 import math
 
 import numpy as np
@@ -218,14 +219,58 @@ def test_phi_q_tilde_matches_phi_q_for_convex_q():
 
 
 def test_psi_q_tilde_lattice_gap():
-    axis, env, curve = _psi_q_tilde_lattice(QParam.from_q(-2.0), RHO, master_n=2001, stride=20)
+    axis, env, curve = _psi_q_tilde_lattice((-2.0,), RHO, master_n=2001, stride=20)
     assert axis.shape == (101,)
     assert np.max(np.abs(env - curve)) <= 1e-6
 
 
 def test_psi_q_tilde_rejects_convex_range():
     with pytest.raises(InputDomainError):
-        _psi_q_tilde_lattice(QParam.from_q(2.0), RHO)
+        _psi_q_tilde_lattice((2.0,), RHO)
+    # one q >= 0 anywhere in the family rejects the whole call
+    with pytest.raises(InputDomainError):
+        _psi_q_tilde_lattice((-2.0, 2.0), RHO)
+
+
+@pytest.mark.parametrize(
+    "kind, qs", [("phi", (-0.5, -2.0, -10.0)), ("phi", (1.0, 2.0, 10.0)), ("psi", (0.25, 0.5, 0.75))]
+)
+def test_q_family_rows_match_one_q_calls(monkeypatch, kind, qs):
+    # One surface table per row chunk scores every q, and each q keeps its
+    # own refinement, so a batched row is the one-q answer bit for bit, also
+    # when the rows cross chunk edges (7-row chunks against one 256-row one).
+    one_q = phi_q_full if kind == "phi" else psi_q_full
+    s = np.linspace(0.0, 1.0, 23)
+    ref = [one_q(s, QParam.from_q(q), RHO) for q in qs]
+    points = {"scalar": 0.37, "1-element": np.array([0.37])}
+    ref_points = {
+        name: [one_q(point, QParam.from_q(q), RHO) for q in qs] for name, point in points.items()
+    }
+    monkeypatch.setattr(envelopes, "_CHUNK_ROWS", 7)
+    values, t_opt = envelopes._q_opt(s, qs, RHO, kind=kind)
+    assert values.shape == t_opt.shape == (len(qs), s.size)
+    for k, (v_ref, t_ref) in enumerate(ref):
+        assert np.array_equal(values[k], v_ref)
+        assert np.array_equal(t_opt[k], t_ref)
+    for name, point in points.items():
+        values, t_opt = envelopes._q_opt(point, qs, RHO, kind=kind)
+        assert values.shape == t_opt.shape == (len(qs), 1), name
+        for k, (v_ref, t_ref) in enumerate(ref_points[name]):
+            assert np.array_equal(values[k], np.atleast_1d(v_ref)), name
+            assert np.array_equal(t_opt[k], np.atleast_1d(t_ref)), name
+    assert isinstance(ref_points["scalar"][0][0], float)
+    assert ref_points["1-element"][0][0].shape == (1,)
+
+
+def test_q_family_rejects_zero_q_and_keeps_its_seed_grid_read_only():
+    with pytest.raises(InputDomainError):
+        envelopes._q_opt(np.array([0.5]), (2.0, 0.0), RHO, kind="phi")
+    with pytest.raises(InputDomainError):
+        phi_q_full(0.5, QParam.from_q(0.0), RHO)
+    x_grid, d2_grid = envelopes._seed_grid()
+    assert envelopes._seed_grid()[0] is x_grid
+    assert x_grid.shape == d2_grid.shape == (2001,)
+    assert not x_grid.flags.writeable and not d2_grid.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -240,6 +285,7 @@ def test_q_search_grid_only_seeds_the_answer(monkeypatch, rho, s, q):
     # argmin of these two points by up to 5e-5.
     params, qp = DsbsParams(rho), QParam.from_q(q)
     exact = envelopes.d2_inv
+    seed_grid = envelopes._seed_grid.__wrapped__
     _, t_ref = phi_q_full(s, qp, params)
     moved_s, values, argmins = [], [], []
     for shift in (0.0, -1e-9, 1e-9):
@@ -248,6 +294,8 @@ def test_q_search_grid_only_seeds_the_answer(monkeypatch, rho, s, q):
             return float(out) if out.ndim == 0 else out
 
         monkeypatch.setattr(envelopes, "d2_inv", shifted)
+        # the seeding grid is built once per process: rebuild it from the moved d2_inv
+        monkeypatch.setattr(envelopes, "_seed_grid", functools.lru_cache(maxsize=1)(seed_grid))
         value, t_opt = phi_q_full(s, qp, params)
         moved_s.append(d2(shifted(s)))
         values.append(value)

@@ -119,7 +119,7 @@ NAN_SOURCES = {
     "solve_root_z": ("U", lambda z: math.nan),
     "psi": ("B", lambda v: math.nan),
     "p_star": ("P", lambda p: np.full_like(p, np.nan)),
-    "phi_q_full": ("T3", _nan_arrays),
+    "_q_opt": ("T3", _nan_arrays),
 }
 
 
@@ -158,6 +158,14 @@ def test_tolerance_overrides():
         verify_all(RHO, grid_n=101, options=FAST, tols={"no_such_knob": 1.0})
     with pytest.raises(InputDomainError):
         verify_all(RHO, grid_n=101, options=FAST, tols={"pstar_gap": 0.0})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_tolerance_rejected(value):
+    # an infinite tolerance would pass every claim judged against it, even
+    # with a planted fault
+    with pytest.raises(InputDomainError, match="midpoint"):
+        verify_all(RHO, grid_n=101, options=FAST, tols={"midpoint": value}, inject_fault="T1")
 
 
 def test_grid_bounds_enforced():
