@@ -2,13 +2,19 @@
 
 Display-only output: a polyline chart for curve families and a
 marching-squares contour chart for surfaces on a rectangular lattice.
-Everything is plain string assembly; no drawing library involved.
+The contour chart runs marching squares on arrays: one case index per
+cell and level from the corner comparisons, and interpolation on the
+crossed edges only, in the float operations and segment order of a
+per-cell loop.  Output is plain string assembly; no drawing library
+involved.
 """
 
 from __future__ import annotations
 
 import math
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 _PALETTE = (
     "#1f77b4",
@@ -158,80 +164,108 @@ def polyline_plot(series, *, title="", xlabel="", ylabel="", width=720, height=4
     return "\n".join(parts)
 
 
-def _cell_segments(x0, x1, y0, y1, v00, v01, v10, v11, level):
-    """Marching-squares segments for one lattice cell at one level.
+# Cell edges as (di, dj) lattice offsets of their "from" corner, then of their
+# "to" corner, from the cell's (i, j) corner: bottom, right, top, left.  A
+# crossing is interpolated from the "from" corner, so each edge keeps one
+# direction.
+_EDGES = {"b": (0, 0, 1, 0), "r": (1, 0, 1, 1), "t": (1, 1, 0, 1), "l": (0, 1, 0, 0)}
+# Segments per case index, as (edge, edge) pairs in drawing order; cases 5
+# and 10 are the saddles and draw two segments.
+_SEGMENTS = {
+    1: (("l", "b"),),
+    2: (("b", "r"),),
+    3: (("l", "r"),),
+    4: (("r", "t"),),
+    5: (("l", "t"), ("b", "r")),
+    6: (("b", "t"),),
+    7: (("l", "t"),),
+    8: (("t", "l"),),
+    9: (("t", "b"),),
+    10: (("t", "r"), ("l", "b")),
+    11: (("t", "r"),),
+    12: (("r", "l"),),
+    13: (("r", "b"),),
+    14: (("b", "l"),),
+}
 
-    v_ab is the value at (x_a, y_b); linear interpolation along edges.
-    Returns 0, 1 or 2 segments ((xa, ya), (xb, yb)) in data coordinates.
+
+def _segment_table():
+    """``_SEGMENTS`` as arrays indexed by [case, k]: segment count and edge offsets.
+
+    ``offsets[case, k]`` holds the ``_EDGES`` offsets of the two edges that
+    segment k of that case joins, in drawing order.
     """
+    count = np.zeros(16, dtype=np.intp)
+    offsets = np.zeros((16, 2, 2, 4), dtype=np.intp)
+    for case, segments in _SEGMENTS.items():
+        count[case] = len(segments)
+        for k, (a, b) in enumerate(segments):
+            offsets[case, k] = _EDGES[a], _EDGES[b]
+    return count, offsets
 
-    def lerp(pa, pb, va, vb):
-        if vb == va:
-            frac = 0.5
-        else:
-            frac = (level - va) / (vb - va)
-        frac = min(max(frac, 0.0), 1.0)
-        return (pa[0] + frac * (pb[0] - pa[0]), pa[1] + frac * (pb[1] - pa[1]))
 
-    corners = ((x0, y0, v00), (x1, y0, v10), (x1, y1, v11), (x0, y1, v01))
-    idx = 0
-    for bit, (_, _, v) in enumerate(corners):
-        if v >= level:
-            idx |= 1 << bit
-    if idx in (0, 15):
-        return []
-    # Edge midpoints by interpolation: bottom, right, top, left.
-    pts = {
-        "b": lerp((x0, y0), (x1, y0), v00, v10),
-        "r": lerp((x1, y0), (x1, y1), v10, v11),
-        "t": lerp((x1, y1), (x0, y1), v11, v01),
-        "l": lerp((x0, y1), (x0, y0), v01, v00),
-    }
-    table = {
-        1: [("l", "b")],
-        2: [("b", "r")],
-        3: [("l", "r")],
-        4: [("r", "t")],
-        5: [("l", "t"), ("b", "r")],
-        6: [("b", "t")],
-        7: [("l", "t")],
-        8: [("t", "l")],
-        9: [("t", "b")],
-        10: [("t", "r"), ("l", "b")],
-        11: [("t", "r")],
-        12: [("r", "l")],
-        13: [("r", "b")],
-        14: [("b", "l")],
-    }
-    return [(pts[a], pts[b]) for a, b in table[idx]]
+_SEG_COUNT, _SEG_OFFSETS = _segment_table()
+
+
+def _crossings(xs, ys, z, level, i, j, off):
+    """Where ``level`` crosses the given cell edges, in data coordinates.
+
+    Linear interpolation from the edge's "from" corner a to its "to" corner
+    b: ``frac = (level - va)/(vb - va)`` clipped to [0, 1], then
+    ``pa + frac*(pb - pa)`` per coordinate, the same float operations in the
+    same order as a per-cell loop.  Every edge passed here is crossed, so
+    ``vb != va``.
+    """
+    ia, ja, ib, jb = i + off[..., 0], j + off[..., 1], i + off[..., 2], j + off[..., 3]
+    va, vb = z[ia, ja], z[ib, jb]
+    with np.errstate(invalid="ignore"):  # an infinite corner gives NaN, as with floats
+        frac = (level - va) / (vb - va)
+        frac = np.where(0.0 > frac, 0.0, frac)  # min(max(frac, 0.0), 1.0), NaN kept
+        frac = np.where(1.0 < frac, 1.0, frac)
+        return xs[ia] + frac * (xs[ib] - xs[ia]), ys[ja] + frac * (ys[jb] - ys[ja])
 
 
 def contour_plot(
     xs, ys, zgrid, levels, *, title="", xlabel="", ylabel="", width=720, height=560
 ) -> str:
-    """Contour lines of ``zgrid[i][j]`` given at (xs[i], ys[j]), one color per level."""
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    z = [[float(v) for v in row] for row in zgrid]
-    if len(z) != len(xs) or any(len(row) != len(ys) for row in z):
+    """Contour lines of ``zgrid[i][j]`` given at (xs[i], ys[j]), one color per level.
+
+    Array marching squares: per level, every cell's case index (bit set where
+    a corner value is >= level) comes from one array expression, only the
+    crossed cells are kept, in (i, j) row-major order, and only their
+    crossed edges are interpolated.  Segments are written cell by cell in
+    that order, a saddle's two in table order.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    z = np.asarray(zgrid, dtype=float)
+    if z.shape != (len(xs), len(ys)):
         raise ValueError("zgrid shape must be (len(xs), len(ys))")
-    frame = _Frame((xs[0], xs[-1]), (ys[0], ys[-1]), width, height, title, xlabel, ylabel)
+    frame = _Frame(
+        (float(xs[0]), float(xs[-1])), (float(ys[0]), float(ys[-1])),
+        width, height, title, xlabel, ylabel,
+    )
     parts = frame.chrome()
     for k, level in enumerate(levels):
+        level = float(level)
         color = _PALETTE[k % len(_PALETTE)]
-        chunks = []
-        for i in range(len(xs) - 1):
-            for j in range(len(ys) - 1):
-                for (xa, ya), (xb, yb) in _cell_segments(
-                    xs[i], xs[i + 1], ys[j], ys[j + 1],
-                    z[i][j], z[i][j + 1], z[i + 1][j], z[i + 1][j + 1], float(level),
-                ):
-                    chunks.append(
-                        f'<line x1="{frame.px(xa):.2f}" y1="{frame.py(ya):.2f}" '
-                        f'x2="{frame.px(xb):.2f}" y2="{frame.py(yb):.2f}"/>'
-                    )
+        above = (z >= level).astype(np.uint8)
+        # corner bits: (x0,y0)=1, (x1,y0)=2, (x1,y1)=4, (x0,y1)=8
+        case = above[:-1, :-1] | above[1:, :-1] << 1 | above[1:, 1:] << 2 | above[:-1, 1:] << 3
+        i, j = np.nonzero((case != 0) & (case != 15))
+        case = case[i, j]
+        cell = np.repeat(np.arange(case.size), _SEG_COUNT[case])
+        seg = np.zeros(cell.size, dtype=np.intp)  # 1 marks a saddle's second segment
+        seg[1:] = cell[1:] == cell[:-1]
+        # (segment, end) arrays: each segment's two crossings
+        x, y = _crossings(
+            xs, ys, z, level, i[cell, None], j[cell, None], _SEG_OFFSETS[case[cell], seg]
+        )
         parts.append(f'<g stroke="{color}" stroke-width="1.2">')
-        parts.extend(chunks)
+        parts.extend(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"/>'
+            for (x1, x2), (y1, y2) in zip(frame.px(x).tolist(), frame.py(y).tolist())
+        )
         parts.append("</g>")
         ly = frame.top + 16 + 15 * k
         lx = frame.width - frame.right - 110
@@ -240,7 +274,7 @@ def contour_plot(
             f'stroke="{color}" stroke-width="1.6"/>'
         )
         parts.append(
-            f'<text x="{lx + 27}" y="{ly}" {_FONT} font-size="11">{_fmt(float(level))}</text>'
+            f'<text x="{lx + 27}" y="{ly}" {_FONT} font-size="11">{_fmt(level)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

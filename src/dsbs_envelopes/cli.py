@@ -137,10 +137,10 @@ def cmd_eval(args) -> int:
 
 
 def _surface_csv(axis, grid) -> str:
+    labels = [_g12(x) for x in axis]
     rows = ["s,t,value"]
-    for i, s in enumerate(axis):
-        for j, t in enumerate(axis):
-            rows.append(f"{_g12(s)},{_g12(t)},{_g12(grid[i, j])}")
+    for s, values in zip(labels, grid.tolist()):
+        rows.extend(f"{s},{t},{v:.12g}" for t, v in zip(labels, values))
     return "\n".join(rows) + "\n"
 
 

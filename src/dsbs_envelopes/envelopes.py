@@ -219,9 +219,10 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
 
     Returns ``(values, t_opt)``, each of shape ``(len(qs), n)`` with one row
     per q, where ``n`` is the number of points of ``s`` (a scalar counts as
-    one).  ``kind`` selects the phi slice with minimization or the psi slice
-    with maximization.  The search runs in bias coordinates, where t comes in
-    closed form: with ``b = d2_inv(t)`` in [0, 1/2] the objective is
+    one; an ``s`` of two or more dimensions is rejected).  ``kind`` selects
+    the phi slice with minimization or the psi slice with maximization.  The
+    search runs in bias coordinates, where t comes in closed form: with
+    ``b = d2_inv(t)`` in [0, 1/2] the objective is
     ``slice(a, b) - d2(b)/q``, so ``d2_inv`` is solved once per process, for
     the 2001-point seeding grid ``b_k = d2_inv(k/2000)`` (which guards
     against missed basins).  Grid and refinement evaluate this one function
@@ -244,6 +245,8 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     """
     if 0.0 in qs:
         raise InputDomainError("q must be nonzero")
+    if np.ndim(s) > 1:
+        raise InputDomainError(f"s must be a scalar or 1-D, got shape {np.shape(s)}")
     s_vals = np.atleast_1d(_prepare_prob(s, "s"))
     minimize = kind == "phi"
     sign = 1.0 if minimize else -1.0

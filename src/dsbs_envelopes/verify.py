@@ -101,6 +101,8 @@ class VerifyOptions:
             raise InputDomainError("master_n must be >= 101 and lattice_n >= 3")
         if (self.master_n - 1) % (self.lattice_n - 1) != 0:
             raise InputDomainError("master_n - 1 must be a multiple of lattice_n - 1")
+        if self.seed < 0:
+            raise InputDomainError(f"seed={self.seed!r} must be non-negative")
 
     @classmethod
     def small(cls) -> "VerifyOptions":

@@ -169,6 +169,19 @@ def test_verify_rejects_infinite_tolerance(capsys, tmp_path):
     assert not report.exists()
 
 
+def test_verify_rejects_negative_seed(capsys, tmp_path):
+    # used to die inside np.random.default_rng with a traceback and exit 1
+    report = tmp_path / "r.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--rho", "0.9", "--fast", "--grid-n", "101",
+        "--seed", "-1", "--out", str(report),
+    )
+    assert code == 2
+    assert "seed" in err
+    assert out == ""
+    assert not report.exists()
+
+
 def test_roots_pq_form(capsys):
     code, out, _ = run_cli(capsys, "roots", "--rho", "0.9", "--p", "2", "--q", "1.5")
     assert code == 0

@@ -262,6 +262,14 @@ def test_q_family_rows_match_one_q_calls(monkeypatch, kind, qs):
     assert ref_points["1-element"][0][0].shape == (1,)
 
 
+@pytest.mark.parametrize("one_q", [phi_q_full, psi_q_full])
+@pytest.mark.parametrize("s", [np.full((2, 2), 0.3), [[0.3]]])
+def test_q_family_rejects_multidimensional_s(one_q, s):
+    # used to fail inside numpy broadcasting with a bare ValueError
+    with pytest.raises(InputDomainError, match="1-D"):
+        one_q(s, QParam.from_q(0.5), RHO)
+
+
 def test_q_family_rejects_zero_q_and_keeps_its_seed_grid_read_only():
     with pytest.raises(InputDomainError):
         envelopes._q_opt(np.array([0.5]), (2.0, 0.0), RHO, kind="phi")

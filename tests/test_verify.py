@@ -187,5 +187,7 @@ def test_options_validation():
         VerifyOptions(master_n=2001, lattice_n=100)  # stride not integral
     with pytest.raises(InputDomainError):
         VerifyOptions(root_problems=0)
+    with pytest.raises(InputDomainError, match="seed"):
+        VerifyOptions(seed=-1)  # np.random.default_rng would reject it mid-run
     small = VerifyOptions.small()
     assert small.root_scan_n >= 100_000
