@@ -26,7 +26,6 @@ from .binary import (
     d2_inv,
     h2,
     h2_inv,
-    kl_joint,
 )
 from .envelopes import (
     QParam,
@@ -116,7 +115,6 @@ __all__ = [
     "h2_inv",
     "hypercontractive_regime",
     "in_s0",
-    "kl_joint",
     "lower_convex_envelope",
     "p_star",
     "phi",

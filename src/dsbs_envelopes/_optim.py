@@ -22,6 +22,9 @@ from .errors import NoRootError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_BISECT_XTOL = 1e-15  # relative bracket width at which bisect_root stops
+_BISECT_MAX_ITER = 200
+_GOLDEN_VEC_XTOL = 1e-12  # absolute bracket width at which golden_min_vec stops
 
 
 def bisect_root(
@@ -29,8 +32,6 @@ def bisect_root(
     lo: float,
     hi: float,
     *,
-    xtol: float = 1e-13,
-    max_iter: int = 200,
     f_lo: float | None = None,
     f_hi: float | None = None,
 ) -> float:
@@ -38,8 +39,9 @@ def bisect_root(
 
     Raises :class:`NoRootError` when the endpoint values do not bracket a
     sign change.  ``f_lo``/``f_hi`` may pass along already-computed endpoint
-    values.  The tolerance is absolute on the bracket width, scaled by
-    ``max(1, |hi|)`` so very large brackets still terminate.
+    values.  The bracket is halved until its width is at most
+    ``_BISECT_XTOL * max(1, |hi|)`` (the scale keeps very large brackets
+    terminating), for at most ``_BISECT_MAX_ITER`` steps.
     """
     flo = f(lo) if f_lo is None else f_lo
     fhi = f(hi) if f_hi is None else f_hi
@@ -52,8 +54,8 @@ def bisect_root(
             f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
     s_lo = math.copysign(1.0, flo)
-    for _ in range(max_iter):
-        if hi - lo <= xtol * max(1.0, abs(hi)):
+    for _ in range(_BISECT_MAX_ITER):
+        if hi - lo <= _BISECT_XTOL * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -109,14 +111,13 @@ def golden_min_vec(
     f: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    *,
-    xtol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep golden-section minimization over a batch of brackets.
 
     ``f`` must map an array of abscissae to an array of objective values of
     the same shape (element ``i`` of the input belongs to problem ``i``).
-    Returns ``(x, fx)`` arrays.
+    Returns ``(x, fx)`` arrays, with every bracket narrowed to
+    ``_GOLDEN_VEC_XTOL``.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
@@ -127,14 +128,14 @@ def golden_min_vec(
         lo = lo2
     width = hi - lo
     max_width = float(np.max(width)) if width.size else 0.0
-    if max_width <= xtol:
+    if max_width <= _GOLDEN_VEC_XTOL:
         x = 0.5 * (lo + hi)
         return x, f(x)
     c = lo + _INVPHI2 * width
     d = lo + _INVPHI * width
     fc = f(c)
     fd = f(d)
-    n_iter = max(0, math.ceil(math.log(xtol / max_width) / math.log(_INVPHI)))
+    n_iter = max(0, math.ceil(math.log(_GOLDEN_VEC_XTOL / max_width) / math.log(_INVPHI)))
     for _ in range(n_iter):
         take_left = fc <= fd  # ties shrink toward the left: smallest argument wins
         hi = np.where(take_left, d, hi)

@@ -38,7 +38,6 @@ __all__ = [
     "d2",
     "d2_inv",
     "bconv",
-    "kl_joint",
 ]
 
 _LN2 = math.log(2.0)
@@ -136,9 +135,12 @@ def h2_inv(y):
 def d2(a):
     """Entropy deficit of a bit with bias ``a``: ``1 - h2(a)``, in bits.
 
-    Evaluated in the numerically stable direct form
-    ``a*log2(2a) + (1-a)*log2(2-2a)``, which keeps full precision when the
-    deficit is tiny (``a`` near 1/2).
+    Evaluated in the direct form ``a*log2(2a) + (1-a)*log2(2-2a)``.  Its
+    absolute error stays near 1e-16, but near ``a = 1/2`` the deficit
+    shrinks like ``(1/2 - a)**2``, so the relative error grows as about
+    ``2.8e-17 / (1/2 - a)**2``: 2.7e-9 at ``1/2 - a = 1e-4`` and 2.7e-5 at
+    1e-6 (against 50-digit mpmath; the tests bound it by
+    ``5e-17 / (1/2 - a)**2 + 1e-14``).
     """
     scalar = np.ndim(a) == 0
     p = _prepare_prob(a, "a")
@@ -147,7 +149,13 @@ def d2(a):
 
 
 def d2_inv(s):
-    """Inverse of :func:`d2` on the branch [0, 1/2]: ``h2_inv(1 - s)``."""
+    """Inverse of :func:`d2` on the branch [0, 1/2]: ``h2_inv(1 - s)``.
+
+    Accurate in absolute terms: ``|d2(d2_inv(s)) - s| <= 5e-16`` (at most
+    3.3e-16 against 50-digit mpmath).  Since ``1 - s`` is rounded, small
+    ``s`` loses relative precision: about 7e-7 at ``s = 1e-10``, and of
+    order 1 at ``s = 1e-16``.
+    """
     scalar = np.ndim(s) == 0
     sv = _prepare_prob(s, "s")
     return _scalarize(np.asarray(h2_inv(1.0 - sv)), scalar)
@@ -226,17 +234,3 @@ class Coupling2x2:
     def as_array(self) -> np.ndarray:
         return np.array([self.q00, self.q01, self.q10, self.q11])
 
-
-# ---------------------------------------------------------------------------
-# divergences
-# ---------------------------------------------------------------------------
-
-
-def kl_joint(q: Coupling2x2, params: DsbsParams) -> float:
-    """Relative entropy D(q || P) against the source joint matrix, in bits.
-
-    The source matrix has full support, so the result is always finite.
-    """
-    qc = q.as_array()
-    pc = params.joint_cells()
-    return float(np.sum(xlogy(qc, qc / pc)) / _LN2)

@@ -50,6 +50,7 @@ from .verify import VerifyOptions, verify_all
 
 _FIG_Q_PHI = (1.0, 2.0, 10.0, -0.5, -2.0, -10.0)
 _FIG_Q_PSI = (0.25, 0.5, 0.75)
+_ROOTS_SCAN_N = 1_000_000
 
 
 def _g12(x: float) -> str:
@@ -223,7 +224,7 @@ def _parse_tols(pairs) -> dict:
 def cmd_verify(args) -> int:
     tols = _parse_tols(args.tol)
     params = DsbsParams(args.rho)
-    options = VerifyOptions.small() if args.fast else VerifyOptions()
+    options = VerifyOptions(fast=args.fast)
     if args.seed is not None:
         options = replace(options, seed=args.seed)
     report = verify_all(
@@ -308,7 +309,7 @@ def cmd_roots(args) -> int:
     print(f"eta0 = {_g12(eta0)}   h0 = {_g12(h0)}")
     print(f"z = {_g12(z)}   h = {_g12(h)}")
     print(f"residual = {_g12(abs(float(aux_phi_h(h, prob))))}")
-    print(f"scan_count = {count_roots_scan(prob, args.scan_n)} (n = {args.scan_n})")
+    print(f"scan_count = {count_roots_scan(prob, _ROOTS_SCAN_N)} (n = {_ROOTS_SCAN_N})")
     return 0
 
 
@@ -359,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument("--theta", type=float)
     p_roots.add_argument("--v", type=float)
     p_roots.add_argument("--r", type=float)
-    p_roots.add_argument("--scan-n", type=int, default=1_000_000)
     p_roots.set_defaults(run=cmd_roots)
     return parser
 

@@ -276,7 +276,7 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     for k, q in enumerate(qs):
         lo = x_grid[np.maximum(best_idx[k] - 1, 0)]
         hi = x_grid[np.minimum(best_idx[k] + 1, _T_GRID_N - 1)]
-        x_ref, f_ref = golden_min_vec(lambda x: objective(a_axis, x, q), lo, hi, xtol=1e-12)
+        x_ref, f_ref = golden_min_vec(lambda x: objective(a_axis, x, q), lo, hi)
         improved = f_ref < best_val[k]
         values[k] = sign * np.where(improved, f_ref, best_val[k])
         t_opt[k] = d2(-np.where(improved, x_ref, x_grid[best_idx[k]]))

@@ -155,7 +155,7 @@ def _dd2_oracle_batch(a, b, params: DsbsParams):
     lo, hi = _feasible_interval(av, bv)
     point = hi - lo <= 0.0
     p_opt, f_opt = golden_min_vec(
-        lambda p: _objective(av, bv, p, params), lo, np.maximum(hi, lo + 1e-300), xtol=1e-12
+        lambda p: _objective(av, bv, p, params), lo, np.maximum(hi, lo + 1e-300)
     )
     p_opt = _argmin_polish(av, bv, p_opt, params)
     f_opt = np.minimum(f_opt, _objective(av, bv, p_opt, params))

@@ -208,7 +208,7 @@ def h0_threshold(prob: RootProblem) -> float:
         raise NoRootError(
             "no bend point: r is at or beyond rho^2, where the interior root degenerates"
         )
-    eta0 = bisect_root(gap, theta, 1.0, xtol=1e-15)
+    eta0 = bisect_root(gap, theta, 1.0)
     h0 = math.log((1.0 - eta0 * theta) / (eta0 - theta))
     if not math.isfinite(h0):
         raise NoRootError("bend point beyond representable range (r too close to 0)")
@@ -228,7 +228,7 @@ def _solve_root_h(prob: RootProblem) -> float:
         if hi > 1e4:
             raise NoRootError("no sign change of the root equation up to h = 1e4")
         f_hi = aux_phi_h(hi, prob)
-    return bisect_root(lambda h: aux_phi_h(h, prob), h0, hi, xtol=1e-15, f_lo=f0, f_hi=f_hi)
+    return bisect_root(lambda h: aux_phi_h(h, prob), h0, hi, f_lo=f0, f_hi=f_hi)
 
 
 def solve_root_z(prob: RootProblem) -> float:
@@ -253,10 +253,10 @@ def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
     array, shared by every problem of the same n) and evaluated in chunks of
     2^14 points, carrying the last nonzero sign across chunk boundaries, so
     a scan allocates no temporary wider than one chunk; the only full-size
-    array is the grid itself (8 MB at the default n).
+    array is the grid itself (8 MB at the default n, the largest accepted).
     """
-    if n < 100_000:
-        raise InputDomainError("n must be at least 1e5")
+    if not 100_000 <= n <= 1_000_000:
+        raise InputDomainError(f"n={n!r} must lie in [1e5, 1e6]")
     h = _scan_grid(n)
     count = 0
     last = 0.0  # last nonzero sign seen so far; 0 before the first

@@ -23,6 +23,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,43 +80,43 @@ _H_REVERSE = ((0.05, 0.1), (0.05, 0.05), (0.02, 0.15), (0.1, 0.05), (0.03, 0.12)
 
 @dataclass(frozen=True, slots=True)
 class VerifyOptions:
-    """Sweep sizes for the heavier claims; defaults match the acceptance run."""
+    """Which fixed sweep-size row to run, and the seed of the seeded sweeps.
 
-    pstar_samples: int = 500
-    root_problems: int = 200
-    root_scan_n: int = 1_000_000
-    curve_points: int = 501
-    master_n: int = 2001
-    lattice_n: int = 101
-    mono_n: int = 501
+    ``fast=False`` is the acceptance run; ``fast=True`` is the small
+    self-test row (``verify --fast``).  The rows themselves are fixed.
+    """
+
+    fast: bool = False
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if min(self.pstar_samples, self.root_problems) < 1:
-            raise InputDomainError("sample counts must be positive")
-        if self.root_scan_n < 100_000:
-            raise InputDomainError("root_scan_n must be at least 1e5")
-        if self.curve_points < 51 or self.mono_n < 51:
-            raise InputDomainError("curve_points and mono_n must be at least 51")
-        if self.master_n < 101 or self.lattice_n < 3:
-            raise InputDomainError("master_n must be >= 101 and lattice_n >= 3")
-        if (self.master_n - 1) % (self.lattice_n - 1) != 0:
-            raise InputDomainError("master_n - 1 must be a multiple of lattice_n - 1")
-        if self.seed < 0:
-            raise InputDomainError(f"seed={self.seed!r} must be non-negative")
+        if not isinstance(self.fast, bool):
+            raise InputDomainError(f"fast={self.fast!r} must be a bool")
+        # np.random.default_rng would reject a bad seed only mid-run
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise InputDomainError(f"seed={self.seed!r} must be a non-negative int")
 
     @classmethod
     def small(cls) -> "VerifyOptions":
         """Cheap settings for fault-injection self-tests."""
-        return cls(
-            pstar_samples=40,
-            root_problems=5,
-            root_scan_n=100_000,
-            curve_points=101,
-            master_n=501,
-            lattice_n=51,
-            mono_n=101,
-        )
+        return cls(fast=True)
+
+
+class _Sizes(NamedTuple):
+    pstar_samples: int
+    root_problems: int
+    root_scan_n: int
+    curve_points: int
+    master_n: int
+    lattice_stride: int  # the L2/L3 lattice takes every stride-th master point
+    mono_n: int
+
+
+# The sweep sizes of the heavier claims, indexed by VerifyOptions.fast.
+_SIZES = {
+    False: _Sizes(500, 200, 1_000_000, 501, 2001, 20, 501),
+    True: _Sizes(40, 5, 100_000, 101, 501, 10, 101),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +212,8 @@ class _Context:
 
     params: DsbsParams
     tol: dict
-    opts: VerifyOptions
+    size: _Sizes
+    seed: int
     fault: str | None
     axis: np.ndarray
     phi_tilde: np.ndarray
@@ -240,13 +242,13 @@ def _plant(ctx, cid: str, values: np.ndarray, delta: float) -> np.ndarray:
 
 def _claim_t1(ctx):
     v = _plant(ctx, "T1", ctx.phi_tilde, 0.01)
-    rep = check_midpoint_convex(GridFn(v), ctx.tol["midpoint"], seed=ctx.opts.seed)
+    rep = check_midpoint_convex(GridFn(v), ctx.tol["midpoint"], seed=ctx.seed)
     yield _leg(rep, n_pairs=rep.n_pairs)
 
 
 def _claim_t2(ctx):
     v = _plant(ctx, "T2", ctx.psi, -0.01)
-    rep = check_midpoint_concave(GridFn(v), ctx.tol["midpoint"], seed=ctx.opts.seed)
+    rep = check_midpoint_concave(GridFn(v), ctx.tol["midpoint"], seed=ctx.seed)
     yield _leg(rep, n_pairs=rep.n_pairs)
 
 
@@ -256,7 +258,7 @@ def _curve_family(ctx, kind, check, q_list, cid=None, delta=0.0, **witness):
     The whole family comes from one `_q_opt` call; the fault for ``cid``
     goes on the first curve.
     """
-    axis = np.linspace(0.0, 1.0, ctx.opts.curve_points)
+    axis = np.linspace(0.0, 1.0, ctx.size.curve_points)
     curves = _q_opt(axis, q_list, ctx.params, kind=kind)[0]
     for idx, (q, curve) in enumerate(zip(q_list, curves)):
         if idx == 0 and cid is not None:
@@ -291,19 +293,15 @@ def _claim_l1(ctx):
         yield _leg(check_slope_bounds(env, 0, 1.0, "ge", tol), leg=f"theta_bar_q={q}", axis=0)
 
 
-def _lattice_stride(ctx) -> int:
-    return (ctx.opts.master_n - 1) // (ctx.opts.lattice_n - 1)
-
-
 def _claim_l2(ctx):
     axis, env = _psi_tilde_oracle_lattice(
-        ctx.params, master_n=ctx.opts.master_n, stride=_lattice_stride(ctx)
+        ctx.params, master_n=ctx.size.master_n, stride=ctx.size.lattice_stride
     )
     if ctx.fault == "L2":
         env = env + 2e-5
     gaps = np.abs(env - psi_grid(axis, axis, ctx.params))
     i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    mono_axis = np.linspace(0.0, 1.0, ctx.opts.mono_n)
+    mono_axis = np.linspace(0.0, 1.0, ctx.size.mono_n)
     mono = check_monotone(GridFn(psi_grid(mono_axis, mono_axis, ctx.params)), ctx.tol["monotone"])
     witness = {"oracle_gap_at": [axis[i], axis[j]], "oracle_gap": gaps[i, j]}
     witness["monotone"] = mono.witness
@@ -313,7 +311,7 @@ def _claim_l2(ctx):
 
 def _claim_l3(ctx):
     axis, envs, curves = _psi_q_tilde_lattice(
-        _L_Q_NEG, ctx.params, master_n=ctx.opts.master_n, stride=_lattice_stride(ctx)
+        _L_Q_NEG, ctx.params, master_n=ctx.size.master_n, stride=ctx.size.lattice_stride
     )
     for q, env, curve in zip(_L_Q_NEG, envs, curves):
         if ctx.fault == "L3":
@@ -336,9 +334,9 @@ def _claim_e(ctx):
 
 
 def _claim_p(ctx):
-    rng = np.random.default_rng(ctx.opts.seed)
-    a = rng.uniform(0.0, 1.0, ctx.opts.pstar_samples)
-    b = rng.uniform(0.0, 1.0, ctx.opts.pstar_samples)
+    rng = np.random.default_rng(ctx.seed)
+    a = rng.uniform(0.0, 1.0, ctx.size.pstar_samples)
+    b = rng.uniform(0.0, 1.0, ctx.size.pstar_samples)
     closed_p = p_star(a, b, ctx.params)
     closed_v = dd2_value(a, b, ctx.params)
     if ctx.fault == "P":
@@ -364,9 +362,9 @@ def _root_problem_unchecked(theta: float, v: float, r: float) -> RootProblem:
 
 
 def _claim_u(ctx):
-    rng = np.random.default_rng(ctx.opts.seed + 1)
+    rng = np.random.default_rng(ctx.seed + 1)
     problems = []
-    for _ in range(ctx.opts.root_problems):
+    for _ in range(ctx.size.root_problems):
         theta = rng.uniform(0.02, 0.9)
         v = math.copysign(
             math.exp(rng.uniform(math.log(1.05), math.log(50.0))), rng.choice([-1.0, 1.0])
@@ -382,7 +380,7 @@ def _claim_u(ctx):
         try:
             z = solve_root_z(prob)
             residual = abs(float(aux_phi_h(math.log(z), prob)))
-            count = count_roots_scan(prob, ctx.opts.root_scan_n)
+            count = count_roots_scan(prob, ctx.size.root_scan_n)
         except NoRootError:
             residual, count = math.inf, 0
         witness = dict(theta=prob.theta, v=prob.v, r=prob.r, residual=residual, scan_count=count)
@@ -472,7 +470,10 @@ def _merge_tolerances(tols: dict | None, grid_n: int) -> dict:
         if unknown:
             raise InputDomainError(f"unknown tolerance keys: {sorted(unknown)}")
         for key, val in tols.items():
-            val = float(val)
+            try:
+                val = float(val)
+            except (TypeError, ValueError) as exc:
+                raise InputDomainError(f"tolerance {key}={val!r} is not a number") from exc
             if not 0.0 < val < math.inf:  # NaN fails this test too
                 raise InputDomainError(f"tolerance {key} must be positive and finite")
             merged[key] = val
@@ -492,11 +493,13 @@ def verify_all(
     if inject_fault is not None and inject_fault not in _CLAIMS:
         raise InputDomainError(f"unknown claim id {inject_fault!r}; known: {sorted(_CLAIMS)}")
     tolerances = _merge_tolerances(tols, grid_n)
+    options = options if options is not None else VerifyOptions()
     axis = np.linspace(0.0, 1.0, grid_n)
     ctx = _Context(
         params=params,
         tol=tolerances,
-        opts=options if options is not None else VerifyOptions(),
+        size=_SIZES[options.fast],
+        seed=options.seed,
         fault=inject_fault,
         axis=axis,
         phi_tilde=phi_tilde_grid(axis, axis, params),

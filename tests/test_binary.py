@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from dsbs_envelopes import (
     d2_inv,
     h2,
     h2_inv,
-    kl_joint,
     phi_q_full,
     phi_tilde_ab,
 )
@@ -29,7 +29,6 @@ H2_011 = 0.499915958164528
 H2_03 = 0.88129089923069262
 D2_03 = 0.11870910076930738
 D2_INV_04 = 0.14610240341188702
-KL_UNIFORM_JOINT_09 = 1.1979643381655696  # = -log2(0.19)/2
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -79,6 +78,37 @@ def test_d2_inv_round_trip(s):
     a = d2_inv(s)
     assert 0.0 <= a <= 0.5
     assert d2(a) == pytest.approx(s, abs=1e-11)
+
+
+def _d2_mp(a: float):
+    """d2 at the exact float ``a`` in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a)
+        terms = (x * mpmath.log(2 * x) for x in (a, 1 - a) if x)
+        return mpmath.fsum(terms) / mpmath.log(2)
+
+
+def _per_decade(lo: int, hi: int, n: int, seed: int) -> np.ndarray:
+    """``n`` log-uniform random points in each decade [10^k, 10^(k+1)), lo <= k < hi."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** np.concatenate([rng.uniform(k, k + 1, n) for k in range(lo, hi)])
+
+
+def test_d2_relative_precision_near_half():
+    # absolute error ~1e-16 on a deficit ~2.9*(1/2 - a)^2: the relative
+    # error the d2 docstring states
+    for gap in _per_decade(-7, 0, 30, seed=3):
+        a = 0.5 - min(gap, 0.5)
+        ref = _d2_mp(a)
+        rel = float(abs((d2(a) - ref) / ref))
+        assert rel <= 5e-17 / (0.5 - a) ** 2 + 1e-14, (a, rel)
+
+
+def test_d2_inv_absolute_precision():
+    # backward error of the inverse, with d2 taken exactly at the returned a
+    for s in np.concatenate([_per_decade(-16, 0, 30, seed=4), [1.0]]):
+        a = d2_inv(s)
+        assert float(abs(_d2_mp(a) - s)) <= 5e-16, s
 
 
 def test_h2_inv_is_left_branch():
@@ -139,13 +169,6 @@ def test_coupling_marginals_and_validation():
     np.testing.assert_allclose(q.as_array(), [0.4, 0.1, 0.2, 0.3])
     with pytest.raises(InputDomainError):
         Coupling2x2(0.5, 0.5, 0.5, 0.5)
-
-
-def test_kl_joint_against_source():
-    params = DsbsParams(0.9)
-    assert kl_joint(Coupling2x2(*params.joint_cells()), params) == 0.0
-    uniform = Coupling2x2(0.25, 0.25, 0.25, 0.25)
-    assert kl_joint(uniform, params) == pytest.approx(KL_UNIFORM_JOINT_09, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_roots_pq_form_solves_the_stationary_point_problem(capsys):
     # reverse case with |u| > |v|: stationary_point solves the v-side, and
     # so must roots (choosing the u-side by magnitude printed z = 64.98...)
     code, out, _ = run_cli(
-        capsys, "roots", "--rho", "0.9", "--p", "0.6", "--q", "0.3", "--scan-n", "100000"
+        capsys, "roots", "--rho", "0.9", "--p", "0.6", "--q", "0.3"
     )
     assert code == 0
     assert "z = 830.387718615 " in out
@@ -252,13 +252,25 @@ def test_roots_theta_form_rejects_non_finite(capsys, theta, v, r):
 def test_roots_theta_form_matches_pq(capsys):
     theta = (1 - 0.9) / (1 + 0.9)
     code, out, _ = run_cli(
-        capsys, "roots", "--theta", str(theta), "--v", "2.0", "--r", "0.5",
-        "--scan-n", "100000",
+        capsys, "roots", "--theta", str(theta), "--v", "2.0", "--r", "0.5"
     )
     assert code == 0
     h_line = next(ln for ln in out.splitlines() if ln.startswith("z = "))
     h = float(h_line.split()[-1])
     assert h == pytest.approx(math.log(14.985902196432242), rel=1e-10)
+
+
+def test_roots_scans_a_fixed_grid(capsys):
+    code, out, _ = run_cli(capsys, "roots", "--theta", "0.3", "--v", "2", "--r", "0.2")
+    assert code == 0
+    assert out.splitlines()[-1] == "scan_count = 1 (n = 1000000)"
+    # the grid size is no option: --scan-n is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--theta", "0.3", "--v", "2", "--r", "0.2", "--scan-n", "100000"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --scan-n" in err
 
 
 def test_console_script_installed():

@@ -7,11 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
-from dsbs_envelopes import Coupling2x2, DsbsParams, InconsistencyError, dd2, kl_joint, p_star
+from dsbs_envelopes import Coupling2x2, DsbsParams, InconsistencyError, dd2, p_star
 from dsbs_envelopes.mre import _dd2_oracle_batch, dd2_value
 
 RHO = DsbsParams(0.9)
+KL_UNIFORM_JOINT_09 = 1.1979643381655696  # = -log2(0.19)/2, computed with mpmath
+
+
+def kl_joint(q: Coupling2x2, params: DsbsParams) -> float:
+    """Relative entropy D(q || P) against the source joint matrix, in bits.
+
+    The oracle for ``dd2``: the source matrix has full support, so the
+    result is always finite.
+    """
+    qc = q.as_array()
+    pc = params.joint_cells()
+    return float(np.sum(xlogy(qc, qc / pc)) / math.log(2.0))
 
 # Reference values computed with mpmath at mp.dps = 50 (quadratic solved in
 # 50-digit arithmetic, then the coupling divergence summed exactly).
@@ -41,6 +54,13 @@ def test_oracle_agrees_on_frozen_points(a, b, rho, p_ref, v_ref):
     params = DsbsParams(rho)
     _, value = _dd2_oracle_batch(np.array([a]), np.array([b]), params)
     assert value[0] == pytest.approx(v_ref, abs=1e-10)
+
+
+def test_kl_joint_against_source():
+    params = DsbsParams(0.9)
+    assert kl_joint(Coupling2x2(*params.joint_cells()), params) == 0.0
+    uniform = Coupling2x2(0.25, 0.25, 0.25, 0.25)
+    assert kl_joint(uniform, params) == pytest.approx(KL_UNIFORM_JOINT_09, abs=1e-14)
 
 
 def test_exact_anchors():

@@ -156,6 +156,9 @@ def test_count_roots_scan_guards_resolution():
     prob = RootProblem(THETA_09, 2.0, 0.5)
     with pytest.raises(InputDomainError):
         count_roots_scan(prob, 10_000)
+    # and from above, before the grid is allocated
+    with pytest.raises(InputDomainError, match="1e6"):
+        count_roots_scan(prob, 1_000_001)
 
 
 def _whole_grid_count(prob, n):

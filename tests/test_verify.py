@@ -168,6 +168,12 @@ def test_non_finite_tolerance_rejected(value):
         verify_all(RHO, grid_n=101, options=FAST, tols={"midpoint": value}, inject_fault="T1")
 
 
+@pytest.mark.parametrize("value", ["abc", None, [1e-9]])
+def test_non_numeric_tolerance_rejected(value):
+    with pytest.raises(InputDomainError, match="midpoint"):
+        verify_all(RHO, grid_n=101, options=FAST, tols={"midpoint": value})
+
+
 def test_grid_bounds_enforced():
     with pytest.raises(InputDomainError):
         verify_all(RHO, grid_n=31, options=FAST)
@@ -183,11 +189,11 @@ def test_default_tolerances_scale_with_grid():
 
 
 def test_options_validation():
-    with pytest.raises(InputDomainError):
-        VerifyOptions(master_n=2001, lattice_n=100)  # stride not integral
-    with pytest.raises(InputDomainError):
-        VerifyOptions(root_problems=0)
-    with pytest.raises(InputDomainError, match="seed"):
-        VerifyOptions(seed=-1)  # np.random.default_rng would reject it mid-run
-    small = VerifyOptions.small()
-    assert small.root_scan_n >= 100_000
+    # np.random.default_rng would reject a bad seed only mid-run
+    for kwargs in ({"seed": 7.5}, {"seed": True}, {"seed": -1}, {"fast": "yes"}, {"fast": 1}):
+        with pytest.raises(InputDomainError, match=next(iter(kwargs))):
+            VerifyOptions(**kwargs)
+    # two fields pick one of the fixed size rows and the seed
+    assert VerifyOptions.small() == VerifyOptions(fast=True)
+    assert dataclasses.replace(VerifyOptions.small(), seed=3) == VerifyOptions(fast=True, seed=3)
+    assert [f.name for f in dataclasses.fields(VerifyOptions)] == ["fast", "seed"]
