@@ -86,6 +86,13 @@ def _require_finite_real(**values) -> None:
             raise InputDomainError(f"{name} must be a finite real number")
 
 
+def _require_int(**values) -> None:
+    """Reject any keyword value that is not an int (a bool is not one)."""
+    for name, val in values.items():
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+            raise InputDomainError(f"{name}={val!r} must be an int")
+
+
 def _require_prob_scalar(x, name: str) -> float:
     x = float(x)  # numpy scalars are reported and stored as plain floats
     if not -_SLACK <= x <= 1.0 + _SLACK:  # NaN fails this test too

@@ -208,21 +208,7 @@ def cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_tols(pairs) -> dict:
-    tols = {}
-    for pair in pairs or ():
-        name, eq, value = pair.partition("=")
-        if not eq or not name:
-            raise InputDomainError(f"--tol expects NAME=VALUE, got {pair!r}")
-        try:
-            tols[name] = float(value)
-        except ValueError as exc:
-            raise InputDomainError(f"--tol {name}: {value!r} is not a number") from exc
-    return tols
-
-
 def cmd_verify(args) -> int:
-    tols = _parse_tols(args.tol)
     params = DsbsParams(args.rho)
     options = VerifyOptions(fast=args.fast)
     if args.seed is not None:
@@ -230,7 +216,6 @@ def cmd_verify(args) -> int:
     report = verify_all(
         params,
         grid_n=args.grid_n,
-        tols=tols,
         inject_fault=args.inject_fault,
         options=options,
     )
@@ -349,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", default="verify_report.json")
     p_ver.add_argument("--inject-fault", metavar="CLAIM")
     p_ver.add_argument("--fast", action="store_true", help="small sweep sizes (self-test scale)")
-    p_ver.add_argument("--tol", action="append", metavar="NAME=VALUE")
     p_ver.add_argument("--seed", type=int)
     p_ver.set_defaults(run=cmd_verify)
 

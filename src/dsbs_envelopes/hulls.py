@@ -9,9 +9,11 @@ Its independent oracle, a double discrete Legendre transform that shares no
 code with it, lives with the tests.
 
 The certifiers (`check_midpoint_convex`, `check_midpoint_concave`,
-`check_slope_bounds`, `check_monotone`) report the worst violation found and
-a witness, with deterministic tie-breaking (fixed enumeration order, first
-index wins), so failing runs are reproducible bit for bit.
+`check_slope_bounds`, `check_monotone`) are pure measurements: each reports
+the worst violation found and a witness, with deterministic tie-breaking
+(fixed enumeration order, first index wins), so failing runs are
+reproducible bit for bit.  They hold no threshold; `verify` judges the
+excess against its fixed tolerance table.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .binary import _require_int
 from .errors import InputDomainError
 
 __all__ = [
@@ -36,7 +39,7 @@ __all__ = [
 ]
 
 _FULL_ENUMERATION_MAX_N = 201  # 2-D full midpoint enumeration up to this n
-_DEFAULT_SUBSAMPLE = 10_000_000
+_DEFAULT_SUBSAMPLE = 10_000_000  # 2-D midpoint pairs sampled above that n
 _FILL_CHUNK = 1 << 16  # (facet, lattice point) pairs per pass of the 2-D hull fill
 
 
@@ -76,12 +79,10 @@ class GridFn:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Outcome of one grid certification: passed ⇔ worst_violation ≤ tol."""
+    """One grid measurement: the worst violation, its witness, the pairs examined."""
 
-    passed: bool
     worst_violation: float
     witness: Optional[tuple]
-    tol: float
     n_pairs: int
 
 
@@ -173,17 +174,11 @@ def upper_concave_envelope(f: GridFn) -> GridFn:
 # ---------------------------------------------------------------------------
 
 
-def _report(worst: float, witness, tol: float, n_pairs: int) -> ConvexityReport:
-    return ConvexityReport(
-        passed=bool(worst <= tol),
-        worst_violation=float(worst),
-        witness=witness,
-        tol=float(tol),
-        n_pairs=int(n_pairs),
-    )
+def _report(worst: float, witness, n_pairs: int) -> ConvexityReport:
+    return ConvexityReport(worst_violation=float(worst), witness=witness, n_pairs=int(n_pairs))
 
 
-def _midpoint_convex_1d(v: np.ndarray, tol: float) -> ConvexityReport:
+def _midpoint_convex_1d(v: np.ndarray) -> ConvexityReport:
     n = v.size
     worst = -np.inf
     witness = None
@@ -195,10 +190,10 @@ def _midpoint_convex_1d(v: np.ndarray, tol: float) -> ConvexityReport:
         if viol[i] > worst:
             worst = float(viol[i])
             witness = (i, i + 2 * d)
-    return _report(worst, witness, tol, n_pairs)
+    return _report(worst, witness, n_pairs)
 
 
-def _midpoint_convex_2d_full(v: np.ndarray, tol: float) -> ConvexityReport:
+def _midpoint_convex_2d_full(v: np.ndarray) -> ConvexityReport:
     n = v.shape[0]
     worst = -np.inf
     witness = None
@@ -220,20 +215,18 @@ def _midpoint_convex_2d_full(v: np.ndarray, tol: float) -> ConvexityReport:
                 worst = float(viol.flat[flat])
                 i, j = np.unravel_index(flat, viol.shape)
                 witness = ((int(i), int(j + adj - dj)), (int(i + 2 * di), int(j + adj + dj)))
-    return _report(worst, witness, tol, n_pairs)
+    return _report(worst, witness, n_pairs)
 
 
-def _midpoint_convex_2d_sampled(
-    v: np.ndarray, tol: float, max_pairs: int, seed: int
-) -> ConvexityReport:
+def _midpoint_convex_2d_sampled(v: np.ndarray, seed: int) -> ConvexityReport:
     n = v.shape[0]
     rng = np.random.default_rng(seed)
     worst = -np.inf
     witness = None
     n_pairs = 0
     chunk = 1_000_000
-    while n_pairs < max_pairs:
-        m = min(chunk, max_pairs - n_pairs)
+    while n_pairs < _DEFAULT_SUBSAMPLE:
+        m = min(chunk, _DEFAULT_SUBSAMPLE - n_pairs)
         i1 = rng.integers(0, n, m)
         j1 = rng.integers(0, n, m)
         i2 = rng.integers(0, n, m)
@@ -248,49 +241,39 @@ def _midpoint_convex_2d_sampled(
         if viol[a] > worst:
             worst = float(viol[a])
             witness = ((int(i1[a]), int(j1[a])), (int(i2[a]), int(j2[a])))
-    return _report(worst, witness, tol, n_pairs)
+    return _report(worst, witness, n_pairs)
 
 
-def check_midpoint_convex(
-    f: GridFn, tol: float, *, max_pairs: Optional[int] = None, seed: int = 0
-) -> ConvexityReport:
-    """Certify midpoint convexity on the lattice.
+def check_midpoint_convex(f: GridFn, *, seed: int = 0) -> ConvexityReport:
+    """Measure midpoint convexity on the lattice.
 
     Enumerates every sample pair whose midpoint is itself a lattice point and
     reports the worst ``f(mid) - (f(x)+f(y))/2``.  2-D enumeration is O(n^4);
-    above n = 201 (or when ``max_pairs`` is given) pairs are subsampled with
-    a seeded generator instead.  The report's witness is the first pair
+    above n = 201 a fixed number of pairs is subsampled with a generator
+    seeded by ``seed`` instead.  The report's witness is the first pair
     achieving the worst violation in a fixed enumeration order.
     """
-    if tol <= 0.0:
-        raise InputDomainError("tol must be positive")
-    if max_pairs is not None and max_pairs < 1:
-        raise InputDomainError("max_pairs must be at least 1")
     if f.dims == 1:
-        return _midpoint_convex_1d(f.values, tol)
-    if max_pairs is None and f.n <= _FULL_ENUMERATION_MAX_N:
-        return _midpoint_convex_2d_full(f.values, tol)
-    pairs = _DEFAULT_SUBSAMPLE if max_pairs is None else max_pairs
-    return _midpoint_convex_2d_sampled(f.values, tol, pairs, seed)
+        return _midpoint_convex_1d(f.values)
+    if f.n <= _FULL_ENUMERATION_MAX_N:
+        return _midpoint_convex_2d_full(f.values)
+    return _midpoint_convex_2d_sampled(f.values, seed)
 
 
-def check_midpoint_concave(
-    f: GridFn, tol: float, *, max_pairs: Optional[int] = None, seed: int = 0
-) -> ConvexityReport:
+def check_midpoint_concave(f: GridFn, *, seed: int = 0) -> ConvexityReport:
     """Midpoint concavity: the convex check applied to the negated samples."""
-    return check_midpoint_convex(GridFn(-f.values), tol, max_pairs=max_pairs, seed=seed)
+    return check_midpoint_convex(GridFn(-f.values), seed=seed)
 
 
-def check_slope_bounds(
-    f: GridFn, axis: int, bound: float, sense: str, tol: float = 1e-8
-) -> ConvexityReport:
-    """Certify forward difference quotients along ``axis`` against ``bound``.
+def check_slope_bounds(f: GridFn, axis: int, bound: float, sense: str) -> ConvexityReport:
+    """Measure forward difference quotients along ``axis`` against ``bound``.
 
-    ``sense`` is "le" (quotients ≤ bound + tol) or "ge" (≥ bound − tol).
+    ``sense`` is "le" (quotients should stay ≤ bound) or "ge" (≥ bound).
     The reported violation is the worst signed excess past the bound.
     """
     if sense not in ("le", "ge"):
         raise InputDomainError("sense must be 'le' or 'ge'")
+    _require_int(axis=axis)
     if axis >= f.dims or axis < 0:
         raise InputDomainError(f"axis {axis} out of range for {f.dims}-D grid")
     h = 1.0 / (f.n - 1)
@@ -299,11 +282,11 @@ def check_slope_bounds(
     flat = int(np.argmax(excess))
     worst = float(excess.flat[flat])
     witness = tuple(int(c) for c in np.unravel_index(flat, excess.shape))
-    return _report(worst, witness, tol, excess.size)
+    return _report(worst, witness, excess.size)
 
 
-def check_monotone(f: GridFn, tol: float = 1e-10) -> ConvexityReport:
-    """Certify nondecreasingness along every axis (forward differences ≥ -tol)."""
+def check_monotone(f: GridFn) -> ConvexityReport:
+    """Measure nondecreasingness along every axis: the worst forward drop."""
     worst = -np.inf
     witness = None
     total = 0
@@ -314,4 +297,4 @@ def check_monotone(f: GridFn, tol: float = 1e-10) -> ConvexityReport:
         if drop.flat[flat] > worst:
             worst = float(drop.flat[flat])
             witness = (axis,) + tuple(int(c) for c in np.unravel_index(flat, drop.shape))
-    return _report(worst, witness, tol, total)
+    return _report(worst, witness, total)

@@ -57,7 +57,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ._optim import bisect_root
-from .binary import Coupling2x2, DsbsParams, _require_finite_real, d2
+from .binary import Coupling2x2, DsbsParams, _require_finite_real, _require_int, d2
 from .envelopes import QParam, phi_tilde_ab
 from .errors import InconsistencyError, InputDomainError, NoRootError
 from .mre import dd2_value
@@ -255,6 +255,7 @@ def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
     a scan allocates no temporary wider than one chunk; the only full-size
     array is the grid itself (8 MB at the default n, the largest accepted).
     """
+    _require_int(n=n)
     if not 100_000 <= n <= 1_000_000:
         raise InputDomainError(f"n={n!r} must lie in [1e5, 1e6]")
     h = _scan_grid(n)
@@ -410,6 +411,7 @@ def gamma_extremum(
     for the two joint problems the reported value never exceeds (min) /
     falls below (max) the grid optimum.
     """
+    _require_int(n=n)
     if n < 101:
         raise InputDomainError("n must be at least 101")
     if problem not in _PROBLEMS:

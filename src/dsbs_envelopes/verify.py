@@ -28,13 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .binary import DsbsParams
+from .binary import DsbsParams, _require_int
 from .envelopes import (
     QParam,
     phi,
     phi_tilde_grid,
     psi,
     psi_grid,
+    _prefix_max_2d,
     _psi_q_tilde_lattice,
     _psi_tilde_oracle_lattice,
     _q_opt,
@@ -93,8 +94,9 @@ class VerifyOptions:
         if not isinstance(self.fast, bool):
             raise InputDomainError(f"fast={self.fast!r} must be a bool")
         # np.random.default_rng would reject a bad seed only mid-run
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise InputDomainError(f"seed={self.seed!r} must be a non-negative int")
+        _require_int(seed=self.seed)
+        if self.seed < 0:
+            raise InputDomainError(f"seed={self.seed!r} must be non-negative")
 
     @classmethod
     def small(cls) -> "VerifyOptions":
@@ -177,6 +179,12 @@ class VerificationReport:
 
 
 def default_tolerances(grid_n: int) -> dict:
+    """The claims' tolerances at ``grid_n``: the only source of thresholds.
+
+    Every claim judges its measured excess against these fixed values, and
+    the report lists them under ``meta.tolerances``.  ``stationarity_grad``
+    is listed but no claim reads it yet.
+    """
     return {
         "midpoint": 1e-9,
         "slope": 1e-8,
@@ -226,9 +234,9 @@ def _worst(legs) -> tuple[float, dict]:
     return max(ranked, key=lambda leg: leg[0])
 
 
-def _leg(rep, **witness) -> tuple:
-    """A grid certifier's report as one leg: its excess past tolerance."""
-    return rep.worst_violation - rep.tol, {"where": rep.witness, **witness}
+def _leg(rep, tol: float, **witness) -> tuple:
+    """A grid certifier's report as one leg: its excess past ``tol``."""
+    return rep.worst_violation - tol, {"where": rep.witness, **witness}
 
 
 def _plant(ctx, cid: str, values: np.ndarray, delta: float) -> np.ndarray:
@@ -242,14 +250,14 @@ def _plant(ctx, cid: str, values: np.ndarray, delta: float) -> np.ndarray:
 
 def _claim_t1(ctx):
     v = _plant(ctx, "T1", ctx.phi_tilde, 0.01)
-    rep = check_midpoint_convex(GridFn(v), ctx.tol["midpoint"], seed=ctx.seed)
-    yield _leg(rep, n_pairs=rep.n_pairs)
+    rep = check_midpoint_convex(GridFn(v), seed=ctx.seed)
+    yield _leg(rep, ctx.tol["midpoint"], n_pairs=rep.n_pairs)
 
 
 def _claim_t2(ctx):
     v = _plant(ctx, "T2", ctx.psi, -0.01)
-    rep = check_midpoint_concave(GridFn(v), ctx.tol["midpoint"], seed=ctx.seed)
-    yield _leg(rep, n_pairs=rep.n_pairs)
+    rep = check_midpoint_concave(GridFn(v), seed=ctx.seed)
+    yield _leg(rep, ctx.tol["midpoint"], n_pairs=rep.n_pairs)
 
 
 def _curve_family(ctx, kind, check, q_list, cid=None, delta=0.0, **witness):
@@ -263,7 +271,7 @@ def _curve_family(ctx, kind, check, q_list, cid=None, delta=0.0, **witness):
     for idx, (q, curve) in enumerate(zip(q_list, curves)):
         if idx == 0 and cid is not None:
             curve = _plant(ctx, cid, curve, delta)
-        yield _leg(check(GridFn(curve), ctx.tol["midpoint"]), q=q, **witness)
+        yield _leg(check(GridFn(curve)), ctx.tol["midpoint"], q=q, **witness)
 
 
 def _claim_t3(ctx):
@@ -279,18 +287,18 @@ def _claim_c(ctx):
 
 def _claim_l1(ctx):
     theta = GridFn(ctx.phi_tilde)
-    theta_bar_vals = np.maximum.accumulate(np.maximum.accumulate(ctx.psi, axis=0), axis=1)
+    theta_bar_vals = _prefix_max_2d(ctx.psi)
     if ctx.fault == "L1":
         m = len(ctx.axis) // 2
         theta_bar_vals[m, m] = theta_bar_vals[m - 1, m]  # one flat step: quotient 0
     theta_bar = GridFn(theta_bar_vals)
     tol = ctx.tol["slope"]
     for ax in (0, 1):
-        yield _leg(check_slope_bounds(theta, ax, 1.0, "le", tol), leg="theta_le", axis=ax)
-        yield _leg(check_slope_bounds(theta_bar, ax, 1.0, "ge", tol), leg="theta_bar_ge", axis=ax)
+        yield _leg(check_slope_bounds(theta, ax, 1.0, "le"), tol, leg="theta_le", axis=ax)
+        yield _leg(check_slope_bounds(theta_bar, ax, 1.0, "ge"), tol, leg="theta_bar_ge", axis=ax)
     for q, curve in zip(_L_Q_NEG, _q_opt(ctx.axis, _L_Q_NEG, ctx.params, kind="phi")[0]):
         env = GridFn(np.maximum.accumulate(curve))
-        yield _leg(check_slope_bounds(env, 0, 1.0, "ge", tol), leg=f"theta_bar_q={q}", axis=0)
+        yield _leg(check_slope_bounds(env, 0, 1.0, "ge"), tol, leg=f"theta_bar_q={q}", axis=0)
 
 
 def _claim_l2(ctx):
@@ -302,11 +310,11 @@ def _claim_l2(ctx):
     gaps = np.abs(env - psi_grid(axis, axis, ctx.params))
     i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
     mono_axis = np.linspace(0.0, 1.0, ctx.size.mono_n)
-    mono = check_monotone(GridFn(psi_grid(mono_axis, mono_axis, ctx.params)), ctx.tol["monotone"])
+    mono = check_monotone(GridFn(psi_grid(mono_axis, mono_axis, ctx.params)))
     witness = {"oracle_gap_at": [axis[i], axis[j]], "oracle_gap": gaps[i, j]}
     witness["monotone"] = mono.witness
     yield gaps[i, j] - ctx.tol["psi_tilde_gap"], witness
-    yield mono.worst_violation - mono.tol, witness
+    yield mono.worst_violation - ctx.tol["monotone"], witness
 
 
 def _claim_l3(ctx):
@@ -463,36 +471,19 @@ _CLAIMS = {
 CLAIM_IDS = tuple(_CLAIMS)
 
 
-def _merge_tolerances(tols: dict | None, grid_n: int) -> dict:
-    merged = default_tolerances(grid_n)
-    if tols:
-        unknown = set(tols) - set(merged)
-        if unknown:
-            raise InputDomainError(f"unknown tolerance keys: {sorted(unknown)}")
-        for key, val in tols.items():
-            try:
-                val = float(val)
-            except (TypeError, ValueError) as exc:
-                raise InputDomainError(f"tolerance {key}={val!r} is not a number") from exc
-            if not 0.0 < val < math.inf:  # NaN fails this test too
-                raise InputDomainError(f"tolerance {key} must be positive and finite")
-            merged[key] = val
-    return merged
-
-
 def verify_all(
     params: DsbsParams,
     grid_n: int = 201,
-    tols: dict | None = None,
     inject_fault: str | None = None,
     options: VerifyOptions | None = None,
 ) -> VerificationReport:
     """Run every claim in the registry and assemble the report in fixed order."""
+    _require_int(grid_n=grid_n)
     if not 51 <= grid_n <= 1001:
         raise InputDomainError("grid_n must be in [51, 1001]")
     if inject_fault is not None and inject_fault not in _CLAIMS:
         raise InputDomainError(f"unknown claim id {inject_fault!r}; known: {sorted(_CLAIMS)}")
-    tolerances = _merge_tolerances(tols, grid_n)
+    tolerances = default_tolerances(grid_n)
     options = options if options is not None else VerifyOptions()
     axis = np.linspace(0.0, 1.0, grid_n)
     ctx = _Context(

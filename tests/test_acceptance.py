@@ -218,12 +218,12 @@ def test_criterion_14(acceptance, tmp_path):
         grid = GridFn(np.array(vals))
         conj = float(q_conj)
         if family == "phi_q" and (math.isinf(conj) or conj > 1.0):
-            rep = check_midpoint_convex(grid, tol=1e-9)  # q >= 1
+            rep = check_midpoint_convex(grid)  # q >= 1
         elif family == "phi_q":
-            rep = check_midpoint_concave(grid, tol=1e-9)  # q < 0
+            rep = check_midpoint_concave(grid)  # q < 0
         else:
-            rep = check_midpoint_concave(grid, tol=1e-9)  # psi_q, 0 < q < 1
-        curve_ok = curve_ok and rep.passed
+            rep = check_midpoint_concave(grid)  # psi_q, 0 < q < 1
+        curve_ok = curve_ok and rep.worst_violation <= 1e-9
     elapsed = time.perf_counter() - t0
     ok = dominated and max_gap > 0.01 and curve_ok and elapsed < 60.0
     acceptance.check(

@@ -147,25 +147,19 @@ def test_verify_fault_exit_code(tmp_path, capsys):
     assert failed == ["P"]
 
 
-def test_verify_tol_override_parsing(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys, "verify", "--rho", "0.9", "--fast", "--tol", "pstar_gap",
-        "--out", str(tmp_path / "r.json"),
-    )
-    assert code == 2
-    assert "NAME=VALUE" in err
-
-
 def test_verify_rejects_infinite_tolerance(capsys, tmp_path):
-    # with midpoint=inf a planted T1 fault used to print "T1 PASS worst=-inf"
+    # no tolerance can be loosened from the command line, so --tol midpoint=inf
+    # can never print "T1 PASS" over a planted fault: it is an unknown argument
     report = tmp_path / "r.json"
-    code, out, err = run_cli(
-        capsys, "verify", "--rho", "0.9", "--fast", "--grid-n", "101",
-        "--tol", "midpoint=inf", "--inject-fault", "T1", "--out", str(report),
-    )
-    assert code == 2
-    assert "midpoint" in err
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "verify", "--rho", "0.9", "--fast", "--grid-n", "101",
+            "--tol", "midpoint=inf", "--inject-fault", "T1", "--out", str(report),
+        ])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
+    assert "unrecognized arguments: --tol" in err
     assert not report.exists()
 
 

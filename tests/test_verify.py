@@ -1,6 +1,7 @@
 """Claim registry: health, determinism, fault injection, serialization."""
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -12,9 +13,15 @@ from dsbs_envelopes import verify
 from dsbs_envelopes import (
     CLAIM_IDS,
     DsbsParams,
+    GridFn,
     InputDomainError,
+    QParam,
+    RootProblem,
     VerifyOptions,
+    check_slope_bounds,
+    count_roots_scan,
     default_tolerances,
+    gamma_extremum,
     verify_all,
 )
 
@@ -150,28 +157,32 @@ def test_unknown_fault_rejected():
         verify_all(RHO, grid_n=101, options=FAST, inject_fault="Z9")
 
 
-def test_tolerance_overrides():
-    tight = verify_all(RHO, grid_n=101, options=FAST, tols={"pstar_gap": 1e-15})
-    p_claim = next(c for c in tight.claims if c.claim_id == "P")
-    assert not p_claim.passed  # the honest gap is ~1e-11, above such a bound
-    with pytest.raises(InputDomainError):
-        verify_all(RHO, grid_n=101, options=FAST, tols={"no_such_knob": 1.0})
-    with pytest.raises(InputDomainError):
-        verify_all(RHO, grid_n=101, options=FAST, tols={"pstar_gap": 0.0})
+def test_tolerances_are_fixed():
+    # no caller can loosen a claim: the table is the only source of thresholds
+    assert "tols" not in inspect.signature(verify_all).parameters
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_non_finite_tolerance_rejected(value):
-    # an infinite tolerance would pass every claim judged against it, even
-    # with a planted fault
-    with pytest.raises(InputDomainError, match="midpoint"):
-        verify_all(RHO, grid_n=101, options=FAST, tols={"midpoint": value}, inject_fault="T1")
+def test_report_lists_the_default_tolerances(healthy_report):
+    grid_201 = verify_all(RHO, grid_n=201, options=FAST)
+    for report, n in ((healthy_report, 101), (grid_201, 201)):
+        assert report.to_json_dict()["meta"]["tolerances"] == default_tolerances(n)
 
 
-@pytest.mark.parametrize("value", ["abc", None, [1e-9]])
-def test_non_numeric_tolerance_rejected(value):
-    with pytest.raises(InputDomainError, match="midpoint"):
-        verify_all(RHO, grid_n=101, options=FAST, tols={"midpoint": value})
+@pytest.mark.parametrize("as_bool", [False, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call, size",
+    [
+        (lambda n: verify_all(RHO, n, options=FAST), 101.5),
+        (lambda n: gamma_extremum(QParam(2.0, 2.0), RHO, "forward_min", n=n), 101.5),
+        (lambda n: count_roots_scan(RootProblem(0.3, 2.0, 0.2), n), 1e5),
+        (lambda n: check_slope_bounds(GridFn(np.linspace(0.0, 1.0, 5)), n, 1.0, "le"), 0.5),
+    ],
+    ids=["verify_all", "gamma_extremum", "count_roots_scan", "check_slope_bounds"],
+)
+def test_non_integer_sizes_rejected(call, size, as_bool):
+    # numpy would fail a float or bool size with a bare TypeError, or take a bool as 0/1
+    with pytest.raises(InputDomainError, match="must be an int"):
+        call(True if as_bool else size)
 
 
 def test_grid_bounds_enforced():
