@@ -11,8 +11,8 @@ involved.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -54,6 +54,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content; quotes stay as they are."""
+    return html.escape(text, quote=False)
+
+
 class _Frame:
     """Maps data coordinates onto a pixel viewport with margins and axes."""
 
@@ -86,7 +91,7 @@ class _Frame:
         if self.title:
             parts.append(
                 f'<text x="{w / 2:.1f}" y="20" text-anchor="middle" {_FONT} '
-                f'font-size="15">{escape(self.title)}</text>'
+                f'font-size="15">{_escape(self.title)}</text>'
             )
         x_axis_y = self.py(self.y0)
         y_axis_x = self.px(self.x0)
@@ -117,13 +122,13 @@ class _Frame:
         if self.xlabel:
             parts.append(
                 f'<text x="{w / 2:.1f}" y="{h - 8}" text-anchor="middle" {_FONT} '
-                f'font-size="12">{escape(self.xlabel)}</text>'
+                f'font-size="12">{_escape(self.xlabel)}</text>'
             )
         if self.ylabel:
             x, y = 16, (self.top + h - self.bottom) / 2
             parts.append(
                 f'<text x="{x}" y="{y:.1f}" text-anchor="middle" {_FONT} font-size="12" '
-                f'transform="rotate(-90 {x} {y:.1f})">{escape(self.ylabel)}</text>'
+                f'transform="rotate(-90 {x} {y:.1f})">{_escape(self.ylabel)}</text>'
             )
         return parts
 
@@ -158,7 +163,7 @@ def polyline_plot(series, *, title="", xlabel="", ylabel="", width=720, height=4
             f'stroke="{color}" stroke-width="1.6"/>'
         )
         parts.append(
-            f'<text x="{lx + 27}" y="{ly}" {_FONT} font-size="11">{escape(label)}</text>'
+            f'<text x="{lx + 27}" y="{ly}" {_FONT} font-size="11">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

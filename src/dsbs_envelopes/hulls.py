@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .binary import _require_int
 from .errors import InputDomainError
@@ -108,6 +107,10 @@ def _lower_hull_1d(v: np.ndarray) -> np.ndarray:
 
 
 def _lower_hull_2d(v: np.ndarray) -> np.ndarray:
+    # qhull is the package's one scipy use; importing it here keeps scipy
+    # out of every process that builds no 2-D hull.
+    from scipy.spatial import ConvexHull, QhullError
+
     n = v.shape[0]
     x = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(x, x, indexing="ij")

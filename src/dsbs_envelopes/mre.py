@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from ._optim import golden_min_vec
-from .binary import Coupling2x2, DsbsParams, _prepare_prob, _scalarize
+from .binary import Coupling2x2, DsbsParams, _prepare_prob, _scalarize, _xlogy
 from .errors import InconsistencyError
 
 __all__ = [
@@ -64,10 +63,10 @@ def _kl_cells(q00, q01, q10, q11, params: DsbsParams):
     agree = 0.25 * (1.0 + params.rho)
     differ = 0.25 * (1.0 - params.rho)
     total = (
-        xlogy(q00, q00 / agree)
-        + xlogy(q01, q01 / differ)
-        + xlogy(q10, q10 / differ)
-        + xlogy(q11, q11 / agree)
+        _xlogy(q00, q00 / agree)
+        + _xlogy(q01, q01 / differ)
+        + _xlogy(q10, q10 / differ)
+        + _xlogy(q11, q11 / agree)
     )
     return total / _LN2
 
@@ -81,11 +80,8 @@ def _objective(a, b, p, params: DsbsParams):
     return _kl_cells(q00, q01, q10, q11, params)
 
 
-def p_star(a, b, params: DsbsParams):
-    """Minimizing cell mass p on the feasible segment, by the stable quadratic root."""
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    av = _prepare_prob(a, "a")
-    bv = _prepare_prob(b, "b")
+def _p_star(av, bv, params: DsbsParams):
+    """:func:`p_star` on biases that :func:`_prepare_prob` has already validated."""
     k = params.k
     t = (k - 1.0) * (av + bv) + 1.0
     delta = t * t - 4.0 * k * (k - 1.0) * av * bv
@@ -93,7 +89,15 @@ def p_star(a, b, params: DsbsParams):
         raise InconsistencyError("negative discriminant in p_star; invariant Delta >= 1 broken")
     p = 2.0 * k * av * bv / (t + np.sqrt(np.maximum(delta, 0.0)))
     lo, hi = _feasible_interval(av, bv)
-    return _scalarize(np.clip(p, lo, hi), scalar)
+    return np.clip(p, lo, hi)
+
+
+def p_star(a, b, params: DsbsParams):
+    """Minimizing cell mass p on the feasible segment, by the stable quadratic root."""
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    av = _prepare_prob(a, "a")
+    bv = _prepare_prob(b, "b")
+    return _scalarize(_p_star(av, bv, params), scalar)
 
 
 def dd2_value(a, b, params: DsbsParams):
@@ -101,15 +105,14 @@ def dd2_value(a, b, params: DsbsParams):
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
-    p = np.asarray(p_star(av, bv, params))
-    return _scalarize(_objective(av, bv, p, params), scalar)
+    return _scalarize(_objective(av, bv, _p_star(av, bv, params), params), scalar)
 
 
 def dd2(a: float, b: float, params: DsbsParams) -> MreResult:
     """Minimum divergence together with its minimizer and witness coupling."""
     av = float(_prepare_prob(a, "a"))
     bv = float(_prepare_prob(b, "b"))
-    p = float(p_star(av, bv, params))
+    p = float(_p_star(av, bv, params))
     # Rebuild cells from exact marginal arithmetic, then snap fp spill.
     cells = np.maximum([1.0 + p - av - bv, bv - p, av - p, p], 0.0)
     coupling = Coupling2x2(*(cells / cells.sum()))

@@ -43,8 +43,9 @@ Case conventions (the error-prone bookkeeping, centralized here):
 In every case the reported coupling uses the same cell formula; solving the
 u-side problem just means the root is ``ln y`` and ``ln z = u*W(ln y)`` is
 derived, instead of the other way around.  All cell arithmetic is done in
-log space and normalized through logsumexp, so astronomically large z
-(small r*v makes h ~ 100) never overflows.
+log space and shifted by the largest log-cell before exponentiating (the
+cells are then renormalized to sum 1), so astronomically large z (small
+r*v makes h ~ 100) never overflows.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._optim import bisect_root
 from .binary import Coupling2x2, DsbsParams, _require_finite_real, _require_int, d2
@@ -294,7 +294,7 @@ def _reconstruct_from_h(h_a: float, qp: QParam, params: DsbsParams, case: str) -
     lth = math.log(theta)
     l00, l01, l10, l11 = h_a + h_b, h_a + lth, h_b + lth, 0.0
     log_cells = np.array([l00, l01, l10, l11])
-    cells = np.exp(log_cells - logsumexp(log_cells))
+    cells = np.exp(log_cells - log_cells.max())
     cells /= cells.sum()
 
     lx0 = np.logaddexp(l00, l01)

@@ -182,8 +182,7 @@ def default_tolerances(grid_n: int) -> dict:
     """The claims' tolerances at ``grid_n``: the only source of thresholds.
 
     Every claim judges its measured excess against these fixed values, and
-    the report lists them under ``meta.tolerances``.  ``stationarity_grad``
-    is listed but no claim reads it yet.
+    the report lists them under ``meta.tolerances``.
     """
     return {
         "midpoint": 1e-9,
@@ -194,7 +193,6 @@ def default_tolerances(grid_n: int) -> dict:
         "envelope_fixpoint": 0.4 / grid_n,
         "pstar_gap": 1e-9,
         "root_residual": 1e-10,
-        "stationarity_grad": 1e-4,
         "boundary_slope": 0.2,
     }
 

@@ -1,6 +1,7 @@
 """Scalar binary machinery: entropy, divergence, inverses, convolution."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,10 +19,11 @@ from dsbs_envelopes import (
     d2_inv,
     h2,
     h2_inv,
+    p_star,
     phi_q_full,
     phi_tilde_ab,
 )
-from dsbs_envelopes.binary import _prepare_prob
+from dsbs_envelopes.binary import _prepare_prob, _xlogy
 from dsbs_envelopes.mre import dd2_value
 
 # Reference values computed with mpmath at mp.dps = 50.
@@ -109,6 +111,38 @@ def test_d2_inv_absolute_precision():
     for s in np.concatenate([_per_decade(-16, 0, 30, seed=4), [1.0]]):
         a = d2_inv(s)
         assert float(abs(_d2_mp(a) - s)) <= 5e-16, s
+
+
+def test_xlogy_relative_precision():
+    # the bound the _xlogy docstring states, on the array path and on the
+    # np.float64 path; x in [1e-200, 1], y across (0, 2), over 100 decades
+    # and within 1e-15..1e-5 of 1
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(1e-3, 1.0, 200), _per_decade(-200, 0, 1, seed=6)])
+    near_one = rng.choice([-1.0, 1.0], 100) * _per_decade(-15, -5, 10, seed=8)
+    y = np.concatenate([rng.uniform(1e-3, 2.0, 200), _per_decade(-100, 0, 1, seed=7), 1.0 + near_one])
+    for xi, yi, ai in zip(x, y, _xlogy(x, y)):
+        with mpmath.workdps(50):
+            ref = mpmath.mpf(xi) * mpmath.log(mpmath.mpf(yi))
+            for got in (ai, _xlogy(xi, yi)):
+                assert float(abs((got - ref) / ref)) <= 4.5e-16, (xi, yi, got)
+
+
+def test_xlogy_zero_x_and_types():
+    x = np.array([[0.0, 0.0], [0.0, 0.5]])
+    y = np.array([[0.0, 0.3], [1.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _xlogy(x, y)
+        scalars = [_xlogy(form(0.0), form(yi)) for form in (float, np.float64) for yi in (0.0, 0.3)]
+    assert isinstance(out, np.ndarray) and out.shape == x.shape
+    assert out is not x and out is not y
+    assert np.all(out[x == 0.0] == 0.0)
+    assert out[1, 1] == pytest.approx(0.5 * math.log(0.5), rel=4.5e-16)
+    assert scalars == [0.0] * 4
+    assert type(_xlogy(np.float64(0.3), np.float64(0.5))) is np.float64
+    assert type(_xlogy(np.float64(0.0), np.float64(0.0))) is np.float64
+    assert type(_xlogy(0.3, 0.5)) is float
 
 
 def test_h2_inv_is_left_branch():
@@ -233,6 +267,9 @@ def test_public_functions_reject_bad_probability(bad):
     for call in (
         lambda: d2(bad),
         lambda: dd2_value(0.3, bad, params),
+        lambda: dd2_value(bad, 0.3, params),
+        lambda: p_star(bad, 0.3, params),
+        lambda: p_star(0.3, bad, params),
         lambda: phi_tilde_ab(bad, 0.2, params),
         lambda: phi_q_full(bad, QParam.from_q(2.0), params),
     ):
