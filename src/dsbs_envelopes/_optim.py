@@ -1,14 +1,17 @@
 """Bracketed scalar solvers used throughout the package.
 
-Only derivative-free, bracketing methods live here: plain bisection for
-root finding and golden-section search for one-dimensional extrema.  The
-objectives we optimize are piecewise-smooth and are always seeded from a
-dense grid first, so bracketing is sufficient and deterministic.
+Plain bisection finds roots, golden-section search finds one-dimensional
+extrema without derivatives, and a safeguarded Newton iteration finds the
+stationary point of an objective whose derivative and curvature are known
+in closed form.  The objectives are piecewise-smooth and are always seeded
+from a dense grid first, so every search runs inside a bracket and is
+deterministic.
 
-The ``*_vec`` variants run many searches in lockstep on numpy arrays: every
-iteration evaluates the objective once on the whole batch and advances each
-bracket with ``np.where``.  The iteration count is fixed from the widest
-initial bracket, which keeps results independent of batch composition.
+The ``*_vec`` variants run many searches in lockstep on numpy arrays, with
+``np.where`` advancing each bracket, and keep every result independent of
+batch composition.  `golden_min_vec` fixes its iteration count from the
+widest initial bracket; `newton_root_vec` freezes each row at its own
+convergence and evaluates only the rows still moving.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _BISECT_XTOL = 1e-15  # relative bracket width at which bisect_root stops
 _BISECT_MAX_ITER = 200
 _GOLDEN_VEC_XTOL = 1e-12  # absolute bracket width at which golden_min_vec stops
+# Newton steps per row in newton_root_vec; bisection alone takes a bracket of
+# width <= 1 down to a few ulps in at most 55 steps.
+_NEWTON_MAX_ITER = 64
+_NEWTON_BRACKET_ULPS = 4  # bracket width, in ulps of its ends, at which a row freezes
 
 
 def bisect_root(
@@ -151,3 +158,72 @@ def golden_min_vec(
     x = np.where(fc <= fd, c, d)
     fx = np.minimum(fc, fd)
     return x, fx
+
+
+def newton_root_vec(
+    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    x0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep safeguarded Newton for an upward zero crossing of ``g`` on each bracket.
+
+    ``f(x, rows)`` returns ``(g, dg)``, the function and its slope at
+    ``x[i]`` for problem ``rows[i]`` (``rows`` indexes the batch).  First
+    ``g`` is evaluated at both ends of every bracket and at its start
+    ``x0``, in one call.  The sign of ``g(x0)`` picks the half of the
+    bracket that must hold the crossing: ``[lo, x0]`` if ``g(x0) > 0``,
+    ``[x0, hi]`` if ``g(x0) < 0``.  A row returns ``x0`` unchanged when
+    ``g(x0)`` is 0, NaN or infinite, or when ``g`` is finite at the far
+    end of that half with the sign of ``g(x0)`` (no crossing).  A NaN or
+    infinite far end says nothing about its sign, so the row iterates: the
+    caller vouches for a crossing there (a grid argmin ``x0`` guarantees a
+    local minimum in the half its slope points to), and without one the
+    row ends near that end.  An iterating row shrinks its bracket by the
+    sign of ``g`` and takes the Newton step ``x - g/dg`` only if ``dg > 0``
+    and the step lands strictly inside the bracket; otherwise it bisects.
+    A row freezes when ``g`` is exactly 0, when its step is at most 1 ulp,
+    when its bracket is at most ``_NEWTON_BRACKET_ULPS`` ulps wide, or
+    after ``_NEWTON_MAX_ITER`` steps.  Frozen rows are no longer evaluated,
+    so a row's answer does not depend on the other rows of the batch.
+
+    Returns ``(x, refined)``: the final abscissae and the mask of rows that
+    iterated.
+    """
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
+    x = np.array(x0, dtype=float, copy=True)
+    n = x.size
+    rows = np.arange(n)
+    g3, dg3 = f(np.concatenate([lo, x, hi]), np.tile(rows, 3))
+    g_lo, g, g_hi = g3[:n], g3[n : 2 * n], g3[2 * n :]
+    left = (0.0 < g) & (g < np.inf)  # the crossing must lie in [lo, x0]
+    right = (-np.inf < g) & (g < 0.0)  # ... or in [x0, hi]
+    refined = (left & ((g_lo < 0.0) | ~np.isfinite(g_lo))) | (right & ((g_hi > 0.0) | ~np.isfinite(g_hi)))
+    hi = np.where(left, x, hi)
+    lo = np.where(right, x, lo)
+    active = rows[refined]
+    g, dg = g[refined], dg3[n : 2 * n][refined]
+    for _ in range(_NEWTON_MAX_ITER):
+        if not active.size:
+            break
+        xa, la, ha = x[active], lo[active], hi[active]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = xa - g / dg
+        # xa is an end of its bracket, so a converged step of at most 1 ulp
+        # may round onto it: take it too, or the row would bisect on
+        tiny = np.abs(step - xa) <= np.spacing(np.abs(xa))
+        newton = (dg > 0.0) & (tiny | ((la < step) & (step < ha)))
+        x_new = np.where(newton, step, 0.5 * (la + ha))
+        end_ulp = np.spacing(np.maximum(np.abs(la), np.abs(ha)))
+        done = (np.abs(x_new - xa) <= np.spacing(np.abs(xa))) | (ha - la <= _NEWTON_BRACKET_ULPS * end_ulp)
+        x[active] = x_new
+        active, x_new = active[~done], x_new[~done]
+        if not active.size:
+            break
+        g, dg = f(x_new, active)
+        lo[active] = np.where(g < 0.0, x_new, lo[active])
+        hi[active] = np.where(g > 0.0, x_new, hi[active])
+        moving = g != 0.0
+        active, g, dg = active[moving], g[moving], dg[moving]
+    return x, refined

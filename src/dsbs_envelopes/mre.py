@@ -71,13 +71,19 @@ def _kl_cells(q00, q01, q10, q11, params: DsbsParams):
     return total / _LN2
 
 
+def _cells(a, b, p):
+    """Cells (q00, q01, q10, q11) of the coupling with P(1,1)=p, clipped at 0 for fp spill."""
+    return (
+        np.maximum(1.0 + p - a - b, 0.0),
+        np.maximum(b - p, 0.0),
+        np.maximum(a - p, 0.0),
+        np.maximum(p, 0.0),
+    )
+
+
 def _objective(a, b, p, params: DsbsParams):
     """Divergence of the coupling with P(1,1)=p; cells clipped at 0 for fp spill."""
-    q00 = np.maximum(1.0 + p - a - b, 0.0)
-    q01 = np.maximum(b - p, 0.0)
-    q10 = np.maximum(a - p, 0.0)
-    q11 = np.maximum(p, 0.0)
-    return _kl_cells(q00, q01, q10, q11, params)
+    return _kl_cells(*_cells(a, b, p), params)
 
 
 def _p_star(av, bv, params: DsbsParams):
@@ -106,6 +112,38 @@ def dd2_value(a, b, params: DsbsParams):
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
     return _scalarize(_objective(av, bv, _p_star(av, bv, params), params), scalar)
+
+
+def _dd2_slope(a, b, params: DsbsParams):
+    """First and second derivatives of dd2(a, b) in b, in bits (vectorized).
+
+    ``a`` and ``b`` must already be validated biases.  By the envelope
+    theorem the first derivative is the partial derivative of the coupling
+    divergence at fixed ``p*``: ``log2(q01*P00 / (q00*P01))``.  Along the
+    optimal coupling ``q00*q11 = k*q01*q10``, so ``dp*/db = A/(A+B)`` with
+    ``A = 1/q00 + 1/q01`` and ``B = 1/q10 + 1/q11``, and the second
+    derivative is ``(A*B/(A+B))/ln 2``, evaluated as ``1/(1/A + 1/B)`` so
+    that ``B = inf`` (at ``a = 0``, where ``p* = 0``) gives ``A/ln 2``.  An
+    empty cell at the ends of the segment (``b = 0`` or ``b = 1``) gives an
+    infinite or NaN derivative without a warning, whose sign callers must
+    not trust.
+
+    Precision is set by the smaller of the cells ``q00`` and ``q01``, which
+    are differences of O(1) quantities: against 50-digit mpmath the slope
+    is within ``4e-15 / min(q00, q01)`` absolute and the curvature within
+    the same bound relative (measured 1.6e-15 and 1.0e-15 over that
+    scale).  So the slope is good to about 1e-13 where both cells are
+    above 0.04, and loses digits only as ``b`` nears 0 or 1.
+    """
+    q00, q01, q10, q11 = _cells(a, b, _p_star(a, b, params))
+    agree = 0.25 * (1.0 + params.rho)
+    differ = 0.25 * (1.0 - params.rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.log((q01 * agree) / (q00 * differ)) / _LN2
+        curve_a = 1.0 / q00 + 1.0 / q01
+        curve_b = 1.0 / q10 + 1.0 / q11
+        curvature = 1.0 / (1.0 / curve_a + 1.0 / curve_b) / _LN2
+    return slope, curvature
 
 
 def dd2(a: float, b: float, params: DsbsParams) -> MreResult:

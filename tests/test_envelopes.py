@@ -3,6 +3,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from dsbs_envelopes import (
     InputDomainError,
     QParam,
     d2,
+    d2_inv,
     in_s0,
     phi,
     phi_grid,
@@ -30,6 +32,7 @@ from dsbs_envelopes.envelopes import (
     _psi_q_tilde_lattice,
     _psi_tilde_oracle_lattice,
 )
+from test_mre import _dd2_mp
 
 RHO = DsbsParams(0.9)
 
@@ -260,6 +263,53 @@ def test_q_family_rows_match_one_q_calls(monkeypatch, kind, qs):
             assert np.array_equal(t_opt[k], np.atleast_1d(t_ref)), name
     assert isinstance(ref_points["scalar"][0][0], float)
     assert ref_points["1-element"][0][0].shape == (1,)
+
+
+def _q_family_mp(kind, s, q, rho, b_start):
+    """40-digit (value, argmin t) of the q-family at s, from a start b_start.
+
+    The optimum is the root of the objective's numerical derivative in b
+    (mpmath's own differencing, not the closed-form slope), with a solved
+    from d2(a) = s and t = d2(b*).
+    """
+    def d2_mp(x):  # the secant steps of findroot may leave (0, 1) for a moment
+        return 1 + (x * mpmath.log(x) + (1 - x) * mpmath.log(1 - x)) / mpmath.log(2)
+
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        a = mpmath.findroot(lambda x: d2_mp(x) - s, mpmath.mpf(d2_inv(float(s))))
+
+        def objective(b):
+            return _dd2_mp(a, b if kind == "phi" else 1 - b, rho) - d2_mp(b) / q
+
+        b = mpmath.findroot(lambda x: mpmath.diff(objective, x), mpmath.mpf(b_start))
+        return objective(b), d2_mp(b)
+
+
+@pytest.mark.parametrize(
+    "kind, s, q, rho",
+    [
+        ("phi", 0.5, 2.0, 0.9),
+        ("phi", 0.3, -2.0, 0.9),
+        ("phi", 0.7, 10.0, 0.9),
+        ("phi", 0.2, -0.5, 0.9),
+        ("psi", 0.5, 0.25, 0.9),
+        ("psi", 0.3, 0.5, 0.9),
+        ("psi", 0.8, 0.75, 0.9),
+        # the grid winner is t = 0.9995, next to b = 0 where the slope is NaN
+        ("psi", 0.19069710262066564, 0.75, 0.9591042155889811),
+    ],
+)
+def test_q_family_argmin_against_mpmath(kind, s, q, rho):
+    # the bound the _q_opt docstring states: the Newton refinement on the
+    # closed-form slope puts t within 1e-13 of the exact argmin (golden
+    # section stalled at 4e-10..2.3e-8 on these settings) and the value
+    # within 1e-14
+    one_q = phi_q_full if kind == "phi" else psi_q_full
+    value, t_opt = one_q(s, QParam.from_q(q), DsbsParams(rho))
+    value_ref, t_ref = _q_family_mp(kind, s, q, rho, d2_inv(t_opt))
+    assert float(abs(t_opt - t_ref)) <= 1e-13
+    assert float(abs(value - value_ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("one_q", [phi_q_full, psi_q_full])

@@ -3,6 +3,7 @@
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from dsbs_envelopes import Coupling2x2, DsbsParams, InconsistencyError, dd2, p_star
-from dsbs_envelopes.mre import _dd2_oracle_batch, dd2_value
+from dsbs_envelopes.mre import _cells, _dd2_oracle_batch, _dd2_slope, _p_star, dd2_value
 
 RHO = DsbsParams(0.9)
 KL_UNIFORM_JOINT_09 = 1.1979643381655696  # = -log2(0.19)/2, computed with mpmath
@@ -121,3 +122,48 @@ def test_p_star_negative_discriminant_is_a_library_error():
     broken = types.SimpleNamespace(k=-1.0)
     with pytest.raises(InconsistencyError, match="negative discriminant"):
         p_star(0.5, 0.5, broken)
+
+
+def _dd2_mp(a, b, rho):
+    """dd2 at exact mpf biases, with p* from the quadratic in working precision."""
+    r = mpmath.mpf(rho)
+    k = ((1 + r) / (1 - r)) ** 2
+    t = (k - 1) * (a + b) + 1
+    p = 2 * k * a * b / (t + mpmath.sqrt(t * t - 4 * k * (k - 1) * a * b))
+    agree, differ = (1 + r) / 4, (1 - r) / 4
+    cells = [(1 + p - a - b, agree), (b - p, differ), (a - p, differ), (p, agree)]
+    return mpmath.fsum(c * mpmath.log(c / w) for c, w in cells if c) / mpmath.log(2)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_dd2_slope_against_mpmath(rho):
+    # the bound the _dd2_slope docstring states, against 50-digit numerical
+    # derivatives of dd2 (no envelope theorem): random points, b near 0 and
+    # near 1 (the reflected psi slice), a at and near 1/2, a at and near 0
+    params = DsbsParams(rho)
+    rng = np.random.default_rng(17)
+    points = list(zip(rng.uniform(0.0, 0.5, 20), rng.uniform(0.0, 1.0, 20)))
+    points += [(a, b) for a in (0.1, 0.3, 0.5) for b in (1e-10, 1e-6, 1 - 1e-3, 1 - 1e-6)]
+    points += [(0.5 - g, b) for g in (0.0, 1e-12, 1e-8, 1e-4) for b in (0.01, 0.3, 0.5, 0.7)]
+    points += [(a, b) for a in (0.0, 1e-12) for b in (1e-8, 0.2, 0.9)]
+    a = np.array([p[0] for p in points])
+    b = np.array([p[1] for p in points])
+    slope, curvature = _dd2_slope(a, b, params)
+    q00, q01, _, _ = _cells(a, b, _p_star(a, b, params))
+    for i, (ai, bi) in enumerate(points):
+        with mpmath.workdps(50):
+            f = lambda x: _dd2_mp(mpmath.mpf(ai), x, rho)  # noqa: E731
+            d1 = mpmath.diff(f, mpmath.mpf(bi))
+            d2 = mpmath.diff(f, mpmath.mpf(bi), 2)
+        bound = 4e-15 / min(q00[i], q01[i])
+        assert float(abs(slope[i] - d1)) <= bound, (ai, bi)
+        assert float(abs((curvature[i] - d2) / d2)) <= bound, (ai, bi)
+
+
+def test_dd2_slope_at_an_empty_cell_is_silent():
+    # b = 0 empties q01 (and q11): log 0 and 1/0 must not warn, and the
+    # slope is -inf; at a = 0, B = inf and the curvature is A / ln 2
+    with np.errstate(all="raise"):
+        slope, curvature = _dd2_slope(np.array([0.3, 0.0]), np.array([0.0, 0.2]), RHO)
+    assert slope[0] == -math.inf
+    assert curvature[1] == pytest.approx((1 / 0.8 + 1 / 0.2) / math.log(2.0), rel=1e-15)
