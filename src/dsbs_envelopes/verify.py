@@ -107,7 +107,6 @@ class VerifyOptions:
 class _Sizes(NamedTuple):
     pstar_samples: int
     root_problems: int
-    root_scan_n: int
     curve_points: int
     master_n: int
     lattice_stride: int  # the L2/L3 lattice takes every stride-th master point
@@ -116,8 +115,8 @@ class _Sizes(NamedTuple):
 
 # The sweep sizes of the heavier claims, indexed by VerifyOptions.fast.
 _SIZES = {
-    False: _Sizes(500, 200, 1_000_000, 501, 2001, 20, 501),
-    True: _Sizes(40, 5, 100_000, 101, 501, 10, 101),
+    False: _Sizes(500, 200, 501, 2001, 20, 501),
+    True: _Sizes(40, 5, 101, 501, 10, 101),
 }
 
 
@@ -386,7 +385,7 @@ def _claim_u(ctx):
         try:
             z = solve_root_z(prob)
             residual = abs(float(aux_phi_h(math.log(z), prob)))
-            count = count_roots_scan(prob, ctx.size.root_scan_n)
+            count = count_roots_scan(prob)
         except NoRootError:
             residual, count = math.inf, 0
         witness = dict(theta=prob.theta, v=prob.v, r=prob.r, residual=residual, scan_count=count)

@@ -1,5 +1,6 @@
 """Stationarity machinery: root equation, reconstruction, saddle extrema."""
 
+import functools
 import math
 
 import mpmath
@@ -28,8 +29,8 @@ from dsbs_envelopes import (
 )
 from dsbs_envelopes import stationary
 from dsbs_envelopes.mre import dd2_value
-from dsbs_envelopes.stationary import _SCAN_CHUNK, _log_w_of_h
-from dsbs_envelopes.verify import _H_FORWARD, _H_GAMMA_N, _H_REVERSE
+from dsbs_envelopes.stationary import _EPS, _F_PAD, _aux_slope, _log_w_of_h, _scan_points
+from dsbs_envelopes.verify import _H_FORWARD, _H_GAMMA_N, _H_REVERSE, _root_problem_unchecked
 
 RHO = DsbsParams(0.9)
 THETA_09 = (1 - 0.9) / (1 + 0.9)  # = 1/19
@@ -156,28 +157,49 @@ def test_count_roots_scan_guards_resolution():
     prob = RootProblem(THETA_09, 2.0, 0.5)
     with pytest.raises(InputDomainError):
         count_roots_scan(prob, 10_000)
-    # and from above, before the grid is allocated
+    # and from above
     with pytest.raises(InputDomainError, match="1e6"):
         count_roots_scan(prob, 1_000_001)
 
 
-def _whole_grid_count(prob, n):
-    """Reference scan: signs of aux_phi_h on the whole grid at once, zeros dropped."""
-    signs = np.sign(aux_phi_h(np.geomspace(1e-8, 1e4, n), prob))
-    signs = signs[signs != 0.0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+# The brute-force oracle of count_roots_scan: the signs of aux_phi_h on every
+# point of one cached, read-only grid, evaluated in chunks of 2^14 points and
+# carrying the last nonzero sign across chunk edges.  aux_phi_h is looked up
+# on the module at call time, so a test can plant values in it.
+_SCAN_CHUNK = 1 << 14
+
+
+@functools.lru_cache(maxsize=3)
+def _scan_grid(n):
+    h = np.geomspace(1e-8, 1e4, n)
+    h.flags.writeable = False
+    return h
+
+
+def _brute_force_count(prob, n=1_000_000):
+    h = _scan_grid(n)
+    count = 0
+    last = 0.0  # last nonzero sign seen so far; 0 before the first
+    for start in range(0, n, _SCAN_CHUNK):
+        signs = np.sign(stationary.aux_phi_h(h[start : start + _SCAN_CHUNK], prob))
+        signs = signs[signs != 0.0]
+        if signs.size:
+            count += int(np.count_nonzero(signs[1:] != signs[:-1]))
+            count += int(last * signs[0] < 0.0)
+            last = signs[-1]
+    return count
 
 
 @pytest.mark.parametrize("n", [100_000, 100_001, 1_000_000])
 def test_count_roots_scan_matches_whole_grid(n):
     for prob in _random_root_problems(n, 3):
-        assert count_roots_scan(prob, n) == _whole_grid_count(prob, n) == 1
+        assert count_roots_scan(prob, n) == _brute_force_count(prob, n) == 1
 
 
 # The root is built inside the grid cell that ends at index `cell`: two
-# cells on a chunk edge, and the last cell of the grid, which sits in a
-# partial final chunk.  Index 2^14 itself lies below h = 1e-6 for every n
-# the scan accepts; there r = W(v*W(h))/(v*h) is within rounding of rho^2
+# cells on an oracle chunk edge, and the last cell of the grid, which sits
+# in a partial final chunk.  Index 2^14 itself lies below h = 1e-6 for every
+# n the scan accepts; there r = W(v*W(h))/(v*h) is within rounding of rho^2
 # and the sign of aux_phi_h is noise, so the edge cells are later ones.
 @pytest.mark.parametrize(
     "n, cell", [(100_001, 4 * _SCAN_CHUNK), (1_000_000, 40 * _SCAN_CHUNK), (100_001, 100_000)]
@@ -190,7 +212,7 @@ def test_count_roots_scan_root_in_chosen_cell(n, cell, theta, v):
     prob = RootProblem(theta, v, r)
     left, right = aux_phi_h(grid[cell - 1 : cell + 1], prob)
     assert left * right < 0.0
-    assert count_roots_scan(prob, n) == _whole_grid_count(prob, n) == 1
+    assert count_roots_scan(prob, n) == _brute_force_count(prob, n) == 1
 
 
 @pytest.mark.parametrize("after, expected", [(-1.0, 1), (1.0, 0)])
@@ -200,15 +222,98 @@ def test_count_roots_scan_root_in_chosen_cell(n, cell, theta, v):
     ids=["edge", "whole-chunk"],
 )
 def test_count_roots_scan_skips_zeros_at_chunk_edge(monkeypatch, zero_span, after, expected):
-    # sign +1, then exact zeros on grid indices [first, end) straddling a
-    # chunk edge, then `after`: "+,0,-" is one root and "+,0,+" none
+    # the oracle's chunking: sign +1, then exact zeros on grid indices
+    # [first, end) straddling a chunk edge, then `after`: "+,0,-" is one
+    # root and "+,0,+" none
     n = 100_000
     grid = np.geomspace(1e-8, 1e4, n)
     first, end = zero_span
     lo, hi = grid[first], grid[end - 1]
     fake = lambda h, prob: np.where(h < lo, 1.0, np.where(h > hi, after, 0.0))
     monkeypatch.setattr(stationary, "aux_phi_h", fake)
-    assert count_roots_scan(RootProblem(THETA_09, 2.0, 0.5), n) == expected
+    assert _brute_force_count(RootProblem(THETA_09, 2.0, 0.5), n) == expected
+
+
+@pytest.mark.parametrize("theta, v", [(0.1, 1.05), (0.1, -3.0), (0.5, 50.0), (0.9, -3.0), (0.9, 50.0)])
+def test_count_roots_scan_reproduces_float_noise_near_rho_squared(theta, v):
+    # at r = rho^2*(1 - 1e-12) the root sits near h = 1e-6, where aux_phi_h
+    # moves by less than its rounding per grid cell: the brute-force scan
+    # counts 3 sign changes, and the certified count reports the same 3
+    rho = (1 - theta) / (1 + theta)
+    prob = RootProblem(theta, v, rho * rho * (1 - 1e-12))
+    assert count_roots_scan(prob) == _brute_force_count(prob) == 3
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_count_roots_scan_planted_fault_counts_zero(n):
+    # claim U's planted fault: r = 1.2*rho^2 lies beyond the root regime
+    prob = _root_problem_unchecked(0.5, 2.0, 1.2 * (1 / 3) ** 2)
+    assert count_roots_scan(prob, n) == _brute_force_count(prob, n) == 0
+
+
+def test_count_roots_scan_sees_two_close_roots(monkeypatch):
+    # no root problem has two roots, so plant f = c - (h - 1)^2 with its
+    # exact slope g = f'/v (decreasing, as the certificate assumes): both
+    # roots lie about two grid cells from h = 1, inside one seed range whose
+    # ends are both negative, and neither the monotone nor the Lipschitz
+    # bound may skip that range
+    prob = RootProblem(THETA_09, 2.0, 0.5)
+    fake_f = lambda h, prob: 2.5e-9 - (h - 1.0) ** 2
+    fake_slope = lambda h, prob: (-2.0 * (h - 1.0) / prob.v, np.zeros_like(h))
+    monkeypatch.setattr(stationary, "aux_phi_h", fake_f)
+    monkeypatch.setattr(stationary, "_aux_slope", fake_slope)
+    assert count_roots_scan(prob) == _brute_force_count(prob) == 2
+
+
+@pytest.mark.parametrize("n", [100_000, 100_001, 1_000_000])
+def test_scan_points_bit_equal_to_geomspace(n):
+    grid = np.geomspace(1e-8, 1e4, n)
+    assert np.all(np.diff(grid) > 0.0)
+    assert np.array_equal(_scan_points(np.arange(n), n), grid)
+    # a few points at a time, as the certified scan asks for them
+    k = np.sort(np.random.default_rng(n).choice(n, 300, replace=False))
+    for part in (k[:1], k[1:7], k[7:]):
+        assert np.array_equal(_scan_points(part.astype(float), n), grid[part])
+
+
+def test_aux_phi_h_float_pad_matches_mpmath():
+    # the pad count_roots_scan relies on: |error| <= _F_PAD*eps*(ln(1/theta)
+    # + r*|v|*h) on the scan's h range, measured in those eps units
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(3000):
+            theta = rng.uniform(0.02, 0.9)
+            v = math.copysign(math.exp(rng.uniform(math.log(1.05), math.log(1000.0))), rng.choice([-1.0, 1.0]))
+            rho = (1.0 - theta) / (1.0 + theta)
+            prob = RootProblem(theta, v, rho * rho * rng.uniform(0.0, 1.0))
+            h = 10.0 ** rng.uniform(-8.0, 4.0)
+            err = abs(aux_phi_h(h, prob) - float(_aux_mp(h, prob)))
+            worst = max(worst, err / (_EPS * (math.log(1.0 / theta) + prob.r * abs(v) * h)))
+    assert worst <= 2.0, worst  # _F_PAD leaves a margin of 16
+
+
+def test_aux_slope_matches_mpmath_derivative():
+    # g = aux_phi_h'/v in closed form, against a 50-digit numerical
+    # derivative of aux_phi_h/v, within the pad _aux_slope reports
+    rng = np.random.default_rng(6)
+    problems = _random_root_problems(12, 30, v_max=1000.0)
+    problems += [RootProblem(t, v, ((1 - t) / (1 + t)) ** 2 * (1 - 1e-12)) for t, v in ((0.1, 1.05), (0.9, 50.0))]
+    with mpmath.workdps(50):
+        for prob in problems:
+            for h in (1e-8, 1e-5, rng.uniform(0.0, 1.0), rng.uniform(1.0, 30.0), 1e3):
+                g, pad = _aux_slope(np.array([h]), prob)
+                ref = mpmath.diff(lambda t: _aux_mp(t, prob), mpmath.mpf(h)) / mpmath.mpf(prob.v)
+                assert abs(g[0] - float(ref)) <= pad[0], (prob, h, g[0], float(ref), pad[0])
+
+
+def test_aux_slope_never_increases_along_the_grid():
+    # g decreases on h > 0; its computed values may rise by an ulp between
+    # neighbouring points, never by more than the two pads
+    h = np.geomspace(1e-8, 1e4, 1_000_000)
+    for prob in _random_root_problems(13, 3) + [RootProblem(0.5, 50.0, (1 / 3) ** 2 * (1 - 1e-12))]:
+        g, pad = _aux_slope(h, prob)
+        assert np.all(g[1:] - pad[1:] <= g[:-1] + pad[:-1]), prob
 
 
 @given(
