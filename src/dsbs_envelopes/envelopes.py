@@ -7,11 +7,10 @@ branch), the two surface slices studied here are
     psi(s, t) = dd2(a(s), 1 - b(t))      (opposite-side marginals)
 
 together with their Lagrangian families ``phi_q(s) = min_t phi - t/q`` and
-``psi_q(s) = max_t psi - t/q``, and the monotone envelopes of all four
-(minimum over larger arguments, maximum over smaller arguments).
+``psi_q(s) = max_t psi - t/q``.
 
-``phi_tilde`` — the nondecreasing envelope of ``phi`` — has a closed
-piecewise form.  Let ``c = (1-rho)/2``.  On
+``phi_tilde`` — the nondecreasing envelope of ``phi`` (the minimum over
+larger arguments) — has a closed piecewise form.  Let ``c = (1-rho)/2``.  On
 
     S0  = {(alpha, beta) : b(beta) >= bconv(a(alpha), c)}
 
@@ -23,11 +22,13 @@ The branch rule lives in one private mask, which one private kernel in
 bias coordinates applies for `phi_tilde`, `phi_tilde_ab` and
 `phi_tilde_grid`; `in_s0` reads the same mask.
 
-The brute-force envelope oracles (the running-extremum lattices
-`_phi_tilde_oracle_lattice`, `_psi_tilde_oracle_lattice` and
-`_psi_q_tilde_lattice`) never consult the closed form; they exist to
-certify it, and the verification layer treats their agreement as a claim
-to test, not an assumption.
+The upper envelopes (the maximum over smaller arguments) of ``psi`` and of
+``phi_q`` for q < 0 are the functions themselves, because both are
+nondecreasing; the verification layer certifies that by measuring their
+monotonicity directly.  ``phi_tilde`` keeps a brute-force oracle, the
+running-minimum lattice `_phi_tilde_oracle_lattice`, which never consults
+the closed form; the tests treat its agreement as a claim to check, not an
+assumption.
 """
 
 from __future__ import annotations
@@ -364,11 +365,6 @@ def _suffix_min_2d(values: np.ndarray) -> np.ndarray:
     return acc[::-1, ::-1]
 
 
-def _prefix_max_2d(values: np.ndarray) -> np.ndarray:
-    """out[i, j] = max(values[:i+1, :j+1]) via two cumulative maxima."""
-    return np.maximum.accumulate(np.maximum.accumulate(values, axis=0), axis=1)
-
-
 def _phi_tilde_oracle_lattice(params: DsbsParams, master_n: int = 2001, stride: int = 20):
     """Envelope oracle on a sublattice, batched through one master grid.
 
@@ -382,25 +378,3 @@ def _phi_tilde_oracle_lattice(params: DsbsParams, master_n: int = 2001, stride: 
     env = _suffix_min_2d(phi_grid(grid, grid, params))
     return grid[::stride], env[::stride, ::stride]
 
-
-def _psi_tilde_oracle_lattice(params: DsbsParams, master_n: int = 2001, stride: int = 20):
-    """Prefix-max analogue of :func:`_phi_tilde_oracle_lattice` for psi."""
-    grid = np.linspace(0.0, 1.0, master_n)
-    env = _prefix_max_2d(psi_grid(grid, grid, params))
-    return grid[::stride], env[::stride, ::stride]
-
-
-def _psi_q_tilde_lattice(qs, params: DsbsParams, master_n: int = _T_GRID_N, stride: int = 20):
-    """Batched q < 0 envelopes: prefix cumulative max of each phi_q master curve.
-
-    ``qs`` is a tuple of q values, all negative; their master curves come
-    from one `_q_opt` call.  Returns (axis, envelope_lattices,
-    phi_q_lattices), one row per q, so callers can compare each envelope
-    against its curve without re-evaluating it.
-    """
-    if not all(q < 0.0 for q in qs):
-        raise InputDomainError("lattice envelope helper covers q < 0 only")
-    grid = np.linspace(0.0, 1.0, master_n)
-    curves, _ = _q_opt(grid, qs, params, kind="phi")
-    env = np.maximum.accumulate(curves, axis=1)
-    return grid[::stride], env[:, ::stride], curves[:, ::stride]

@@ -483,10 +483,13 @@ def gamma_extremum(
     until it is below 1e-10.  Each window contains the previous winner, so
     for the two joint problems the reported value never exceeds (min) /
     falls below (max) the grid optimum.
+
+    ``n`` must lie in [101, 1001], checked before anything is allocated:
+    the n-by-n grid is built whole.
     """
     _require_int(n=n)
-    if n < 101:
-        raise InputDomainError("n must be at least 101")
+    if not 101 <= n <= 1001:
+        raise InputDomainError("n must be in [101, 1001]")
     if problem not in _PROBLEMS:
         raise InputDomainError(
             f"unknown problem {problem!r}; expected forward_min, reverse_max or mixed_maxmin"

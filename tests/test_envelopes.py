@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from dsbs_envelopes import (
     DsbsParams,
+    GridFn,
     InputDomainError,
     QParam,
+    check_monotone,
     d2,
     d2_inv,
     in_s0,
@@ -27,11 +29,7 @@ from dsbs_envelopes import (
     psi_q_full,
 )
 from dsbs_envelopes import envelopes
-from dsbs_envelopes.envelopes import (
-    _phi_tilde_oracle_lattice,
-    _psi_q_tilde_lattice,
-    _psi_tilde_oracle_lattice,
-)
+from dsbs_envelopes.envelopes import _phi_tilde_oracle_lattice
 from test_mre import _dd2_mp
 
 RHO = DsbsParams(0.9)
@@ -142,19 +140,17 @@ def test_phi_tilde_oracle_agrees_with_piecewise():
         assert np.max(np.abs(env - phi_tilde_grid(axis, axis, params))) <= 2e-5
 
 
-def test_psi_tilde_oracle_is_psi():
-    # the rearrangement leaves psi unchanged: at rho = 0.5 too, the running
-    # maximum over dominated arguments reproduces psi on every lattice point
-    params = DsbsParams(0.5)
-    axis, env = _psi_tilde_oracle_lattice(params, master_n=2001, stride=20)
-    assert np.max(np.abs(env - psi_grid(axis, axis, params))) <= 2e-5
-
-
-def test_psi_tilde_lattice_oracle_gap():
-    axis, env = _psi_tilde_oracle_lattice(RHO, master_n=2001, stride=20)
-    assert axis.shape == (101,)
-    direct = psi_grid(axis, axis, RHO)
-    assert np.max(np.abs(env - direct)) <= 1e-5
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_psi_and_negative_q_family_nondecreasing(rho):
+    # psi and phi_q for q < 0 are their own upper envelopes (the maximum
+    # over smaller arguments) because they are nondecreasing: on a 2001-point
+    # master grid every forward step rises, by far more than float noise
+    params = DsbsParams(rho)
+    axis = np.linspace(0.0, 1.0, 2001)
+    curves = envelopes._q_opt(axis, (-2.0, -10.0), params, kind="phi")[0]
+    for values in (psi_grid(axis, axis, params), *curves):
+        rep = check_monotone(GridFn(values))
+        assert rep.worst_violation < -1e-4, rep
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +215,6 @@ def test_phi_q_tilde_matches_phi_q_for_convex_q():
     curve = phi_q_full(np.linspace(0.0, 1.0, 2001), QParam.from_q(2.0), RHO)[0]
     env = np.minimum.accumulate(curve[::-1])[::-1]
     assert np.max(np.abs(env - curve)) <= 1e-6
-
-
-def test_psi_q_tilde_lattice_gap():
-    axis, env, curve = _psi_q_tilde_lattice((-2.0,), RHO, master_n=2001, stride=20)
-    assert axis.shape == (101,)
-    assert np.max(np.abs(env - curve)) <= 1e-6
-
-
-def test_psi_q_tilde_rejects_convex_range():
-    with pytest.raises(InputDomainError):
-        _psi_q_tilde_lattice((2.0,), RHO)
-    # one q >= 0 anywhere in the family rejects the whole call
-    with pytest.raises(InputDomainError):
-        _psi_q_tilde_lattice((-2.0, 2.0), RHO)
 
 
 @pytest.mark.parametrize(

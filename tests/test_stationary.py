@@ -484,3 +484,15 @@ def test_gamma_rejects_mismatched_problem():
         gamma_extremum(QParam(2.0, 2.0), RHO, "mixed_maxmin", n=101)
     with pytest.raises(InputDomainError):
         gamma_extremum(QParam(2.0, 2.0), RHO, "no_such_problem", n=101)
+
+
+@pytest.mark.parametrize("n", [100, 1002, 10**6])
+def test_gamma_rejects_grid_size_out_of_range(monkeypatch, n):
+    # an n-by-n grid is built whole, so an oversized n must fail as a
+    # DsbsError before any array exists, never as a MemoryError
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("gamma_extremum allocated before validating n")
+
+    monkeypatch.setattr(stationary.np, "linspace", no_allocation)
+    with pytest.raises(InputDomainError, match=r"n must be in \[101, 1001\]"):
+        gamma_extremum(QParam(2.0, 2.0), RHO, "forward_min", n=n)

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -119,26 +120,34 @@ def _nan_extremum(ext):
     return dataclasses.replace(ext, value=math.nan, a=math.nan, b=math.nan)
 
 
-# verify global -> (claim that reads it, its result turned to NaN)
-NAN_SOURCES = {
-    "gamma_extremum": ("H", _nan_extremum),
-    "_psi_q_tilde_lattice": ("L3", _nan_arrays),
-    "solve_root_z": ("U", lambda z: math.nan),
-    "psi": ("B", lambda v: math.nan),
-    "p_star": ("P", lambda p: np.full_like(p, np.nan)),
-    "_q_opt": ("T3", _nan_arrays),
-}
+def _nan_array(x):
+    return np.full_like(x, np.nan)
+
+
+# (verify global, a claim that reads it, its result turned to NaN); the test
+# id is the global's name, with the claim appended for its second reader
+NAN_SOURCES = [
+    ("gamma_extremum", "H", _nan_extremum),
+    ("solve_root_z", "U", lambda z: math.nan),
+    ("psi", "B", lambda v: math.nan),
+    ("p_star", "P", _nan_array),
+    ("_q_opt", "T3", _nan_arrays),
+    ("_q_opt", "L3", _nan_arrays),
+    ("psi_grid", "L2", _nan_array),
+]
+NAN_IDS = [
+    f"{name}-{cid}" if (name, cid) == ("_q_opt", "L3") else name for name, cid, _ in NAN_SOURCES
+]
 
 
 def _reject_constant(token):
     raise AssertionError(f"non-finite token {token} in report JSON")
 
 
-@pytest.mark.parametrize("name", sorted(NAN_SOURCES))
-def test_nan_fails_closed(monkeypatch, name):
+@pytest.mark.parametrize("name, cid, to_nan", NAN_SOURCES, ids=NAN_IDS)
+def test_nan_fails_closed(monkeypatch, name, cid, to_nan):
     # A value that fails to compute must fail its claim, never pass it; a
-    # raised DsbsError (T3: GridFn refuses NaN) fails the claim, not the run.
-    cid, to_nan = NAN_SOURCES[name]
+    # raised DsbsError (GridFn refuses NaN) fails the claim, not the run.
     real = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda *args, **kw: to_nan(real(*args, **kw)))
     report = verify_all(RHO, grid_n=101, options=FAST)
@@ -164,8 +173,8 @@ def test_tolerances_are_fixed():
 
 def test_report_lists_the_default_tolerances(healthy_report):
     grid_201 = verify_all(RHO, grid_n=201, options=FAST)
-    for report, n in ((healthy_report, 101), (grid_201, 201)):
-        assert report.to_json_dict()["meta"]["tolerances"] == default_tolerances(n)
+    for report in (healthy_report, grid_201):
+        assert report.to_json_dict()["meta"]["tolerances"] == default_tolerances()
 
 
 @pytest.mark.parametrize("as_bool", [False, True], ids=["float", "bool"])
@@ -192,11 +201,34 @@ def test_grid_bounds_enforced():
         verify_all(RHO, grid_n=1201, options=FAST)
 
 
-def test_default_tolerances_scale_with_grid():
-    t201 = default_tolerances(201)
-    t401 = default_tolerances(401)
-    assert t401["envelope_fixpoint"] < t201["envelope_fixpoint"]
-    assert t201["midpoint"] == 1e-9
+def test_default_tolerances_are_fixed_floats():
+    # one table for every grid: no entry depends on the grid size
+    assert not inspect.signature(default_tolerances).parameters
+    tols = default_tolerances()
+    assert sorted(tols) == [
+        "boundary_slope", "envelope_fixpoint", "midpoint", "monotone",
+        "pstar_gap", "root_residual", "slope",
+    ]
+    assert all(type(v) is float and 0.0 < v < 1.0 for v in tols.values())
+    assert tols["envelope_fixpoint"] == 1e-12
+    assert tols["midpoint"] == 1e-9
+
+
+def test_readme_sweep_table_matches_sizes():
+    # README's sweep-size table documents the code's sizes, row by row and
+    # column by column, so neither can change without the other
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| row |"))
+    rows = {}
+    for line in lines[start + 2 :]:  # past the header and its separator
+        if not line.startswith("|"):
+            break
+        label, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[label] = tuple(int(cell) for cell in cells)
+    assert rows == {
+        "full (default)": tuple(verify._SIZES[False]),
+        "`--fast`": tuple(verify._SIZES[True]),
+    }
 
 
 def test_options_validation():
