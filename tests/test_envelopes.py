@@ -153,6 +153,27 @@ def test_psi_and_negative_q_family_nondecreasing(rho):
         assert rep.worst_violation < -1e-4, rep
 
 
+def test_psi_tilde_lattice_oracle_gap():
+    # brute-force upper envelope of psi (maximum over every master grid point
+    # with s' <= s and t' <= t), read on the stride-20 lattice, is psi itself
+    grid = np.linspace(0.0, 1.0, 2001)
+    direct = psi_grid(grid, grid, RHO)
+    env = np.maximum.accumulate(np.maximum.accumulate(direct, axis=0), axis=1)
+    lattice = slice(None, None, 20)
+    assert grid[lattice].shape == (101,)
+    assert np.max(np.abs(env - direct)[lattice, lattice]) <= 1e-5
+
+
+def test_psi_q_tilde_lattice_gap():
+    # the running maximum of the q = -2 curve over smaller s is the curve
+    grid = np.linspace(0.0, 1.0, 2001)
+    curves = envelopes._q_opt(grid, (-2.0,), RHO, kind="phi")[0]
+    env = np.maximum.accumulate(curves, axis=1)
+    lattice = slice(None, None, 20)
+    assert grid[lattice].shape == (101,)
+    assert np.max(np.abs(env - curves)[:, lattice]) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # slope-indexed families
 # ---------------------------------------------------------------------------
