@@ -25,7 +25,6 @@ from .binary import (
     d2,
     d2_inv,
     h2,
-    h2_inv,
 )
 from .envelopes import (
     QParam,
@@ -112,7 +111,6 @@ __all__ = [
     "gamma_extremum",
     "h0_threshold",
     "h2",
-    "h2_inv",
     "hypercontractive_regime",
     "in_s0",
     "lower_convex_envelope",

@@ -33,7 +33,6 @@ __all__ = [
     "DsbsParams",
     "Coupling2x2",
     "h2",
-    "h2_inv",
     "d2",
     "d2_inv",
     "bconv",
@@ -124,65 +123,112 @@ def _xlogy(x, y):
     return out
 
 
-def _h2_raw(p: np.ndarray) -> np.ndarray:
-    return -(_xlogy(p, p) + _xlogy(1.0 - p, 1.0 - p)) / _LN2
-
-
 def h2(a):
     """Entropy of a bit with bias ``a``, in bits.  ``h2(0) = h2(1) = 0``."""
     scalar = np.ndim(a) == 0
     p = _prepare_prob(a, "a")
-    return _scalarize(_h2_raw(p), scalar)
+    return _scalarize(-(_xlogy(p, p) + _xlogy(1.0 - p, 1.0 - p)) / _LN2, scalar)
 
 
-def h2_inv(y):
-    """Inverse of :func:`h2` on the branch [0, 1/2].
+def _deficit_kernel(x):
+    """The deficit in nats at bias ``(1 - x)/2``, and ``atanh(x)``, its derivative in x.
 
-    Solved by bisection (64 fixed halvings, final width < 1e-18, well below
-    the documented 1e-12 guarantee).  Endpoints are exact: ``h2_inv(0) = 0``
-    and ``h2_inv(1) = 1/2``.
+    The deficit is ``x*atanh(x) + log1p(-x*x)/2``: both terms are O(x^2)
+    with ratio -2 as x -> 0, so the sum keeps the relative precision of its
+    terms all the way to x = 0.  Needs ``|x| < 1``.
     """
-    scalar = np.ndim(y) == 0
-    yv = _prepare_prob(y, "y")
-    lo = np.zeros_like(yv)
-    hi = np.full_like(yv, 0.5)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = _h2_raw(mid) < yv
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    out = np.where(yv <= 0.0, 0.0, np.where(yv >= 1.0, 0.5, out))
-    return _scalarize(out, scalar)
+    t = np.arctanh(x)
+    return x * t + 0.5 * np.log1p(-x * x), t
 
 
 def d2(a):
     """Entropy deficit of a bit with bias ``a``: ``1 - h2(a)``, in bits.
 
-    Evaluated in the direct form ``a*log2(2a) + (1-a)*log2(2-2a)``.  Its
-    absolute error stays near 1e-16, but near ``a = 1/2`` the deficit
-    shrinks like ``(1/2 - a)**2``, so the relative error grows as about
-    ``2.8e-17 / (1/2 - a)**2``: 2.7e-9 at ``1/2 - a = 1e-4`` and 2.7e-5 at
-    1e-6 (against 50-digit mpmath; the tests bound it by
-    ``5e-17 / (1/2 - a)**2 + 1e-14``).
+    Where ``|1 - 2a| <= 1/2`` it is the kernel in ``x = 1 - 2a``, which is
+    exact there (Sterbenz), so the deficit keeps its relative precision as
+    it vanishes like ``(1/2 - a)**2`` near ``a = 1/2``.  Elsewhere it is the
+    direct form ``a*log2(2a) + (1-a)*log2(2-2a)``.  The relative error is at
+    most 1e-15 for every ``a`` (at most 6.8e-16 against 50-digit mpmath).
     """
     scalar = np.ndim(a) == 0
-    p = _prepare_prob(a, "a")
-    out = (_xlogy(p, 2.0 * p) + _xlogy(1.0 - p, 2.0 - 2.0 * p)) / _LN2
-    return _scalarize(out, scalar)
+    p = np.atleast_1d(_prepare_prob(a, "a"))
+    x = 1.0 - 2.0 * p
+    out = _deficit_kernel(np.clip(x, -0.5, 0.5))[0]  # replaced where |x| > 1/2
+    far = np.abs(x) > 0.5
+    if far.any():
+        pf = p[far]
+        out[far] = _xlogy(pf, 2.0 * pf) + _xlogy(1.0 - pf, 2.0 - 2.0 * pf)
+    return _scalarize(out / _LN2, scalar)
+
+
+# Newton steps per regime of d2_inv.  From their seeds both regimes are
+# within 1.1e-7 relative of the root after 3 steps and at rounding level
+# after 5 (4 leave up to 3.5e-15 in the steep regime).
+_NEWTON_STEPS = 5
+
+
+def _d2_inv_flat(s: np.ndarray) -> np.ndarray:
+    """d2_inv for s in [0, 1/2], by Newton in ``x = 1 - 2a`` on the kernel.
+
+    The deficit is convex in x with ``D(x) >= x**2 / (2 ln 2)``, so the seed
+    ``x = sqrt(2 ln 2 s)`` lies at or above the root and the iteration
+    descends to it.  At ``s = 0`` the seed is the root x = 0, whose zero
+    derivative takes no step.
+    """
+    nats = s * _LN2
+    x = np.sqrt(2.0 * nats)
+    for _ in range(_NEWTON_STEPS):
+        value, slope = _deficit_kernel(x)
+        x -= np.divide(value - nats, slope, out=np.zeros_like(x), where=slope != 0.0)
+    return 0.5 * (1.0 - x)
+
+
+def _d2_inv_steep(s: np.ndarray) -> np.ndarray:
+    """d2_inv for s in (1/2, 1], by Newton in ``u = ln a`` on ``h2(a) = 1 - s``.
+
+    ``y = 1 - s`` is exact (Sterbenz), and ``h2`` in nats,
+    ``-(a*u + (1-a)*log1p(-a))``, is a sum of two positive terms, so ``a``
+    keeps its relative precision as s -> 1.  The seed
+    ``y / (L + log2 L + log2 e)`` with ``L = log2(1/y)`` solves h2's
+    small-a form ``a*log2(e/a) = y`` to first order.  It stays below
+    a = 0.205, inside a < 0.2178 where the equation is convex in u.  The
+    iterate is ``a`` itself: each step multiplies it by ``exp(-du)``, so no
+    rounded ``u`` is exponentiated.  ``s = 1`` gives ``a = 0`` exactly.
+    """
+    y = 1.0 - s
+    interior = y > 0.0
+    y = np.where(interior, y, 0.25)  # placeholder for s = 1, replaced below
+    nats = y * _LN2
+    bits = -np.log2(y)
+    a = y / (bits + np.log2(bits) + 1.0 / _LN2)
+    for _ in range(_NEWTON_STEPS):
+        u = np.log(a)
+        v = np.log1p(-a)
+        a *= np.exp((a * u + (1.0 - a) * v + nats) / (a * (v - u)))
+    return np.where(interior, a, 0.0)
 
 
 def d2_inv(s):
-    """Inverse of :func:`d2` on the branch [0, 1/2]: ``h2_inv(1 - s)``.
+    """Inverse of :func:`d2` on the branch [0, 1/2].
 
-    Accurate in absolute terms: ``|d2(d2_inv(s)) - s| <= 5e-16`` (at most
-    3.3e-16 against 50-digit mpmath).  Since ``1 - s`` is rounded, small
-    ``s`` loses relative precision: about 7e-7 at ``s = 1e-10``, and of
-    order 1 at ``s = 1e-16``.
+    A fixed number of Newton steps in one of two regimes
+    (`_d2_inv_flat` for ``s <= 1/2``, `_d2_inv_steep` above), one
+    vectorized path for scalars and arrays alike.  The result ``a`` has
+    relative error at most 1e-14 for every ``s`` in [0, 1] (at most 9.6e-16
+    against 50-digit mpmath, from ``s = 1e-300`` to ``1 - 1e-16``), and
+    ``|d2(a) - s| <= 5e-16`` (at most 3.3e-16 measured).  Endpoints are
+    exact: ``d2_inv(0) = 1/2`` and ``d2_inv(1) = 0``.
     """
     scalar = np.ndim(s) == 0
-    sv = _prepare_prob(s, "s")
-    return _scalarize(np.asarray(h2_inv(1.0 - sv)), scalar)
+    sv = np.atleast_1d(_prepare_prob(s, "s"))
+    out = np.empty_like(sv)
+    flat = sv <= 0.5
+    if flat.any():
+        out[flat] = _d2_inv_flat(sv[flat])
+    steep = ~flat
+    if steep.any():
+        out[steep] = _d2_inv_steep(sv[steep])
+    return _scalarize(out, scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -20,22 +20,19 @@ import numpy as np
 
 from . import __version__
 from ._svg import contour_plot, polyline_plot
-from .binary import DsbsParams, _require_finite_real, d2, d2_inv, h2
+from .binary import DsbsParams, _prepare_prob, _require_finite_real, d2, d2_inv, h2
 from .envelopes import (
     QParam,
-    in_s0,
-    phi,
     phi_grid,
     phi_q_full,
-    phi_tilde,
     phi_tilde_grid,
-    psi,
     psi_grid,
     psi_q_full,
+    _flat,
     _q_opt,
 )
 from .errors import DsbsError, InputDomainError, NoRootError
-from .mre import dd2, p_star
+from .mre import dd2, dd2_value, p_star
 from .stationary import (
     RootProblem,
     _regime_case,
@@ -96,15 +93,22 @@ def cmd_eval(args) -> int:
         res = dd2(a, b, params)
         value = res.value
         lines = [f"p_star = {_g12(res.p_star)}"]
-    elif fn in ("phi", "psi"):
+    elif fn in ("phi", "psi", "phi_tilde"):
+        # each bias is solved once; the value, the branch and p_star derive from it
         s, t = _need(args, "s", "t")
-        if fn == "phi":
-            value = phi(s, t, params)
-            a, b = d2_inv(s), d2_inv(t)
+        s, t = _prepare_prob(s, "s"), _prepare_prob(t, "t")
+        a, b = d2_inv(s), d2_inv(t)
+        if fn == "psi":
+            b = 1.0 - b
+        c = params.crossover
+        if fn == "phi_tilde" and _flat(a, b, c):
+            value, lines = s, ["branch = alpha-plane"]
+        elif fn == "phi_tilde" and _flat(b, a, c):
+            value, lines = t, ["branch = beta-plane"]
         else:
-            value = psi(s, t, params)
-            a, b = d2_inv(s), 1.0 - d2_inv(t)
-        lines = [f"p_star = {_g12(p_star(a, b, params))}"]
+            value = dd2_value(a, b, params)
+            lines = ["branch = interior"] if fn == "phi_tilde" else []
+            lines.append(f"p_star = {_g12(p_star(a, b, params))}")
     elif fn in ("phi_q", "psi_q"):
         s, q = _need(args, "s", "q")
         qp = QParam.from_q(q)
@@ -114,16 +118,6 @@ def cmd_eval(args) -> int:
         else:
             value, t_opt = psi_q_full(s, qp, params)
             lines = [f"argmax t = {_g12(t_opt)}"]
-    elif fn == "phi_tilde":
-        s, t = _need(args, "s", "t")
-        value = phi_tilde(s, t, params)
-        if in_s0(s, t, params):
-            lines = ["branch = alpha-plane"]
-        elif in_s0(t, s, params):
-            lines = ["branch = beta-plane"]
-        else:
-            a, b = d2_inv(s), d2_inv(t)
-            lines = ["branch = interior", f"p_star = {_g12(p_star(a, b, params))}"]
     else:  # pragma: no cover - argparse restricts choices
         raise InputDomainError(f"unknown function {fn!r}")
     print(_g12(value))

@@ -20,7 +20,7 @@ transposed region it equals ``beta``; elsewhere it equals ``phi`` itself.
 The two regions meet only at the origin, so branch order is immaterial.
 The branch rule lives in one private mask, which one private kernel in
 bias coordinates applies for `phi_tilde`, `phi_tilde_ab` and
-`phi_tilde_grid`; `in_s0` reads the same mask.
+`phi_tilde_grid`; `in_s0` and ``cli eval phi_tilde`` read the same mask.
 
 The upper envelopes (the maximum over smaller arguments) of ``psi`` and of
 ``phi_q`` for q < 0 are the functions themselves, because both are

@@ -1,4 +1,4 @@
-"""Scalar binary machinery: entropy, divergence, inverses, convolution."""
+"""Scalar binary machinery: entropy, divergence, the deficit inverse, convolution."""
 
 import math
 import warnings
@@ -18,7 +18,6 @@ from dsbs_envelopes import (
     d2,
     d2_inv,
     h2,
-    h2_inv,
     p_star,
     phi_q_full,
     phi_tilde_ab,
@@ -63,15 +62,15 @@ def test_d2_complement(a):
 
 @given(st.floats(min_value=1e-9, max_value=0.4999))
 @settings(max_examples=300)
-def test_h2_inv_round_trip(a):
-    assert h2_inv(h2(a)) == pytest.approx(a, abs=1e-11)
+def test_d2_inv_of_d2_round_trip(a):
+    assert d2_inv(d2(a)) == pytest.approx(a, abs=1e-15)
 
 
 @given(st.floats(min_value=0.4999, max_value=0.5))
-def test_h2_inv_round_trip_flat_top(a):
-    # h2 is quadratically flat at 1/2, so the inverse can only recover
-    # a to ~sqrt(ulp) there; 1e-8 is the conditioning-limited bound.
-    assert h2_inv(h2(a)) == pytest.approx(a, abs=1e-8)
+def test_d2_inv_of_d2_round_trip_flat_top(a):
+    # d2 is quadratically flat at 1/2, but it keeps its relative precision
+    # there and d2_inv solves in x = 1 - 2a, so a comes back to rounding level
+    assert d2_inv(d2(a)) == pytest.approx(a, abs=1e-15)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
@@ -96,14 +95,55 @@ def _per_decade(lo: int, hi: int, n: int, seed: int) -> np.ndarray:
     return 10.0 ** np.concatenate([rng.uniform(k, k + 1, n) for k in range(lo, hi)])
 
 
+def _d2_inv_mp(s: float):
+    """The root a in [0, 1/2] of d2(a) = s, by Newton in x = 1 - 2a at 80 digits.
+
+    For s <= 1/2 the seed sqrt(2 ln2 s) lies above the root (the deficit is
+    convex in x and at least x^2/2 in nats); above 1/2 that seed can pass 1,
+    so the iteration starts from the float answer.  Either way the root is
+    accepted only with a residual below 1e-60 and a in [0, 1/2], where d2
+    decreases, so it is the unique root whatever the seed.
+    """
+    with mpmath.workdps(80):
+        nats = mpmath.mpf(s) * mpmath.log(2)
+        x = mpmath.sqrt(2 * nats) if s <= 0.5 else 1 - 2 * mpmath.mpf(d2_inv(s))
+        for _ in range(12):
+            x -= (x * mpmath.atanh(x) + mpmath.log1p(-x * x) / 2 - nats) / mpmath.atanh(x)
+        assert abs(x * mpmath.atanh(x) + mpmath.log1p(-x * x) / 2 - nats) <= 1e-60 * nats, s
+        a = (1 - x) / 2
+        assert 0 <= a <= 0.5, s
+        return a
+
+
 def test_d2_relative_precision_near_half():
-    # absolute error ~1e-16 on a deficit ~2.9*(1/2 - a)^2: the relative
-    # error the d2 docstring states
-    for gap in _per_decade(-7, 0, 30, seed=3):
-        a = 0.5 - min(gap, 0.5)
-        ref = _d2_mp(a)
-        rel = float(abs((d2(a) - ref) / ref))
-        assert rel <= 5e-17 / (0.5 - a) ** 2 + 1e-14, (a, rel)
+    # the kernel in x = 1 - 2a keeps d2's relative precision as the deficit
+    # vanishes like (1/2 - a)^2, on both sides of 1/2
+    gaps = _per_decade(-16, 0, 30, seed=3)
+    for a in np.concatenate([0.5 - np.minimum(gaps, 0.5), 0.5 + np.minimum(gaps, 0.5)]):
+        if a != 0.5:
+            ref = _d2_mp(a)
+            assert float(abs((d2(a) - ref) / ref)) <= 1e-15, a
+
+
+def test_d2_relative_precision_across_unit_interval():
+    # the bound the d2 docstring states, on both forms: uniform points, the
+    # switch at |1 - 2a| = 1/2, and the tails near 0 and 1
+    rng = np.random.default_rng(9)
+    tails = _per_decade(-300, 0, 1, seed=10)
+    switch = [0.25, 0.75, np.nextafter(0.25, 0.0), np.nextafter(0.75, 1.0)]
+    a = np.concatenate([rng.uniform(0.0, 1.0, 400), tails, 1.0 - tails[-16:], switch])
+    for ai, got in zip(a, d2(a)):
+        ref = _d2_mp(ai)
+        assert float(abs((got - ref) / ref)) <= 1e-15, ai
+
+
+def test_d2_inv_relative_precision():
+    # the bound the d2_inv docstring states: s per decade from 1e-300 to 1,
+    # and s = 1 - 10^k (k = -16..-1), where a -> 0 and 1 - s carries its digits
+    s = np.concatenate([_per_decade(-300, 0, 1, seed=12), 1.0 - 10.0 ** np.arange(-16.0, 0.0)])
+    for si, got in zip(s, d2_inv(s)):
+        ref = _d2_inv_mp(si)
+        assert float(abs((got - ref) / ref)) <= 1e-14, si
 
 
 def test_d2_inv_absolute_precision():
@@ -145,20 +185,35 @@ def test_xlogy_zero_x_and_types():
     assert type(_xlogy(0.3, 0.5)) is float
 
 
-def test_h2_inv_is_left_branch():
-    # the inverse always lands in [0, 1/2]
-    assert h2_inv(0.0) == 0.0
-    assert h2_inv(1.0) == pytest.approx(0.5, abs=1e-12)
-    assert h2_inv(h2(0.9)) == pytest.approx(0.1, abs=1e-11)
+def test_d2_inv_is_left_branch():
+    # the inverse always lands in [0, 1/2], with exact endpoints
+    assert d2_inv(0.0) == 0.5
+    assert d2_inv(1.0) == 0.0
+    assert d2_inv(d2(0.9)) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_h2_rejects_out_of_range():
     with pytest.raises(InputDomainError):
         h2(1.2)
     with pytest.raises(InputDomainError):
-        h2_inv(1.01)
+        d2_inv(1.01)
     with pytest.raises(InputDomainError):
         d2_inv(-0.01)
+
+
+def test_d2_inv_input_forms():
+    # one vectorized path: scalars go through it as 1-element arrays, so a
+    # scalar and the same point inside an array agree bit for bit
+    s = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-300, 0.5, np.nextafter(0.5, 1.0), 1.0 - 2.0**-53]])
+    out = d2_inv(s)
+    assert isinstance(out, np.ndarray) and out.shape == s.shape
+    assert np.array_equal(out, [d2_inv(float(x)) for x in s])
+    assert np.array_equal(d2_inv(s.reshape(3, 35)), out.reshape(3, 35))
+    for x in (np.float64(0.3), np.asarray(0.3), 0.3, 1):
+        assert type(d2_inv(x)) is float
+    assert d2_inv(np.float64(0.3)) == d2_inv(np.asarray(0.3)) == out[30]
+    empty = d2_inv(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_h2_vectorized():
@@ -261,11 +316,15 @@ def test_prepare_prob_empty_and_integer_input():
         _prepare_prob([[0.5, math.nan], [-5.0, 0.5]], "a")  # finiteness is checked first
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1e-11, 1.0 + 1e-11, np.array([0.5, math.inf])])
+@pytest.mark.parametrize(
+    "bad", [math.nan, -1e-11, 1.0 + 1e-11, np.array([0.5, math.inf]), math.inf, -math.inf]
+)
 def test_public_functions_reject_bad_probability(bad):
+    # a RuntimeWarning on the way fails the test too (filterwarnings in pyproject.toml)
     params = DsbsParams(0.9)
     for call in (
         lambda: d2(bad),
+        lambda: d2_inv(bad),
         lambda: dd2_value(0.3, bad, params),
         lambda: dd2_value(bad, 0.3, params),
         lambda: p_star(bad, 0.3, params),
