@@ -28,7 +28,6 @@ from .binary import (
 )
 from .envelopes import (
     QParam,
-    in_s0,
     phi,
     phi_grid,
     phi_q_full,
@@ -112,7 +111,6 @@ __all__ = [
     "h0_threshold",
     "h2",
     "hypercontractive_regime",
-    "in_s0",
     "lower_convex_envelope",
     "p_star",
     "phi",

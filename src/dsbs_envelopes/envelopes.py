@@ -20,7 +20,7 @@ transposed region it equals ``beta``; elsewhere it equals ``phi`` itself.
 The two regions meet only at the origin, so branch order is immaterial.
 The branch rule lives in one private mask, which one private kernel in
 bias coordinates applies for `phi_tilde`, `phi_tilde_ab` and
-`phi_tilde_grid`; `in_s0` and ``cli eval phi_tilde`` read the same mask.
+`phi_tilde_grid`; ``cli eval phi_tilde`` reads the same mask.
 
 The upper envelopes (the maximum over smaller arguments) of ``psi`` and of
 ``phi_q`` for q < 0 are the functions themselves, because both are
@@ -46,7 +46,6 @@ from .mre import _dd2_slope, dd2_value
 
 __all__ = [
     "QParam",
-    "in_s0",
     "phi",
     "psi",
     "phi_grid",
@@ -58,7 +57,10 @@ __all__ = [
     "phi_tilde_ab",
 ]
 
-_CHUNK_ROWS = 256  # row blocking for the dense grid evaluators
+# Elements per chunk of a dense grid evaluation: each float64 temporary of
+# the surface kernel is then 256 KB, and the few that one chunk holds at a
+# time stay in L2 cache (see the `mre` module docstring).
+_BLOCK_ELEMS = 1 << 15
 
 
 def _inv_or_inf(x: float) -> float:
@@ -124,18 +126,6 @@ def _phi_tilde_kernel(a, b, val_a, val_b, params: DsbsParams):
     return np.where(_flat(a, b, c), val_a, np.where(_flat(b, a, c), val_b, vals))
 
 
-def in_s0(alpha, beta, params: DsbsParams):
-    """Membership of (alpha, beta) in the flat region where the envelope is alpha.
-
-    The transposed region, where the envelope is beta, is ``in_s0(beta, alpha)``.
-    """
-    scalar = np.ndim(alpha) == 0 and np.ndim(beta) == 0
-    a = np.asarray(d2_inv(_prepare_prob(alpha, "alpha")))
-    b = np.asarray(d2_inv(_prepare_prob(beta, "beta")))
-    out = _flat(a, b, params.crossover)
-    return bool(out) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # surface slices
 # ---------------------------------------------------------------------------
@@ -156,11 +146,22 @@ def psi(s, t, params: DsbsParams):
     return dd2_value(d2_inv(sv), 1.0 - b, params)
 
 
+def _rows_per_chunk(n_cols: int) -> int:
+    """Rows of ``n_cols`` elements that fit the element budget ``_BLOCK_ELEMS`` (at least 1)."""
+    return max(1, _BLOCK_ELEMS // max(n_cols, 1))
+
+
 def _outer_eval(n_rows: int, n_cols: int, block) -> np.ndarray:
-    """An n_rows x n_cols grid filled by ``block(rows)``, one row slice at a time."""
+    """An n_rows x n_cols grid filled by ``block(rows)``, one row slice at a time.
+
+    Each slice holds as many rows as fit the element budget
+    ``_BLOCK_ELEMS``, so that the surface kernel's temporaries for one
+    slice stay in L2 cache.
+    """
     out = np.empty((n_rows, n_cols))
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
+    step = _rows_per_chunk(n_cols)
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
         out[rows] = block(rows)
     return out
 
@@ -249,7 +250,10 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     the 2001-point seeding grid ``b_k = d2_inv(k/2000)`` (which guards
     against missed basins).  The surface term ``slice(a, b_k)`` does not
     depend on q: each chunk of rows evaluates it once as a table, and every
-    q scores its grid cells from that table.  Each q's winning cell is then
+    q scores its grid cells from that table, in one reused buffer.  A chunk
+    holds as many rows as fit the element budget ``_BLOCK_ELEMS``, so
+    that the table, the score buffer and the surface kernel's temporaries
+    stay in L2 cache.  Each q's winning cell is then
     refined on the closed-form derivative of the same function of b
     (`_q_slope`): a lockstep safeguarded Newton iteration (`newton_root_vec`)
     on the bracket of the two neighbouring grid points, in the search
@@ -286,14 +290,20 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     shape = (len(qs), s_vals.size)
     best_val = np.empty(shape)
     best_idx = np.empty(shape, dtype=int)
-    for start in range(0, s_vals.size, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, s_vals.size))
+    d2_over_q = [d2_grid / q for q in qs]
+    step = _rows_per_chunk(_T_GRID_N)
+    score = np.empty((min(step, s_vals.size), _T_GRID_N))
+    for start in range(0, s_vals.size, step):
+        rows = slice(start, min(start + step, s_vals.size))
         table = dd2_value(a_axis[rows, None], slice_grid[None, :], params)
-        for k, q in enumerate(qs):
-            block = sign * (table - d2_grid / q)
+        block = score[: table.shape[0]]
+        for k in range(len(qs)):
+            np.subtract(table, d2_over_q[k], out=block)
+            if not minimize:
+                np.negative(block, out=block)
             best_idx[k, rows] = np.argmin(block, axis=1)
             best_val[k, rows] = np.take_along_axis(block, best_idx[k, rows, None], axis=1)[:, 0]
-        table = block = None  # freed before the next table and the refinement: peak memory
+    table = block = score = None  # freed before the refinement: peak memory
     values = sign * best_val
     t_opt = d2_grid[best_idx]
     for k, q in enumerate(qs):

@@ -202,22 +202,24 @@ def _midpoint_convex_2d_full(v: np.ndarray) -> ConvexityReport:
     witness = None
     n_pairs = 0
     half = (n - 1) // 2
+    buf = np.empty(v.size)  # every offset's violations, computed in place
     for di in range(0, half + 1):
         dj_start = 1 if di == 0 else -half
         for dj in range(dj_start, half + 1):
-            if di == 0 and dj <= 0:
-                continue
             adj = abs(dj)
             mid = v[di : n - di, adj : n - adj]
             left = v[0 : n - 2 * di, adj - dj : n - adj - dj]
             right = v[2 * di : n, adj + dj : n - adj + dj]
-            viol = mid - 0.5 * (left + right)
+            viol = buf[: mid.size].reshape(mid.shape)
+            np.add(left, right, out=viol)
+            viol *= 0.5
+            np.subtract(mid, viol, out=viol)
             n_pairs += viol.size
-            flat = int(np.argmax(viol))
-            if viol.flat[flat] > worst:
-                worst = float(viol.flat[flat])
-                i, j = np.unravel_index(flat, viol.shape)
-                witness = ((int(i), int(j + adj - dj)), (int(i + 2 * di), int(j + adj + dj)))
+            flat = int(viol.argmax())
+            if buf[flat] > worst:
+                worst = float(buf[flat])
+                i, j = divmod(flat, viol.shape[1])
+                witness = ((i, j + adj - dj), (i + 2 * di, j + adj + dj))
     return _report(worst, witness, n_pairs)
 
 

@@ -19,9 +19,23 @@ The discriminant satisfies ``Delta >= 1`` everywhere on the unit square
 ``1 + 4*(k-1)*a*(1-a)``), so neither the square root nor the division ever
 loses precision.
 
+One kernel evaluates the surface: `_p_star` builds p* in place in four
+buffers of the broadcast shape, and `_divergence` takes the clipped cells
+of any p and sums their KL terms with every log in one unmasked pass.  Both
+perform the same floating-point operations, in the same order, as the
+plain array expressions they stand for, so their results do not depend on
+how an input is split.  0-d biases go through the array kernel as
+1-element arrays; only the divergence of 0-d input takes a float path,
+because it must use ``math.log``.  Each temporary has the broadcast shape
+of the input, so the dense grid evaluators of `envelopes` call the kernel
+in row chunks of at most ``envelopes._BLOCK_ELEMS`` = 2^15 elements: one
+chunk's temporaries (256 KB each) then stay in a core's L2 cache, where a
+whole-table evaluation streamed every temporary through memory.
+
 A vectorized brute-force minimizer over the segment
 (`_dd2_oracle_batch`, used by claim P) is the independent check of the
-closed form; it never consults the quadratic.
+closed form; it keeps its own golden-section p and never consults the
+quadratic, and shares only `_divergence` with it.
 """
 
 from __future__ import annotations
@@ -32,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import golden_min_vec
-from .binary import Coupling2x2, DsbsParams, _prepare_prob, _scalarize, _xlogy
-from .errors import InconsistencyError
+from .binary import Coupling2x2, DsbsParams, _prepare_prob
+from .errors import InconsistencyError, InputDomainError
 
 __all__ = [
     "MreResult",
@@ -43,6 +57,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_BROKEN_DISCRIMINANT = "negative discriminant in p_star; invariant Delta >= 1 broken"
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,60 +73,117 @@ def _feasible_interval(a, b):
     return np.maximum(0.0, a + b - 1.0), np.minimum(a, b)
 
 
-def _kl_cells(q00, q01, q10, q11, params: DsbsParams):
-    """KL of coupling cells against the source matrix, in bits (vectorized)."""
-    agree = 0.25 * (1.0 + params.rho)
-    differ = 0.25 * (1.0 - params.rho)
-    total = (
-        _xlogy(q00, q00 / agree)
-        + _xlogy(q01, q01 / differ)
-        + _xlogy(q10, q10 / differ)
-        + _xlogy(q11, q11 / agree)
-    )
-    return total / _LN2
+def _check_broadcast(a, b) -> None:
+    """A pair of shapes that do not broadcast together is an input error."""
+    try:
+        np.broadcast(a, b)
+    except ValueError:
+        raise InputDomainError(
+            f"a and b must broadcast together, got shapes {np.shape(a)} and {np.shape(b)}"
+        ) from None
+
+
+def _p_star(a, b, params: DsbsParams):
+    """:func:`p_star` on biases that :func:`_prepare_prob` has already validated.
+
+    A float for 0-d ``a`` and ``b``, which go through as 1-element arrays;
+    otherwise a new array of their broadcast shape, built in place in four
+    buffers of that shape.
+    """
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    if scalar:
+        a, b = np.array([a]), np.array([b])
+    k = params.k
+    s = np.add(a, b)
+    t = np.multiply(s, k - 1.0)
+    t += 1.0
+    delta = np.multiply(t, t)
+    p = np.multiply(a * (4.0 * k * (k - 1.0)), b)
+    delta -= p
+    if delta.min(initial=0.0) < -1e-12:
+        raise InconsistencyError(_BROKEN_DISCRIMINANT)
+    np.maximum(delta, 0.0, out=delta)
+    np.sqrt(delta, out=delta)
+    delta += t
+    np.multiply(a * (2.0 * k), b, out=p)
+    p /= delta
+    s -= 1.0
+    lo = np.maximum(0.0, s, out=s)
+    hi = np.minimum(a, b, out=t)
+    if scalar:
+        # numpy's clip of 0-d operands keeps p where it ties a bound, and its
+        # clip of arrays takes the bound: at a = -0.0, b = +-0.0 the two
+        # differ in the sign of a zero p*
+        return float(np.clip(p[0], lo[0], hi[0]))
+    np.maximum(p, lo, out=p)  # with the next line, np.clip(p, lo, hi) to the sign of a zero
+    return np.minimum(p, hi, out=p)
 
 
 def _cells(a, b, p):
-    """Cells (q00, q01, q10, q11) of the coupling with P(1,1)=p, clipped at 0 for fp spill."""
-    return (
-        np.maximum(1.0 + p - a - b, 0.0),
-        np.maximum(b - p, 0.0),
-        np.maximum(a - p, 0.0),
-        np.maximum(p, 0.0),
-    )
+    """The cells q00, q01, q10, q11 of the coupling with P(1,1) = p.
+
+    Stacked along a new leading axis of one new array of the broadcast
+    shape of ``a``, ``b`` and ``p``, each clipped at 0 for fp spill.
+    """
+    q = np.empty((4,) + np.broadcast(a, b, p).shape)
+    cell = [q[i, ...] for i in range(4)]  # views, also for 0-d input
+    np.add(p, 1.0, out=cell[0])
+    cell[0] -= a
+    cell[0] -= b
+    np.subtract(b, p, out=cell[1])
+    np.subtract(a, p, out=cell[2])
+    cell[3][...] = p
+    return np.maximum(q, 0.0, out=q)
 
 
-def _objective(a, b, p, params: DsbsParams):
-    """Divergence of the coupling with P(1,1)=p; cells clipped at 0 for fp spill."""
-    return _kl_cells(*_cells(a, b, p), params)
+def _divergence(a, b, p, params: DsbsParams):
+    """Divergence in bits of the coupling with P(1,1) = p against the source.
 
-
-def _p_star(av, bv, params: DsbsParams):
-    """:func:`p_star` on biases that :func:`_prepare_prob` has already validated."""
-    k = params.k
-    t = (k - 1.0) * (av + bv) + 1.0
-    delta = t * t - 4.0 * k * (k - 1.0) * av * bv
-    if np.any(delta < -1e-12):
-        raise InconsistencyError("negative discriminant in p_star; invariant Delta >= 1 broken")
-    p = 2.0 * k * av * bv / (t + np.sqrt(np.maximum(delta, 0.0)))
-    lo, hi = _feasible_interval(av, bv)
-    return np.clip(p, lo, hi)
+    The cells are clipped at 0 for fp spill, and an empty cell adds 0.  A
+    float for 0-d ``a``, ``b`` and ``p``, by ``math.log``; otherwise a new
+    array of their broadcast shape.  The array path takes
+    every log in one unmasked pass over the stacked cells: an empty cell
+    gives ``0 * log 0 = NaN`` there, which a fix-up replaces by the cell's
+    own zero.  The terms are summed in cell order.
+    """
+    agree = 0.25 * (1.0 + params.rho)
+    differ = 0.25 * (1.0 - params.rho)
+    if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(p) == 0:
+        a, b, p = float(a), float(b), float(p)
+        terms = []
+        for x, ref in zip((1.0 + p - a - b, b - p, a - p, p), (agree, differ, differ, agree)):
+            q = x if x > 0.0 else 0.0
+            terms.append(q * math.log(q / ref) if q else q)
+        return (terms[0] + terms[1] + terms[2] + terms[3]) / _LN2
+    q = _cells(a, b, p)
+    refs = np.array([agree, differ, differ, agree]).reshape((4,) + (1,) * (q.ndim - 1))
+    terms = np.divide(q, refs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(terms, out=terms)
+        terms *= q
+    if q.min(initial=1.0) == 0.0:
+        np.copyto(terms, q, where=q == 0.0)
+    total = np.add(terms[0], terms[1])
+    total += terms[2]
+    total += terms[3]
+    total /= _LN2
+    return total
 
 
 def p_star(a, b, params: DsbsParams):
     """Minimizing cell mass p on the feasible segment, by the stable quadratic root."""
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
-    return _scalarize(_p_star(av, bv, params), scalar)
+    _check_broadcast(av, bv)
+    return _p_star(av, bv, params)
 
 
 def dd2_value(a, b, params: DsbsParams):
     """Minimum divergence for marginal biases (a, b), in bits (vectorized)."""
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
-    return _scalarize(_objective(av, bv, _p_star(av, bv, params), params), scalar)
+    _check_broadcast(av, bv)
+    return _divergence(av, bv, _p_star(av, bv, params), params)
 
 
 def _dd2_slope(a, b, params: DsbsParams):
@@ -150,12 +222,11 @@ def dd2(a: float, b: float, params: DsbsParams) -> MreResult:
     """Minimum divergence together with its minimizer and witness coupling."""
     av = float(_prepare_prob(a, "a"))
     bv = float(_prepare_prob(b, "b"))
-    p = float(_p_star(av, bv, params))
+    p = _p_star(av, bv, params)
     # Rebuild cells from exact marginal arithmetic, then snap fp spill.
     cells = np.maximum([1.0 + p - av - bv, bv - p, av - p, p], 0.0)
     coupling = Coupling2x2(*(cells / cells.sum()))
-    value = float(_objective(av, bv, p, params))
-    return MreResult(value=value, p_star=p, coupling=coupling)
+    return MreResult(value=_divergence(av, bv, p, params), p_star=p, coupling=coupling)
 
 
 def _argmin_polish(a, b, p, params: DsbsParams):
@@ -174,9 +245,9 @@ def _argmin_polish(a, b, p, params: DsbsParams):
         np.minimum(b - p, a - p),
     )
     h = 2e-5 * np.maximum(cell_min, 0.0)
-    f_lo = _objective(a, b, p - h, params)
-    f_mid = _objective(a, b, p, params)
-    f_hi = _objective(a, b, p + h, params)
+    f_lo = _divergence(a, b, p - h, params)
+    f_mid = _divergence(a, b, p, params)
+    f_hi = _divergence(a, b, p + h, params)
     denom = f_hi - 2.0 * f_mid + f_lo
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(denom > 0.0, 0.5 * h * (f_lo - f_hi) / denom, 0.0)
@@ -196,10 +267,10 @@ def _dd2_oracle_batch(a, b, params: DsbsParams):
     lo, hi = _feasible_interval(av, bv)
     point = hi - lo <= 0.0
     p_opt, f_opt = golden_min_vec(
-        lambda p: _objective(av, bv, p, params), lo, np.maximum(hi, lo + 1e-300)
+        lambda p: _divergence(av, bv, p, params), lo, np.maximum(hi, lo + 1e-300)
     )
     p_opt = _argmin_polish(av, bv, p_opt, params)
-    f_opt = np.minimum(f_opt, _objective(av, bv, p_opt, params))
+    f_opt = np.minimum(f_opt, _divergence(av, bv, p_opt, params))
     p_opt = np.where(point, lo, p_opt)
-    f_opt = np.where(point, _objective(av, bv, lo, params), f_opt)
+    f_opt = np.where(point, _divergence(av, bv, lo, params), f_opt)
     return p_opt, f_opt

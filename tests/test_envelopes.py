@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,7 +18,6 @@ from dsbs_envelopes import (
     check_monotone,
     d2,
     d2_inv,
-    in_s0,
     phi,
     phi_grid,
     phi_q_full,
@@ -76,15 +76,20 @@ def test_grids_match_pointwise():
 # ---------------------------------------------------------------------------
 
 
+def _in_s0(alpha, beta):
+    """The branch mask of S0 at deficits (alpha, beta), through the d2_inv biases."""
+    return envelopes._flat(np.asarray(d2_inv(alpha)), np.asarray(d2_inv(beta)), RHO.crossover)
+
+
 def test_phi_tilde_piecewise_branches():
     # beta-plane: alpha = 0 forces the value beta exactly; the transposed
-    # region is in_s0 with its arguments swapped
+    # region is S0 with its arguments swapped
     assert phi_tilde(0.0, 0.7, RHO) == 0.7
-    assert in_s0(0.7, 0.0, RHO) and not in_s0(0.0, 0.7, RHO)
+    assert _in_s0(0.7, 0.0) and not _in_s0(0.0, 0.7)
     # alpha-plane by symmetry
     assert phi_tilde(0.7, 0.0, RHO) == 0.7
     # interior point: strictly above both flat values
-    assert not in_s0(0.7, 0.7, RHO)
+    assert not _in_s0(0.7, 0.7)
     assert phi_tilde(0.7, 0.7, RHO) == pytest.approx(0.7418130313508429, abs=1e-13)
 
 
@@ -93,8 +98,8 @@ def test_phi_tilde_branches_follow_in_s0_on_lattice():
     axis = np.linspace(0.0, 1.0, 101)
     alpha, beta = np.meshgrid(axis, axis, indexing="ij")
     values = phi_tilde(alpha, beta, RHO)
-    flat_alpha = in_s0(alpha, beta, RHO)
-    flat_beta = in_s0(beta, alpha, RHO) & ~flat_alpha
+    flat_alpha = _in_s0(alpha, beta)
+    flat_beta = _in_s0(beta, alpha) & ~flat_alpha
     interior = ~(flat_alpha | flat_beta)
     assert flat_alpha.any() and flat_beta.any() and interior.any()
     assert np.array_equal(values[flat_alpha], alpha[flat_alpha])
@@ -244,7 +249,8 @@ def test_phi_q_tilde_matches_phi_q_for_convex_q():
 def test_q_family_rows_match_one_q_calls(monkeypatch, kind, qs):
     # One surface table per row chunk scores every q, and each q keeps its
     # own refinement, so a batched row is the one-q answer bit for bit, also
-    # when the rows cross chunk edges (7-row chunks against one 256-row one).
+    # when the rows cross chunk edges (an element budget of 7 rows of the
+    # seeding grid against the default budget's 16-row chunks).
     one_q = phi_q_full if kind == "phi" else psi_q_full
     s = np.linspace(0.0, 1.0, 23)
     ref = [one_q(s, QParam.from_q(q), RHO) for q in qs]
@@ -252,7 +258,8 @@ def test_q_family_rows_match_one_q_calls(monkeypatch, kind, qs):
     ref_points = {
         name: [one_q(point, QParam.from_q(q), RHO) for q in qs] for name, point in points.items()
     }
-    monkeypatch.setattr(envelopes, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", 7 * envelopes._T_GRID_N)
+    assert envelopes._rows_per_chunk(envelopes._T_GRID_N) == 7
     values, t_opt = envelopes._q_opt(s, qs, RHO, kind=kind)
     assert values.shape == t_opt.shape == (len(qs), s.size)
     for k, (v_ref, t_ref) in enumerate(ref):
@@ -266,6 +273,21 @@ def test_q_family_rows_match_one_q_calls(monkeypatch, kind, qs):
             assert np.array_equal(t_opt[k], np.atleast_1d(t_ref)), name
     assert isinstance(ref_points["scalar"][0][0], float)
     assert ref_points["1-element"][0][0].shape == (1,)
+
+
+def test_q_opt_peak_memory_stays_within_the_element_budget():
+    # The element budget sizes _q_opt's own chunks (the surface table, the
+    # score buffer and the kernel's temporaries), so a 501-point family of
+    # two q values peaks at a few of those chunks, not at 501 x 2001 tables.
+    envelopes._seed_grid()  # built once per process, outside a call's working set
+    s = np.linspace(0.0, 1.0, 501)
+    tracemalloc.start()
+    try:
+        envelopes._q_opt(s, (-2.0, -10.0), DsbsParams(0.9), kind="phi")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 def _q_family_mp(kind, s, q, rho, b_start):

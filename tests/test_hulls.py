@@ -242,6 +242,53 @@ def test_midpoint_convex_2d_full_enumeration():
     assert rep2.worst_violation > 1e-9
 
 
+def _midpoint_oracle_2d(v: np.ndarray) -> tuple:
+    """The full 2-D midpoint enumeration as a plain slicing loop.
+
+    Fresh temporaries for every offset, the same offset order and the same
+    first-wins tie-breaking as the certifier's in-place buffer, so the two
+    must report the same (worst, witness, n_pairs) bit for bit.
+    """
+    n = v.shape[0]
+    worst, witness, n_pairs = -np.inf, None, 0
+    half = (n - 1) // 2
+    for di in range(0, half + 1):
+        for dj in range(1 if di == 0 else -half, half + 1):
+            adj = abs(dj)
+            mid = v[di : n - di, adj : n - adj]
+            left = v[0 : n - 2 * di, adj - dj : n - adj - dj]
+            right = v[2 * di : n, adj + dj : n - adj + dj]
+            viol = mid - 0.5 * (left + right)
+            n_pairs += viol.size
+            flat = int(np.argmax(viol))
+            if viol.flat[flat] > worst:
+                worst = float(viol.flat[flat])
+                i, j = np.unravel_index(flat, viol.shape)
+                witness = ((int(i), int(j + adj - dj)), (int(i + 2 * di), int(j + adj + dj)))
+    return worst, witness, n_pairs
+
+
+@pytest.mark.parametrize("n", [3, 4, 51, 101])
+def test_midpoint_2d_full_matches_slicing_oracle(n):
+    rng = np.random.default_rng(n)
+    x = np.linspace(0.0, 1.0, n)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    planted = x[:, None] ** 2 + x[None, :] ** 2
+    planted[n // 2, (n - 1) // 3] += 0.01
+    grids = {
+        "random": rng.normal(size=(n, n)),
+        # exact integer values: every violation is 0, so only the
+        # tie-breaking picks the witness
+        "affine": 2.0 * i - 3.0 * j + 1.0,
+        "planted": planted,
+    }
+    for name, v in grids.items():
+        rep = hulls._midpoint_convex_2d_full(v)
+        worst, witness, n_pairs = _midpoint_oracle_2d(v)
+        assert np.float64(rep.worst_violation).tobytes() == np.float64(worst).tobytes(), name
+        assert (rep.witness, rep.n_pairs) == (witness, n_pairs), name
+
+
 def test_midpoint_concave_mirrors_convex():
     rep = check_midpoint_concave(_grid(lambda x: -((x - 0.4) ** 2)))
     assert rep.worst_violation <= 1e-9

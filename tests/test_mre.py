@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from dsbs_envelopes import Coupling2x2, DsbsParams, InconsistencyError, dd2, p_star
+from dsbs_envelopes import Coupling2x2, DsbsParams, InconsistencyError, InputDomainError, d2_inv, dd2, p_star
+from dsbs_envelopes import envelopes
+from dsbs_envelopes.binary import _xlogy
 from dsbs_envelopes.mre import _cells, _dd2_oracle_batch, _dd2_slope, _p_star, dd2_value
 
 RHO = DsbsParams(0.9)
@@ -167,3 +169,83 @@ def test_dd2_slope_at_an_empty_cell_is_silent():
         slope, curvature = _dd2_slope(np.array([0.3, 0.0]), np.array([0.0, 0.2]), RHO)
     assert slope[0] == -math.inf
     assert curvature[1] == pytest.approx((1 / 0.8 + 1 / 0.2) / math.log(2.0), rel=1e-15)
+    # 0-d biases give the 1-element values
+    slope_0d, curvature_0d = _dd2_slope(np.float64(0.0), np.float64(0.2), RHO)
+    assert np.ndim(slope_0d) == np.ndim(curvature_0d) == 0
+    assert (slope_0d, curvature_0d) == (slope[1], curvature[1])
+
+
+@pytest.mark.parametrize("fn", [dd2_value, p_star], ids=["dd2_value", "p_star"])
+def test_shapes_that_do_not_broadcast_are_input_errors(fn):
+    with pytest.raises(InputDomainError, match=r"shapes \(3,\) and \(4,\)"):
+        fn(np.full(3, 0.2), np.full(4, 0.3), RHO)
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernel against the allocating composition it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_p_star(av, bv, params):
+    """p* computed with one fresh array per operation, in the kernel's order."""
+    k = params.k
+    t = (k - 1.0) * (av + bv) + 1.0
+    delta = t * t - 4.0 * k * (k - 1.0) * av * bv
+    p = 2.0 * k * av * bv / (t + np.sqrt(np.maximum(delta, 0.0)))
+    return np.clip(p, np.maximum(0.0, av + bv - 1.0), np.minimum(av, bv))
+
+
+def _reference_dd2(av, bv, params):
+    """dd2 as the cells-then-KL composition: 0-d biases take the scalar log path."""
+    p = _reference_p_star(av, bv, params)
+    agree = 0.25 * (1.0 + params.rho)
+    differ = 0.25 * (1.0 - params.rho)
+    q00 = np.maximum(1.0 + p - av - bv, 0.0)
+    q01 = np.maximum(bv - p, 0.0)
+    q10 = np.maximum(av - p, 0.0)
+    q11 = np.maximum(p, 0.0)
+    total = (
+        _xlogy(q00, q00 / agree)
+        + _xlogy(q01, q01 / differ)
+        + _xlogy(q10, q10 / differ)
+        + _xlogy(q11, q11 / agree)
+    )
+    return total / math.log(2.0)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rho", [1e-5, 0.5, 0.9, 0.99999])
+def test_kernel_matches_the_reference_composition_bit_for_bit(monkeypatch, rho):
+    # Biases a in [0, 1/2] from d2_inv (both ends included) against the phi
+    # slice b and the psi slice 1 - b, so b = 0 and b = 1 empty cells.
+    params = DsbsParams(rho)
+    s_axis, t_axis = np.linspace(0.0, 1.0, 23), np.linspace(0.0, 1.0, 37)
+    a_axis, b_axis = np.asarray(d2_inv(s_axis)), np.asarray(d2_inv(t_axis))
+    cases = {}
+    for name, b in (("phi", b_axis), ("psi", 1.0 - b_axis)):
+        cases[f"{name} scalars"] = [(np.float64(x), np.float64(y)) for x in a_axis[::4] for y in b[::6]]
+        cases[f"{name} 1-element"] = [(a_axis[i : i + 1], b[j : j + 1]) for i, j in ((0, 0), (5, 36), (22, 17))]
+        cases[f"{name} 1-D"] = [(a_axis, b[: a_axis.size]), (a_axis[3], b), (a_axis, b[7])]
+        cases[f"{name} grids"] = [(a_axis[:, None], b[None, :]), (a_axis[None, :], b[:, None])]
+    # a -0.0 bias reaches the kernel unchanged, and p* keeps numpy's sign of zero
+    edges = (-0.0, 0.0, 0.3, 1.0)
+    cases["signed zeros"] = [(np.float64(x), np.float64(y)) for x in edges for y in edges]
+    cases["signed zeros"].append((np.array(edges)[:, None], np.array(edges)[None, :]))
+    for name, pairs in cases.items():
+        for a, b in pairs:
+            got_v, got_p = dd2_value(a, b, params), p_star(a, b, params)
+            if np.ndim(a) == 0 and np.ndim(b) == 0:
+                assert type(got_v) is float and type(got_p) is float, name
+            assert _same_bits(got_v, _reference_dd2(a, b, params)), name
+            assert _same_bits(got_p, _reference_p_star(a, b, params)), name
+    # The grid evaluators in row chunks of 3 (the last chunk has 2 rows) and
+    # in one chunk give the whole-table values.
+    for budget in (3 * t_axis.size, envelopes._BLOCK_ELEMS):
+        monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
+        for grid, b in ((envelopes.phi_grid, b_axis), (envelopes.psi_grid, 1.0 - b_axis)):
+            want = _reference_dd2(a_axis[:, None], b[None, :], params)
+            assert _same_bits(grid(s_axis, t_axis, params), want), (grid.__name__, budget)
