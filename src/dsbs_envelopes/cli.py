@@ -2,8 +2,8 @@
 
 Exit codes are fixed for CI use: 0 success (all claims pass), 1 claim
 failure, 2 usage/config error, 3 I/O error.  Values are printed with 12
-significant digits; every number comes straight from the library call, so
-apart from that formatting there is no CLI-side arithmetic.
+significant digits; every number comes straight from the library call,
+and apart from that formatting only psi's p_star is relabelled to Y.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._svg import contour_plot, polyline_plot
-from .binary import DsbsParams, _prepare_prob, _require_finite_real, d2, d2_inv, h2
+from .binary import DsbsParams, _mirror, _prepare_prob, _require_finite_real, d2, d2_inv, h2
 from .envelopes import (
     QParam,
     phi_grid,
@@ -98,17 +98,18 @@ def cmd_eval(args) -> int:
         s, t = _need(args, "s", "t")
         s, t = _prepare_prob(s, "s"), _prepare_prob(t, "t")
         a, b = d2_inv(s), d2_inv(t)
-        if fn == "psi":
-            b = 1.0 - b
+        source = _mirror(params) if fn == "psi" else params
         c = params.crossover
         if fn == "phi_tilde" and _flat(a, b, c):
             value, lines = s, ["branch = alpha-plane"]
         elif fn == "phi_tilde" and _flat(b, a, c):
             value, lines = t, ["branch = beta-plane"]
         else:
-            value = dd2_value(a, b, params)
+            value = dd2_value(a, b, source)
+            p = p_star(a, b, source)
             lines = ["branch = interior"] if fn == "phi_tilde" else []
-            lines.append(f"p_star = {_g12(p_star(a, b, params))}")
+            # P(1,1) in the labels of Y, the mirror's cell (1,0) for psi
+            lines.append(f"p_star = {_g12(a - p if fn == 'psi' else p)}")
     elif fn in ("phi_q", "psi_q"):
         s, q = _need(args, "s", "q")
         qp = QParam.from_q(q)

@@ -7,7 +7,10 @@ branch), the two surface slices studied here are
     psi(s, t) = dd2(a(s), 1 - b(t))      (opposite-side marginals)
 
 together with their Lagrangian families ``phi_q(s) = min_t phi - t/q`` and
-``psi_q(s) = max_t psi - t/q``.
+``psi_q(s) = max_t psi - t/q``.  Relabelling ``Y -> 1 - Y`` swaps the
+agree and differ cells, so psi is phi of the mirrored source
+(`binary._mirror`, ``rho -> -rho``): every psi evaluator is phi's on the
+mirror, and none forms ``1 - b``, which would round away b's digits.
 
 ``phi_tilde`` — the nondecreasing envelope of ``phi`` (the minimum over
 larger arguments) — has a closed piecewise form.  Let ``c = (1-rho)/2``.  On
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import newton_root_vec
-from .binary import _LN2, DsbsParams, bconv, d2, d2_inv, _prepare_prob, _require_finite_real, _scalarize
+from .binary import _LN2, DsbsParams, bconv, d2, d2_inv, _mirror, _prepare_prob, _require_finite_real, _scalarize
 from .errors import InputDomainError
 from .mre import _dd2_slope, dd2_value
 
@@ -139,11 +142,8 @@ def phi(s, t, params: DsbsParams):
 
 
 def psi(s, t, params: DsbsParams):
-    """Surface value at opposite-side marginal deficits (s, t)."""
-    sv = _prepare_prob(s, "s")
-    tv = _prepare_prob(t, "t")
-    b = np.asarray(d2_inv(tv))
-    return dd2_value(d2_inv(sv), 1.0 - b, params)
+    """Surface value at opposite-side marginal deficits (s, t): phi of the mirror."""
+    return phi(s, t, _mirror(params))
 
 
 def _rows_per_chunk(n_cols: int) -> int:
@@ -180,10 +180,8 @@ def phi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
 
 
 def psi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
-    """psi on the grid ``s_vals x t_vals``; axis 0 indexes s."""
-    sv, tv, a, b = _grid_axes(s_vals, t_vals)
-    b = 1.0 - b
-    return _outer_eval(sv.size, tv.size, lambda rows: dd2_value(a[rows, None], b[None, :], params))
+    """psi on the grid ``s_vals x t_vals`` (axis 0 indexes s): phi_grid of the mirror."""
+    return phi_grid(s_vals, t_vals, _mirror(params))
 
 
 def phi_tilde_grid(alpha_vals, beta_vals, params: DsbsParams) -> np.ndarray:
@@ -216,39 +214,36 @@ def _seed_grid() -> tuple:
     return x, d2_b
 
 
-def _q_slope(a, x, q: float, params: DsbsParams, minimize: bool):
+def _q_slope(a, x, q: float, source: DsbsParams, sign: float):
     """Derivative and curvature in ``x = -b`` of the `_q_opt` objective.
 
-    The objective is ``sign * (dd2(a, slice(b)) - d2(b)/q)`` with
-    ``slice(b) = b`` and sign +1 for phi, ``slice(b) = 1 - b`` and sign -1
-    for psi.  In b its derivative is ``dd2_b - sign * d2'(b)/q`` for both
-    kinds (the reflected slice flips the sign of the dd2 term, and so does
-    the maximization), with ``d2'(b) = log2(b/(1-b))`` and
-    ``d2''(b) = 1/(b(1-b) ln 2)``; in x the derivative changes sign and
-    the curvature does not.  At ``b = 0`` the result is NaN or infinite,
-    silently.
+    The objective is ``sign * (dd2(a, b) - d2(b)/q)`` on ``source``: the
+    source itself with sign +1 for phi, its mirror with sign -1 for psi.
+    In b its derivative is ``sign * (dd2_b - d2'(b)/q)``, with
+    ``d2'(b) = log2(b/(1-b))`` and ``d2''(b) = 1/(b(1-b) ln 2)``; in x the
+    derivative changes sign and the curvature does not.  At ``b = 0`` the
+    result is NaN or infinite, silently.
     """
     b = -x
-    slope, curvature = _dd2_slope(a, b if minimize else 1.0 - b, params)
-    sign = 1.0 if minimize else -1.0
+    slope, curvature = _dd2_slope(a, b, source)
     with np.errstate(divide="ignore", invalid="ignore"):
         d2_slope = np.log(b / (1.0 - b)) / _LN2
         d2_curvature = 1.0 / (b * (1.0 - b) * _LN2)
-        return sign * d2_slope / q - slope, sign * (curvature - d2_curvature / q)
+        return sign * (d2_slope / q - slope), sign * (curvature - d2_curvature / q)
 
 
 def _q_opt(s, qs, params: DsbsParams, *, kind: str):
-    """Optimize ``t -> slice(s, t) - t/q`` per point of ``s``, for every q in ``qs``.
+    """Optimize ``t -> phi(s, t) - t/q`` or psi's per point of ``s``, for every q in ``qs``.
 
     Returns ``(values, t_opt)``, each of shape ``(len(qs), n)`` with one row
     per q, where ``n`` is the number of points of ``s`` (a scalar counts as
-    one; an ``s`` of two or more dimensions is rejected).  ``kind`` selects
-    the phi slice with minimization or the psi slice with maximization.  The
-    search runs in bias coordinates, where t comes in closed form: with
-    ``b = d2_inv(t)`` in [0, 1/2] the objective is
-    ``slice(a, b) - d2(b)/q``, so ``d2_inv`` is solved once per process, for
+    one; an ``s`` of two or more dimensions is rejected).  ``kind`` picks
+    the source and the sign: phi minimizes on the source, psi maximizes on
+    its mirror.  The search runs in bias coordinates, where t comes in closed
+    form: with ``b = d2_inv(t)`` in [0, 1/2] the objective is
+    ``dd2(a, b) - d2(b)/q``, so ``d2_inv`` is solved once per process, for
     the 2001-point seeding grid ``b_k = d2_inv(k/2000)`` (which guards
-    against missed basins).  The surface term ``slice(a, b_k)`` does not
+    against missed basins).  The surface term ``dd2(a, b_k)`` does not
     depend on q: each chunk of rows evaluates it once as a table, and every
     q scores its grid cells from that table, in one reused buffer.  A chunk
     holds as many rows as fit the element budget ``_BLOCK_ELEMS``, so
@@ -280,12 +275,10 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     if np.ndim(s) > 1:
         raise InputDomainError(f"s must be a scalar or 1-D, got shape {np.shape(s)}")
     s_vals = np.atleast_1d(_prepare_prob(s, "s"))
-    minimize = kind == "phi"
-    sign = 1.0 if minimize else -1.0
+    source, sign = (params, 1.0) if kind == "phi" else (_mirror(params), -1.0)
     a_axis = np.asarray(d2_inv(s_vals))
     x_grid, d2_grid = _seed_grid()
     b_grid = -x_grid
-    slice_grid = b_grid if minimize else 1.0 - b_grid
 
     shape = (len(qs), s_vals.size)
     best_val = np.empty(shape)
@@ -295,11 +288,11 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     score = np.empty((min(step, s_vals.size), _T_GRID_N))
     for start in range(0, s_vals.size, step):
         rows = slice(start, min(start + step, s_vals.size))
-        table = dd2_value(a_axis[rows, None], slice_grid[None, :], params)
+        table = dd2_value(a_axis[rows, None], b_grid[None, :], source)
         block = score[: table.shape[0]]
         for k in range(len(qs)):
             np.subtract(table, d2_over_q[k], out=block)
-            if not minimize:
+            if sign < 0.0:
                 np.negative(block, out=block)
             best_idx[k, rows] = np.argmin(block, axis=1)
             best_val[k, rows] = np.take_along_axis(block, best_idx[k, rows, None], axis=1)[:, 0]
@@ -310,7 +303,7 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
         lo = x_grid[np.maximum(best_idx[k] - 1, 0)]
         hi = x_grid[np.minimum(best_idx[k] + 1, _T_GRID_N - 1)]
         x_ref, refined = newton_root_vec(
-            lambda x, rows, q=q: _q_slope(a_axis[rows], x, q, params, minimize),
+            lambda x, rows, q=q: _q_slope(a_axis[rows], x, q, source, sign),
             lo,
             hi,
             x_grid[best_idx[k]],
@@ -318,7 +311,7 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
         idx = np.flatnonzero(refined)
         b_ref = -x_ref[idx]
         d2_ref = np.asarray(d2(b_ref))
-        f_ref = sign * (dd2_value(a_axis[idx], b_ref if minimize else 1.0 - b_ref, params) - d2_ref / q)
+        f_ref = sign * (dd2_value(a_axis[idx], b_ref, source) - d2_ref / q)
         better = f_ref < best_val[k, idx]
         values[k, idx[better]] = sign * f_ref[better]
         t_opt[k, idx[better]] = d2_ref[better]

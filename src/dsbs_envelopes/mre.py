@@ -14,23 +14,26 @@ cross-ratio quadratic: the optimal coupling satisfies
     p* = (T - sqrt(T^2 - 4*k*(k-1)*a*b)) / (2*(k-1)),   T = (k-1)*(a+b) + 1,
 
 in the cancellation-stable rationalized form ``2*k*a*b / (T + sqrt(Delta))``.
-The discriminant satisfies ``Delta >= 1`` everywhere on the unit square
-(its minimum over ``a+b`` fixed is at ``a = b``, where it equals
-``1 + 4*(k-1)*a*(1-a)``), so neither the square root nor the division ever
-loses precision.
+For ``k > 1`` the exact ``Delta`` is at least 1 on the unit square (at
+``a = b`` it is ``1 + 4*(k-1)*a*(1-a)``), and on ``a + b <= 1`` the
+computed one is within a relative ``2*eps*k`` of it, so it cannot go
+negative for any admitted rho.  The mirrored source of psi (`binary._mirror`,
+``k < 1``) has ``T >= k > 0`` there and ``Delta = T^2 + 4*k*(1-k)*a*b``, a
+sum of nonnegative terms.  Both slices of `envelopes` lie in that range;
+near ``a = b = 1`` at rho close to 1 the computed Delta can still go
+negative, which `_p_star` raises as an `InconsistencyError`.
 
 One kernel evaluates the surface: `_p_star` builds p* in place in four
 buffers of the broadcast shape, and `_divergence` takes the clipped cells
 of any p and sums their KL terms with every log in one unmasked pass.  Both
 perform the same floating-point operations, in the same order, as the
 plain array expressions they stand for, so their results do not depend on
-how an input is split.  0-d biases go through the array kernel as
-1-element arrays; only the divergence of 0-d input takes a float path,
-because it must use ``math.log``.  Each temporary has the broadcast shape
-of the input, so the dense grid evaluators of `envelopes` call the kernel
-in row chunks of at most ``envelopes._BLOCK_ELEMS`` = 2^15 elements: one
-chunk's temporaries (256 KB each) then stay in a core's L2 cache, where a
-whole-table evaluation streamed every temporary through memory.
+how an input is split; 0-d biases take the same path.  Each temporary has
+the broadcast shape of the input, so the dense grid evaluators of
+`envelopes` call the kernel in row chunks of at most
+``envelopes._BLOCK_ELEMS`` = 2^15 elements: one chunk's temporaries
+(256 KB each) then stay in a core's L2 cache, where a whole-table
+evaluation streamed every temporary through memory.
 
 A vectorized brute-force minimizer over the segment
 (`_dd2_oracle_batch`, used by claim P) is the independent check of the
@@ -40,13 +43,12 @@ quadratic, and shares only `_divergence` with it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._optim import golden_min_vec
-from .binary import Coupling2x2, DsbsParams, _prepare_prob
+from .binary import _LN2, Coupling2x2, DsbsParams, _prepare_prob, _scalarize
 from .errors import InconsistencyError, InputDomainError
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "dd2_value",
 ]
 
-_LN2 = math.log(2.0)
 _BROKEN_DISCRIMINANT = "negative discriminant in p_star; invariant Delta >= 1 broken"
 
 
@@ -91,8 +92,7 @@ def _p_star(a, b, params: DsbsParams):
     buffers of that shape.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    if scalar:
-        a, b = np.array([a]), np.array([b])
+    a, b = np.atleast_1d(a, b)
     k = params.k
     s = np.add(a, b)
     t = np.multiply(s, k - 1.0)
@@ -110,13 +110,8 @@ def _p_star(a, b, params: DsbsParams):
     s -= 1.0
     lo = np.maximum(0.0, s, out=s)
     hi = np.minimum(a, b, out=t)
-    if scalar:
-        # numpy's clip of 0-d operands keeps p where it ties a bound, and its
-        # clip of arrays takes the bound: at a = -0.0, b = +-0.0 the two
-        # differ in the sign of a zero p*
-        return float(np.clip(p[0], lo[0], hi[0]))
     np.maximum(p, lo, out=p)  # with the next line, np.clip(p, lo, hi) to the sign of a zero
-    return np.minimum(p, hi, out=p)
+    return _scalarize(np.minimum(p, hi, out=p), scalar)
 
 
 def _cells(a, b, p):
@@ -140,23 +135,14 @@ def _divergence(a, b, p, params: DsbsParams):
     """Divergence in bits of the coupling with P(1,1) = p against the source.
 
     The cells are clipped at 0 for fp spill, and an empty cell adds 0.  A
-    float for 0-d ``a``, ``b`` and ``p``, by ``math.log``; otherwise a new
-    array of their broadcast shape.  The array path takes
-    every log in one unmasked pass over the stacked cells: an empty cell
-    gives ``0 * log 0 = NaN`` there, which a fix-up replaces by the cell's
-    own zero.  The terms are summed in cell order.
+    float for 0-d ``a``, ``b`` and ``p``; otherwise a new array of their
+    broadcast shape.  Every log is taken in one unmasked pass over the
+    stacked cells: an empty cell gives ``0 * log 0 = NaN`` there, which a
+    fix-up replaces by the cell's own zero.  The terms are summed in cell
+    order.
     """
-    agree = 0.25 * (1.0 + params.rho)
-    differ = 0.25 * (1.0 - params.rho)
-    if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(p) == 0:
-        a, b, p = float(a), float(b), float(p)
-        terms = []
-        for x, ref in zip((1.0 + p - a - b, b - p, a - p, p), (agree, differ, differ, agree)):
-            q = x if x > 0.0 else 0.0
-            terms.append(q * math.log(q / ref) if q else q)
-        return (terms[0] + terms[1] + terms[2] + terms[3]) / _LN2
     q = _cells(a, b, p)
-    refs = np.array([agree, differ, differ, agree]).reshape((4,) + (1,) * (q.ndim - 1))
+    refs = params.joint_cells().reshape((4,) + (1,) * (q.ndim - 1))
     terms = np.divide(q, refs)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(terms, out=terms)
@@ -167,7 +153,7 @@ def _divergence(a, b, p, params: DsbsParams):
     total += terms[2]
     total += terms[3]
     total /= _LN2
-    return total
+    return _scalarize(total, q.ndim == 1)
 
 
 def p_star(a, b, params: DsbsParams):
@@ -200,16 +186,17 @@ def _dd2_slope(a, b, params: DsbsParams):
     infinite or NaN derivative without a warning, whose sign callers must
     not trust.
 
-    Precision is set by the smaller of the cells ``q00`` and ``q01``, which
-    are differences of O(1) quantities: against 50-digit mpmath the slope
-    is within ``4e-15 / min(q00, q01)`` absolute and the curvature within
-    the same bound relative (measured 1.6e-15 and 1.0e-15 over that
-    scale).  So the slope is good to about 1e-13 where both cells are
-    above 0.04, and loses digits only as ``b`` nears 0 or 1.
+    Precision is set by the cells ``q00 = 1 + p - a - b`` and
+    ``q01 = b - p``, whose rounding errors are about eps and ``eps*b``:
+    against 50-digit mpmath the slope is within ``4e-15 * (1/q00 + b/q01)``
+    absolute and the curvature within the same bound relative (measured
+    2.8e-15 and 1.8e-15 over that scale).  On the mirrored source (``k < 1``)
+    ``p* < a*b``, so ``b/q01 < 1/(1-a) <= 2`` for ``a <= 1/2``: psi's
+    b-slope keeps its digits as ``b`` nears 0 (within 1e-14; measured
+    3.4e-15).
     """
     q00, q01, q10, q11 = _cells(a, b, _p_star(a, b, params))
-    agree = 0.25 * (1.0 + params.rho)
-    differ = 0.25 * (1.0 - params.rho)
+    agree, differ = params.joint_cells()[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.log((q01 * agree) / (q00 * differ)) / _LN2
         curve_a = 1.0 / q00 + 1.0 / q01
@@ -223,8 +210,7 @@ def dd2(a: float, b: float, params: DsbsParams) -> MreResult:
     av = float(_prepare_prob(a, "a"))
     bv = float(_prepare_prob(b, "b"))
     p = _p_star(av, bv, params)
-    # Rebuild cells from exact marginal arithmetic, then snap fp spill.
-    cells = np.maximum([1.0 + p - av - bv, bv - p, av - p, p], 0.0)
+    cells = _cells(av, bv, p)
     coupling = Coupling2x2(*(cells / cells.sum()))
     return MreResult(value=_divergence(av, bv, p, params), p_star=p, coupling=coupling)
 

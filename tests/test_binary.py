@@ -154,8 +154,8 @@ def test_d2_inv_absolute_precision():
 
 
 def test_xlogy_relative_precision():
-    # the bound the _xlogy docstring states, on the array path and on the
-    # np.float64 path; x in [1e-200, 1], y across (0, 2), over 100 decades
+    # the bound the _xlogy docstring states, on arrays and on 0-d
+    # np.float64 input; x in [1e-200, 1], y across (0, 2), over 100 decades
     # and within 1e-15..1e-5 of 1
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.uniform(1e-3, 1.0, 200), _per_decade(-200, 0, 1, seed=6)])
@@ -174,15 +174,16 @@ def test_xlogy_zero_x_and_types():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = _xlogy(x, y)
-        scalars = [_xlogy(form(0.0), form(yi)) for form in (float, np.float64) for yi in (0.0, 0.3)]
+        zeros = [_xlogy(np.float64(0.0), np.float64(yi)) for yi in (0.0, 0.3)]
     assert isinstance(out, np.ndarray) and out.shape == x.shape
     assert out is not x and out is not y
     assert np.all(out[x == 0.0] == 0.0)
     assert out[1, 1] == pytest.approx(0.5 * math.log(0.5), rel=4.5e-16)
-    assert scalars == [0.0] * 4
-    assert type(_xlogy(np.float64(0.3), np.float64(0.5))) is np.float64
-    assert type(_xlogy(np.float64(0.0), np.float64(0.0))) is np.float64
-    assert type(_xlogy(0.3, 0.5)) is float
+    assert zeros == [0.0] * 2
+    # one path: a 0-d call equals the 1-element array bit for bit
+    for xi, yi in ((0.3, 0.5), (0.0, 0.0), (-0.0, 0.3), (1e-300, 2.0), (0.7, 1e-300)):
+        got = _xlogy(np.float64(xi), np.float64(yi))
+        assert np.shape(got) == () and got.tobytes() == _xlogy(np.array([xi]), np.array([yi])).tobytes()
 
 
 def test_d2_inv_is_left_branch():
@@ -221,6 +222,9 @@ def test_h2_vectorized():
     out = h2(a)
     assert out.shape == a.shape
     assert out[5] == 1.0
+    # scalars go through the same path as 1-element arrays
+    for x in (np.float64(0.3), np.asarray(0.3), 0.3):
+        assert type(h2(x)) is float and h2(x) == h2(np.array([0.3]))[0]
 
 
 @given(probs, probs)

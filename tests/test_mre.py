@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from dsbs_envelopes import Coupling2x2, DsbsParams, InconsistencyError, InputDomainError, d2_inv, dd2, p_star
+from dsbs_envelopes import Coupling2x2, DsbsParams, InconsistencyError, InputDomainError, d2, d2_inv, dd2, p_star
 from dsbs_envelopes import envelopes
-from dsbs_envelopes.binary import _xlogy
+from dsbs_envelopes.binary import _mirror, _xlogy
 from dsbs_envelopes.mre import _cells, _dd2_oracle_batch, _dd2_slope, _p_star, dd2_value
 
 RHO = DsbsParams(0.9)
@@ -141,7 +141,7 @@ def _dd2_mp(a, b, rho):
 def test_dd2_slope_against_mpmath(rho):
     # the bound the _dd2_slope docstring states, against 50-digit numerical
     # derivatives of dd2 (no envelope theorem): random points, b near 0 and
-    # near 1 (the reflected psi slice), a at and near 1/2, a at and near 0
+    # near 1, a at and near 1/2, a at and near 0
     params = DsbsParams(rho)
     rng = np.random.default_rng(17)
     points = list(zip(rng.uniform(0.0, 0.5, 20), rng.uniform(0.0, 1.0, 20)))
@@ -157,9 +157,32 @@ def test_dd2_slope_against_mpmath(rho):
             f = lambda x: _dd2_mp(mpmath.mpf(ai), x, rho)  # noqa: E731
             d1 = mpmath.diff(f, mpmath.mpf(bi))
             d2 = mpmath.diff(f, mpmath.mpf(bi), 2)
-        bound = 4e-15 / min(q00[i], q01[i])
+        # the docstring's scale, and never looser than the smaller cell's
+        bound = 4e-15 * min(1.0 / q00[i] + bi / q01[i], 1.0 / min(q00[i], q01[i]))
         assert float(abs(slope[i] - d1)) <= bound, (ai, bi)
         assert float(abs((curvature[i] - d2) / d2)) <= bound, (ai, bi)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_psi_and_its_b_slope_against_mpmath_as_b_nears_0(rho):
+    # psi(a, b) = dd2(a, 1 - b), with 1 - b formed exactly in 50 digits; the
+    # library reads it, and its slope in b, off the mirrored source at b
+    params = DsbsParams(rho)
+    points = [(0.3, 1e-6), (0.3, 1e-9), (0.01, 1e-7), (0.45, 2e-4)]
+    s = np.array([d2(p[0]) for p in points])
+    t = np.array([d2(p[1]) for p in points])
+    a, b = np.asarray(d2_inv(s)), np.asarray(d2_inv(t))  # the biases psi works at
+    values = envelopes.psi(s, t, params)
+    slope, curvature = _dd2_slope(a, b, _mirror(params))
+    for i in range(len(points)):
+        with mpmath.workdps(50):
+            f = lambda x: _dd2_mp(mpmath.mpf(a[i]), 1 - x, rho)  # noqa: E731
+            ref = f(mpmath.mpf(b[i]))
+            d1 = mpmath.diff(f, mpmath.mpf(b[i]))
+            d2_ref = mpmath.diff(f, mpmath.mpf(b[i]), 2)
+        assert float(abs(values[i] - ref)) <= 1e-14, points[i]
+        assert float(abs(slope[i] - d1)) <= 1e-14, points[i]
+        assert float(abs((curvature[i] - d2_ref) / d2_ref)) <= 1e-14, points[i]
 
 
 def test_dd2_slope_at_an_empty_cell_is_silent():
@@ -196,7 +219,7 @@ def _reference_p_star(av, bv, params):
 
 
 def _reference_dd2(av, bv, params):
-    """dd2 as the cells-then-KL composition: 0-d biases take the scalar log path."""
+    """dd2 as the cells-then-KL composition, one fresh array per operation."""
     p = _reference_p_star(av, bv, params)
     agree = 0.25 * (1.0 + params.rho)
     differ = 0.25 * (1.0 - params.rho)
@@ -220,32 +243,50 @@ def _same_bits(got, want) -> bool:
 
 @pytest.mark.parametrize("rho", [1e-5, 0.5, 0.9, 0.99999])
 def test_kernel_matches_the_reference_composition_bit_for_bit(monkeypatch, rho):
-    # Biases a in [0, 1/2] from d2_inv (both ends included) against the phi
-    # slice b and the psi slice 1 - b, so b = 0 and b = 1 empty cells.
+    # Biases a in [0, 1/2] from d2_inv (both ends included) against b on the
+    # source (phi) and on its mirror (psi), and against 1 - b on the source,
+    # so b = 0 and b = 1 empty cells.
     params = DsbsParams(rho)
+    mirror = _mirror(params)
     s_axis, t_axis = np.linspace(0.0, 1.0, 23), np.linspace(0.0, 1.0, 37)
     a_axis, b_axis = np.asarray(d2_inv(s_axis)), np.asarray(d2_inv(t_axis))
-    cases = {}
-    for name, b in (("phi", b_axis), ("psi", 1.0 - b_axis)):
-        cases[f"{name} scalars"] = [(np.float64(x), np.float64(y)) for x in a_axis[::4] for y in b[::6]]
-        cases[f"{name} 1-element"] = [(a_axis[i : i + 1], b[j : j + 1]) for i, j in ((0, 0), (5, 36), (22, 17))]
-        cases[f"{name} 1-D"] = [(a_axis, b[: a_axis.size]), (a_axis[3], b), (a_axis, b[7])]
-        cases[f"{name} grids"] = [(a_axis[:, None], b[None, :]), (a_axis[None, :], b[:, None])]
     # a -0.0 bias reaches the kernel unchanged, and p* keeps numpy's sign of zero
     edges = (-0.0, 0.0, 0.3, 1.0)
-    cases["signed zeros"] = [(np.float64(x), np.float64(y)) for x in edges for y in edges]
-    cases["signed zeros"].append((np.array(edges)[:, None], np.array(edges)[None, :]))
-    for name, pairs in cases.items():
+    for name, bs, source in (("phi", b_axis, params), ("psi", b_axis, mirror), ("1 - b", 1.0 - b_axis, params)):
+        pairs = [(a_axis[i : i + 1], bs[j : j + 1]) for i, j in ((0, 0), (5, 36), (22, 17))]
+        pairs += [(a_axis, bs[: a_axis.size]), (a_axis[3], bs), (a_axis, bs[7])]
+        pairs += [(a_axis[:, None], bs[None, :]), (a_axis[None, :], bs[:, None])]
+        pairs.append((np.array(edges)[:, None], np.array(edges)[None, :]))
         for a, b in pairs:
-            got_v, got_p = dd2_value(a, b, params), p_star(a, b, params)
-            if np.ndim(a) == 0 and np.ndim(b) == 0:
-                assert type(got_v) is float and type(got_p) is float, name
-            assert _same_bits(got_v, _reference_dd2(a, b, params)), name
-            assert _same_bits(got_p, _reference_p_star(a, b, params)), name
+            assert _same_bits(dd2_value(a, b, source), _reference_dd2(a, b, source)), name
+            assert _same_bits(p_star(a, b, source), _reference_p_star(a, b, source)), name
+        # 0-d biases, signed zeros included, take the array path: a float
+        # equal to the 1-element array's value bit for bit
+        scalars = [(x, y) for x in a_axis[::4] for y in bs[::6]] + [(x, y) for x in edges for y in edges]
+        for x, y in scalars:
+            x, y = np.float64(x), np.float64(y)
+            for fn in (dd2_value, p_star):
+                got = fn(x, y, source)
+                assert type(got) is float, name
+                assert _same_bits(got, fn(np.array([x]), np.array([y]), source)[0]), (name, fn.__name__)
     # The grid evaluators in row chunks of 3 (the last chunk has 2 rows) and
     # in one chunk give the whole-table values.
     for budget in (3 * t_axis.size, envelopes._BLOCK_ELEMS):
         monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
-        for grid, b in ((envelopes.phi_grid, b_axis), (envelopes.psi_grid, 1.0 - b_axis)):
-            want = _reference_dd2(a_axis[:, None], b[None, :], params)
+        for grid, source in ((envelopes.phi_grid, params), (envelopes.psi_grid, mirror)):
+            want = _reference_dd2(a_axis[:, None], b_axis[None, :], source)
             assert _same_bits(grid(s_axis, t_axis, params), want), (grid.__name__, budget)
+
+
+@pytest.mark.parametrize("rho", [1e-5, 0.5, 0.9, 0.99999])
+def test_psi_grid_matches_the_reflected_composition(rho):
+    # the oracle for psi as the mirror's phi: the composition at (a, 1 - b)
+    # on the source itself, which rounds b's digits away in 1 - b.  Within
+    # 4e-15, relative above 1 (measured at most 3.6e-15 absolute at rho 0.9
+    # and 2.6e-15 relative at rho 0.99999, whose values reach 18.6)
+    params = DsbsParams(rho)
+    axis = np.linspace(0.0, 1.0, 201)
+    a = np.asarray(d2_inv(axis))
+    want = _reference_dd2(a[:, None], 1.0 - a[None, :], params)
+    gap = np.abs(envelopes.psi_grid(axis, axis, params) - want)
+    assert np.all(gap <= 4e-15 * np.maximum(1.0, want))
