@@ -10,10 +10,13 @@ code with it, lives with the tests.
 
 The certifiers (`check_midpoint_convex`, `check_midpoint_concave`,
 `check_slope_bounds`, `check_monotone`) are pure measurements: each reports
-the worst violation found and a witness, with deterministic tie-breaking
-(fixed enumeration order, first index wins), so failing runs are
-reproducible bit for bit.  They hold no threshold; `verify` judges the
-excess against its fixed tolerance table.
+the worst violation found and a witness, with deterministic tie-breaking,
+so failing runs are reproducible bit for bit.  Among tied cells the first
+in row-major order wins; the midpoint certifier, which batches its pairs
+one row offset at a time, picks the tied pair with the smallest key
+(row offset, half column offset, row, smaller column), the order in which
+a loop over the offsets would visit them.  They hold no threshold;
+`verify` judges the excess against its fixed tolerance table.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .binary import _require_int
+from .binary import _require_finite_real, _require_int
+from .envelopes import _rows_per_chunk
 from .errors import InputDomainError
 
 __all__ = [
@@ -53,7 +58,13 @@ class GridFn:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
+        try:
+            arr = np.asarray(self.values)
+        except ValueError as exc:  # ragged nested sequences
+            raise InputDomainError(f"GridFn values must form an array: {exc}") from None
+        if arr.dtype.kind not in "biuf":  # strings, complex or objects would cast or fail
+            raise InputDomainError(f"GridFn values must be real numbers, not {arr.dtype}")
+        arr = arr.astype(float, copy=False)
         if arr.ndim not in (1, 2):
             raise InputDomainError("GridFn values must be 1-D or 2-D")
         if arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
@@ -126,10 +137,10 @@ def _lower_hull_2d(v: np.ndarray) -> np.ndarray:
     h = 1.0 / (n - 1)
     # Each lower facet's lattice bounding box, rows lo[:, 0]..hi[:, 0] and
     # columns lo[:, 1]..hi[:, 1]; facets whose box is empty cover no point.
-    corners = pts[hull.simplices[lower], :2]
-    lo = np.maximum(np.ceil(corners.min(axis=1) / h - 1e-9), 0).astype(np.intp)
-    hi = np.minimum(np.floor(corners.max(axis=1) / h + 1e-9), n - 1).astype(np.intp)
-    keep = np.all(hi >= lo, axis=1)
+    c0, c1, c2 = pts[hull.simplices[lower], :2].transpose(1, 0, 2)
+    lo = np.maximum(np.ceil(np.minimum(np.minimum(c0, c1), c2) / h - 1e-9), 0).astype(np.intp)
+    hi = np.minimum(np.floor(np.maximum(np.maximum(c0, c1), c2) / h + 1e-9), n - 1).astype(np.intp)
+    keep = (hi[:, 0] >= lo[:, 0]) & (hi[:, 1] >= lo[:, 1])
     nx, ny, nz, off = eqs[lower][keep].T
     (i0, j0), (ni, nj) = lo[keep].T, (hi - lo + 1)[keep].T
     # Pair p in [starts[f], ends[f]) is facet f at box offset p - starts[f].
@@ -181,45 +192,76 @@ def _report(worst: float, witness, n_pairs: int) -> ConvexityReport:
     return ConvexityReport(worst_violation=float(worst), witness=witness, n_pairs=int(n_pairs))
 
 
-def _midpoint_convex_1d(v: np.ndarray) -> ConvexityReport:
-    n = v.size
-    worst = -np.inf
-    witness = None
-    n_pairs = 0
-    for d in range(1, (n - 1) // 2 + 1):
-        viol = v[d : n - d] - 0.5 * (v[: n - 2 * d] + v[2 * d :])
-        n_pairs += viol.size
-        i = int(np.argmax(viol))
-        if viol[i] > worst:
-            worst = float(viol[i])
-            witness = (i, i + 2 * d)
-    return _report(worst, witness, n_pairs)
+def _midpoint_convex_full(v: np.ndarray) -> ConvexityReport:
+    """Every pair of cells of the rows-by-n array ``v`` whose midpoint is a cell.
 
+    A pair is (i, p), (i + 2di, q) with p = 2a + e and q = 2b + e for a
+    column parity e; its midpoint is (i + di, a + b + e).  One batched pass
+    per row offset di and parity e fills the (row, a, b) table of its
+    violations: the pair sums broadcast from the parity's contiguous
+    columns, halved, then subtracted from the midpoints, which a sliding
+    window over the middle rows reads in place.  At di = 0 only b > a
+    counts (b = a is the pair itself, b < a a repeat).  The table is
+    computed in chunks that fit the element budget ``envelopes._BLOCK_ELEMS``
+    (whole rows where a row's table fits, else slices of a), one reused
+    buffer holding each chunk.  A 1-D curve is the single-row case.
 
-def _midpoint_convex_2d_full(v: np.ndarray) -> ConvexityReport:
-    n = v.shape[0]
-    worst = -np.inf
-    witness = None
-    n_pairs = 0
-    half = (n - 1) // 2
-    buf = np.empty(v.size)  # every offset's violations, computed in place
-    for di in range(0, half + 1):
-        dj_start = 1 if di == 0 else -half
-        for dj in range(dj_start, half + 1):
-            adj = abs(dj)
-            mid = v[di : n - di, adj : n - adj]
-            left = v[0 : n - 2 * di, adj - dj : n - adj - dj]
-            right = v[2 * di : n, adj + dj : n - adj + dj]
-            viol = buf[: mid.size].reshape(mid.shape)
-            np.add(left, right, out=viol)
-            viol *= 0.5
-            np.subtract(mid, viol, out=viol)
-            n_pairs += viol.size
-            flat = int(viol.argmax())
-            if buf[flat] > worst:
-                worst = float(buf[flat])
-                i, j = divmod(flat, viol.shape[1])
-                witness = ((i, j + adj - dj), (i + 2 * di, j + adj + dj))
+    The witness is the pair of largest violation with the smallest key
+    (di, b - a, i, min(p, q)).  Only a row offset whose maximum beats the
+    running worst has its tied chunks recomputed to find that key.
+    ``n_pairs`` is counted in closed form.
+    """
+    n_rows, n = v.shape
+    parts = [np.ascontiguousarray(v[:, e::2]) for e in (0, 1)]
+    widths = [part.shape[1] for part in parts]
+    mids = [sliding_window_view(v[:, e:], w, axis=1)[:, :w, :] for e, w in enumerate(widths)]
+    repeats = [np.tri(w, dtype=bool) for w in widths]  # b <= a
+    # (rows, a values) per chunk: whole (a, b) tables where one fits the budget
+    steps = [(_rows_per_chunk(w * w), min(w, _rows_per_chunk(w))) for w in widths]
+    buf = np.empty(max(min(dr, n_rows) * da * w for (dr, da), w in zip(steps, widths)))
+
+    def chunk(di, e, r0, r1, a0, a1):
+        part, w = parts[e], widths[e]
+        out = buf[: (r1 - r0) * (a1 - a0) * w].reshape(r1 - r0, a1 - a0, w)
+        np.add(part[r0:r1, a0:a1, None], part[r0 + 2 * di : r1 + 2 * di, None, :], out=out)
+        out *= 0.5
+        np.subtract(mids[e][r0 + di : r1 + di, a0:a1], out, out=out)
+        if di == 0:
+            np.copyto(out, -np.inf, where=repeats[e][a0:a1])
+        return out
+
+    worst, witness = -np.inf, None
+    half = (n_rows - 1) // 2
+    for di in range(half + 1):
+        m = n_rows - 2 * di
+        spans = [
+            (e, r0, min(r0 + dr, m), a0, min(a0 + da, w))
+            for e, ((dr, da), w) in enumerate(zip(steps, widths))
+            for r0 in range(0, m, dr)
+            for a0 in range(0, w, da)
+        ]
+        tops = [chunk(di, *span).max() for span in spans]
+        top = max(tops)
+        if not top > worst:
+            continue
+        ties = []  # (key, i, p, q, violation) of each tied cell, one tuple per chunk
+        for (e, r0, r1, a0, a1), chunk_top in zip(spans, tops):
+            if chunk_top == top:
+                out = chunk(di, e, r0, r1, a0, a1)
+                r, a, b = np.nonzero(out == top)
+                val = out[r, a, b]
+                i, p, q = r + r0, 2 * (a + a0) + e, 2 * b + e
+                # (b - a, i, min(p, q)) as one integer, ordered the same way
+                key = (((q - p) // 2 + n) * n_rows + i) * n + np.minimum(p, q)
+                ties.append((key, i, p, q, val))
+        key, i, p, q, val = (np.concatenate(col) for col in zip(*ties))
+        k = int(np.argmin(key))
+        worst = float(val[k])
+        witness = ((int(i[k]), int(p[k])), (int(i[k]) + 2 * di, int(q[k])))
+    # b > a in each parity at di = 0, every (a, b) at each of the half row offsets
+    w0, w1 = widths
+    n_pairs = n_rows * (w0 * (w0 - 1) + w1 * (w1 - 1)) // 2
+    n_pairs += half * (n_rows - half - 1) * (w0 * w0 + w1 * w1)
     return _report(worst, witness, n_pairs)
 
 
@@ -255,13 +297,23 @@ def check_midpoint_convex(f: GridFn, *, seed: int = 0) -> ConvexityReport:
     Enumerates every sample pair whose midpoint is itself a lattice point and
     reports the worst ``f(mid) - (f(x)+f(y))/2``.  2-D enumeration is O(n^4);
     above n = 201 a fixed number of pairs is subsampled with a generator
-    seeded by ``seed`` instead.  The report's witness is the first pair
-    achieving the worst violation in a fixed enumeration order.
+    seeded by ``seed`` (an int >= 0) instead.
+
+    Among the pairs of worst violation, the witness is the one with the
+    smallest key.  An enumerated pair ((i, p), (i + 2di, q)), with di >= 0
+    and q > p where di = 0, has key (di, (q - p)/2, i, min(p, q)); a 1-D
+    pair (p, q) has key ((q - p)/2, p).  Sampled pairs are ranked by draw
+    order.
     """
+    _require_int(seed=seed)
+    if seed < 0:
+        raise InputDomainError(f"seed={seed!r} must be non-negative")
     if f.dims == 1:
-        return _midpoint_convex_1d(f.values)
+        rep = _midpoint_convex_full(f.values[None, :])
+        witness = rep.witness and (rep.witness[0][1], rep.witness[1][1])
+        return _report(rep.worst_violation, witness, rep.n_pairs)
     if f.n <= _FULL_ENUMERATION_MAX_N:
-        return _midpoint_convex_2d_full(f.values)
+        return _midpoint_convex_full(f.values)
     return _midpoint_convex_2d_sampled(f.values, seed)
 
 
@@ -278,6 +330,7 @@ def check_slope_bounds(f: GridFn, axis: int, bound: float, sense: str) -> Convex
     """
     if sense not in ("le", "ge"):
         raise InputDomainError("sense must be 'le' or 'ge'")
+    _require_finite_real(bound=bound)
     _require_int(axis=axis)
     if axis >= f.dims or axis < 0:
         raise InputDomainError(f"axis {axis} out of range for {f.dims}-D grid")

@@ -21,7 +21,7 @@ from dsbs_envelopes import (
     psi_grid,
     upper_concave_envelope,
 )
-from dsbs_envelopes import hulls
+from dsbs_envelopes import envelopes, hulls
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +245,9 @@ def test_midpoint_convex_2d_full_enumeration():
 def _midpoint_oracle_2d(v: np.ndarray) -> tuple:
     """The full 2-D midpoint enumeration as a plain slicing loop.
 
-    Fresh temporaries for every offset, the same offset order and the same
-    first-wins tie-breaking as the certifier's in-place buffer, so the two
+    One (di, dj) offset at a time in key order, with fresh temporaries and
+    the same three floating-point operations as the certifier's batched
+    pass (sum, halve, subtract), and first-wins tie-breaking, so the two
     must report the same (worst, witness, n_pairs) bit for bit.
     """
     n = v.shape[0]
@@ -268,25 +269,122 @@ def _midpoint_oracle_2d(v: np.ndarray) -> tuple:
     return worst, witness, n_pairs
 
 
-@pytest.mark.parametrize("n", [3, 4, 51, 101])
-def test_midpoint_2d_full_matches_slicing_oracle(n):
+def _midpoint_oracle_1d(v: np.ndarray) -> tuple:
+    """The 1-D midpoint enumeration as a loop over the half gap d, first wins."""
+    n = v.size
+    worst, witness, n_pairs = -np.inf, None, 0
+    for d in range(1, (n - 1) // 2 + 1):
+        viol = v[d : n - d] - 0.5 * (v[: n - 2 * d] + v[2 * d :])
+        n_pairs += viol.size
+        i = int(np.argmax(viol))
+        if viol[i] > worst:
+            worst = float(viol[i])
+            witness = (i, i + 2 * d)
+    return worst, witness, n_pairs
+
+
+def _midpoint_grids(n: int) -> dict:
     rng = np.random.default_rng(n)
     x = np.linspace(0.0, 1.0, n)
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     planted = x[:, None] ** 2 + x[None, :] ** 2
     planted[n // 2, (n - 1) // 3] += 0.01
-    grids = {
+    return {
         "random": rng.normal(size=(n, n)),
         # exact integer values: every violation is 0, so only the
         # tie-breaking picks the witness
         "affine": 2.0 * i - 3.0 * j + 1.0,
+        # values in {0, 1, 2}: many tied worst pairs in both column parities
+        "small-int": rng.integers(0, 3, size=(n, n)).astype(float),
         "planted": planted,
     }
-    for name, v in grids.items():
-        rep = hulls._midpoint_convex_2d_full(v)
-        worst, witness, n_pairs = _midpoint_oracle_2d(v)
-        assert np.float64(rep.worst_violation).tobytes() == np.float64(worst).tobytes(), name
-        assert (rep.witness, rep.n_pairs) == (witness, n_pairs), name
+
+
+def _assert_same_report(rep, oracle, name):
+    worst, witness, n_pairs = oracle
+    assert np.float64(rep.worst_violation).tobytes() == np.float64(worst).tobytes(), name
+    assert (rep.witness, rep.n_pairs) == (witness, n_pairs), name
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 51, 101, 201])
+def test_midpoint_2d_full_matches_slicing_oracle(n):
+    for name, v in _midpoint_grids(n).items():
+        v.flags.writeable = False  # the certifier must only read its input
+        _assert_same_report(check_midpoint_convex(GridFn(v)), _midpoint_oracle_2d(v), name)
+
+
+@pytest.mark.parametrize("n", [7, 20, 21])
+def test_midpoint_2d_chunk_edges_bit_identical(n, monkeypatch):
+    # Budgets of about three and two rows' tables leave a ragged last row
+    # chunk; budgets below one row's table split it into slices of a.  Ties
+    # then span chunks as well as the two column parities.
+    w = (n + 1) // 2
+    grids = _midpoint_grids(n)
+    want = {name: _midpoint_oracle_2d(v) for name, v in grids.items()}
+    for budget in (3 * w * w + 1, 2 * w * w, 2 * w + 1, 7):
+        monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
+        for name, v in grids.items():
+            v.flags.writeable = False
+            _assert_same_report(check_midpoint_convex(GridFn(v)), want[name], (name, budget))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 101, 501])
+def test_midpoint_1d_matches_loop_oracle(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    curves = {
+        "random": rng.normal(size=n),
+        "affine": 3.0 * np.arange(n) - 1.0,
+        "small-int": rng.integers(0, 3, size=n).astype(float),
+        "zeros": np.zeros(n),
+    }
+    for budget in (envelopes._BLOCK_ELEMS, 2 * n + 1, 7):
+        monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
+        for name, v in curves.items():
+            v.flags.writeable = False
+            _assert_same_report(check_midpoint_convex(GridFn(v)), _midpoint_oracle_1d(v), name)
+
+
+def test_midpoint_concave_goes_through_convex(monkeypatch):
+    # the traced check_midpoint_convex counts (calls, pairs) include concavity checks
+    calls = []
+    convex = hulls.check_midpoint_convex
+
+    def spy(f, *, seed=0):
+        calls.append(f.values.shape)
+        return convex(f, seed=seed)
+
+    monkeypatch.setattr(hulls, "check_midpoint_convex", spy)
+    rep = check_midpoint_concave(_grid2(lambda x, y: -(x**2) - y**2, n=9))
+    assert calls == [(9, 9)] and rep.worst_violation <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
+@pytest.mark.parametrize("n", [5, 203])
+def test_midpoint_bad_seed_rejected(seed, n):
+    with pytest.raises(InputDomainError):
+        check_midpoint_convex(GridFn(np.zeros((n, n))), seed=seed)
+    with pytest.raises(InputDomainError):
+        check_midpoint_concave(GridFn(np.zeros(n)), seed=seed)
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, "1", None])
+def test_slope_bounds_bad_bound_rejected(bound):
+    with pytest.raises(InputDomainError):
+        check_slope_bounds(_grid(lambda x: x), axis=0, bound=bound, sense="le")
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ["0", "1", "2"],
+        np.array(["0.5", "x", "1"]),
+        np.array([1.0, 2.0 + 1.0j, 3.0]),
+        [[1.0, 2.0, 3.0], [1.0, 2.0]],  # ragged
+    ],
+)
+def test_gridfn_rejects_non_real_values(values):
+    with pytest.raises(InputDomainError):
+        GridFn(values)
 
 
 def test_midpoint_concave_mirrors_convex():
