@@ -61,7 +61,6 @@ from .stationary import (
     StationaryPoint,
     aux_phi_h,
     count_roots_scan,
-    eta_of_h,
     gamma_extremum,
     h0_threshold,
     hypercontractive_regime,
@@ -106,7 +105,6 @@ __all__ = [
     "d2_inv",
     "dd2",
     "default_tolerances",
-    "eta_of_h",
     "gamma_extremum",
     "h0_threshold",
     "h2",

@@ -23,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +79,23 @@ def _scalarize(arr: np.ndarray, scalar_in: bool):
 
 
 def _require_finite_real(**values) -> None:
-    """Reject any keyword value that is not a finite int or float."""
+    """Reject any keyword value that is not a finite real number.
+
+    Any `numbers.Real` passes (numpy scalars too), except a bool.
+    """
     for name, val in values.items():
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
+        if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
             raise InputDomainError(f"{name} must be a finite real number")
+
+
+def _store_finite_reals(obj, *names: str) -> None:
+    """`_require_finite_real` on the named fields of a frozen dataclass; stores each as a float.
+
+    A numpy scalar would otherwise keep its dtype in the derived fields.
+    """
+    _require_finite_real(**{name: getattr(obj, name) for name in names})
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
 
 
 def _require_int(**values) -> None:
@@ -262,7 +276,7 @@ class DsbsParams:
     theta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_finite_real(rho=self.rho)
+        _store_finite_reals(self, "rho")
         if not 1e-6 < self.rho < 1.0 - 1e-6:
             raise InputDomainError(
                 f"rho={self.rho!r} outside the supported open interval (1e-06, 1 - 1e-06)"

@@ -31,17 +31,16 @@ from .envelopes import (
     _flat,
     _q_opt,
 )
-from .errors import DsbsError, InputDomainError, NoRootError
+from .errors import DsbsError, InputDomainError
 from .mre import dd2, dd2_value, p_star
 from .stationary import (
     RootProblem,
+    _log_w_of_h,
     _regime_case,
     _root_side,
+    _solve_roots,
     aux_phi_h,
     count_roots_scan,
-    eta_of_h,
-    h0_threshold,
-    solve_root_z,
 )
 from .verify import VerifyOptions, verify_all
 
@@ -278,16 +277,12 @@ def cmd_roots(args) -> int:
         )
     print(f"regime: r = {_g12(r)} <= rho^2 = {_g12(rho_sq)} — root regime")
     prob = RootProblem(theta, v, r)
-    try:
-        h0 = h0_threshold(prob)
-        eta0 = eta_of_h(h0, theta)
-        z = solve_root_z(prob)
-    except NoRootError as exc:
-        print(f"no root: {exc}")
+    (h0,), (h,), (reason,) = _solve_roots([theta], [v], [r])
+    if reason:
+        print(f"no root: {reason}")
         return 0
-    h = math.log(z)
-    print(f"eta0 = {_g12(eta0)}   h0 = {_g12(h0)}")
-    print(f"z = {_g12(z)}   h = {_g12(h)}")
+    print(f"eta0 = {_g12(math.exp(-_log_w_of_h(h0, theta)))}   h0 = {_g12(h0)}")
+    print(f"z = {_g12(math.exp(h))}   h = {_g12(h)}")
     print(f"residual = {_g12(abs(float(aux_phi_h(h, prob))))}")
     print(f"scan_count = {count_roots_scan(prob, _ROOTS_SCAN_N)} (n = {_ROOTS_SCAN_N})")
     return 0

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import newton_root_vec
-from .binary import _LN2, DsbsParams, bconv, d2, d2_inv, _mirror, _prepare_prob, _require_finite_real, _scalarize
+from .binary import _LN2, DsbsParams, bconv, d2, d2_inv, _mirror, _prepare_prob, _scalarize, _store_finite_reals
 from .errors import InputDomainError
 from .mre import _dd2_slope, dd2_value
 
@@ -91,7 +91,7 @@ class QParam:
     q_conj: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_finite_real(p=self.p, q=self.q)
+        _store_finite_reals(self, "p", "q")
         object.__setattr__(self, "lam", _inv_or_inf(self.p))
         object.__setattr__(self, "mu", _inv_or_inf(self.q))
         # + 0.0 stores r = 0 as +0.0, never -0.0 (p = 1 with q < 1)

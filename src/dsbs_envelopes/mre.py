@@ -19,9 +19,15 @@ For ``k > 1`` the exact ``Delta`` is at least 1 on the unit square (at
 computed one is within a relative ``2*eps*k`` of it, so it cannot go
 negative for any admitted rho.  The mirrored source of psi (`binary._mirror`,
 ``k < 1``) has ``T >= k > 0`` there and ``Delta = T^2 + 4*k*(1-k)*a*b``, a
-sum of nonnegative terms.  Both slices of `envelopes` lie in that range;
-near ``a = b = 1`` at rho close to 1 the computed Delta can still go
-negative, which `_p_star` raises as an `InconsistencyError`.
+sum of nonnegative terms.  Both slices of `envelopes` lie in that range,
+and the public entry points fold the rest onto it (`_fold`): flipping both
+bits maps (a, b) to (1 - a, 1 - b) at the same divergence.  Unfolded, the
+computed Delta near ``a = b = 1`` at rho close to 1 is formed from two
+terms of about 4*k^2: on 1200 points with 1 - a and 1 - b in [1e-13, 0.1]
+and rho in {0.9, 0.999, 0.9999, 0.99999} it went negative on 68, and dd2
+was off by up to 3.2e-9 (relative, against 60-digit mpmath) on the rest;
+folded, dd2 is within 6.7e-16 there.  A negative Delta still raises an
+`InconsistencyError` in `_p_star`.
 
 One kernel evaluates the surface: `_p_star` builds p* in place in four
 buffers of the broadcast shape, and `_divergence` takes the clipped cells
@@ -156,12 +162,36 @@ def _divergence(a, b, p, params: DsbsParams):
     return _scalarize(total, q.ndim == 1)
 
 
+def _fold(a, b):
+    """``(a, b, None)``, or, if some a + b > 1, the folded biases and their mask.
+
+    Flipping both bits leaves the source unchanged and maps the segment at
+    (a, b) onto the one at (1 - a, 1 - b), cells reversed, so dd2 is
+    invariant and p*(a, b) = a + b - 1 + p*(1 - a, 1 - b).  Where a + b > 1
+    the biases are replaced by 1 - a and 1 - b, which are exact for
+    a, b >= 1/2.  The test reads the inputs, not their broadcast table, and
+    the slices of `envelopes` (a + b <= 1) pass through untouched.
+    """
+    if np.maximum.reduce(a, axis=None, initial=0.0) + np.maximum.reduce(b, axis=None, initial=0.0) <= 1.0:
+        return a, b, None
+    flip = a + b > 1.0
+    return np.where(flip, 1.0 - a, a), np.where(flip, 1.0 - b, b), flip
+
+
+def _unfold_p(a, b, p, flip):
+    """p*(a, b) from ``p = _p_star`` at the folded biases."""
+    if flip is None:
+        return p
+    return _scalarize(np.where(flip, a + b - 1.0 + p, p), np.ndim(flip) == 0)
+
+
 def p_star(a, b, params: DsbsParams):
     """Minimizing cell mass p on the feasible segment, by the stable quadratic root."""
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
     _check_broadcast(av, bv)
-    return _p_star(av, bv, params)
+    fa, fb, flip = _fold(av, bv)
+    return _unfold_p(av, bv, _p_star(fa, fb, params), flip)
 
 
 def dd2_value(a, b, params: DsbsParams):
@@ -169,6 +199,7 @@ def dd2_value(a, b, params: DsbsParams):
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
     _check_broadcast(av, bv)
+    av, bv, _ = _fold(av, bv)
     return _divergence(av, bv, _p_star(av, bv, params), params)
 
 
@@ -209,10 +240,14 @@ def dd2(a: float, b: float, params: DsbsParams) -> MreResult:
     """Minimum divergence together with its minimizer and witness coupling."""
     av = float(_prepare_prob(a, "a"))
     bv = float(_prepare_prob(b, "b"))
-    p = _p_star(av, bv, params)
-    cells = _cells(av, bv, p)
+    fa, fb, flip = _fold(av, bv)
+    p = _p_star(fa, fb, params)
+    cells = _cells(fa, fb, p)
+    if flip:
+        cells = cells[::-1]  # the witness of the folded biases, both bits flipped back
     coupling = Coupling2x2(*(cells / cells.sum()))
-    return MreResult(value=_divergence(av, bv, p, params), p_star=p, coupling=coupling)
+    value = _divergence(fa, fb, p, params)
+    return MreResult(value=value, p_star=_unfold_p(av, bv, p, flip), coupling=coupling)
 
 
 def _argmin_polish(a, b, p, params: DsbsParams):

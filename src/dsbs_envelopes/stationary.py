@@ -14,19 +14,20 @@ collapses to the scalar root equation
 
     W(v*W(h)) = r*v*h,            h = ln z,  r = (p-1)(q-1),
 
-(`aux_phi_h` is its left-minus-right side, evaluated as that very
-composition of W).  For ``|v| > 1``, ``theta in (0,1)`` and
-``0 < r < rho^2`` this has exactly one root with h > 0; the bend point h0
-below which no root can sit comes from the eta-substitution
-``eta = 1/w(e^h)`` (`h0_threshold`).  `count_roots_scan` certifies the
-uniqueness on a 10^6-point grid: it counts the grid's sign changes exactly,
-but evaluates only a few hundred points, because the closed-form slope
-``aux_phi_h'/v = W'(|v|*W(h))*W'(h) - r`` decreases in h and so encloses
-the slope on any grid range, which proves most ranges free of a sign change.
+(`aux_phi_h` is its left-minus-right side f, evaluated as that very
+composition of W).  Its slope is v*g, where ``g(h) = W'(|v|*W(h))*W'(h) - r``
+(`_aux_slope`) falls from g(0) = rho^2 - r on h > 0.  For ``|v| > 1``,
+``theta in (0,1)`` and ``0 < r < rho^2`` the concave f/v rises up to the
+bend point h0, the zero of g (`h0_threshold`), then falls to -inf: one
+root with h > 0, past h0.  One batched Newton solver, `_solve_roots`,
+finds h0 and the root.  `count_roots_scan` certifies the uniqueness on a
+10^6-point grid: it counts the grid's sign changes exactly, but evaluates
+only a few hundred points, because the decreasing g encloses the slope on
+any grid range, which proves most ranges free of a sign change.
 
-W itself is evaluated as ``ln(1/eta) = log1p(1/eta - 1)`` with the
-difference written out, ``1/eta - 1 = (1-theta)*(1 - e)/(theta + e)`` for
-``e = exp(-|h|)`` (through expm1), and the sign of h restored.  Nothing
+W itself is evaluated as ``log1p(w - 1)`` with the difference written out,
+``w(e^h) - 1 = (1-theta)*(1 - e)/(theta + e)`` for ``e = exp(-|h|)``
+(through expm1), and the sign of h restored.  Nothing
 cancels, so W keeps full relative precision as h -> 0, where the root
 signal near r = rho^2 lives.  Only exp(-|h|) is ever taken, so W never
 overflows: for large |h| (a large outer argument v*W(h)) it underflows to
@@ -53,12 +54,13 @@ r*v makes h ~ 100) never overflows.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optim import bisect_root
-from .binary import Coupling2x2, DsbsParams, _require_finite_real, _require_int, d2
+from ._optim import newton_root_vec
+from .binary import Coupling2x2, DsbsParams, _require_int, _store_finite_reals, d2
 from .envelopes import QParam, phi_tilde_ab
 from .errors import InconsistencyError, InputDomainError, NoRootError
 from .mre import dd2_value
@@ -67,7 +69,6 @@ __all__ = [
     "RootProblem",
     "StationaryPoint",
     "GammaExtremum",
-    "eta_of_h",
     "aux_phi_h",
     "h0_threshold",
     "solve_root_z",
@@ -80,9 +81,15 @@ __all__ = [
 _SIGN_SLACK = 1e-9  # tolerance on the case sign patterns, in log-ratio units
 _SCAN_SEEDS = 256  # index ranges seeded per count_roots_scan
 _SCAN_BLOCK = 16  # count_roots_scan evaluates ranges this short point by point
-_F_PAD = 32.0  # aux_phi_h float pad, in units of eps*(ln(1/theta) + r*|v|*h)
+_F_PAD = 32.0  # aux_phi_h float pad, in units of eps*(min(ln(1/theta), rho^2*|v|*h) + r*|v|*h)
 _EPS = float(np.finfo(float).eps)
 _WINDOW_K = 17  # points per axis of each gamma_extremum refinement window
+_Rows = namedtuple("_Rows", "theta v r")  # root problems as arrays, read like a RootProblem
+_FAILURES = (  # the reasons `_solve_roots` reports, first match first
+    "no bend point: r is at or within rounding of rho^2, where the interior root degenerates",
+    "degenerate bend point: no strictly interior root",
+    "no sign change of the root equation up to h = 1e4",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +97,8 @@ class RootProblem:
     """Parameters (theta, v, r) of the scalar root equation.
 
     Valid when theta is in (0,1), |v| > 1, and 0 < r <= rho^2 with
-    rho = (1-theta)/(1+theta).  At r = rho^2 exactly the root merges into
-    h = 0 and the solver reports no interior root.
+    rho = (1-theta)/(1+theta).  The root merges into h = 0 at r = rho^2, and
+    for r within g's float pad of rho^2 the solver reports no root.
     """
 
     theta: float
@@ -100,7 +107,7 @@ class RootProblem:
     rho: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_finite_real(theta=self.theta, v=self.v, r=self.r)
+        _store_finite_reals(self, "theta", "v", "r")
         if not 0.0 < self.theta < 1.0:
             raise InputDomainError(f"theta={self.theta!r} outside (0, 1)")
         if abs(self.v) <= 1.0:
@@ -141,29 +148,10 @@ class GammaExtremum:
 # ---------------------------------------------------------------------------
 
 
-def eta_of_h(h, theta: float):
-    """The substitution eta = (1 + theta*e^h)/(theta + e^h) = 1/w(e^h).
-
-    Strictly decreasing for h >= 0 with range (theta, 1]; evaluated through
-    exp(-|h|) so it never overflows, and exp underflow lands exactly on the
-    limit value theta.  ``eta_of_h(0) = 1`` exactly.
-    """
-    if not 0.0 < theta < 1.0:
-        raise InputDomainError("theta must be in (0, 1)")
-    scalar = np.ndim(h) == 0
-    hv = np.asarray(h, dtype=float)
-    e = np.exp(-np.abs(hv))
-    pos = (e + theta) / (theta * e + 1.0)  # h >= 0: multiplied through by e^-h
-    neg = (1.0 + theta * e) / (theta + e)
-    out = np.where(hv >= 0.0, pos, neg)
-    return float(out) if scalar else out
-
-
 def _log_w_of_h(h, theta: float):
     """W(h) = ln w(e^h) with w(x) = (x+theta)/(1+theta*x); odd in h.
 
-    The cancellation-free log1p form of the module docstring; -log(eta)
-    loses relative precision as h -> 0.
+    The cancellation-free log1p form of the module docstring.
     """
     x = -np.abs(np.asarray(h, dtype=float))
     return np.copysign(np.log1p((1.0 - theta) * -np.expm1(x) / (theta + np.exp(x))), h)
@@ -179,11 +167,11 @@ def aux_phi_h(h, prob: RootProblem):
     W saturates at +-ln(1/theta).  The value at h = 0 is exactly 0:
     expm1(0) = 0, so both W terms are zero.
 
-    Float pad: |computed - exact| <= 32*eps*(ln(1/theta) + r*|v|*h) for
-    h in [0, 1e4], the bound `count_roots_scan` relies on.  Both W keep
-    full relative precision and |W| <= ln(1/theta), and r*v*h rounds
-    relatively; against 50-digit mpmath the error stays below 2 of those
-    eps units (1.06 at most over 3000 random draws).
+    Float pad: |computed - exact| <= 32*eps*(min(ln(1/theta), rho^2*|v|*h)
+    + r*|v|*h) for h in [0, 1e4], the bound `count_roots_scan` relies on.
+    Both W keep full relative precision, |W(x)| <= min(ln(1/theta), rho*|x|)
+    and r*v*h rounds relatively; against 50-digit mpmath the error stays
+    below 3 of those eps units (2.56 at most over 4000 draws).
     """
     scalar = np.ndim(h) == 0
     hv = np.asarray(h, dtype=float)
@@ -194,56 +182,57 @@ def aux_phi_h(h, prob: RootProblem):
     return float(out) if scalar else out
 
 
-def _pow_or_inf(base: float, exponent: float) -> float:
-    """base**exponent for base > 0, overflowing to inf instead of raising."""
-    y = exponent * math.log(base)
-    return math.inf if y > 709.0 else math.exp(y)
+def _solve_roots(theta, v, r) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Bend point h0, root h and failure reason of each problem (theta[i], v[i], r[i]).
+
+    Both solves run `newton_root_vec` over all rows in lockstep: h0 is the
+    zero of -g, slope -g', on [0, arccosh(max(1, ((1-theta)^2/r - 1 -
+    theta^2)/(2*theta)))], past which g < 0 as W' <= rho; the root is the
+    zero of -f/v, slope -g, on [h0, R], descending from R = min(2*ln(1/theta)
+    /(r*|v|), 1e4), where |W| <= ln(1/theta) makes f/v <= -ln(1/theta)/|v|
+    clear of rounding.  h0 is NaN where g(0) does not exceed its pad, h is
+    NaN where there is no root, and reason is "" exactly where h is a root.
+    """
+    probs = _Rows(*(np.asarray(x, dtype=float) for x in (theta, v, r)))
+    t, r, zeros = probs.theta, probs.r, np.zeros(probs.r.size)
+
+    def neg_g(x, i):
+        g, _, g_prime = _aux_slope(x, _Rows(*(a[i] for a in probs)), prime=True)
+        return -g, -g_prime
+
+    def neg_f(x, i):
+        rows = _Rows(*(a[i] for a in probs))
+        return -aux_phi_h(x, rows) / rows.v, -_aux_slope(x, rows)[0]
+
+    top = np.arccosh(np.maximum(1.0, ((1.0 - t) ** 2 / r - 1.0 - t * t) / (2.0 * t)))
+    h0 = newton_root_vec(neg_g, zeros, top, top)[0]
+    right = np.minimum(-2.0 * np.log(t) / (r * np.abs(probs.v)), 1e4)
+    h = newton_root_vec(neg_f, h0, right, right)[0]
+    g0, g0_pad = _aux_slope(zeros, probs)
+    fails = [g0 <= g0_pad, aux_phi_h(h0, probs) / probs.v <= 0.0, aux_phi_h(right, probs) / probs.v > 0.0]
+    reason = np.select(fails, _FAILURES, "")
+    h0[fails[0]] = np.nan
+    h[reason != ""] = np.nan
+    return h0, h, reason.tolist()
+
+
+def _solve_one(prob: RootProblem, root: bool = True) -> float:
+    """The root h, or the bend point h0 if not ``root``, of one problem by `_solve_roots`."""
+    h0, h, reason = _solve_roots([prob.theta], [prob.v], [prob.r])
+    x = float((h if root else h0)[0])
+    if math.isnan(x):
+        raise NoRootError(reason[0])
+    return x
 
 
 def h0_threshold(prob: RootProblem) -> float:
-    """The bend point h0: aux_phi_h rises until h0 and falls (v > 1) after it.
-
-    Found by solving r*(eta^|v| + eta^-|v|) + eta + 1/eta = (1-r)*(theta +
-    1/theta) for the unique eta0 in (theta, 1) — the left side is convex
-    with its minimum at eta = 1, hence strictly decreasing on (0, 1) — and
-    mapping back through h0 = ln((1 - eta0*theta)/(eta0 - theta)).
-    """
-    theta, v, r = prob.theta, abs(prob.v), prob.r
-    target = (1.0 - r) * (theta + 1.0 / theta)
-
-    def gap(eta: float) -> float:
-        return r * (_pow_or_inf(eta, v) + _pow_or_inf(eta, -v)) + eta + 1.0 / eta - target
-
-    if gap(1.0) >= 0.0:
-        raise NoRootError(
-            "no bend point: r is at or beyond rho^2, where the interior root degenerates"
-        )
-    eta0 = bisect_root(gap, theta, 1.0)
-    h0 = math.log((1.0 - eta0 * theta) / (eta0 - theta))
-    if not math.isfinite(h0):
-        raise NoRootError("bend point beyond representable range (r too close to 0)")
-    return h0
-
-
-def _solve_root_h(prob: RootProblem) -> float:
-    """The unique h > 0 with aux_phi_h(h) = 0, bracketed past the bend point."""
-    h0 = h0_threshold(prob)
-    f0 = aux_phi_h(h0, prob)
-    if f0 == 0.0:
-        raise NoRootError("degenerate bend point: no strictly interior root")
-    hi = max(2.0 * h0, 1.0)
-    f_hi = aux_phi_h(hi, prob)
-    while f_hi * f0 > 0.0:
-        hi *= 2.0
-        if hi > 1e4:
-            raise NoRootError("no sign change of the root equation up to h = 1e4")
-        f_hi = aux_phi_h(hi, prob)
-    return bisect_root(lambda h: aux_phi_h(h, prob), h0, hi, f_lo=f0, f_hi=f_hi)
+    """The bend point h0, the zero of g; `NoRootError` if g(0) does not exceed its pad."""
+    return _solve_one(prob, root=False)
 
 
 def solve_root_z(prob: RootProblem) -> float:
     """The unique z > 1 solving the stationarity root equation."""
-    return math.exp(_solve_root_h(prob))
+    return math.exp(_solve_one(prob))
 
 
 def _scan_points(k: np.ndarray, n: int) -> np.ndarray:
@@ -260,29 +249,40 @@ def _scan_points(k: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _w_prime(x: np.ndarray, theta: float) -> np.ndarray:
-    """W'(x) = (1-theta^2)/(1+theta^2+2*theta*cosh x), through e = exp(-|x|)."""
+def _w_prime(x: np.ndarray, theta: float, second: bool = False):
+    """W'(x) = (1-theta^2)/(1+theta^2+2*theta*cosh x), through e = exp(-|x|), and W''.
+
+    W' = (1-theta^2)*e/D with D = theta + (1+theta^2)*e + theta*e^2, and
+    W''(x) = -sign(x)*theta*(1-e^2)*W'(x)/D, 1 - e^2 through expm1; W'' is
+    None unless ``second``.
+    """
     e = np.exp(-np.abs(x))
-    return (1.0 - theta * theta) * e / (theta + (1.0 + theta * theta) * e + theta * e * e)
+    d = theta + (1.0 + theta * theta) * e + theta * e * e
+    w = (1.0 - theta * theta) * e / d
+    return w, (np.sign(x) * theta * np.expm1(-2.0 * np.abs(x)) * w / d if second else None)
 
 
-def _aux_slope(h: np.ndarray, prob: RootProblem) -> tuple[np.ndarray, np.ndarray]:
+def _aux_slope(h: np.ndarray, prob: RootProblem, prime: bool = False) -> tuple[np.ndarray, ...]:
     """g(h) = aux_phi_h'(h)/v = W'(|v|*W(h))*W'(h) - r for h >= 0, and its pad.
 
     Both factors are positive and decrease in h, so g decreases on h > 0.
     The pad bounds the float error of g: 8*eps*(r + P*(1 + x)) with
     P = W'(x)*W'(h) and x = |v|*W(h), a few ulps of r where g crosses 0
-    (P ~ r), widened by x because W'(x) amplifies the error of x.
+    (P ~ r), widened by x because W'(x) amplifies the error of x.  With
+    ``prime``, g'(h) = W''(x)*|v|*W'(h)^2 + W'(x)*W''(h) <= 0 follows.
     """
-    x = abs(prob.v) * _log_w_of_h(h, prob.theta)
-    prod = _w_prime(x, prob.theta) * _w_prime(h, prob.theta)
-    return prod - prob.r, 8.0 * _EPS * (prob.r + prod * (1.0 + x))
+    v, theta = abs(prob.v), prob.theta
+    x = v * _log_w_of_h(h, theta)
+    (w_x, w2_x), (w_h, w2_h) = _w_prime(x, theta, prime), _w_prime(h, theta, prime)
+    prod = w_x * w_h
+    g, pad = prod - prob.r, 8.0 * _EPS * (prob.r + prod * (1.0 + x))
+    return (g, pad, w2_x * v * w_h * w_h + w_x * w2_h) if prime else (g, pad)
 
 
 def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
     """Sign changes of aux_phi_h on the grid ``np.geomspace(1e-8, 1e4, n)``.
 
-    Independent of the bisection solver; exists to certify uniqueness of the
+    Independent of the root solver; exists to certify uniqueness of the
     root.  Grid points where the computed function is exactly zero are
     skipped rather than double-counted.  The count is exact with respect to
     the brute-force scan, the sign changes of aux_phi_h evaluated on all n
@@ -324,7 +324,7 @@ def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
             np.minimum(a_i, a_j),
             0.5 * (a_i + a_j - spread) - 4.0 * _EPS * (a_i + a_j + spread),
         )
-        f_pad = _F_PAD * _EPS * (log_inv_theta + rv * h_j)
+        f_pad = _F_PAD * _EPS * (np.minimum(log_inv_theta, prob.rho**2 * abs(prob.v) * h_j) + rv * h_j)
         keep = (np.sign(f_i) != np.sign(f_j)) | (bound <= 2.0 * f_pad)
         short = keep & (j - i <= _SCAN_BLOCK)
         block_lo.append(lo[0, short])
@@ -436,7 +436,7 @@ def stationary_point(qp: QParam, params: DsbsParams, case: str = "forward") -> S
     h_b = -h*, so ln z = u*W(-h*) = -u*W(h*) > 0.
     """
     side, exponent = _root_side(qp, case)
-    h_a = _solve_root_h(RootProblem(params.theta, exponent, qp.r))
+    h_a = _solve_one(RootProblem(params.theta, exponent, qp.r))
     if side == "u":
         sign = -1.0 if case == "mixed" else 1.0
         h_a = sign * qp.u * float(_log_w_of_h(h_a, params.theta))

@@ -37,7 +37,7 @@ from .envelopes import (
     psi_grid,
     _q_opt,
 )
-from .errors import DsbsError, InputDomainError, NoRootError
+from .errors import DsbsError, InputDomainError
 from .hulls import (
     GridFn,
     check_midpoint_concave,
@@ -50,11 +50,11 @@ from .hulls import (
 from .mre import _dd2_oracle_batch, dd2_value, p_star
 from .stationary import (
     RootProblem,
+    _solve_roots,
     aux_phi_h,
     count_roots_scan,
     gamma_extremum,
     hypercontractive_regime,
-    solve_root_z,
 )
 
 __all__ = [
@@ -369,13 +369,13 @@ def _claim_u(ctx):
         theta = 0.5
         rho = (1.0 - theta) / (1.0 + theta)
         problems.append(_root_problem_unchecked(theta, 2.0, 1.2 * rho * rho))
-    for prob in problems:
-        try:
-            z = solve_root_z(prob)
-            residual = abs(float(aux_phi_h(math.log(z), prob)))
-            count = count_roots_scan(prob)
-        except NoRootError:
+    _, roots, reasons = _solve_roots(*zip(*((p.theta, p.v, p.r) for p in problems)))
+    for prob, h, reason in zip(problems, roots, reasons):
+        if reason:
             residual, count = math.inf, 0
+        else:
+            residual = abs(float(aux_phi_h(h, prob)))
+            count = count_roots_scan(prob)
         witness = dict(theta=prob.theta, v=prob.v, r=prob.r, residual=residual, scan_count=count)
         yield residual - ctx.tol["root_residual"], witness
         yield abs(count - 1) - 0.5, witness

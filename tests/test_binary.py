@@ -1,5 +1,6 @@
 """Scalar binary machinery: entropy, divergence, the deficit inverse, convolution."""
 
+import dataclasses
 import math
 import warnings
 
@@ -249,6 +250,21 @@ def test_dsbs_params_fields():
     np.testing.assert_allclose(
         params.joint_cells(), [0.475, 0.025, 0.025, 0.475], atol=1e-15
     )
+
+
+def _typed_fields(obj):
+    """(name, value, type) of every dataclass field of ``obj``."""
+    return [(f.name, getattr(obj, f.name), type(getattr(obj, f.name))) for f in dataclasses.fields(obj)]
+
+
+def test_dsbs_params_accepts_numpy_scalars():
+    # a numpy real is stored as the float it converts to, so no derived
+    # field stays in float32 under NEP 50 promotion
+    for rho in (np.float32(0.9), np.float16(0.5), np.float64(0.3)):
+        assert _typed_fields(DsbsParams(rho)) == _typed_fields(DsbsParams(float(rho)))
+    for bad in (True, np.bool_(True), 0.5 + 0j, "0.5", np.float32("nan"), np.float64("inf")):
+        with pytest.raises(InputDomainError, match="finite real"):
+            DsbsParams(bad)
 
 
 def test_dsbs_params_rejects_degenerate_rho():

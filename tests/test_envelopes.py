@@ -30,6 +30,7 @@ from dsbs_envelopes import (
 )
 from dsbs_envelopes import envelopes
 from dsbs_envelopes.envelopes import _phi_tilde_oracle_lattice
+from test_binary import _typed_fields
 from test_mre import _dd2_mp
 
 RHO = DsbsParams(0.9)
@@ -182,6 +183,13 @@ def test_psi_q_tilde_lattice_gap():
 # ---------------------------------------------------------------------------
 # slope-indexed families
 # ---------------------------------------------------------------------------
+
+
+def test_qparam_accepts_numpy_scalars():
+    for p, q in ((np.int64(2), 1.5), (np.float32(0.3), np.float32(-2.5)), (2, np.int32(3))):
+        assert _typed_fields(QParam(p, q)) == _typed_fields(QParam(float(p), float(q)))
+    with pytest.raises(InputDomainError, match="finite real"):
+        QParam(True, 2.0)
 
 
 def test_qparam_algebra():

@@ -40,6 +40,9 @@ FROZEN = [
 ]
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# rho across (0, 1), with the high-correlation values where the unfolded
+# discriminant cancels near a = b = 1
+rhos = st.one_of(st.sampled_from([0.9999, 0.99999]), st.floats(min_value=1e-5, max_value=0.99999))
 
 
 @pytest.mark.parametrize("a, b, rho, p_ref, v_ref", FROZEN)
@@ -83,30 +86,69 @@ def test_coupling_witness_consistency():
     assert q.q11 == pytest.approx(res.p_star, abs=1e-15)
 
 
-@given(probs, probs)
+@given(probs, probs, rhos)
 @settings(max_examples=500, deadline=None)
-def test_p_star_feasible_and_stationary(a, b):
-    p = p_star(a, b, RHO)
+def test_p_star_feasible_and_stationary(a, b, rho):
+    params = DsbsParams(rho)
+    p = p_star(a, b, params)
     lo = max(0.0, a + b - 1.0)
     hi = min(a, b)
     assert lo - 1e-12 <= p <= hi + 1e-12
     # value at p_star never exceeds the endpoint couplings' divergences
-    v = dd2_value(a, b, RHO)
+    v = dd2_value(a, b, params)
     for endpoint in (lo, hi):
         cells = Coupling2x2(1.0 + endpoint - a - b, b - endpoint, a - endpoint, endpoint)
-        assert v <= kl_joint(cells, RHO) + 1e-12
+        assert v <= kl_joint(cells, params) + 1e-12
 
 
-@given(probs, probs)
+@given(probs, probs, rhos)
 @settings(max_examples=200, deadline=None)
-def test_dd2_symmetric_in_marginals(a, b):
-    assert dd2_value(a, b, RHO) == pytest.approx(dd2_value(b, a, RHO), abs=1e-12)
+def test_dd2_symmetric_in_marginals(a, b, rho):
+    params = DsbsParams(rho)
+    assert dd2_value(a, b, params) == pytest.approx(dd2_value(b, a, params), abs=1e-12)
 
 
-@given(probs, probs, st.sampled_from([0.1, 0.5, 0.9]))
+@given(probs, probs, rhos)
 @settings(max_examples=200, deadline=None)
 def test_dd2_nonnegative(a, b, rho):
     assert dd2_value(a, b, DsbsParams(rho)) >= -1e-15
+
+
+@given(st.floats(min_value=0.5, max_value=1.0), probs, rhos)
+@settings(max_examples=300, deadline=None)
+def test_dd2_invariant_under_flipping_both_bits(a, b, rho):
+    # the source is invariant under (X, Y) -> (1-X, 1-Y): dd2(a, b) =
+    # dd2(1-a, 1-b) and p*(a, b) = a + b - 1 + p*(1-a, 1-b); 1 - a is exact
+    # for a >= 1/2, so the two sides see the same biases
+    params = DsbsParams(rho)
+    v, v_flip = dd2_value(a, b, params), dd2_value(1.0 - a, 1.0 - b, params)
+    assert v == pytest.approx(v_flip, rel=1e-13, abs=1e-15)
+    p, p_flip = p_star(a, b, params), p_star(1.0 - a, 1.0 - b, params)
+    assert p == pytest.approx(a + b - 1.0 + p_flip, rel=1e-13, abs=1e-15)
+    res = dd2(a, b, params)
+    assert (res.value, res.p_star) == (v, p)
+    q = res.coupling
+    assert q.q10 + q.q11 == pytest.approx(a, abs=1e-12)
+    assert q.q01 + q.q11 == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.999, 0.9999, 0.99999])
+def test_dd2_near_both_ones_against_mpmath(rho):
+    # 1 - a and 1 - b in [1e-13, 1e-1]: unfolded, the discriminant there was
+    # formed from two terms of about 4k^2 and went negative on valid input
+    params = DsbsParams(rho)
+    rng = np.random.default_rng(17)
+    a = 1.0 - 10.0 ** rng.uniform(-13.0, -1.0, 60)
+    b = 1.0 - 10.0 ** rng.uniform(-13.0, -1.0, 60)
+    got = dd2_value(a, b, params)
+    with mpmath.workdps(60):
+        for i in range(a.size):
+            ref = _dd2_mp(mpmath.mpf(a[i]), mpmath.mpf(b[i]), rho)
+            assert abs(got[i] - float(ref)) <= 4e-15 * float(ref), (a[i], b[i])
+        # at b = 1 the segment is the one coupling (0, 1 - a, 0, a)
+        a_mp, r = mpmath.mpf(1 - 1e-9), mpmath.mpf(0.9999)
+        ref = ((1 - a_mp) * mpmath.log(4 * (1 - a_mp) / (1 - r)) + a_mp * mpmath.log(4 * a_mp / (1 + r))) / mpmath.log(2)
+    assert dd2_value(1 - 1e-9, 1.0, DsbsParams(0.9999)) == pytest.approx(float(ref), rel=4e-15)
 
 
 def test_batch_oracle_matches_closed_form():
@@ -236,6 +278,18 @@ def _reference_dd2(av, bv, params):
     return total / math.log(2.0)
 
 
+def _folded_reference(av, bv, params):
+    """dd2 and p* by the references, at (1 - a, 1 - b) where a + b > 1.
+
+    The public functions fold there (both bits flipped), and p* unfolds as
+    a + b - 1 + p*(1 - a, 1 - b).
+    """
+    flip = av + bv > 1.0
+    fa, fb = np.where(flip, 1.0 - av, av), np.where(flip, 1.0 - bv, bv)
+    p = _reference_p_star(fa, fb, params)
+    return _reference_dd2(fa, fb, params), np.where(flip, av + bv - 1.0 + p, p)
+
+
 def _same_bits(got, want) -> bool:
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -258,8 +312,9 @@ def test_kernel_matches_the_reference_composition_bit_for_bit(monkeypatch, rho):
         pairs += [(a_axis[:, None], bs[None, :]), (a_axis[None, :], bs[:, None])]
         pairs.append((np.array(edges)[:, None], np.array(edges)[None, :]))
         for a, b in pairs:
-            assert _same_bits(dd2_value(a, b, source), _reference_dd2(a, b, source)), name
-            assert _same_bits(p_star(a, b, source), _reference_p_star(a, b, source)), name
+            want_v, want_p = _folded_reference(a, b, source)
+            assert _same_bits(dd2_value(a, b, source), want_v), name
+            assert _same_bits(p_star(a, b, source), want_p), name
         # 0-d biases, signed zeros included, take the array path: a float
         # equal to the 1-element array's value bit for bit
         scalars = [(x, y) for x in a_axis[::4] for y in bs[::6]] + [(x, y) for x in edges for y in edges]

@@ -124,11 +124,16 @@ def _nan_array(x):
     return np.full_like(x, np.nan)
 
 
+def _nan_roots(out):
+    h0, h, reason = out
+    return h0, np.full_like(h, np.nan), reason
+
+
 # (verify global, a claim that reads it, its result turned to NaN); the test
 # id is the global's name, with the claim appended for its second reader
 NAN_SOURCES = [
     ("gamma_extremum", "H", _nan_extremum),
-    ("solve_root_z", "U", lambda z: math.nan),
+    ("_solve_roots", "U", _nan_roots),
     ("psi", "B", lambda v: math.nan),
     ("p_star", "P", _nan_array),
     ("_q_opt", "T3", _nan_arrays),
