@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -293,8 +295,28 @@ def cmd_roots(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-1e1`` as a value, not as an option.
+
+    argparse alone takes only ``-123`` and ``-1.5`` for negative numbers, so
+    ``--q -1e1`` (how Python prints small and large negatives) would fail
+    with "expected one argument".  Here any negative float literal, its
+    fraction and exponent optional, is a value; ``-inf`` and ``-h`` stay
+    option strings.  Subparsers are built with the parent's class, so all
+    five parsers share this.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+# built on the first main() call, not at import, and reused for every later
+# call in the process: parse_args never mutates the parser and returns a fresh
+# Namespace, and the cmd_* stored as defaults look up library names at call time
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dsbs-envelopes",
         description="Divergence-region envelopes of a symmetric binary pair.",
     )

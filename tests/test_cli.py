@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from dsbs_envelopes import DsbsParams, QParam, phi_q_full, stationary_point
-from dsbs_envelopes.cli import main
+from dsbs_envelopes.cli import _build_parser, main
 from dsbs_envelopes.mre import dd2
 
 
@@ -265,6 +265,56 @@ def test_roots_scans_a_fixed_grid(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments: --scan-n" in err
+
+
+@pytest.mark.parametrize(
+    "template, exponent_form, plain_form",
+    [
+        ("eval phi_q --rho 0.9 --s 0.5 --q {}", "-1e1", "-10.0"),
+        ("roots --theta 0.3 --v {} --r 0.2", "-3e0", "-3"),
+        ("roots --rho 0.9 --p 0.5 --q {}", "-2e0", "-2"),
+        ("eval phi_q --rho 0.9 --s 0.5 --q {}", "-inf", None),
+    ],
+)
+def test_negative_values_in_exponent_form(capsys, template, exponent_form, plain_form):
+    # argparse alone took only -123 and -1.5 for negative numbers, so a value
+    # printed by repr, such as -1e-05, was read as an unknown option string
+    argv = template.format(exponent_form).split()
+    if plain_form is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *template.format(plain_form).split()) == (0, out, "")
+
+
+def test_repeated_calls_share_no_state(capsys):
+    # one process, one parser: no call may see what an earlier one parsed
+    dd2_argv = ["eval", "dd2", "--rho", "0.9", "--a", "0.3", "--b", "0.4"]
+    code, first, _ = run_cli(capsys, *dd2_argv)
+    assert code == 0
+    code, _, err = run_cli(capsys, "eval", "dd2", "--rho", "0.9", "--a", "0.3")
+    assert code == 2
+    assert "--b" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--rho", "0.9", "--tol", "x=1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "roots", "--theta", "0.3", "--v", "2", "--r", "0.2")
+    assert code == 0
+    assert out.splitlines()[-1] == "scan_count = 1 (n = 1000000)"
+    code, out, err = run_cli(capsys, "roots", "--rho", "0.9", "--p", "2", "--q", "1.5")
+    assert code == 0
+    assert "give either" not in err and "root regime" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert run_cli(capsys, *dd2_argv) == (0, first, "")
+    assert _build_parser() is _build_parser()
 
 
 def test_console_script_installed():
