@@ -37,9 +37,11 @@ from .errors import DsbsError, InputDomainError
 from .mre import dd2, dd2_value, p_star
 from .stationary import (
     RootProblem,
+    _f_pad,
     _log_w_of_h,
     _regime_case,
     _root_side,
+    _scan_sign_changes,
     _solve_roots,
     aux_phi_h,
     count_roots_scan,
@@ -286,8 +288,29 @@ def cmd_roots(args) -> int:
     print(f"eta0 = {_g12(math.exp(-_log_w_of_h(h0, theta)))}   h0 = {_g12(h0)}")
     print(f"z = {_g12(math.exp(h))}   h = {_g12(h)}")
     print(f"residual = {_g12(abs(float(aux_phi_h(h, prob))))}")
-    print(f"scan_count = {count_roots_scan(prob, _ROOTS_SCAN_N)} (n = {_ROOTS_SCAN_N})")
+    count = count_roots_scan(prob, _ROOTS_SCAN_N)
+    print(f"scan_count = {count} (n = {_ROOTS_SCAN_N})")
+    if count > 1:
+        print(_extra_sign_changes(prob, h, *_scan_sign_changes(prob, _ROOTS_SCAN_N)))
     return 0
+
+
+def _extra_sign_changes(prob: RootProblem, h: float, at_h: np.ndarray, at_f: np.ndarray) -> str:
+    """Whether the scan's sign changes other than the one nearest the root h are float noise.
+
+    ``at_h`` and ``at_f`` hold h and f at both ends of each sign change
+    (`_scan_sign_changes`, rerun only for a count above 1, so a count of 1
+    costs one scan).  A change is noise where |f| at both its ends is
+    within the `aux_phi_h` float pad there.
+    """
+    extra = np.arange(at_h.shape[1]) != np.argmin(np.abs(np.log(at_h).mean(axis=0) - math.log(h)))
+    at_h, at_f = at_h[:, extra], at_f[:, extra]
+    noise = np.all(np.abs(at_f) <= _f_pad(at_h, prob), axis=0)
+    if noise.all():
+        lo, hi = f"{at_h.min():.3g}", f"{at_h.max():.3g}"
+        where = f"near h = {lo}" if lo == hi else f"for h in [{lo}, {hi}]"
+        return f"every extra sign change lies where |f| is within the aux_phi_h float pad (float noise {where})"
+    return f"an extra sign change near h = {at_h[0, ~noise][0]:.3g} has |f| beyond the aux_phi_h float pad"
 
 
 # ---------------------------------------------------------------------------

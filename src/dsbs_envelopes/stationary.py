@@ -16,14 +16,18 @@ collapses to the scalar root equation
 
 (`aux_phi_h` is its left-minus-right side f, evaluated as that very
 composition of W).  Its slope is v*g, where ``g(h) = W'(|v|*W(h))*W'(h) - r``
-(`_aux_slope`) falls from g(0) = rho^2 - r on h > 0.  For ``|v| > 1``,
-``theta in (0,1)`` and ``0 < r < rho^2`` the concave f/v rises up to the
-bend point h0, the zero of g (`h0_threshold`), then falls to -inf: one
-root with h > 0, past h0.  One batched Newton solver, `_solve_roots`,
-finds h0 and the root.  `count_roots_scan` certifies the uniqueness on a
-10^6-point grid: it counts the grid's sign changes exactly, but evaluates
-only a few hundred points, because the decreasing g encloses the slope on
-any grid range, which proves most ranges free of a sign change.
+falls from g(0) = rho^2 - r on h > 0.  One evaluator, `_aux_terms`,
+returns f, g and g's float pad (and g') from one W(h) and one W(v*W(h)).
+For ``|v| > 1``, ``theta in (0,1)`` and ``0 < r < rho^2`` the concave f/v
+rises up to the bend point h0, the zero of g (`h0_threshold`), then falls
+to -inf: one root with h > 0, past h0.  One batched Newton solver,
+`_solve_roots`, finds h0 and the root.  `count_roots_scan` certifies the
+uniqueness on a 10^6-point grid: it counts the grid's sign changes
+exactly, but evaluates only a few hundred points (up to about 1,350 near
+r = rho^2), because the decreasing g encloses the slope on any grid range,
+which proves most ranges free of a sign change; each undecided range is
+cut 16 ways per round, so three batched rounds and one dense block cover
+the grid.
 
 W itself is evaluated as ``log1p(w - 1)`` with the difference written out,
 ``w(e^h) - 1 = (1-theta)*(1 - e)/(theta + e)`` for ``e = exp(-|h|)``
@@ -148,38 +152,85 @@ class GammaExtremum:
 # ---------------------------------------------------------------------------
 
 
-def _log_w_of_h(h, theta: float):
-    """W(h) = ln w(e^h) with w(x) = (x+theta)/(1+theta*x); odd in h.
+def _w_and_e(h, theta: float):
+    """W(h) = ln w(e^h) with w(x) = (x+theta)/(1+theta*x), odd in h, and e = exp(-|h|).
 
-    The cancellation-free log1p form of the module docstring.
+    The cancellation-free log1p form of the module docstring; `_w_prime`
+    takes W' from the same e.
     """
     x = -np.abs(np.asarray(h, dtype=float))
-    return np.copysign(np.log1p((1.0 - theta) * -np.expm1(x) / (theta + np.exp(x))), h)
+    e = np.exp(x)
+    return np.copysign(np.log1p((1.0 - theta) * -np.expm1(x) / (theta + e)), h), e
+
+
+def _log_w_of_h(h, theta: float):
+    """W(h) alone (`_w_and_e`)."""
+    return _w_and_e(h, theta)[0]
+
+
+def _w_prime(x: np.ndarray, e: np.ndarray, theta: float, second: bool = False):
+    """W'(x) = (1-theta^2)/(1+theta^2+2*theta*cosh x) from e = exp(-|x|), and W''.
+
+    W' = (1-theta^2)*e/D with D = theta + (1+theta^2)*e + theta*e^2, and
+    W''(x) = -sign(x)*theta*(1-e^2)*W'(x)/D, 1 - e^2 through expm1; W'' is
+    None unless ``second``.
+    """
+    d = theta + (1.0 + theta * theta) * e + theta * e * e
+    w = (1.0 - theta * theta) * e / d
+    return w, (np.sign(x) * theta * np.expm1(-2.0 * np.abs(x)) * w / d if second else None)
+
+
+def _aux_terms(h, prob: RootProblem, prime: bool = False) -> tuple[np.ndarray, ...]:
+    """f = `aux_phi_h`, g = f'/v and g's pad at h >= 0, and g' with ``prime``.
+
+    The root equation's one evaluator: one W(h) and one W(v*W(h)), each with
+    its one exp(-|.|), which W' reuses.  f = W(v*W(h)) - r*v*h.  Its slope
+    is v*g with g(h) = W'(x)*W'(h) - r and x = |v|*W(h); both factors are
+    positive and decrease in h, so g decreases on h > 0.  The pad bounds
+    the float error of g: 8*eps*(r + P*(1 + x)) with P = W'(x)*W'(h), a few
+    ulps of r where g crosses 0 (P ~ r), widened by x because W'(x)
+    amplifies the error of x.  With ``prime``, g'(h) = W''(x)*|v|*W'(h)^2 +
+    W'(x)*W''(h) <= 0 follows.
+    """
+    theta, v, r = prob.theta, prob.v, prob.r
+    av = abs(v)
+    w_h, e_h = _w_and_e(h, theta)
+    w_v, e_x = _w_and_e(v * w_h, theta)  # |v*W(h)| = x, so e_x = exp(-x)
+    x = av * w_h
+    (d_x, d2_x), (d_h, d2_h) = _w_prime(x, e_x, theta, prime), _w_prime(h, e_h, theta, prime)
+    prod = d_x * d_h
+    f, g, pad = w_v - r * v * h, prod - r, 8.0 * _EPS * (r + prod * (1.0 + x))
+    return (f, g, pad, d2_x * av * d_h * d_h + d_x * d2_h) if prime else (f, g, pad)
 
 
 def aux_phi_h(h, prob: RootProblem):
     """Left minus right side of the root equation: W(v*W(h)) - r*v*h, h >= 0.
 
-    Evaluated as the composition itself, each W in the log1p form of the
-    module docstring: six transcendentals per point (exp, expm1 and log1p
-    per W).  Large |v| never overflows: W only exponentiates -|x|, so for a
-    large outer argument x = v*W(h) exp(-|x|) underflows to 0 and the outer
-    W saturates at +-ln(1/theta).  The value at h = 0 is exactly 0:
-    expm1(0) = 0, so both W terms are zero.
+    Evaluated as the composition itself (`_aux_terms`), each W in the log1p
+    form of the module docstring.  Large |v| never overflows: W only
+    exponentiates -|x|, so for a large outer argument x = v*W(h) exp(-|x|)
+    underflows to 0 and the outer W saturates at +-ln(1/theta).  The value
+    at h = 0 is exactly 0: expm1(0) = 0, so both W terms are zero.
 
     Float pad: |computed - exact| <= 32*eps*(min(ln(1/theta), rho^2*|v|*h)
-    + r*|v|*h) for h in [0, 1e4], the bound `count_roots_scan` relies on.
-    Both W keep full relative precision, |W(x)| <= min(ln(1/theta), rho*|x|)
-    and r*v*h rounds relatively; against 50-digit mpmath the error stays
-    below 3 of those eps units (2.56 at most over 4000 draws).
+    + r*|v|*h) for h in [0, 1e4] (`_f_pad`), the bound `count_roots_scan`
+    relies on.  Both W keep full relative precision, |W(x)| <=
+    min(ln(1/theta), rho*|x|) and r*v*h rounds relatively; against 50-digit
+    mpmath the error stays below 3 of those eps units (2.56 at most over
+    4000 draws).
     """
     scalar = np.ndim(h) == 0
     hv = np.asarray(h, dtype=float)
     if np.any(hv < 0.0):
         raise InputDomainError("aux_phi_h is defined for h >= 0")
-    theta, v, r = prob.theta, prob.v, prob.r
-    out = _log_w_of_h(v * _log_w_of_h(hv, theta), theta) - r * v * hv
+    out = _aux_terms(hv, prob)[0]
     return float(out) if scalar else out
+
+
+def _f_pad(h, prob: RootProblem):
+    """The float pad of `aux_phi_h` at h: 32*eps*(min(ln(1/theta), rho^2*|v|*h) + r*|v|*h)."""
+    log_inv_theta, rv = math.log(1.0 / prob.theta), prob.r * abs(prob.v)
+    return _F_PAD * _EPS * (np.minimum(log_inv_theta, prob.rho**2 * abs(prob.v) * h) + rv * h)
 
 
 def _solve_roots(theta, v, r) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -190,26 +241,40 @@ def _solve_roots(theta, v, r) -> tuple[np.ndarray, np.ndarray, list[str]]:
     theta^2)/(2*theta)))], past which g < 0 as W' <= rho; the root is the
     zero of -f/v, slope -g, on [h0, R], descending from R = min(2*ln(1/theta)
     /(r*|v|), 1e4), where |W| <= ln(1/theta) makes f/v <= -ln(1/theta)/|v|
-    clear of rounding.  h0 is NaN where g(0) does not exceed its pad, h is
-    NaN where there is no root, and reason is "" exactly where h is a root.
+    clear of rounding.  Where y = (1-theta)^2/(2*theta*r) passes 1e300 (a
+    subnormal r, say), the arccosh argument, about y, would overflow, and
+    the bend-point bracket ends at ln(2*y) instead, taken as a sum of logs:
+    cosh h >= e^h/2 keeps g < 0 there too.
+    h0 is NaN where g(0) does not exceed its pad, h is NaN where there is no
+    root, and reason is "" exactly where h is a root.
     """
     probs = _Rows(*(np.asarray(x, dtype=float) for x in (theta, v, r)))
     t, r, zeros = probs.theta, probs.r, np.zeros(probs.r.size)
 
     def neg_g(x, i):
-        g, _, g_prime = _aux_slope(x, _Rows(*(a[i] for a in probs)), prime=True)
+        _, g, _, g_prime = _aux_terms(x, _Rows(*(a[i] for a in probs)), prime=True)
         return -g, -g_prime
 
     def neg_f(x, i):
         rows = _Rows(*(a[i] for a in probs))
-        return -aux_phi_h(x, rows) / rows.v, -_aux_slope(x, rows)[0]
+        f, g, _ = _aux_terms(x, rows)
+        return -f / rows.v, -g
 
-    top = np.arccosh(np.maximum(1.0, ((1.0 - t) ** 2 / r - 1.0 - t * t) / (2.0 * t)))
+    finite = (1.0 - t) ** 2 <= 1e300 * (2.0 * t) * r
+    top = np.where(
+        finite,
+        np.arccosh(np.maximum(1.0, ((1.0 - t) ** 2 / np.where(finite, r, 1.0) - 1.0 - t * t) / (2.0 * t))),
+        2.0 * np.log1p(-t) - np.log(t) - np.log(r),
+    )
     h0 = newton_root_vec(neg_g, zeros, top, top)[0]
-    right = np.minimum(-2.0 * np.log(t) / (r * np.abs(probs.v)), 1e4)
+    # r*|v| >= 1e-300 leaves the quotient as it was; below, it exceeds 1e4 anyway
+    right = np.minimum(-2.0 * np.log(t) / np.maximum(r * np.abs(probs.v), 1e-300), 1e4)
     h = newton_root_vec(neg_f, h0, right, right)[0]
-    g0, g0_pad = _aux_slope(zeros, probs)
-    fails = [g0 <= g0_pad, aux_phi_h(h0, probs) / probs.v <= 0.0, aux_phi_h(right, probs) / probs.v > 0.0]
+    f, g, pad = (
+        a.reshape(3, -1)
+        for a in _aux_terms(np.concatenate([zeros, h0, right]), _Rows(*(np.tile(a, 3) for a in probs)))
+    )
+    fails = [g[0] <= pad[0], f[1] / probs.v <= 0.0, f[2] / probs.v > 0.0]
     reason = np.select(fails, _FAILURES, "")
     h0[fails[0]] = np.nan
     h[reason != ""] = np.nan
@@ -249,34 +314,69 @@ def _scan_points(k: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _w_prime(x: np.ndarray, theta: float, second: bool = False):
-    """W'(x) = (1-theta^2)/(1+theta^2+2*theta*cosh x), through e = exp(-|x|), and W''.
+def _scan_cuts(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The `_SCAN_BLOCK` - 1 cuts floor(i + (j - i)*m/_SCAN_BLOCK), m = 1.., of each range [i, j].
 
-    W' = (1-theta^2)*e/D with D = theta + (1+theta^2)*e + theta*e^2, and
-    W''(x) = -sign(x)*theta*(1-e^2)*W'(x)/D, 1 - e^2 through expm1; W'' is
-    None unless ``second``.
+    Row per range.  Every term is exact in floats, and for j - i >
+    `_SCAN_BLOCK` the cuts are distinct and strictly inside (i, j).
     """
-    e = np.exp(-np.abs(x))
-    d = theta + (1.0 + theta * theta) * e + theta * e * e
-    w = (1.0 - theta * theta) * e / d
-    return w, (np.sign(x) * theta * np.expm1(-2.0 * np.abs(x)) * w / d if second else None)
+    fan = np.arange(1, _SCAN_BLOCK) / _SCAN_BLOCK
+    return np.floor(i[:, None] + (j - i)[:, None] * fan)
 
 
-def _aux_slope(h: np.ndarray, prob: RootProblem, prime: bool = False) -> tuple[np.ndarray, ...]:
-    """g(h) = aux_phi_h'(h)/v = W'(|v|*W(h))*W'(h) - r for h >= 0, and its pad.
+def _scan_sign_changes(prob: RootProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sign changes `count_roots_scan` counts, as (h, f), each of shape (2, count).
 
-    Both factors are positive and decrease in h, so g decreases on h > 0.
-    The pad bounds the float error of g: 8*eps*(r + P*(1 + x)) with
-    P = W'(x)*W'(h) and x = |v|*W(h), a few ulps of r where g crosses 0
-    (P ~ r), widened by x because W'(x) amplifies the error of x.  With
-    ``prime``, g'(h) = W''(x)*|v|*W'(h)^2 + W'(x)*W''(h) <= 0 follows.
+    Column c holds h and aux_phi_h at the two evaluated points, adjacent in
+    index order once exact zeros are dropped, whose signs differ.
     """
-    v, theta = abs(prob.v), prob.theta
-    x = v * _log_w_of_h(h, theta)
-    (w_x, w2_x), (w_h, w2_h) = _w_prime(x, theta, prime), _w_prime(h, theta, prime)
-    prod = w_x * w_h
-    g, pad = prod - prob.r, 8.0 * _EPS * (prob.r + prod * (1.0 + x))
-    return (g, pad, w2_x * v * w_h * w_h + w_x * w2_h) if prime else (g, pad)
+    _require_int(n=n)
+    if not 100_000 <= n <= 1_000_000:
+        raise InputDomainError(f"n={n!r} must lie in [1e5, 1e6]")
+
+    def points(k):
+        """Rows k, h, f and the lower and upper end of g's enclosure at k."""
+        h = _scan_points(k, n)
+        f, g, g_pad = _aux_terms(h, prob)
+        return np.stack([k, h, f, g - g_pad, g + g_pad])
+
+    pts = points(np.unique(np.round(np.linspace(0.0, n - 1.0, _SCAN_SEEDS + 1))))
+    evaluated = [pts[:3]]
+    lo, hi = pts[:, :-1], pts[:, 1:]
+    block_lo, block_hi = [], []
+    while True:
+        (i, h_i, f_i, _, g_i), (j, h_j, f_j, g_j, _) = lo, hi
+        a_i, a_j = np.abs(f_i), np.abs(f_j)
+        spread = abs(prob.v) * np.maximum(np.abs(g_i), np.abs(g_j)) * (h_j - h_i)
+        bound = np.where(
+            (g_j > 0.0) | (g_i < 0.0),
+            np.minimum(a_i, a_j),
+            0.5 * (a_i + a_j - spread) - 4.0 * _EPS * (a_i + a_j + spread),
+        )
+        keep = (np.sign(f_i) != np.sign(f_j)) | (bound <= 2.0 * _f_pad(h_j, prob))
+        short = keep & (j - i <= _SCAN_BLOCK)
+        block_lo.append(i[short])
+        block_hi.append(j[short])
+        split = keep & ~short
+        if not split.any():
+            break
+        cuts = points(_scan_cuts(i[split], j[split]).ravel())
+        evaluated.append(cuts[:3])
+        cuts = cuts.reshape(5, -1, _SCAN_BLOCK - 1)
+        lo = np.concatenate([lo[:, split, None], cuts], axis=2).reshape(5, -1)
+        hi = np.concatenate([cuts, hi[:, split, None]], axis=2).reshape(5, -1)
+    i = np.concatenate(block_lo).astype(np.int64)
+    width = np.concatenate(block_hi).astype(np.int64) - i - 1
+    k = np.arange(width.sum()) + np.repeat(i + 1 - (np.cumsum(width) - width), width)
+    h = _scan_points(k, n)
+    evaluated.append(np.stack([k, h, aux_phi_h(h, prob)]))
+    k, h, f = np.concatenate(evaluated, axis=1)
+    order = np.argsort(k)
+    h, f = h[order], f[order]
+    nonzero = f != 0.0
+    h, f = h[nonzero], f[nonzero]
+    at = np.flatnonzero(np.sign(f[1:]) != np.sign(f[:-1]))
+    return np.stack([h[at], h[at + 1]]), np.stack([f[at], f[at + 1]])
 
 
 def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
@@ -286,62 +386,24 @@ def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
     root.  Grid points where the computed function is exactly zero are
     skipped rather than double-counted.  The count is exact with respect to
     the brute-force scan, the sign changes of aux_phi_h evaluated on all n
-    points, while only a few hundred points are evaluated:
+    points, while only a few hundred points are evaluated (up to about 1,350
+    near r = rho^2, where the dense blocks around the root grow):
 
     `_SCAN_SEEDS` index ranges [i, j] are seeded.  On a range, f'/v lies in
-    [g(h_j), g(h_i)] (`_aux_slope`; g decreases), so |f| is bounded below
+    [g(h_j), g(h_i)] (`_aux_terms`; g decreases), so |f| is bounded below
     by min(|f_i|, |f_j|) when that enclosure excludes 0 (f is monotone) and
     by (|f_i| + |f_j| - L*(h_j - h_i))/2 with L = |v|*max(|g_i|, |g_j|)
     otherwise, each from the computed end values with the pads of the
     slope and of the rounding.  A range whose ends have the same nonzero
     sign and whose bound exceeds twice the float pad of aux_phi_h at h_j
-    (see its docstring) holds no computed zero or sign change, and is
-    skipped.  The other ranges are halved, one vectorised batch per round,
-    and ranges of at most `_SCAN_BLOCK` points are evaluated point by
-    point.  The count is taken over every evaluated point in index order.
+    (`_f_pad`) holds no computed zero or sign change, and is skipped.  Every
+    other range is cut `_SCAN_BLOCK` ways (`_scan_cuts`), all of them in one
+    vectorised batch per round, so seed ranges of n/256 points reach
+    `_SCAN_BLOCK` points or fewer within two rounds, and those are
+    evaluated point by point.  The count is taken over every evaluated
+    point in index order (`_scan_sign_changes`).
     """
-    _require_int(n=n)
-    if not 100_000 <= n <= 1_000_000:
-        raise InputDomainError(f"n={n!r} must lie in [1e5, 1e6]")
-    log_inv_theta, rv = math.log(1.0 / prob.theta), prob.r * abs(prob.v)
-
-    def points(k):
-        """Rows k, h, f and the lower and upper end of g's enclosure at k."""
-        h = _scan_points(k, n)
-        g, g_pad = _aux_slope(h, prob)
-        return np.stack([k, h, aux_phi_h(h, prob), g - g_pad, g + g_pad])
-
-    pts = points(np.unique(np.round(np.linspace(0.0, n - 1.0, _SCAN_SEEDS + 1))))
-    evaluated = [pts[[0, 2]]]
-    lo, hi = pts[:, :-1], pts[:, 1:]
-    block_lo, block_hi = [], []
-    while lo.shape[1]:
-        (i, h_i, f_i, _, g_i), (j, h_j, f_j, g_j, _) = lo, hi
-        a_i, a_j = np.abs(f_i), np.abs(f_j)
-        spread = abs(prob.v) * np.maximum(np.abs(g_i), np.abs(g_j)) * (h_j - h_i)
-        bound = np.where(
-            (g_j > 0.0) | (g_i < 0.0),
-            np.minimum(a_i, a_j),
-            0.5 * (a_i + a_j - spread) - 4.0 * _EPS * (a_i + a_j + spread),
-        )
-        f_pad = _F_PAD * _EPS * (np.minimum(log_inv_theta, prob.rho**2 * abs(prob.v) * h_j) + rv * h_j)
-        keep = (np.sign(f_i) != np.sign(f_j)) | (bound <= 2.0 * f_pad)
-        short = keep & (j - i <= _SCAN_BLOCK)
-        block_lo.append(lo[0, short])
-        block_hi.append(hi[0, short])
-        split = keep & ~short
-        mid = points(np.floor((i[split] + j[split]) / 2.0))
-        evaluated.append(mid[[0, 2]])
-        lo = np.concatenate([lo[:, split], mid], axis=1)
-        hi = np.concatenate([mid, hi[:, split]], axis=1)
-    i = np.concatenate(block_lo).astype(np.int64)
-    width = np.concatenate(block_hi).astype(np.int64) - i - 1
-    k = np.arange(width.sum()) + np.repeat(i + 1 - (np.cumsum(width) - width), width)
-    evaluated.append(np.stack([k, aux_phi_h(_scan_points(k, n), prob)]))
-    k, f = np.concatenate(evaluated, axis=1)
-    signs = np.sign(f[np.argsort(k)])
-    signs = signs[signs != 0.0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    return _scan_sign_changes(prob, n)[0].shape[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from dsbs_envelopes import DsbsParams, QParam, phi_q_full, stationary_point
-from dsbs_envelopes.cli import _build_parser, main
+from dsbs_envelopes import DsbsParams, QParam, RootProblem, phi_q_full, stationary_point
+from dsbs_envelopes.cli import _build_parser, _extra_sign_changes, main
 from dsbs_envelopes.mre import dd2
 
 
@@ -265,6 +266,39 @@ def test_roots_scans_a_fixed_grid(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments: --scan-n" in err
+
+
+def test_roots_explains_extra_sign_changes(capsys):
+    # at r = rho^2*(1 - 1e-12) the scan counts 3 sign changes, two of them
+    # where aux_phi_h is within its float pad of 0 near the root; a count of
+    # 1 prints no such line (test_roots_scans_a_fixed_grid)
+    code, out, _ = run_cli(capsys, "roots", "--theta", "0.1", "--v", "1.05", "--r", "0.6694214876026363")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "scan_count = 3 (n = 1000000)",
+        "every extra sign change lies where |f| is within the aux_phi_h float pad"
+        " (float noise near h = 4.57e-06)",
+    ]
+
+
+def test_extra_sign_change_beyond_the_pad():
+    # two planted changes with |f| = 1e-3: the one nearer the root h = 1 is
+    # the root, the other is reported as no float noise
+    prob = RootProblem(0.3, 2.0, 0.2)
+    at_h = np.array([[1.0, 2.0], [1.01, 2.01]])
+    at_f = np.array([[1e-3, -1e-3], [-1e-3, 1e-3]])
+    assert _extra_sign_changes(prob, 1.005, at_h, at_f) == (
+        "an extra sign change near h = 2 has |f| beyond the aux_phi_h float pad"
+    )
+
+
+@pytest.mark.parametrize("r", ["1e-300", "1e-310", "5e-324"])
+def test_roots_subnormal_r(capsys, r):
+    # (1-theta)^2/r overflowed for subnormal r, warned, and gave a wrong
+    # reason; RuntimeWarnings are errors under this suite
+    code, out, err = run_cli(capsys, "roots", "--theta", "0.5", "--v", "2", "--r", r)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "no root: no sign change of the root equation up to h = 1e4"
 
 
 @pytest.mark.parametrize(

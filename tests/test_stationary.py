@@ -32,8 +32,11 @@ from dsbs_envelopes.mre import dd2_value
 from dsbs_envelopes.stationary import (
     _EPS,
     _F_PAD,
-    _aux_slope,
+    _FAILURES,
+    _SCAN_BLOCK,
+    _aux_terms,
     _log_w_of_h,
+    _scan_cuts,
     _scan_points,
     _solve_roots,
     _w_prime,
@@ -183,7 +186,7 @@ def test_h0_matches_eta_equation_oracle():
     for prob in _random_root_problems(21, 200):
         h0 = h0_threshold(prob)
         assert h0 == pytest.approx(_h0_eta_oracle(prob), rel=1e-12, abs=0.0), prob
-        g, pad = _aux_slope(np.array([h0]), prob)
+        _, g, pad = _aux_terms(np.array([h0]), prob)
         assert abs(g[0]) <= pad[0], prob  # h0 is g's zero within its pad
 
 
@@ -205,7 +208,8 @@ def test_w_second_and_slope_prime_match_mpmath():
             for x in (1e-12, 1e-6, 1e-3, 0.5, 3.0, 40.0, 600.0):
                 for xs in (x, -x):
                     ref = float(_w_derivs_mp(mpmath.mpf(xs), t)[1])
-                    assert abs(_w_prime(xs, theta, second=True)[1] - ref) <= 4e-15 * abs(ref), (theta, xs)
+                    got = _w_prime(xs, math.exp(-x), theta, second=True)[1]
+                    assert abs(got - ref) <= 4e-15 * abs(ref), (theta, xs)
         for prob in problems:
             t, v = mpmath.mpf(prob.theta), abs(mpmath.mpf(prob.v))
             for h in (1e-8, 1e-5, rng.uniform(0.0, 1.0), rng.uniform(1.0, 30.0), 1e3):
@@ -214,7 +218,7 @@ def test_w_second_and_slope_prime_match_mpmath():
                 x = v * mpmath.log((mpmath.exp(hm) + t) / (1 + t * mpmath.exp(hm)))
                 w_x, w2_x = _w_derivs_mp(x, t)
                 ref = float(w2_x * v * w_h * w_h + w_x * w2_h)
-                got = _aux_slope(np.array([h]), prob, prime=True)[2][0]
+                got = _aux_terms(np.array([h]), prob, prime=True)[3][0]
                 assert got <= 0.0
                 assert abs(got - ref) <= 1e-14 * (1.0 + float(x)) * abs(ref), (prob, h, got, ref)
 
@@ -366,16 +370,75 @@ def test_count_roots_scan_planted_fault_counts_zero(n):
 
 def test_count_roots_scan_sees_two_close_roots(monkeypatch):
     # no root problem has two roots, so plant f = c - (h - 1)^2 with its
-    # exact slope g = f'/v (decreasing, as the certificate assumes): both
-    # roots lie about two grid cells from h = 1, inside one seed range whose
-    # ends are both negative, and neither the monotone nor the Lipschitz
-    # bound may skip that range
+    # exact slope g = f'/v (decreasing, as the certificate assumes) in the
+    # one evaluator, which aux_phi_h and so the brute-force oracle read too:
+    # both roots lie about two grid cells from h = 1, inside one seed range
+    # whose ends are both negative, and neither the monotone nor the
+    # Lipschitz bound may skip that range
     prob = RootProblem(THETA_09, 2.0, 0.5)
-    fake_f = lambda h, prob: 2.5e-9 - (h - 1.0) ** 2
-    fake_slope = lambda h, prob: (-2.0 * (h - 1.0) / prob.v, np.zeros_like(h))
-    monkeypatch.setattr(stationary, "aux_phi_h", fake_f)
-    monkeypatch.setattr(stationary, "_aux_slope", fake_slope)
+    fake = lambda h, prob: (2.5e-9 - (h - 1.0) ** 2, -2.0 * (h - 1.0) / prob.v, np.zeros_like(h))
+    monkeypatch.setattr(stationary, "_aux_terms", fake)
     assert count_roots_scan(prob) == _brute_force_count(prob) == 2
+
+
+def test_scan_cuts_strictly_inside_every_split_range():
+    # every range the scan splits has j - i > _SCAN_BLOCK; its cuts must be
+    # distinct grid indices strictly inside (i, j), wherever it sits
+    width = np.arange(_SCAN_BLOCK + 1, 4001)
+    for i in (np.zeros(width.size), 999_999.0 - width, (width * 7919) % 500_000):
+        i = i.astype(float)
+        cuts = _scan_cuts(i, i + width)
+        assert cuts.shape == (width.size, _SCAN_BLOCK - 1)
+        assert np.array_equal(cuts, np.floor(cuts))
+        assert np.all(np.diff(cuts, axis=1) > 0.0)
+        assert np.all(cuts[:, 0] > i) and np.all(cuts[:, -1] < i + width)
+
+
+def _near_rho_squared_sweep():
+    problems = []
+    for theta in (0.02, 0.1, 0.3, 0.5, 0.9):
+        rho_sq = ((1 - theta) / (1 + theta)) ** 2
+        for v in (1.05, -3.0, 40.0, -1000.0):
+            for gap in (1e-4, 1e-8, 1e-10, 1e-12):
+                problems.append(RootProblem(theta, v, rho_sq * (1 - gap)))
+    return problems
+
+
+def test_count_roots_scan_work_guard(monkeypatch):
+    # one evaluator call per batched round, then one for the dense block:
+    # seed ranges of n/256 points reach _SCAN_BLOCK points within two cut
+    # rounds (measured: 3 rounds and at most 1,346 points over these)
+    sizes = []
+
+    def counting(h, prob, prime=False):
+        sizes.append(np.size(h))
+        return _aux_terms(h, prob, prime)
+
+    monkeypatch.setattr(stationary, "_aux_terms", counting)
+    for n in (100_000, 1_000_000):
+        for prob in _random_root_problems(31, 40, v_max=1000.0) + _near_rho_squared_sweep():
+            sizes.clear()
+            count_roots_scan(prob, n)
+            assert len(sizes) <= 3 + 1, (prob, n, sizes)
+            assert sum(sizes) <= 1500, (prob, n, sizes)
+
+
+def test_count_roots_scan_near_rho_squared_matches_whole_grid():
+    for prob in _near_rho_squared_sweep()[::3]:
+        assert count_roots_scan(prob, 100_000) == _brute_force_count(prob, 100_000), prob
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-310, 5e-324])
+def test_subnormal_r_reports_no_sign_change(r):
+    # (1-theta)^2/r overflows below about 1e-308: the bend point must still be
+    # the finite zero of g (h0 ~ ln(1/r)), with the same reason as at 1e-300,
+    # and no RuntimeWarning (an error under this suite's filter)
+    (h0,), (h,), (reason,) = _solve_roots([0.5], [2.0], [r])
+    assert math.isfinite(h0) and math.isnan(h)
+    assert reason == _FAILURES[2]
+    prob = RootProblem(0.5, 2.0, r)
+    _, g, _ = _aux_terms(np.array([h0 - 1.0, h0 + 1.0]), prob)
+    assert g[0] > 0.0 > g[1]
 
 
 @pytest.mark.parametrize("n", [100_000, 100_001, 1_000_000])
@@ -414,14 +477,14 @@ def test_aux_phi_h_float_pad_matches_mpmath():
 
 def test_aux_slope_matches_mpmath_derivative():
     # g = aux_phi_h'/v in closed form, against a 50-digit numerical
-    # derivative of aux_phi_h/v, within the pad _aux_slope reports
+    # derivative of aux_phi_h/v, within the pad _aux_terms reports
     rng = np.random.default_rng(6)
     problems = _random_root_problems(12, 30, v_max=1000.0)
     problems += [RootProblem(t, v, ((1 - t) / (1 + t)) ** 2 * (1 - 1e-12)) for t, v in ((0.1, 1.05), (0.9, 50.0))]
     with mpmath.workdps(50):
         for prob in problems:
             for h in (1e-8, 1e-5, rng.uniform(0.0, 1.0), rng.uniform(1.0, 30.0), 1e3):
-                g, pad = _aux_slope(np.array([h]), prob)
+                _, g, pad = _aux_terms(np.array([h]), prob)
                 ref = mpmath.diff(lambda t: _aux_mp(t, prob), mpmath.mpf(h)) / mpmath.mpf(prob.v)
                 assert abs(g[0] - float(ref)) <= pad[0], (prob, h, g[0], float(ref), pad[0])
 
@@ -431,7 +494,7 @@ def test_aux_slope_never_increases_along_the_grid():
     # neighbouring points, never by more than the two pads
     h = np.geomspace(1e-8, 1e4, 1_000_000)
     for prob in _random_root_problems(13, 3) + [RootProblem(0.5, 50.0, (1 / 3) ** 2 * (1 - 1e-12))]:
-        g, pad = _aux_slope(h, prob)
+        _, g, pad = _aux_terms(h, prob)
         assert np.all(g[1:] - pad[1:] <= g[:-1] + pad[:-1]), prob
 
 
