@@ -62,7 +62,6 @@ from .stationary import (
     aux_phi_h,
     count_roots_scan,
     gamma_extremum,
-    h0_threshold,
     hypercontractive_regime,
     solve_root_z,
     stationary_point,
@@ -106,7 +105,6 @@ __all__ = [
     "dd2",
     "default_tolerances",
     "gamma_extremum",
-    "h0_threshold",
     "h2",
     "hypercontractive_regime",
     "lower_convex_envelope",

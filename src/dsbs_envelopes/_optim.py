@@ -123,16 +123,11 @@ def golden_min_vec(
 
     ``f`` must map an array of abscissae to an array of objective values of
     the same shape (element ``i`` of the input belongs to problem ``i``).
-    Returns ``(x, fx)`` arrays, with every bracket narrowed to
-    ``_GOLDEN_VEC_XTOL``.
+    Every bracket must have ``lo <= hi``.  Returns ``(x, fx)`` arrays, with
+    every bracket narrowed to ``_GOLDEN_VEC_XTOL``.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    swap = hi < lo
-    if np.any(swap):
-        lo2 = np.where(swap, hi, lo)
-        hi = np.where(swap, lo, hi)
-        lo = lo2
     width = hi - lo
     max_width = float(np.max(width)) if width.size else 0.0
     if max_width <= _GOLDEN_VEC_XTOL:

@@ -39,6 +39,7 @@ from .stationary import (
     RootProblem,
     _f_pad,
     _log_w_of_h,
+    _posed_case,
     _regime_case,
     _root_side,
     _scan_sign_changes,
@@ -264,8 +265,8 @@ def cmd_roots(args) -> int:
             raise InputDomainError("--theta, --v and --r must be given together")
         theta, v, r = args.theta, args.v, args.r
         _require_finite_real(theta=theta, v=v, r=r)
-        if not 0.0 < theta < 1.0 or abs(v) <= 1.0:
-            raise InputDomainError("need theta in (0,1) and |v| > 1")
+        if not sys.float_info.min <= theta < 1.0 or abs(v) <= 1.0:
+            raise InputDomainError(f"need theta in [{sys.float_info.min!r}, 1) and |v| > 1")
     rho = (1.0 - theta) / (1.0 + theta)
     rho_sq = rho * rho
     if r <= 0.0:
@@ -274,11 +275,8 @@ def cmd_roots(args) -> int:
     if r > rho_sq * (1.0 + 1e-12):
         print(f"regime: r = {_g12(r)} > rho^2 = {_g12(rho_sq)} — no interior root")
         return 0
-    if pq_form and case is None:
-        raise InputDomainError(
-            f"(p, q)=({qp.p!r}, {qp.q!r}) lies in none of the forward, reverse and mixed "
-            "regimes, so no root problem is posed"
-        )
+    if pq_form:
+        _posed_case(qp)  # raises where (p, q) lies in no regime
     print(f"regime: r = {_g12(r)} <= rho^2 = {_g12(rho_sq)} — root regime")
     prob = RootProblem(theta, v, r)
     (h0,), (h,), (reason,) = _solve_roots([theta], [v], [r])

@@ -2,11 +2,11 @@
 
 Functions here operate on samples over the uniform lattice of [0,1] or
 [0,1]^2 wrapped in :class:`GridFn`.  :func:`lower_convex_envelope` takes the
-geometric route: the lower facets of the convex hull of the graph points
-(monotone chain in 1-D, Qhull in 2-D), interpolated back onto the lattice;
-in 2-D every facet fills its lattice bounding box in chunked array passes.
-Its independent oracle, a double discrete Legendre transform that shares no
-code with it, lives with the tests.
+geometric route on 2-D grids only, the one use it has (claim E): the lower
+facets of the Qhull convex hull of the graph points, interpolated back onto
+the lattice, every facet filling its lattice bounding box in chunked array
+passes.  Its independent oracle, a double discrete Legendre transform that
+shares no code with it, lives with the tests.
 
 The certifiers (`check_midpoint_convex`, `check_midpoint_concave`,
 `check_slope_bounds`, `check_monotone`) are pure measurements: each reports
@@ -101,22 +101,6 @@ class ConvexityReport:
 # ---------------------------------------------------------------------------
 
 
-def _lower_hull_1d(v: np.ndarray) -> np.ndarray:
-    x = np.linspace(0.0, 1.0, v.size)
-    hull: list[int] = []
-    for i in range(v.size):
-        while len(hull) >= 2:
-            j, k = hull[-2], hull[-1]
-            cross = (x[k] - x[j]) * (v[i] - v[j]) - (v[k] - v[j]) * (x[i] - x[j])
-            if cross <= 0.0:  # last vertex is above or on the chord: drop it
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    env = np.interp(x, x[hull], v[hull])
-    return np.minimum(env, v)
-
-
 def _lower_hull_2d(v: np.ndarray) -> np.ndarray:
     # qhull is the package's one scipy use; importing it here keeps scipy
     # out of every process that builds no 2-D hull.
@@ -162,24 +146,24 @@ def _lower_hull_2d(v: np.ndarray) -> np.ndarray:
 
 
 def lower_convex_envelope(f: GridFn) -> GridFn:
-    """Pointwise-largest convex minorant of f representable on the lattice.
+    """Pointwise-largest convex minorant of a 2-D f representable on the lattice.
 
-    1-D: monotone-chain lower hull, interpolated across non-vertex points.
-    2-D: lower facets of the 3-D convex hull of the graph; the envelope at a
+    The lower facets of the 3-D convex hull of the graph; the envelope at a
     lattice point is the max over the lower facet planes whose lattice
     bounding box holds it (every lower facet plane supports the hull from
     below, so the covering facet's plane is that maximum).  The (facet,
     lattice point) pairs are evaluated as arrays, a bounded chunk at a time,
     and reduced with ``np.maximum.at``.  The result is clipped to
-    ``min(env, f)`` so floating-point spill never breaks dominance.
+    ``min(env, f)`` so floating-point spill never breaks dominance.  A 1-D
+    f raises `InputDomainError`.
     """
-    if f.dims == 1:
-        return GridFn(_lower_hull_1d(f.values))
+    if f.dims != 2:
+        raise InputDomainError("envelopes are built on 2-D grids only")
     return GridFn(_lower_hull_2d(f.values))
 
 
 def upper_concave_envelope(f: GridFn) -> GridFn:
-    """Pointwise-smallest concave majorant: exact negation dual of the convex one."""
+    """Pointwise-smallest concave majorant of a 2-D f: exact negation dual of the convex one."""
     return GridFn(-lower_convex_envelope(GridFn(-f.values)).values)
 
 

@@ -19,7 +19,7 @@ composition of W).  Its slope is v*g, where ``g(h) = W'(|v|*W(h))*W'(h) - r``
 falls from g(0) = rho^2 - r on h > 0.  One evaluator, `_aux_terms`,
 returns f, g and g's float pad (and g') from one W(h) and one W(v*W(h)).
 For ``|v| > 1``, ``theta in (0,1)`` and ``0 < r < rho^2`` the concave f/v
-rises up to the bend point h0, the zero of g (`h0_threshold`), then falls
+rises up to the bend point h0, the zero of g, then falls
 to -inf: one root with h > 0, past h0.  One batched Newton solver,
 `_solve_roots`, finds h0 and the root.  `count_roots_scan` certifies the
 uniqueness on a 10^6-point grid: it counts the grid's sign changes
@@ -37,7 +37,9 @@ signal near r = rho^2 lives.  Only exp(-|h|) is ever taken, so W never
 overflows: for large |h| (a large outer argument v*W(h)) it underflows to
 0 and W saturates at +-ln(1/theta).
 
-Case conventions (the error-prone bookkeeping, centralized here):
+Case conventions (the error-prone bookkeeping, centralized here).  The
+case is the regime of (p, q) (`_regime_case`); the regimes meet only at
+p = q = 1, where r = 0, and a pair in none of them poses no root problem.
 
     case      exponents          solved problem      branch      ratio signs
     -------   ----------------   -----------------   ---------   -----------
@@ -58,6 +60,7 @@ r*v makes h ~ 100) never overflows.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -74,7 +77,6 @@ __all__ = [
     "StationaryPoint",
     "GammaExtremum",
     "aux_phi_h",
-    "h0_threshold",
     "solve_root_z",
     "count_roots_scan",
     "stationary_point",
@@ -100,9 +102,10 @@ _FAILURES = (  # the reasons `_solve_roots` reports, first match first
 class RootProblem:
     """Parameters (theta, v, r) of the scalar root equation.
 
-    Valid when theta is in (0,1), |v| > 1, and 0 < r <= rho^2 with
-    rho = (1-theta)/(1+theta).  The root merges into h = 0 at r = rho^2, and
-    for r within g's float pad of rho^2 the solver reports no root.
+    Valid when theta is a normal float in (0,1), |v| > 1, and 0 < r <= rho^2
+    with rho = (1-theta)/(1+theta); at a subnormal theta W's log1p argument
+    overflows once exp(-|h|) underflows.  The root merges into h = 0 at r =
+    rho^2, and for r within g's float pad of rho^2 the solver reports no root.
     """
 
     theta: float
@@ -112,8 +115,8 @@ class RootProblem:
 
     def __post_init__(self) -> None:
         _store_finite_reals(self, "theta", "v", "r")
-        if not 0.0 < self.theta < 1.0:
-            raise InputDomainError(f"theta={self.theta!r} outside (0, 1)")
+        if not sys.float_info.min <= self.theta < 1.0:
+            raise InputDomainError(f"theta={self.theta!r} outside [{sys.float_info.min!r}, 1)")
         if abs(self.v) <= 1.0:
             raise InputDomainError(f"|v| must exceed 1, got v={self.v!r}")
         rho = (1.0 - self.theta) / (1.0 + self.theta)
@@ -281,18 +284,12 @@ def _solve_roots(theta, v, r) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return h0, h, reason.tolist()
 
 
-def _solve_one(prob: RootProblem, root: bool = True) -> float:
-    """The root h, or the bend point h0 if not ``root``, of one problem by `_solve_roots`."""
-    h0, h, reason = _solve_roots([prob.theta], [prob.v], [prob.r])
-    x = float((h if root else h0)[0])
-    if math.isnan(x):
-        raise NoRootError(reason[0])
-    return x
-
-
-def h0_threshold(prob: RootProblem) -> float:
-    """The bend point h0, the zero of g; `NoRootError` if g(0) does not exceed its pad."""
-    return _solve_one(prob, root=False)
+def _solve_one(prob: RootProblem) -> float:
+    """The root h of one problem by `_solve_roots`; `NoRootError` with its reason if none."""
+    _, (h,), (reason,) = _solve_roots([prob.theta], [prob.v], [prob.r])
+    if math.isnan(h):
+        raise NoRootError(reason)
+    return float(h)
 
 
 def solve_root_z(prob: RootProblem) -> float:
@@ -413,16 +410,6 @@ def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
 _CASE_Y_SIGN = {"forward": +1.0, "reverse": -1.0, "mixed": +1.0}
 
 
-def _case_regime_ok(case: str, qp: QParam) -> bool:
-    if case == "forward":
-        return qp.p >= 1.0 and qp.q >= 1.0
-    if case == "reverse":
-        return 0.0 < qp.p <= 1.0 and 0.0 < qp.q <= 1.0
-    if case == "mixed":
-        return 0.0 < qp.p <= 1.0 and qp.q < 0.0
-    raise InputDomainError(f"unknown case {case!r}; expected forward, reverse or mixed")
-
-
 def _reconstruct_from_h(h_a: float, qp: QParam, params: DsbsParams, case: str) -> StationaryPoint:
     theta = params.theta
     h_b = qp.v * float(_log_w_of_h(h_a, theta))
@@ -467,13 +454,29 @@ def _reconstruct_from_h(h_a: float, qp: QParam, params: DsbsParams, case: str) -
 
 
 def _regime_case(qp: QParam) -> str | None:
-    """The first case whose exponent regime holds (p, q), or None."""
-    return next((c for c in ("forward", "reverse", "mixed") if _case_regime_ok(c, qp)), None)
+    """The case whose exponent regime (module table) holds (p, q), or None; p = q = 1 is forward."""
+    p, q = qp.p, qp.q
+    if p >= 1.0 and q >= 1.0:
+        return "forward"
+    if 0.0 < p <= 1.0 and q <= 1.0 and q != 0.0:
+        return "reverse" if q > 0.0 else "mixed"
+    return None
+
+
+def _posed_case(qp: QParam) -> str:
+    """`_regime_case`, or `InputDomainError` where (p, q) lies in no regime."""
+    case = _regime_case(qp)
+    if case is None:
+        raise InputDomainError(
+            f"(p, q)=({qp.p!r}, {qp.q!r}) lies in none of the forward, reverse and mixed "
+            "regimes, so no root problem is posed"
+        )
+    return case
 
 
 def _root_side(qp: QParam, case: str) -> tuple[str, float]:
     """The side ("v" or "u") of the scalar root problem that ``case`` solves,
-    with its exponent.
+    with its exponent; ``case`` is the regime of (p, q).
 
     forward: whichever side has the larger exponent magnitude (the two
     problems are equivalent; the exponents' product is 1/r > 1, so at least
@@ -482,21 +485,21 @@ def _root_side(qp: QParam, case: str) -> tuple[str, float]:
     `stationary_point` and the ``roots`` command both take the problem from
     here.
     """
-    if not _case_regime_ok(case, qp):
-        raise InputDomainError(f"(p, q)=({qp.p!r}, {qp.q!r}) is outside the {case} regime")
     if case == "reverse" or (case == "forward" and abs(qp.v) >= abs(qp.u)):
         return "v", qp.v
     return "u", qp.u
 
 
-def stationary_point(qp: QParam, params: DsbsParams, case: str = "forward") -> StationaryPoint:
-    """Solve the case's root problem and reconstruct its stationary coupling.
+def stationary_point(qp: QParam, params: DsbsParams) -> StationaryPoint:
+    """Solve the root problem of (p, q) and reconstruct its stationary coupling.
 
-    The problem comes from `_root_side`.  On the v-side the root is
+    The case is the regime of (p, q), `InputDomainError` if there is none;
+    the problem comes from `_root_side`.  On the v-side the root is
     h_a = ln z itself.  On the u-side the root h* is the Y-side variable and
     ln z = u*W(h*) is derived; in the mixed case it is the negative branch,
     h_b = -h*, so ln z = u*W(-h*) = -u*W(h*) > 0.
     """
+    case = _posed_case(qp)
     side, exponent = _root_side(qp, case)
     h_a = _solve_one(RootProblem(params.theta, exponent, qp.r))
     if side == "u":
@@ -515,36 +518,35 @@ def hypercontractive_regime(qp: QParam, params: DsbsParams) -> bool:
     return qp.r > params.rho * params.rho
 
 
-# problem -> (case, b-interval, outer sign, inner sign, surface); a sign of
-# +1 minimizes and -1 maximizes, the inner step over b and the outer over a.
+# case -> (b-interval, outer sign, inner sign, surface); a sign of +1
+# minimizes and -1 maximizes, the inner step over b and the outer over a.
 # The full grid and every refinement window run the same step.
 _PROBLEMS = {
-    "forward_min": ("forward", (0.0, 0.5), 1.0, 1.0, phi_tilde_ab),
-    "reverse_max": ("reverse", (0.5, 1.0), -1.0, -1.0, dd2_value),
-    "mixed_maxmin": ("mixed", (0.0, 0.5), -1.0, 1.0, dd2_value),
+    "forward": ((0.0, 0.5), 1.0, 1.0, phi_tilde_ab),
+    "reverse": ((0.5, 1.0), -1.0, -1.0, dd2_value),
+    "mixed": ((0.0, 0.5), -1.0, 1.0, dd2_value),
 }
 
 
-def gamma_extremum(
-    qp: QParam, params: DsbsParams, problem: str, n: int = 401
-) -> GammaExtremum:
-    """Brute-force extremum of the case's Lagrangian sweep on an n-by-n grid.
+def gamma_extremum(qp: QParam, params: DsbsParams, n: int = 401) -> GammaExtremum:
+    """Brute-force extremum of the Lagrangian sweep of (p, q) on an n-by-n grid.
 
-    Each problem optimizes ``f(a, b) = surface(a, b) - lam*d2(a) - mu*d2(b)``
-    for (p, q) in its case's regime (see the module table):
+    The table row is the regime of (p, q) (`_regime_case`, see the module
+    table; `InputDomainError` if there is none), and its problem optimizes
+    ``f(a, b) = surface(a, b) - lam*d2(a) - mu*d2(b)``:
 
-    forward_min  — min over (a, b) in [0,1/2]^2; surface `phi_tilde_ab`.
-    reverse_max  — max over a in [0,1/2], b in [1/2,1]; surface `dd2_value`.
-    mixed_maxmin — max over a in [0,1/2] of the min over b in [0,1/2];
-                   surface `dd2_value`.
+    forward — min over (a, b) in [0,1/2]^2; surface `phi_tilde_ab`.
+    reverse — max over a in [0,1/2], b in [1/2,1]; surface `dd2_value`.
+    mixed   — max over a in [0,1/2] of the min over b in [0,1/2]; surface
+              `dd2_value`.
 
     The grid step takes each row's inner optimum, then the best row (first
     index on ties, so reports are deterministic).  The same step then reruns
     on `_WINDOW_K` points per axis spanning +-2 cells around the winner,
     clipped to the domain, so the cell shrinks by 4/(_WINDOW_K - 1) per pass
     until it is below 1e-10.  Each window contains the previous winner, so
-    for the two joint problems the reported value never exceeds (min) /
-    falls below (max) the grid optimum.
+    for the forward and reverse rows, whose optimum is joint, the reported
+    value never exceeds (min) / falls below (max) the grid optimum.
 
     ``n`` must lie in [101, 1001], checked before anything is allocated:
     the n-by-n grid is built whole.
@@ -552,15 +554,7 @@ def gamma_extremum(
     _require_int(n=n)
     if not 101 <= n <= 1001:
         raise InputDomainError("n must be in [101, 1001]")
-    if problem not in _PROBLEMS:
-        raise InputDomainError(
-            f"unknown problem {problem!r}; expected forward_min, reverse_max or mixed_maxmin"
-        )
-    case, (lo_b, hi_b), outer, inner, surface = _PROBLEMS[problem]
-    if not _case_regime_ok(case, qp):
-        raise InputDomainError(
-            f"{problem} requires (p, q) in the {case} regime, got ({qp.p!r}, {qp.q!r})"
-        )
+    (lo_b, hi_b), outer, inner, surface = _PROBLEMS[_posed_case(qp)]
     lam, mu = qp.lam, qp.mu
 
     def step(axis_a: np.ndarray, axis_b: np.ndarray):

@@ -344,52 +344,43 @@ def _claim_p(ctx):
     yield gap_v[j] - ctx.tol["pstar_gap"], witness
 
 
-def _root_problem_unchecked(theta: float, v: float, r: float) -> RootProblem:
-    """A RootProblem that skips validation; used only to plant U's fault."""
-    prob = object.__new__(RootProblem)
-    object.__setattr__(prob, "theta", theta)
-    object.__setattr__(prob, "v", v)
-    object.__setattr__(prob, "r", r)
-    object.__setattr__(prob, "rho", (1.0 - theta) / (1.0 + theta))
-    return prob
-
-
 def _claim_u(ctx):
     rng = np.random.default_rng(ctx.seed + 1)
-    problems = []
+    rows = []
     for _ in range(ctx.size.root_problems):
         theta = rng.uniform(0.02, 0.9)
         v = math.copysign(
             math.exp(rng.uniform(math.log(1.05), math.log(50.0))), rng.choice([-1.0, 1.0])
         )
         rho = (1.0 - theta) / (1.0 + theta)
-        r = rho * rho * rng.uniform(0.05, 0.95)
-        problems.append(RootProblem(theta, v, r))
+        rows.append((theta, v, rho * rho * rng.uniform(0.05, 0.95)))
     if ctx.fault == "U":
         theta = 0.5
         rho = (1.0 - theta) / (1.0 + theta)
-        problems.append(_root_problem_unchecked(theta, 2.0, 1.2 * rho * rho))
-    _, roots, reasons = _solve_roots(*zip(*((p.theta, p.v, p.r) for p in problems)))
-    for prob, h, reason in zip(problems, roots, reasons):
+        rows.append((theta, 2.0, 1.2 * rho * rho))  # r > rho^2: outside the root regime
+    _, roots, reasons = _solve_roots(*zip(*rows))
+    for (theta, v, r), h, reason in zip(rows, roots, reasons):
         if reason:
             residual, count = math.inf, 0
         else:
+            prob = RootProblem(theta, v, r)
             residual = abs(float(aux_phi_h(h, prob)))
             count = count_roots_scan(prob)
-        witness = dict(theta=prob.theta, v=prob.v, r=prob.r, residual=residual, scan_count=count)
+        witness = dict(theta=theta, v=v, r=r, residual=residual, scan_count=count)
         yield residual - ctx.tol["root_residual"], witness
         yield abs(count - 1) - 0.5, witness
 
 
 def _claim_h(ctx):
     cell = 0.5 / (_H_GAMMA_N - 1)
+    # gamma_extremum takes each sweep from (p, q); the labels name it in the witness
     settings = [(p, q, "forward_min") for (p, q) in _H_FORWARD]
     settings += [(p, q, "reverse_max") for (p, q) in _H_REVERSE]
     if ctx.fault == "H":
         settings.append((1.2, 1.2, "forward_min"))
     for p, q, problem in settings:
         qp = QParam(p, q)
-        ext = gamma_extremum(qp, ctx.params, problem, n=_H_GAMMA_N)
+        ext = gamma_extremum(qp, ctx.params, n=_H_GAMMA_N)
         witness = {"p": p, "q": q, "problem": problem, "a": ext.a, "b": ext.b, "value": ext.value}
         witness["hypercontractive"] = hypercontractive_regime(qp, ctx.params)
         yield abs(ext.a - 0.5) - cell, witness

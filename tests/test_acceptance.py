@@ -158,7 +158,7 @@ def test_criterion_11(acceptance):
         p = 1.0 + math.exp(rng.uniform(math.log(0.2), math.log(2.0)))
         r_target = rng.uniform(0.3 * rho_sq, 0.95 * rho_sq)
         qp = QParam(p, 1.0 + r_target / (p - 1.0))
-        pt = stationary_point(qp, RHO09, case="forward")
+        pt = stationary_point(qp, RHO09)
         margin = min(pt.s, pt.t, 1.0 - pt.s, 1.0 - pt.t)
         worst_margin = min(worst_margin, margin)
 

@@ -196,7 +196,7 @@ def test_roots_pq_form_solves_the_stationary_point_problem(capsys):
     assert code == 0
     assert "z = 830.387718615 " in out
     assert "case: reverse   exponent side: v" in out
-    z = stationary_point(QParam(0.6, 0.3), DsbsParams(0.9), "reverse").z
+    z = stationary_point(QParam(0.6, 0.3), DsbsParams(0.9)).z
     z_line = next(ln for ln in out.splitlines() if ln.startswith("z = "))
     assert float(z_line.split()[2]) == pytest.approx(z, rel=1e-10)
 
@@ -242,6 +242,17 @@ def test_roots_theta_form_rejects_non_finite(capsys, theta, v, r):
     assert code == 2
     assert out == ""
     assert "must be a finite real number" in err
+
+
+def test_roots_rejects_subnormal_theta(capsys):
+    # at theta = 1e-310 W's log1p argument overflowed and roots reported no
+    # sign change; the smallest normal float still solves
+    code, out, err = run_cli(capsys, "roots", "--theta", "1e-310", "--v", "3", "--r", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need theta in [2.2250738585072014e-308, 1)")
+    code, out, _ = run_cli(capsys, "roots", "--theta", "2.2250738585072014e-308", "--v", "3", "--r", "0.5")
+    assert code == 0
+    assert "h = 472.264279022" in out and "scan_count = 1" in out
 
 
 def test_roots_theta_form_matches_pq(capsys):

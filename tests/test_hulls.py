@@ -30,25 +30,6 @@ from dsbs_envelopes import envelopes, hulls
 # ---------------------------------------------------------------------------
 
 
-def _legendre_envelope_1d(f: GridFn) -> np.ndarray:
-    """Exact 1-D biconjugate.
-
-    The slope set is every pairwise chord slope of the samples, which
-    contains every edge slope of the lower hull, so the biconjugate equals
-    the discrete envelope exactly (up to rounding).  O(n^3).
-    """
-    v = f.values
-    x = f.axis()
-    jj, kk = np.triu_indices(v.size, k=1)
-    slopes = (v[kk] - v[jj]) / (x[kk] - x[jj])
-    env = np.full_like(v, -np.inf)
-    for start in range(0, slopes.size, 4096):
-        s = slopes[start : start + 4096, None]
-        conj = np.max(s * x[None, :] - v[None, :], axis=1, keepdims=True)
-        np.maximum(env, np.max(s * x[None, :] - conj, axis=0), out=env)
-    return np.minimum(env, v)
-
-
 def _legendre_envelope_2d(f: GridFn, n_slopes: int) -> np.ndarray:
     """Approximate 2-D biconjugate over a dense factorized slope grid.
 
@@ -137,36 +118,37 @@ def test_gridfn_validation():
 
 
 def test_convex_function_is_its_own_envelope():
-    f = _grid(lambda x: (x - 0.3) ** 2)
+    f = _grid2(lambda x, y: (x - 0.3) ** 2 + (y - 0.6) ** 2)
     env = lower_convex_envelope(f)
     np.testing.assert_allclose(env.values, f.values, atol=1e-12)
 
 
 def test_double_well_bridged():
-    # w has two minima at 0.2 and 0.8; the hull must bridge them linearly
-    f = _grid(lambda x: ((x - 0.2) * (x - 0.8)) ** 2)
+    # w has two minima at x = 0.2 and 0.8; the hull must bridge them
+    # linearly, and the separable bowl in y stays as it is
+    f = _grid2(lambda x, y: ((x - 0.2) * (x - 0.8)) ** 2 + (y - 0.5) ** 2)
     env = lower_convex_envelope(f)
     assert np.all(env.values <= f.values + 1e-12)
     i = np.argmin(np.abs(f.axis() - 0.5))
-    assert env.values[i] == pytest.approx(0.0, abs=1e-12)  # on the bridge
+    np.testing.assert_allclose(env.values[i], (f.axis() - 0.5) ** 2, atol=1e-12)  # on the bridge
     assert check_midpoint_convex(env).worst_violation <= 1e-9
 
 
 def test_upper_concave_envelope_mirrors():
-    f = _grid(lambda x: np.abs(x - 0.5))
+    f = _grid2(lambda x, y: np.abs(x - 0.5) + np.abs(y - 0.5))
     upper = upper_concave_envelope(f)
     lower = lower_convex_envelope(GridFn(-f.values))
     np.testing.assert_allclose(upper.values, -lower.values, atol=1e-14)
-    # hull of the vee from above is the chord through the endpoints
-    np.testing.assert_allclose(upper.values, 0.5 * np.ones(f.n), atol=1e-12)
+    # hull of the separable vee from above is the plane through the corners
+    np.testing.assert_allclose(upper.values, np.ones((f.n, f.n)), atol=1e-12)
 
 
-def test_legendre_1d_matches_geometric_hull():
-    # dual route for the same object: biconjugate vs monotone chain
-    f = _grid(lambda x: np.sin(3.0 * np.pi * x) + 2.0 * x)
-    geo = lower_convex_envelope(f)
-    alg = _legendre_envelope_1d(f)
-    assert np.max(np.abs(geo.values - alg)) <= 1e-10
+def test_envelopes_reject_1d_grid():
+    # the hull is built on 2-D grids only; a 1-D grid is refused
+    f = _grid(lambda x: (x - 0.3) ** 2)
+    for envelope in (lower_convex_envelope, upper_concave_envelope):
+        with pytest.raises(InputDomainError, match="2-D"):
+            envelope(f)
 
 
 def test_legendre_2d_lower_bounds_geometric_hull():
@@ -407,7 +389,7 @@ def test_midpoint_subsampled_2d_catches_gross_violation(monkeypatch):
 @settings(max_examples=30, deadline=None)
 def test_envelope_below_and_convex(n):
     rng = np.random.default_rng(n)
-    f = GridFn(rng.uniform(0.0, 1.0, n))
+    f = GridFn(rng.uniform(0.0, 1.0, (n, n)))
     env = lower_convex_envelope(f)
     assert np.all(env.values <= f.values + 1e-12)
     assert check_midpoint_convex(env).worst_violation <= 1e-9

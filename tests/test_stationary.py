@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -19,7 +20,6 @@ from dsbs_envelopes import (
     count_roots_scan,
     d2,
     gamma_extremum,
-    h0_threshold,
     hypercontractive_regime,
     phi_tilde_ab,
     psi,
@@ -41,7 +41,7 @@ from dsbs_envelopes.stationary import (
     _solve_roots,
     _w_prime,
 )
-from dsbs_envelopes.verify import _H_FORWARD, _H_GAMMA_N, _H_REVERSE, _root_problem_unchecked
+from dsbs_envelopes.verify import _H_FORWARD, _H_GAMMA_N, _H_REVERSE
 from test_binary import _typed_fields
 
 RHO = DsbsParams(0.9)
@@ -60,6 +60,8 @@ def test_root_problem_validation():
     RootProblem(0.3, 2.0, 0.2)  # fine
     with pytest.raises(InputDomainError):
         RootProblem(0.0, 2.0, 0.2)
+    with pytest.raises(InputDomainError, match="outside"):
+        RootProblem(1e-310, 3.0, 0.5)  # subnormal: W's log1p argument overflows
     with pytest.raises(InputDomainError):
         RootProblem(1.0, 2.0, 0.2)
     with pytest.raises(InputDomainError):
@@ -140,15 +142,29 @@ def test_count_roots_scan_near_rho_squared():
             assert count_roots_scan(RootProblem(theta, v, rho_sq * (1 - gap))) == 1, (v, gap)
 
 
+def _h0(prob):
+    """The bend point of one problem, as `_solve_roots` reports it (NaN if none)."""
+    return float(_solve_roots([prob.theta], [prob.v], [prob.r])[0][0])
+
+
 def test_h0_threshold_and_root():
     prob = RootProblem(THETA_09, 2.0, 0.5)
-    h0 = h0_threshold(prob)
+    h0 = _h0(prob)
     assert h0 > 0.0
     z = solve_root_z(prob)
     assert z == pytest.approx(Z_STAR, rel=1e-12)
     assert math.log(z) > h0
     assert abs(aux_phi_h(math.log(z), prob)) <= 1e-12
     assert count_roots_scan(prob, 100_000) == 1
+
+
+def test_smallest_normal_theta_solves():
+    # W saturates at ln(1/theta) = 708.4, so the root sits just below
+    # ln(1/theta)/(r*v) = 472.3; RuntimeWarnings are errors under this suite
+    prob = RootProblem(sys.float_info.min, 3.0, 0.5)
+    h = math.log(solve_root_z(prob))
+    assert h == pytest.approx(math.log(1.0 / sys.float_info.min) / 1.5, rel=1e-3)
+    assert abs(aux_phi_h(h, prob)) <= 1e-12
 
 
 def test_no_root_at_regime_boundary():
@@ -184,7 +200,7 @@ def _h0_eta_oracle(prob):
 
 def test_h0_matches_eta_equation_oracle():
     for prob in _random_root_problems(21, 200):
-        h0 = h0_threshold(prob)
+        h0 = _h0(prob)
         assert h0 == pytest.approx(_h0_eta_oracle(prob), rel=1e-12, abs=0.0), prob
         _, g, pad = _aux_terms(np.array([h0]), prob)
         assert abs(g[0]) <= pad[0], prob  # h0 is g's zero within its pad
@@ -250,14 +266,14 @@ def test_no_bend_point_at_rho_squared(theta, v):
     # near h = 1e-7 for the first two
     rho = (1 - theta) / (1 + theta)
     prob = RootProblem(theta, v, rho * rho)
-    with pytest.raises(NoRootError, match="no bend point"):
-        h0_threshold(prob)
+    h0, _, (reason,) = _solve_roots([theta], [v], [rho * rho])
+    assert math.isnan(h0[0]) and reason.startswith("no bend point")
     with pytest.raises(NoRootError, match="no bend point"):
         solve_root_z(prob)
     # just inside the regime the root still solves, past the bend point
     prob = RootProblem(theta, v, rho * rho * (1 - 1e-12))
     h = math.log(solve_root_z(prob))
-    assert h > h0_threshold(prob)
+    assert h > _h0(prob)
     assert abs(aux_phi_h(h, prob)) <= 1e-10
 
 
@@ -265,7 +281,7 @@ def test_root_beyond_search_range_raises():
     # r*v small enough that W(v*W(h)) saturates before the root: the root
     # sits near ln(1/theta)/(r*v) = 6e4, past the last point searched
     prob = RootProblem(0.3, 2.0, 1e-5)
-    assert h0_threshold(prob) > 0.0
+    assert _h0(prob) > 0.0
     with pytest.raises(NoRootError, match="up to h = 1e4"):
         solve_root_z(prob)
 
@@ -359,13 +375,6 @@ def test_count_roots_scan_reproduces_float_noise_near_rho_squared(theta, v):
     rho = (1 - theta) / (1 + theta)
     prob = RootProblem(theta, v, rho * rho * (1 - 1e-12))
     assert count_roots_scan(prob) == _brute_force_count(prob) == 3
-
-
-@pytest.mark.parametrize("n", [100_000, 1_000_000])
-def test_count_roots_scan_planted_fault_counts_zero(n):
-    # claim U's planted fault: r = 1.2*rho^2 lies beyond the root regime
-    prob = _root_problem_unchecked(0.5, 2.0, 1.2 * (1 / 3) ** 2)
-    assert count_roots_scan(prob, n) == _brute_force_count(prob, n) == 0
 
 
 def test_count_roots_scan_sees_two_close_roots(monkeypatch):
@@ -519,7 +528,7 @@ def test_root_residual_property(theta, v, rfrac):
 
 def test_forward_reconstruction_frozen():
     qp = QParam(2.0, 1.5)
-    st_pt = stationary_point(qp, RHO, case="forward")
+    st_pt = stationary_point(qp, RHO)
     assert st_pt.s == pytest.approx(FWD_ST[0], abs=1e-12)
     assert st_pt.t == pytest.approx(FWD_ST[1], abs=1e-12)
     assert max(st_pt.residual_x, st_pt.residual_y) <= 1e-8
@@ -533,25 +542,27 @@ def test_forward_reconstruction_frozen():
 
 
 def test_reverse_and_mixed_frozen():
-    rev = stationary_point(QParam(0.3, 0.5), RHO, case="reverse")
+    rev = stationary_point(QParam(0.3, 0.5), RHO)
     assert (rev.s, rev.t) == pytest.approx(REV_ST, abs=1e-12)
-    mix = stationary_point(QParam(0.8, -2.0), RHO, case="mixed")
+    mix = stationary_point(QParam(0.8, -2.0), RHO)
     assert (mix.s, mix.t) == pytest.approx(MIX_ST, abs=1e-12)
 
 
+# (p, q) in none of the forward, reverse and mixed regimes; the last three
+# have r in the root range (0, rho^2]
+NO_REGIME = [(2.0, 0.5), (0.5, 2.0), (1.5, -0.6), (0.5, 0.0), (-0.5, 0.5), (0.0, 0.5)]
+
+
 def test_stationary_point_rejects_wrong_regime():
-    with pytest.raises(InputDomainError):
-        stationary_point(QParam(0.5, 0.5), RHO, case="forward")
-    with pytest.raises(InputDomainError):
-        stationary_point(QParam(2.0, 1.5), RHO, case="reverse")
-    with pytest.raises(InputDomainError):
-        stationary_point(QParam(2.0, 1.5), RHO, case="nonsense")
+    for p, q in NO_REGIME:
+        with pytest.raises(InputDomainError, match="none of the forward, reverse and mixed"):
+            stationary_point(QParam(p, q), RHO)
 
 
 def test_reconstruction_marginal_deficits_consistent():
     # (s, t) are the d2 coordinates of the coupling's marginals
     qp = QParam(2.0, 1.5)
-    st_pt = stationary_point(qp, RHO, case="forward")
+    st_pt = stationary_point(qp, RHO)
     a = st_pt.coupling.q10 + st_pt.coupling.q11
     b = st_pt.coupling.q01 + st_pt.coupling.q11
     assert d2(a) == pytest.approx(st_pt.s, abs=1e-12)
@@ -562,7 +573,7 @@ def test_forward_stationarity_gradient():
     # the reconstructed point is a stationary point of the Lagrangian
     # g = phi_tilde - s/p - t/q in marginal coordinates
     qp = QParam(2.0, 1.5)
-    pt = stationary_point(qp, RHO, case="forward")
+    pt = stationary_point(qp, RHO)
 
     def g(s, t):
         a, b = _ab_from_st(s, t)
@@ -593,7 +604,7 @@ def test_hypercontractive_regime_boundary():
 
 def test_gamma_forward_corner_in_hyper_regime():
     qp = QParam(2.0, 2.0)
-    ext = gamma_extremum(qp, RHO, "forward_min", n=101)
+    ext = gamma_extremum(qp, RHO, n=101)
     assert ext.a == pytest.approx(0.5, abs=1e-6)
     assert ext.b == pytest.approx(0.5, abs=1e-6)
     assert ext.s == pytest.approx(0.0, abs=1e-9)
@@ -602,10 +613,10 @@ def test_gamma_forward_corner_in_hyper_regime():
 
 def test_gamma_forward_interior_below_hyper():
     qp = QParam(2.0, 1.5)
-    ext = gamma_extremum(qp, RHO, "forward_min", n=201)
+    ext = gamma_extremum(qp, RHO, n=201)
     # below the critical product the corner is not optimal
     assert ext.value < -1e-4
-    pt = stationary_point(qp, RHO, case="forward")
+    pt = stationary_point(qp, RHO)
     lag = phi_tilde_ab(
         *_ab_of(pt), RHO
     ) - pt.s / qp.p - pt.t / qp.q
@@ -620,16 +631,12 @@ def _ab_of(pt):
 
 def test_gamma_mixed_matches_stationary_value():
     # the sweep and the root-equation route must land on the same point and
-    # value, for every table row; (s, t) are compared because reverse_max
-    # sweeps b in [1/2, 1], and the value is taken at the coupling's marginals
-    for qp, problem, case in (
-        (QParam(0.8, -2.0), "mixed_maxmin", "mixed"),
-        (QParam(0.9, -5.0), "mixed_maxmin", "mixed"),
-        (QParam(2.0, 1.5), "forward_min", "forward"),
-        (QParam(0.3, 0.5), "reverse_max", "reverse"),
-    ):
-        ext = gamma_extremum(qp, RHO, problem, n=201)
-        pt = stationary_point(qp, RHO, case=case)
+    # value, for every table row; (s, t) are compared because the reverse
+    # row sweeps b in [1/2, 1], and the value is taken at the coupling's
+    # marginals
+    for qp in (QParam(0.8, -2.0), QParam(0.9, -5.0), QParam(2.0, 1.5), QParam(0.3, 0.5)):
+        ext = gamma_extremum(qp, RHO, n=201)
+        pt = stationary_point(qp, RHO)
         assert ext.s == pytest.approx(pt.s, abs=1e-7)
         assert ext.t == pytest.approx(pt.t, abs=1e-7)
         c = pt.coupling
@@ -644,9 +651,9 @@ def test_gamma_never_worse_than_its_grid(rho):
     # built here as one full meshgrid, reduced by a plain min / max
     params = DsbsParams(rho)
     n = _H_GAMMA_N
-    for pairs, problem, surface, lo_b, sign in (
-        (_H_FORWARD, "forward_min", phi_tilde_ab, 0.0, 1.0),
-        (_H_REVERSE, "reverse_max", dd2_value, 0.5, -1.0),
+    for pairs, surface, lo_b, sign in (
+        (_H_FORWARD, phi_tilde_ab, 0.0, 1.0),
+        (_H_REVERSE, dd2_value, 0.5, -1.0),
     ):
         a, b = np.meshgrid(
             np.linspace(0.0, 0.5, n), np.linspace(lo_b, lo_b + 0.5, n), indexing="ij"
@@ -655,17 +662,14 @@ def test_gamma_never_worse_than_its_grid(rho):
             qp = QParam(p, q)
             grid = surface(a, b, params) - qp.lam * d2(a) - qp.mu * d2(b)
             grid_opt = float(np.min(sign * grid))
-            ext = gamma_extremum(qp, params, problem, n=n)
-            assert sign * ext.value <= grid_opt, (problem, p, q)
+            ext = gamma_extremum(qp, params, n=n)
+            assert sign * ext.value <= grid_opt, (p, q)
 
 
-def test_gamma_rejects_mismatched_problem():
-    with pytest.raises(InputDomainError):
-        gamma_extremum(QParam(0.3, 0.5), RHO, "forward_min", n=101)
-    with pytest.raises(InputDomainError):
-        gamma_extremum(QParam(2.0, 2.0), RHO, "mixed_maxmin", n=101)
-    with pytest.raises(InputDomainError):
-        gamma_extremum(QParam(2.0, 2.0), RHO, "no_such_problem", n=101)
+def test_gamma_rejects_pq_in_no_regime():
+    for p, q in NO_REGIME:
+        with pytest.raises(InputDomainError, match="none of the forward, reverse and mixed"):
+            gamma_extremum(QParam(p, q), RHO, n=101)
 
 
 @pytest.mark.parametrize("n", [100, 1002, 10**6])
@@ -677,4 +681,4 @@ def test_gamma_rejects_grid_size_out_of_range(monkeypatch, n):
 
     monkeypatch.setattr(stationary.np, "linspace", no_allocation)
     with pytest.raises(InputDomainError, match=r"n must be in \[101, 1001\]"):
-        gamma_extremum(QParam(2.0, 2.0), RHO, "forward_min", n=n)
+        gamma_extremum(QParam(2.0, 2.0), RHO, n=n)

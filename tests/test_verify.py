@@ -187,7 +187,7 @@ def test_report_lists_the_default_tolerances(healthy_report):
     "call, size",
     [
         (lambda n: verify_all(RHO, n, options=FAST), 101.5),
-        (lambda n: gamma_extremum(QParam(2.0, 2.0), RHO, "forward_min", n=n), 101.5),
+        (lambda n: gamma_extremum(QParam(2.0, 2.0), RHO, n=n), 101.5),
         (lambda n: count_roots_scan(RootProblem(0.3, 2.0, 0.2), n), 1e5),
         (lambda n: check_slope_bounds(GridFn(np.linspace(0.0, 1.0, 5)), n, 1.0, "le"), 0.5),
     ],
