@@ -66,8 +66,12 @@ __all__ = [
 _BLOCK_ELEMS = 1 << 15
 
 
+# Size below which a reciprocal is taken as infinite: 1/x would overflow.
+_RECIPROCAL_FLOOR = 1e-300
+
+
 def _inv_or_inf(x: float) -> float:
-    return math.inf if abs(x) < 1e-300 else 1.0 / x
+    return math.inf if abs(x) < _RECIPROCAL_FLOOR else 1.0 / x
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +102,7 @@ class QParam:
         object.__setattr__(self, "r", (self.p - 1.0) * (self.q - 1.0) + 0.0)
         object.__setattr__(self, "u", _inv_or_inf(self.p - 1.0))
         object.__setattr__(self, "v", _inv_or_inf(self.q - 1.0))
-        q_conj = math.inf if abs(self.q - 1.0) < 1e-300 else self.q / (self.q - 1.0)
+        q_conj = math.inf if abs(self.q - 1.0) < _RECIPROCAL_FLOOR else self.q / (self.q - 1.0)
         object.__setattr__(self, "q_conj", q_conj)
 
     @classmethod
@@ -214,14 +218,15 @@ def _seed_grid() -> tuple:
     return x, d2_b
 
 
-def _q_slope(a, x, q: float, source: DsbsParams, sign: float):
+def _q_slope(a, x, q, source: DsbsParams, sign: float):
     """Derivative and curvature in ``x = -b`` of the `_q_opt` objective.
 
     The objective is ``sign * (dd2(a, b) - d2(b)/q)`` on ``source``: the
     source itself with sign +1 for phi, its mirror with sign -1 for psi.
     In b its derivative is ``sign * (dd2_b - d2'(b)/q)``, with
     ``d2'(b) = log2(b/(1-b))`` and ``d2''(b) = 1/(b(1-b) ln 2)``; in x the
-    derivative changes sign and the curvature does not.  At ``b = 0`` the
+    derivative changes sign and the curvature does not.  ``q`` is a float
+    or an array of one q per row of ``a`` and ``x``.  At ``b = 0`` the
     result is NaN or infinite, silently.
     """
     b = -x
@@ -248,11 +253,12 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     q scores its grid cells from that table, in one reused buffer.  A chunk
     holds as many rows as fit the element budget ``_BLOCK_ELEMS``, so
     that the table, the score buffer and the surface kernel's temporaries
-    stay in L2 cache.  Each q's winning cell is then
+    stay in L2 cache.  The winning cell of every (q, point) pair is then
     refined on the closed-form derivative of the same function of b
-    (`_q_slope`): a lockstep safeguarded Newton iteration (`newton_root_vec`)
-    on the bracket of the two neighbouring grid points, in the search
-    variable ``x = -b`` (exact, and increasing in t).  The sign of the
+    (`_q_slope`), all q at once: one lockstep safeguarded Newton call
+    (`newton_root_vec`), each pair on the bracket of its two neighbouring
+    grid points, in the search variable ``x = -b`` (exact, and increasing
+    in t), and one evaluation of the refined points.  The sign of the
     derivative at the grid point picks the half-cell that holds a local
     minimum (the grid point is the grid's argmin).  A row whose derivative
     there is 0 or not finite (at ``b = 0``), or whose finite derivative at
@@ -260,7 +266,8 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     point; a NaN at ``b = 0`` as the far end does not stop the search.
     Rows freeze at their own convergence, so a row of a batched call equals
     the one-q call bit for bit.  The reported argmin is ``d2(b_opt)``.
-    ``s`` and every q are validated here, for all callers.
+    ``s`` and every q are validated here, for all callers: a q of size below
+    1e-300, where ``d2/q`` would overflow, is refused like q = 0.
 
     The objective is flat at its optimum but its derivative is not, so the
     argmin is as precise as the value: against 40-digit mpmath, t is within
@@ -270,8 +277,9 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     Ties resolve to the smallest t: the grid argmin takes the first index,
     and the grid candidate wins unless the Newton point is strictly better.
     """
-    if 0.0 in qs:
-        raise InputDomainError("q must be nonzero")
+    tiny = [q for q in qs if abs(q) < _RECIPROCAL_FLOOR]
+    if tiny:
+        raise InputDomainError(f"q={tiny[0]!r} must be nonzero with |q| >= {_RECIPROCAL_FLOOR!r}")
     if np.ndim(s) > 1:
         raise InputDomainError(f"s must be a scalar or 1-D, got shape {np.shape(s)}")
     s_vals = np.atleast_1d(_prepare_prob(s, "s"))
@@ -299,22 +307,23 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     table = block = score = None  # freed before the refinement: peak memory
     values = sign * best_val
     t_opt = d2_grid[best_idx]
-    for k, q in enumerate(qs):
-        lo = x_grid[np.maximum(best_idx[k] - 1, 0)]
-        hi = x_grid[np.minimum(best_idx[k] + 1, _T_GRID_N - 1)]
-        x_ref, refined = newton_root_vec(
-            lambda x, rows, q=q: _q_slope(a_axis[rows], x, q, source, sign),
-            lo,
-            hi,
-            x_grid[best_idx[k]],
-        )
-        idx = np.flatnonzero(refined)
-        b_ref = -x_ref[idx]
-        d2_ref = np.asarray(d2(b_ref))
-        f_ref = sign * (dd2_value(a_axis[idx], b_ref, source) - d2_ref / q)
-        better = f_ref < best_val[k, idx]
-        values[k, idx[better]] = sign * f_ref[better]
-        t_opt[k, idx[better]] = d2_ref[better]
+    # flat row i of the refinement is the pair (q index i // n, point i % n)
+    best_idx = best_idx.ravel()
+    q_rows = np.repeat(np.asarray(qs, dtype=float), s_vals.size)
+    a_rows = np.tile(a_axis, len(qs))
+    x_ref, refined = newton_root_vec(
+        lambda x, rows: _q_slope(a_rows[rows], x, q_rows[rows], source, sign),
+        x_grid[np.maximum(best_idx - 1, 0)],
+        x_grid[np.minimum(best_idx + 1, _T_GRID_N - 1)],
+        x_grid[best_idx],
+    )
+    idx = np.flatnonzero(refined)
+    b_ref = -x_ref[idx]
+    d2_ref = np.asarray(d2(b_ref))
+    f_ref = sign * (dd2_value(a_rows[idx], b_ref, source) - d2_ref / q_rows[idx])
+    better = f_ref < best_val.ravel()[idx]
+    values.flat[idx[better]] = sign * f_ref[better]
+    t_opt.flat[idx[better]] = d2_ref[better]
     return values, t_opt
 
 

@@ -548,30 +548,59 @@ def gamma_extremum(qp: QParam, params: DsbsParams, n: int = 401) -> GammaExtremu
     for the forward and reverse rows, whose optimum is joint, the reported
     value never exceeds (min) / falls below (max) the grid optimum.
 
-    ``n`` must lie in [101, 1001], checked before anything is allocated:
-    the n-by-n grid is built whole.
+    This is the one-setting view of `_gamma_extrema`, which runs many
+    sweeps in lockstep; the answer is the same bits either way.  ``n`` must
+    lie in [101, 1001], checked before anything is allocated: the n-by-n
+    grid is built whole.
+    """
+    return _gamma_extrema([qp], params, n)[0]
+
+
+def _gamma_extrema(qps, params: DsbsParams, n: int = 401) -> list[GammaExtremum]:
+    """`gamma_extremum` of every (p, q) in ``qps``, in order, the sweeps of a regime in lockstep.
+
+    Each regime evaluates its surface once on the full n-by-n grid and
+    scores every setting of the regime from that table, broadcasting lam
+    and mu per setting; each refinement pass then evaluates the windows of
+    all of them in one surface call.  Every setting runs the same passes,
+    since their number depends on n alone, and every operation is
+    elementwise, so each result equals the sweep run alone bit for bit.
+    ``n`` and every regime are checked before anything is allocated.
     """
     _require_int(n=n)
     if not 101 <= n <= 1001:
         raise InputDomainError("n must be in [101, 1001]")
-    (lo_b, hi_b), outer, inner, surface = _PROBLEMS[_posed_case(qp)]
-    lam, mu = qp.lam, qp.mu
-
-    def step(axis_a: np.ndarray, axis_b: np.ndarray):
-        a, b = axis_a[:, None], axis_b[None, :]
-        grid = surface(a, b, params) - lam * d2(a) - mu * d2(b)
-        j = np.argmin(inner * grid, axis=1)
-        val_row = grid[np.arange(axis_a.size), j]
-        i = int(np.argmin(outer * val_row))
-        return axis_a[i], axis_b[j[i]], val_row[i]
-
-    a, b, value = step(np.linspace(0.0, 0.5, n), np.linspace(lo_b, hi_b, n))
+    cases = [_posed_case(qp) for qp in qps]
+    out = [None] * len(qps)
     offsets = np.linspace(-2.0, 2.0, _WINDOW_K)  # the middle one is exactly 0
-    cell = 0.5 / (n - 1)
-    while cell >= 1e-10:
-        a, b, value = step(
-            np.clip(a + cell * offsets, 0.0, 0.5), np.clip(b + cell * offsets, lo_b, hi_b)
-        )
-        cell *= 4.0 / (_WINDOW_K - 1)
-    a, b, value = float(a), float(b), float(value)
-    return GammaExtremum(value, a, b, float(d2(a)), float(d2(b)))
+    for case, ((lo_b, hi_b), outer, inner, surface) in _PROBLEMS.items():
+        members = [i for i, c in enumerate(cases) if c == case]
+        if not members:
+            continue
+        lam = np.array([qps[i].lam for i in members])[:, None, None]
+        mu = np.array([qps[i].mu for i in members])[:, None, None]
+        rows = np.arange(len(members))
+
+        def step(axis_a: np.ndarray, axis_b: np.ndarray, table: np.ndarray):
+            """The grid step of every member from its surface table; 1-D axes are shared."""
+            a, b = np.atleast_2d(axis_a), np.atleast_2d(axis_b)
+            grid = table - lam * d2(a)[:, :, None] - mu * d2(b)[:, None, :]
+            j = np.argmin(inner * grid, axis=2)
+            val_row = np.take_along_axis(grid, j[:, :, None], axis=2)[:, :, 0]
+            i = np.argmin(outer * val_row, axis=1)
+            a = np.broadcast_to(a, val_row.shape)
+            b = np.broadcast_to(b, (rows.size, b.shape[1]))
+            return a[rows, i], b[rows, j[rows, i]], val_row[rows, i]
+
+        axis_a, axis_b = np.linspace(0.0, 0.5, n), np.linspace(lo_b, hi_b, n)
+        a, b, value = step(axis_a, axis_b, surface(axis_a[:, None], axis_b[None, :], params))
+        cell = 0.5 / (n - 1)
+        while cell >= 1e-10:
+            win_a = np.clip(a[:, None] + cell * offsets, 0.0, 0.5)
+            win_b = np.clip(b[:, None] + cell * offsets, lo_b, hi_b)
+            a, b, value = step(win_a, win_b, surface(win_a[:, :, None], win_b[:, None, :], params))
+            cell *= 4.0 / (_WINDOW_K - 1)
+        for k, i in enumerate(members):
+            ak, bk = float(a[k]), float(b[k])
+            out[i] = GammaExtremum(float(value[k]), ak, bk, float(d2(ak)), float(d2(bk)))
+    return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -50,10 +50,10 @@ from .hulls import (
 from .mre import _dd2_oracle_batch, dd2_value, p_star
 from .stationary import (
     RootProblem,
+    _gamma_extrema,
     _solve_roots,
     aux_phi_h,
     count_roots_scan,
-    gamma_extremum,
     hypercontractive_regime,
 )
 
@@ -213,7 +213,11 @@ def _jsonify(obj):
 
 @dataclass(frozen=True, slots=True)
 class _Context:
-    """Settings and the two shared lattices of one verification run."""
+    """Settings, the two shared lattices and the shared q-families of one verification run.
+
+    ``families`` maps (kind, axis length) to the curves of that family by
+    q, filled by `_family` at its first read.
+    """
 
     params: DsbsParams
     tol: dict
@@ -223,6 +227,33 @@ class _Context:
     axis: np.ndarray
     phi_tilde: np.ndarray
     psi: np.ndarray
+    families: dict = field(default_factory=dict)
+
+
+def _family_reads(ctx) -> tuple:
+    """(kind, axis length, q values) of every q-family curve set a claim reads."""
+    return (
+        ("phi", ctx.size.curve_points, _T3_Q + _C_Q_CONVEX),  # T3, C
+        ("psi", ctx.size.curve_points, _C_Q_CONCAVE),  # C
+        ("phi", len(ctx.axis), _L_Q_NEG),  # L1
+        ("phi", ctx.size.master_n, _L_Q_NEG),  # L3
+    )
+
+
+def _family(ctx, kind: str, n: int, q_list) -> list:
+    """The q-slice curves of ``kind`` on the n-point axis, one per q of ``q_list``.
+
+    Every q that any claim reads on that axis comes from one `_q_opt` call,
+    made by the first claim that asks; the curves are shared read-only, so
+    a fault is planted only into a copy (`_plant`).
+    """
+    key = (kind, n)
+    if key not in ctx.families:
+        reads = (q for k, m, q_set in _family_reads(ctx) if (k, m) == key for q in q_set)
+        qs = tuple(dict.fromkeys(reads))  # each q once, in first-read order
+        curves = _q_opt(np.linspace(0.0, 1.0, n), qs, ctx.params, kind=kind)[0]
+        ctx.families[key] = dict(zip(qs, curves))
+    return [ctx.families[key][q] for q in q_list]
 
 
 def _worst(legs) -> tuple[float, dict]:
@@ -258,13 +289,11 @@ def _claim_t2(ctx):
 
 
 def _curve_family(ctx, kind, check, q_list, cid=None, delta=0.0, **witness):
-    """Midpoint-curvature legs across a family of q-slice curves.
+    """Midpoint-curvature legs across a family of q-slice curves (`_family`).
 
-    The whole family comes from one `_q_opt` call; the fault for ``cid``
-    goes on the first curve.
+    The fault for ``cid`` goes on the first curve.
     """
-    axis = np.linspace(0.0, 1.0, ctx.size.curve_points)
-    curves = _q_opt(axis, q_list, ctx.params, kind=kind)[0]
+    curves = _family(ctx, kind, ctx.size.curve_points, q_list)
     for idx, (q, curve) in enumerate(zip(q_list, curves)):
         if idx == 0 and cid is not None:
             curve = _plant(ctx, cid, curve, delta)
@@ -295,7 +324,7 @@ def _claim_l1(ctx):
     for ax in (0, 1):
         yield _leg(check_slope_bounds(theta, ax, 1.0, "le"), tol, leg="theta_le", axis=ax)
         yield _leg(check_slope_bounds(theta_bar, ax, 1.0, "ge"), tol, leg="theta_bar_ge", axis=ax)
-    for q, curve in zip(_L_Q_NEG, _q_opt(ctx.axis, _L_Q_NEG, ctx.params, kind="phi")[0]):
+    for q, curve in zip(_L_Q_NEG, _family(ctx, "phi", len(ctx.axis), _L_Q_NEG)):
         rep = check_slope_bounds(GridFn(curve), 0, 1.0, "ge")
         yield _leg(rep, tol, leg=f"theta_bar_q={q}", axis=0)
 
@@ -307,9 +336,7 @@ def _claim_l2(ctx):
 
 
 def _claim_l3(ctx):
-    axis = np.linspace(0.0, 1.0, ctx.size.master_n)
-    curves = _q_opt(axis, _L_Q_NEG, ctx.params, kind="phi")[0]
-    for q, curve in zip(_L_Q_NEG, curves):
+    for q, curve in zip(_L_Q_NEG, _family(ctx, "phi", ctx.size.master_n, _L_Q_NEG)):
         rep = check_monotone(GridFn(_plant(ctx, "L3", curve, -0.01)))
         yield _leg(rep, ctx.tol["monotone"], q=q)
 
@@ -373,14 +400,14 @@ def _claim_u(ctx):
 
 def _claim_h(ctx):
     cell = 0.5 / (_H_GAMMA_N - 1)
-    # gamma_extremum takes each sweep from (p, q); the labels name it in the witness
+    # _gamma_extrema takes each sweep from (p, q); the labels name it in the witness
     settings = [(p, q, "forward_min") for (p, q) in _H_FORWARD]
     settings += [(p, q, "reverse_max") for (p, q) in _H_REVERSE]
     if ctx.fault == "H":
         settings.append((1.2, 1.2, "forward_min"))
-    for p, q, problem in settings:
-        qp = QParam(p, q)
-        ext = gamma_extremum(qp, ctx.params, n=_H_GAMMA_N)
+    qps = [QParam(p, q) for p, q, _ in settings]
+    extrema = _gamma_extrema(qps, ctx.params, _H_GAMMA_N)
+    for (p, q, problem), qp, ext in zip(settings, qps, extrema):
         witness = {"p": p, "q": q, "problem": problem, "a": ext.a, "b": ext.b, "value": ext.value}
         witness["hypercontractive"] = hypercontractive_regime(qp, ctx.params)
         yield abs(ext.a - 0.5) - cell, witness

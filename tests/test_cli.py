@@ -312,6 +312,14 @@ def test_roots_subnormal_r(capsys, r):
     assert out.splitlines()[-1] == "no root: no sign change of the root equation up to h = 1e4"
 
 
+@pytest.mark.parametrize("fn, q", [("phi_q", "1e-320"), ("psi_q", "-1e-320")])
+def test_eval_q_family_rejects_a_tiny_q(capsys, fn, q):
+    # d2/q overflowed: a warning, then -inf, or a traceback under -W error
+    code, out, err = run_cli(capsys, "eval", fn, "--rho", "0.9", "--s", "0.5", "--q", q)
+    assert (code, out) == (2, "")
+    assert err.count("error: ") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "template, exponent_form, plain_form",
     [

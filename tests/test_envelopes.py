@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -396,3 +397,26 @@ def test_q_search_grid_only_seeds_the_answer(monkeypatch, rho, s, q):
     dense = np.min(phi(np.array(moved_s)[:, None], t[None, :], params) - t / q, axis=1)
     assert np.max(np.abs(np.array(argmins) - t_ref)) <= 1e-6
     assert np.max(np.abs(dense - np.array(values))) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+@pytest.mark.parametrize("rho", [0.1, 0.9, 0.999])
+@pytest.mark.parametrize("q", [1e-300, -1e-300])
+def test_q_family_at_the_smallest_accepted_q_raises_no_warning(kind, q, rho):
+    # d2/q stays finite down to |q| = 1e-300, for the sign that makes it
+    # large (q > 0 for phi, q < 0 for psi) as well as the other
+    s = np.linspace(0.0, 1.0, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, t_opt = envelopes._q_opt(s, (q,), DsbsParams(rho), kind=kind)
+    assert np.all(np.isfinite(values)) and np.all((0.0 <= t_opt) & (t_opt <= 1.0))
+
+
+@pytest.mark.parametrize("one_q", [phi_q_full, psi_q_full])
+@pytest.mark.parametrize("q", [1e-305, -1e-305, 1e-320, -1e-320])
+def test_q_family_rejects_q_below_the_reciprocal_floor(one_q, q):
+    # 0 < |q| < 1e-300 overflowed in d2/q, with a warning, and printed -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputDomainError, match="must be nonzero"):
+            one_q(0.5, QParam.from_q(q), DsbsParams(0.9))

@@ -124,7 +124,8 @@ def test_q_family_rows_converge_by_newton(monkeypatch):
     # bisection from a grid cell would need about 50 evaluations.  A step
     # that rounds onto its bracket end must count as converged: taken as a
     # failed Newton step, it sent rows into 30-45 bisections.  The psi rows
-    # need their slope to keep its digits as b nears 0 (the mirrored source)
+    # need their slope to keep its digits as b nears 0 (the mirrored
+    # source).  Each _q_opt call refines every q in one solver call
     s = np.linspace(0.0, 1.0, 101)
     most = []
 
@@ -139,7 +140,7 @@ def test_q_family_rows_converge_by_newton(monkeypatch):
         params = DsbsParams(rho)
         envelopes._q_opt(s, (1.0, 2.0, 10.0, -0.5, -2.0, -10.0), params, kind="phi")
         envelopes._q_opt(s, (0.25, 0.5, 0.75), params, kind="psi")
-    assert len(most) == 18 and max(most) <= 13
+    assert len(most) == 4 and max(most) <= 13
 
 
 def test_infinite_derivative_at_b_zero_raises_no_warning():

@@ -1,5 +1,6 @@
 """Stationarity machinery: root equation, reconstruction, saddle extrema."""
 
+import dataclasses
 import functools
 import math
 import sys
@@ -35,6 +36,7 @@ from dsbs_envelopes.stationary import (
     _FAILURES,
     _SCAN_BLOCK,
     _aux_terms,
+    _gamma_extrema,
     _log_w_of_h,
     _scan_cuts,
     _scan_points,
@@ -675,10 +677,67 @@ def test_gamma_rejects_pq_in_no_regime():
 @pytest.mark.parametrize("n", [100, 1002, 10**6])
 def test_gamma_rejects_grid_size_out_of_range(monkeypatch, n):
     # an n-by-n grid is built whole, so an oversized n must fail as a
-    # DsbsError before any array exists, never as a MemoryError
+    # DsbsError before any array exists, never as a MemoryError; the
+    # lockstep sweeps of several settings check it first as well
     def no_allocation(*args, **kwargs):
         raise AssertionError("gamma_extremum allocated before validating n")
 
     monkeypatch.setattr(stationary.np, "linspace", no_allocation)
     with pytest.raises(InputDomainError, match=r"n must be in \[101, 1001\]"):
         gamma_extremum(QParam(2.0, 2.0), RHO, n=n)
+    with pytest.raises(InputDomainError, match=r"n must be in \[101, 1001\]"):
+        _gamma_extrema([QParam(2.0, 2.0), QParam(0.05, 0.1), QParam(0.8, -2.0)], RHO, n)
+
+
+def _gamma_extremum_oracle(qp, params, n):
+    """(value, a, b, s, t) of one sweep run on its own: the reference for `_gamma_extrema`.
+
+    The surface is evaluated for this setting alone, on its full grid and
+    on each of its refinement windows, with lam and mu as floats.
+    """
+    (lo_b, hi_b), outer, inner, surface = stationary._PROBLEMS[stationary._posed_case(qp)]
+    lam, mu = qp.lam, qp.mu
+
+    def step(axis_a, axis_b):
+        a, b = axis_a[:, None], axis_b[None, :]
+        grid = surface(a, b, params) - lam * d2(a) - mu * d2(b)
+        j = np.argmin(inner * grid, axis=1)
+        val_row = grid[np.arange(axis_a.size), j]
+        i = int(np.argmin(outer * val_row))
+        return axis_a[i], axis_b[j[i]], val_row[i]
+
+    a, b, value = step(np.linspace(0.0, 0.5, n), np.linspace(lo_b, hi_b, n))
+    offsets = np.linspace(-2.0, 2.0, stationary._WINDOW_K)
+    cell = 0.5 / (n - 1)
+    while cell >= 1e-10:
+        a, b, value = step(
+            np.clip(a + cell * offsets, 0.0, 0.5), np.clip(b + cell * offsets, lo_b, hi_b)
+        )
+        cell *= 4.0 / (stationary._WINDOW_K - 1)
+    a, b = float(a), float(b)
+    return float(value), a, b, float(d2(a)), float(d2(b))
+
+
+_MIXED = ((0.8, -2.0), (0.9, -5.0), (0.5, -0.5), (0.3, -1.0), (0.95, -10.0))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [101, 201])
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_lockstep_sweeps_match_the_per_setting_oracle(rho, n):
+    # one surface table per regime and one surface call per pass for all of
+    # a regime's windows change no bit of any setting's answer, whatever the
+    # order of the settings; the one-row view agrees as well
+    params = DsbsParams(rho)
+    pairs = [pair for trio in zip(_H_FORWARD, _H_REVERSE, _MIXED) for pair in trio]
+    qps = [QParam(p, q) for p, q in pairs]
+    expected = [_gamma_extremum_oracle(qp, params, n) for qp in qps]
+    extrema = _gamma_extrema(qps, params, n)
+    assert len(extrema) == len(qps)
+    for qp, ext, want in zip(qps, extrema, expected):
+        assert _bits(dataclasses.astuple(ext)) == _bits(want), (qp.p, qp.q)
+        one = gamma_extremum(qp, params, n=n)
+        assert _bits(dataclasses.astuple(one)) == _bits(want), (qp.p, qp.q)

@@ -116,8 +116,8 @@ def _nan_arrays(out):
     return tuple(np.full_like(x, np.nan) for x in out)
 
 
-def _nan_extremum(ext):
-    return dataclasses.replace(ext, value=math.nan, a=math.nan, b=math.nan)
+def _nan_extrema(extrema):
+    return [dataclasses.replace(e, value=math.nan, a=math.nan, b=math.nan) for e in extrema]
 
 
 def _nan_array(x):
@@ -132,7 +132,7 @@ def _nan_roots(out):
 # (verify global, a claim that reads it, its result turned to NaN); the test
 # id is the global's name, with the claim appended for its second reader
 NAN_SOURCES = [
-    ("gamma_extremum", "H", _nan_extremum),
+    ("_gamma_extrema", "H", _nan_extrema),
     ("_solve_roots", "U", _nan_roots),
     ("psi", "B", lambda v: math.nan),
     ("p_star", "P", _nan_array),
@@ -143,6 +143,34 @@ NAN_SOURCES = [
 NAN_IDS = [
     f"{name}-{cid}" if (name, cid) == ("_q_opt", "L3") else name for name, cid, _ in NAN_SOURCES
 ]
+
+
+@pytest.mark.parametrize(
+    "grid_n, options, calls",
+    [
+        (101, FAST, {("phi", 101): 6, ("psi", 101): 3, ("phi", 501): 2}),
+        (
+            201,
+            VerifyOptions(),
+            {("phi", 501): 6, ("psi", 501): 3, ("phi", 201): 2, ("phi", 2001): 2},
+        ),
+    ],
+    ids=["small-101", "default-201"],
+)
+def test_one_q_opt_call_per_family(monkeypatch, grid_n, options, calls):
+    # T3, C, L1 and L3 share one _q_opt call per (kind, axis length), over
+    # the union of the q values they read on that axis: {(kind, n): len(qs)}
+    seen = []
+    real = verify._q_opt
+
+    def spy(s, qs, params, *, kind):
+        seen.append(((kind, np.size(s)), len(qs)))
+        return real(s, qs, params, kind=kind)
+
+    monkeypatch.setattr(verify, "_q_opt", spy)
+    report = verify_all(RHO, grid_n=grid_n, options=options)
+    assert report.passed
+    assert len(seen) == len(calls) and dict(seen) == calls
 
 
 def _reject_constant(token):
