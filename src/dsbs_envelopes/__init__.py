@@ -9,7 +9,7 @@ The package is organised bottom-up:
 - :mod:`.envelopes` — the surface slices ``phi``/``psi``, their monotone
   rearrangements, and the slope-indexed families phi_q/psi_q
   (``phi_q_full``/``psi_q_full``).
-- :mod:`.hulls` — grid convex-hull and curvature certificates.
+- :mod:`.hulls` — grid convex-hull, Lagrangian-gap and curvature certificates.
 - :mod:`.stationary` — stationarity root equation, coupling
   reconstruction, and saddle-value extrema.
 - :mod:`.verify` — the claim registry tying everything together.
@@ -47,6 +47,7 @@ from .errors import (
 from .hulls import (
     ConvexityReport,
     GridFn,
+    check_lagrangian_gap,
     check_midpoint_concave,
     check_midpoint_convex,
     check_monotone,
@@ -95,6 +96,7 @@ __all__ = [
     "VerifyOptions",
     "aux_phi_h",
     "bconv",
+    "check_lagrangian_gap",
     "check_midpoint_concave",
     "check_midpoint_convex",
     "check_monotone",

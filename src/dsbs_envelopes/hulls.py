@@ -1,22 +1,36 @@
 """Discrete convex/concave envelopes and grid certifiers.
 
 Functions here operate on samples over the uniform lattice of [0,1] or
-[0,1]^2 wrapped in :class:`GridFn`.  :func:`lower_convex_envelope` takes the
-geometric route on 2-D grids only, the one use it has (claim E): the lower
-facets of the Qhull convex hull of the graph points, interpolated back onto
-the lattice, every facet filling its lattice bounding box in chunked array
-passes.  Its independent oracle, a double discrete Legendre transform that
-shares no code with it, lives with the tests.
+[0,1]^2 wrapped in :class:`GridFn`.
 
-The certifiers (`check_midpoint_convex`, `check_midpoint_concave`,
-`check_slope_bounds`, `check_monotone`) are pure measurements: each reports
-the worst violation found and a witness, with deterministic tie-breaking,
-so failing runs are reproducible bit for bit.  Among tied cells the first
-in row-major order wins; the midpoint certifier, which batches its pairs
-one row offset at a time, picks the tied pair with the smallest key
-(row offset, half column offset, row, smaller column), the order in which
-a loop over the offsets would visit them.  They hold no threshold;
-`verify` judges the excess against its fixed tolerance table.
+`check_lagrangian_gap` certifies a 2-D surface as convex from its slope
+field, the grid form of the paper's proof through the minimizers of the
+Lagrangian dual: every grid point x0 must minimize its own Lagrangian
+``f - g0·x`` over the whole lattice, where g0 is the slope at x0.  Its
+Fenchel–Young gap ``f(x0) - g0·x0 + f*(g0)`` bounds how far f lies above
+its lower convex envelope at x0, so a gap of at most ε everywhere bounds
+every midpoint violation by ε, and a wrong slope can only fail it.  The
+conjugate f* is exact: the max over rows of the rows' 1-D conjugates,
+each read off its row's lower hull, all hulls built in lockstep.  A point
+on an edge of the square takes the 1-D gap along its edge.  ``verify``
+runs it on phi_tilde and, negated, on psi (claims T1 and T2).
+
+:func:`lower_convex_envelope` takes the geometric route on 2-D grids: the
+lower facets of the Qhull convex hull of the graph points, interpolated
+back onto the lattice, every facet filling its lattice bounding box in
+chunked array passes.  No claim calls it: the tests read it as an oracle
+of the certificate, beside a double discrete Legendre transform that
+shares no code with either.
+
+The certifiers (`check_lagrangian_gap`, `check_midpoint_convex`,
+`check_midpoint_concave`, `check_slope_bounds`, `check_monotone`) are pure
+measurements: each reports the worst violation found and a witness, with
+deterministic tie-breaking, so failing runs are reproducible bit for bit.
+Among tied cells the first in row-major order wins; the midpoint
+certifier, which takes curves and batches its pairs by parity, picks the
+tied pair with the smallest (half gap, left end) key, the order in which
+a loop over the gaps would visit them.  They hold no threshold; `verify`
+judges the excess against its fixed tolerance table.
 """
 
 from __future__ import annotations
@@ -36,14 +50,13 @@ __all__ = [
     "ConvexityReport",
     "lower_convex_envelope",
     "upper_concave_envelope",
+    "check_lagrangian_gap",
     "check_midpoint_convex",
     "check_midpoint_concave",
     "check_slope_bounds",
     "check_monotone",
 ]
 
-_FULL_ENUMERATION_MAX_N = 201  # 2-D full midpoint enumeration up to this n
-_DEFAULT_SUBSAMPLE = 10_000_000  # 2-D midpoint pairs sampled above that n
 _FILL_CHUNK = 1 << 16  # (facet, lattice point) pairs per pass of the 2-D hull fill
 
 
@@ -188,7 +201,9 @@ def _midpoint_convex_full(v: np.ndarray) -> ConvexityReport:
     counts (b = a is the pair itself, b < a a repeat).  The table is
     computed in chunks that fit the element budget ``envelopes._BLOCK_ELEMS``
     (whole rows where a row's table fits, else slices of a), one reused
-    buffer holding each chunk.  A 1-D curve is the single-row case.
+    buffer holding each chunk.  `check_midpoint_convex` runs it on a curve,
+    the single-row case; the tests run it on surfaces, as the oracle of
+    `check_lagrangian_gap`.
 
     The witness is the pair of largest violation with the smallest key
     (di, b - a, i, min(p, q)).  Only a row offset whose maximum beats the
@@ -249,61 +264,137 @@ def _midpoint_convex_full(v: np.ndarray) -> ConvexityReport:
     return _report(worst, witness, n_pairs)
 
 
-def _midpoint_convex_2d_sampled(v: np.ndarray, seed: int) -> ConvexityReport:
-    n = v.shape[0]
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    witness = None
-    n_pairs = 0
-    chunk = 1_000_000
-    while n_pairs < _DEFAULT_SUBSAMPLE:
-        m = min(chunk, _DEFAULT_SUBSAMPLE - n_pairs)
-        i1 = rng.integers(0, n, m)
-        j1 = rng.integers(0, n, m)
-        i2 = rng.integers(0, n, m)
-        j2 = rng.integers(0, n, m)
-        keep = ((i1 + i2) % 2 == 0) & ((j1 + j2) % 2 == 0) & ((i1 != i2) | (j1 != j2))
-        i1, j1, i2, j2 = i1[keep], j1[keep], i2[keep], j2[keep]
-        if i1.size == 0:
-            continue
-        viol = v[(i1 + i2) // 2, (j1 + j2) // 2] - 0.5 * (v[i1, j1] + v[i2, j2])
-        n_pairs += i1.size
-        a = int(np.argmax(viol))
-        if viol[a] > worst:
-            worst = float(viol[a])
-            witness = ((int(i1[a]), int(j1[a])), (int(i2[a]), int(j2[a])))
-    return _report(worst, witness, n_pairs)
+def check_midpoint_convex(f: GridFn) -> ConvexityReport:
+    """Measure midpoint convexity of a curve on the lattice.
 
-
-def check_midpoint_convex(f: GridFn, *, seed: int = 0) -> ConvexityReport:
-    """Measure midpoint convexity on the lattice.
-
-    Enumerates every sample pair whose midpoint is itself a lattice point and
-    reports the worst ``f(mid) - (f(x)+f(y))/2``.  2-D enumeration is O(n^4);
-    above n = 201 a fixed number of pairs is subsampled with a generator
-    seeded by ``seed`` (an int >= 0) instead.
-
-    Among the pairs of worst violation, the witness is the one with the
-    smallest key.  An enumerated pair ((i, p), (i + 2di, q)), with di >= 0
-    and q > p where di = 0, has key (di, (q - p)/2, i, min(p, q)); a 1-D
-    pair (p, q) has key ((q - p)/2, p).  Sampled pairs are ranked by draw
-    order.
+    Enumerates every pair of samples whose midpoint is itself a lattice
+    point and reports the worst ``f(mid) - (f(x)+f(y))/2``.  Among the
+    pairs of worst violation, the witness (p, q) is the one with the
+    smallest key ((q - p)/2, p).  A 2-D grid raises `InputDomainError`:
+    surfaces go through `check_lagrangian_gap`.
     """
-    _require_int(seed=seed)
-    if seed < 0:
-        raise InputDomainError(f"seed={seed!r} must be non-negative")
-    if f.dims == 1:
-        rep = _midpoint_convex_full(f.values[None, :])
-        witness = rep.witness and (rep.witness[0][1], rep.witness[1][1])
-        return _report(rep.worst_violation, witness, rep.n_pairs)
-    if f.n <= _FULL_ENUMERATION_MAX_N:
-        return _midpoint_convex_full(f.values)
-    return _midpoint_convex_2d_sampled(f.values, seed)
+    if f.dims != 1:
+        raise InputDomainError("the midpoint certifier takes 1-D grids; see check_lagrangian_gap")
+    rep = _midpoint_convex_full(f.values[None, :])
+    witness = rep.witness and (rep.witness[0][1], rep.witness[1][1])
+    return _report(rep.worst_violation, witness, rep.n_pairs)
 
 
-def check_midpoint_concave(f: GridFn, *, seed: int = 0) -> ConvexityReport:
+def check_midpoint_concave(f: GridFn) -> ConvexityReport:
     """Midpoint concavity: the convex check applied to the negated samples."""
-    return check_midpoint_convex(GridFn(-f.values), seed=seed)
+    return check_midpoint_convex(GridFn(-f.values))
+
+
+def _lower_hulls(v: np.ndarray) -> list:
+    """The lower convex hull of every row of the rows-by-n array ``v``.
+
+    One array of increasing column indices per row: the hull's vertices,
+    points on a hull edge dropped.  All rows are pruned in lockstep: each
+    pass drops every interior point that lies on or above the chord between
+    its kept neighbours (no such point is a vertex, whatever else the same
+    pass drops), until a pass drops none; what is left is convex, hence the
+    hull.  The cross products take integer column differences, so the
+    abscissae carry no rounding.
+    """
+    n_rows, n = v.shape
+    j = np.arange(n)
+    keep = np.ones((n_rows, n), dtype=bool)
+    while True:
+        # the kept neighbours: the last kept index below j, the first above it
+        left = np.maximum.accumulate(np.where(keep, j, 0), axis=1)[:, :-2]
+        right = np.minimum.accumulate(np.where(keep, j, n - 1)[:, ::-1], axis=1)[:, -3::-1]
+        y = np.take_along_axis(v, left, axis=1)
+        above = (v[:, 1:-1] - y) * (right - left) >= (np.take_along_axis(v, right, axis=1) - y) * (j[1:-1] - left)
+        above &= keep[:, 1:-1]
+        if not above.any():
+            return [np.flatnonzero(row) for row in keep]
+        keep[:, 1:-1] &= ~above
+
+
+def _conjugate_2d(v: np.ndarray, x: np.ndarray, hulls: list, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``f*(lam, mu) = max_ij lam*x_i + mu*x_j - v[i, j]`` per query.
+
+    As the max over rows i of ``lam*x_i + c_i(mu)``, where ``c_i`` is row
+    i's 1-D conjugate, read off its lower hull ``hulls[i]``.  The queries
+    are sorted by mu once; then each row hull's edge slopes cut the sorted
+    mu into one run per hull vertex (one `searchsorted`), and the vertex's
+    plane is repeated over its run and folded into a running max in place.
+    """
+    order = np.argsort(mu, kind="stable")
+    lam, mu = lam[order], mu[order]
+    best = np.full(mu.size, -np.inf)
+    plane = np.empty(mu.size)
+    lift = np.empty(mu.size)
+    for i, hull in enumerate(hulls):
+        # the hull's edge slopes, kept nondecreasing against rounding
+        slopes = np.maximum.accumulate(np.diff(v[i, hull]) / np.diff(x[hull]))
+        ends = np.searchsorted(mu, slopes, side="right")
+        runs = np.diff(ends, prepend=0, append=mu.size)
+        np.multiply(mu, np.repeat(x[hull], runs), out=plane)
+        plane -= np.repeat(v[i, hull], runs)
+        np.multiply(lam, x[i], out=lift)
+        plane += lift
+        np.maximum(best, plane, out=best)
+    out = np.empty(mu.size)
+    out[order] = best
+    return out
+
+
+def _lagrangian_gaps(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gap of every point of `check_lagrangian_gap`, -inf at the corners."""
+    n = v.shape[0]
+    x = np.linspace(0.0, 1.0, n)
+    inner = slice(1, n - 1)
+    hulls = _lower_hulls(np.concatenate([v, v[:, [0, -1]].T]))
+    rows, cols = hulls[:n], hulls[n:]
+    # (edge, its hull, the slope component along it): s = 0 and s = 1 run along t
+    edges = ((np.s_[0, :], rows[0], 1), (np.s_[-1, :], rows[-1], 1))
+    edges += ((np.s_[:, 0], cols[0], 0), (np.s_[:, -1], cols[1], 0))
+    gaps = np.full((n, n), -np.inf)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite slope gives NaN
+        lam, mu = g[0, inner, inner], g[1, inner, inner]
+        fstar = _conjugate_2d(v, x, rows, lam.ravel(), mu.ravel()).reshape(lam.shape)
+        gaps[inner, inner] = v[inner, inner] - lam * x[inner, None] - mu * x[None, inner] + fstar
+        for edge, hull, axis in edges:
+            # the 1-D conjugate: one row, whose lam term is 0
+            line, slope = v[edge], g[axis][edge][inner]
+            conj = _conjugate_2d(line[None, :], x, [hull], np.zeros_like(slope), slope)
+            gaps[edge][inner] = line[inner] - slope * x[inner] + conj
+    return gaps
+
+
+def check_lagrangian_gap(f: GridFn, slopes) -> ConvexityReport:
+    """Measure how far each point of a 2-D grid is from minimizing its own Lagrangian.
+
+    ``slopes`` holds (d/ds, d/dt) at every grid point, shape (2, n, n).  At
+    an interior point x0 with slope g0 the gap is the Fenchel–Young gap
+    ``f(x0) - g0·x0 + f*(g0)``, with the conjugate ``f*`` taken exactly
+    over the whole lattice (`_conjugate_2d`).  Whatever the slope, the gap
+    is at least ``f(x0) - env(x0)`` for the lower convex envelope env of
+    the lattice values, and it is 0 up to rounding when f is convex and g0
+    its gradient.  So a gap of at most ε everywhere bounds every midpoint
+    violation by ε: a wrong slope can only fail the certificate, never pass
+    it.  The envelope restricted to a face of the square is the envelope
+    of the restriction, so a point on an edge takes the 1-D gap along its
+    edge, with the tangential slope only (the normal one may be infinite
+    there); the corners, extreme points, are skipped.  A non-finite slope
+    off the corners gives a NaN gap, which is reported as the worst.
+
+    The witness is the (i, j) of the worst gap, the first in row-major
+    order among ties.  ``n_pairs`` counts the (point, lattice point) pairs
+    the gaps cover: each point against every lattice point of its face.
+    """
+    if f.dims != 2:
+        raise InputDomainError("the Lagrangian certificate takes 2-D grids")
+    n = f.n
+    g = np.asarray(slopes)
+    if g.dtype.kind not in "biuf" or g.shape != (2, n, n):
+        raise InputDomainError(f"slopes must be reals of shape {(2, n, n)}, got {g.dtype} {g.shape}")
+    gaps = _lagrangian_gaps(f.values, g.astype(float, copy=False))
+    flat = int(np.argmax(gaps))
+    witness = tuple(int(c) for c in np.unravel_index(flat, gaps.shape))
+    n_pairs = (n - 2) ** 2 * n * n + 4 * (n - 2) * n
+    return _report(gaps.flat[flat], witness, n_pairs)
 
 
 def check_slope_bounds(f: GridFn, axis: int, bound: float, sense: str) -> ConvexityReport:

@@ -14,20 +14,28 @@ cross-ratio quadratic: the optimal coupling satisfies
     p* = (T - sqrt(T^2 - 4*k*(k-1)*a*b)) / (2*(k-1)),   T = (k-1)*(a+b) + 1,
 
 in the cancellation-stable rationalized form ``2*k*a*b / (T + sqrt(Delta))``.
-For ``k > 1`` the exact ``Delta`` is at least 1 on the unit square (at
-``a = b`` it is ``1 + 4*(k-1)*a*(1-a)``), and on ``a + b <= 1`` the
-computed one is within a relative ``2*eps*k`` of it, so it cannot go
-negative for any admitted rho.  The mirrored source of psi (`binary._mirror`,
-``k < 1``) has ``T >= k > 0`` there and ``Delta = T^2 + 4*k*(1-k)*a*b``, a
-sum of nonnegative terms.  Both slices of `envelopes` lie in that range,
-and the public entry points fold the rest onto it (`_fold`): flipping both
-bits maps (a, b) to (1 - a, 1 - b) at the same divergence.  Unfolded, the
-computed Delta near ``a = b = 1`` at rho close to 1 is formed from two
-terms of about 4*k^2: on 1200 points with 1 - a and 1 - b in [1e-13, 0.1]
-and rho in {0.9, 0.999, 0.9999, 0.99999} it went negative on 68, and dd2
-was off by up to 3.2e-9 (relative, against 60-digit mpmath) on the rest;
-folded, dd2 is within 6.7e-16 there.  A negative Delta still raises an
-`InconsistencyError` in `_p_star`.
+For ``k > 1`` the discriminant is formed as
+
+    Delta = (k-1)^2*(a-b)^2 + 2*(k-1)*(a*(1-b) + b*(1-a)) + 1,
+
+a sum of nonnegative terms, at least 1 on the unit square.  The plain
+``T^2 - 4*k*(k-1)*a*b`` subtracts two terms of about ``k^2`` that cancel
+near ``a = b``, and left p* within only a relative ``2*eps*k`` (1.3e-12 at
+rho 0.9999).  The value of dd2 does not see that error (p* minimizes it),
+but its slope does, through ``q01 = b - p*`` (`_dd2_slope`).  The mirrored
+source of psi (`binary._mirror`, ``k < 1``) has ``T >= k > 0`` on
+``a + b <= 1`` and ``Delta = T^2 + 4*k*(1-k)*a*b``, a sum of nonnegative
+terms.
+
+Both slices of `envelopes` lie in ``a + b <= 1``, and the public entry
+points fold the rest onto it (`_fold`): flipping both bits maps (a, b) to
+(1 - a, 1 - b) at the same divergence.  Unfolded, the plain Delta near
+``a = b = 1`` at rho close to 1 was formed from two terms of about
+4*k^2: on 1200 points with 1 - a and 1 - b in [1e-13, 0.1] and rho in
+{0.9, 0.999, 0.9999, 0.99999} it went negative on 68, and dd2 was off by
+up to 3.2e-9 (relative, against 60-digit mpmath) on the rest; folded, dd2
+is within 6.7e-16 there.  A negative Delta, which only a broken ``k`` can
+produce, raises an `InconsistencyError` in `_p_star`.
 
 One kernel evaluates the surface: `_p_star` builds p* in place in four
 buffers of the broadcast shape, and `_divergence` takes the clipped cells
@@ -103,9 +111,21 @@ def _p_star(a, b, params: DsbsParams):
     s = np.add(a, b)
     t = np.multiply(s, k - 1.0)
     t += 1.0
-    delta = np.multiply(t, t)
-    p = np.multiply(a * (4.0 * k * (k - 1.0)), b)
-    delta -= p
+    if k > 1.0:
+        # (k-1)^2 (a-b)^2 + 2(k-1)(a + b - 2ab) + 1: no terms of size k^2 cancel
+        delta = np.subtract(a, b)
+        delta *= k - 1.0
+        delta *= delta
+        p = np.multiply(a, b)
+        p *= -2.0
+        p += s
+        p *= 2.0 * (k - 1.0)
+        delta += p
+        delta += 1.0
+    else:
+        delta = np.multiply(t, t)
+        p = np.multiply(a * (4.0 * k * (k - 1.0)), b)
+        delta -= p
     if delta.min(initial=0.0) < -1e-12:
         raise InconsistencyError(_BROKEN_DISCRIMINANT)
     np.maximum(delta, 0.0, out=delta)
@@ -221,7 +241,8 @@ def _dd2_slope(a, b, params: DsbsParams):
     ``q01 = b - p``, whose rounding errors are about eps and ``eps*b``:
     against 50-digit mpmath the slope is within ``4e-15 * (1/q00 + b/q01)``
     absolute and the curvature within the same bound relative (measured
-    2.8e-15 and 1.8e-15 over that scale).  On the mirrored source (``k < 1``)
+    2.8e-15 and 1.8e-15 over that scale), for rho from 0.5 up to 0.999998,
+    b near a included; that takes the sum form of Delta in `_p_star`.  On the mirrored source (``k < 1``)
     ``p* < a*b``, so ``b/q01 < 1/(1-a) <= 2`` for ``a <= 1/2``: psi's
     b-slope keeps its digits as ``b`` nears 0 (within 1e-14; measured
     3.4e-15).

@@ -16,6 +16,7 @@ from dsbs_envelopes import (
     GridFn,
     InputDomainError,
     QParam,
+    check_lagrangian_gap,
     check_monotone,
     d2,
     d2_inv,
@@ -29,7 +30,7 @@ from dsbs_envelopes import (
     psi_grid,
     psi_q_full,
 )
-from dsbs_envelopes import envelopes
+from dsbs_envelopes import envelopes, hulls
 from dsbs_envelopes.envelopes import _phi_tilde_oracle_lattice
 from test_binary import _typed_fields
 from test_mre import _dd2_mp
@@ -420,3 +421,75 @@ def test_q_family_rejects_q_below_the_reciprocal_floor(one_q, q):
         warnings.simplefilter("error")
         with pytest.raises(InputDomainError, match="must be nonzero"):
             one_q(0.5, QParam.from_q(q), DsbsParams(0.9))
+
+
+# ---------------------------------------------------------------------------
+# the slope field and the Lagrangian certificate of phi_tilde and psi
+# ---------------------------------------------------------------------------
+
+# (surface on the grid, its kind for the slope field, sign taking it to convex)
+SURFACES = {"phi_tilde": (phi_tilde_grid, 1.0), "psi": (psi_grid, -1.0)}
+
+
+def _convex_surface(kind, n, params):
+    """The convex form of a surface on the n-point grid, with its slope field."""
+    grid, sign = SURFACES[kind]
+    axis = np.linspace(0.0, 1.0, n)
+    return sign * grid(axis, axis, params), sign * envelopes._slope_field(axis, params, kind=kind)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.9999])
+@pytest.mark.parametrize("kind", SURFACES)
+def test_slope_field_matches_central_differences(kind, rho):
+    # every interior slope, and the tangential slope on every edge, against
+    # central differences of the surface itself (steps of 1e-6, so a
+    # relative 1e-5 leaves room for the curvature near s = 0)
+    params = DsbsParams(rho)
+    n, eps = 21, 1e-6
+    axis = np.linspace(0.0, 1.0, n)
+    slopes = envelopes._slope_field(axis, params, kind=kind)
+    surface = phi_tilde if kind == "phi_tilde" else psi
+    inner = axis[1:-1]
+    for i, x in enumerate(axis):
+        # d/dt along the row s = x, and d/ds along the column t = x
+        dt = (surface(x, inner + eps, params) - surface(x, inner - eps, params)) / (2 * eps)
+        ds = (surface(inner + eps, x, params) - surface(inner - eps, x, params)) / (2 * eps)
+        np.testing.assert_allclose(slopes[1, i, 1:-1], dt, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(slopes[0, 1:-1, i], ds, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, 0.9999, 0.99999, 0.999998])
+@pytest.mark.parametrize("kind", SURFACES)
+def test_surfaces_pass_their_lagrangian_certificate(kind, rho):
+    # measured at grid 101: phi_tilde <= 5.6e-17, psi <= 3.6e-15
+    values, slopes = _convex_surface(kind, 101, DsbsParams(rho))
+    assert check_lagrangian_gap(GridFn(values), slopes).worst_violation <= 1e-14
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("kind", SURFACES)
+def test_midpoint_violation_within_the_lagrangian_gap(kind, rho):
+    # a gap of g everywhere bounds every midpoint violation by g: checked
+    # against the full 2-D midpoint enumeration, on the healthy surface and
+    # with a planted dip, where both are far from 0
+    values, slopes = _convex_surface(kind, 101, DsbsParams(rho))
+    dipped = values.copy()
+    dipped[50, 50] -= 0.05
+    for v in (values, dipped):
+        midpoint = hulls._midpoint_convex_full(v).worst_violation
+        assert midpoint <= check_lagrangian_gap(GridFn(v), slopes).worst_violation + 1e-15
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("kind", SURFACES)
+def test_planted_faults_trip_the_lagrangian_certificate(kind, rho):
+    # a bump (claims T1 and T2 plant 0.01), a dip of 0.05 and a wrong slope
+    # at one point must each fail the 1e-9 midpoint tolerance
+    values, slopes = _convex_surface(kind, 101, DsbsParams(rho))
+    bumped, dipped, wrong = values.copy(), values.copy(), slopes.copy()
+    bumped[50, 50] += 0.01
+    dipped[50, 50] -= 0.05
+    wrong[0, 30, 60] += 0.1
+    cases = [(bumped, slopes, 0.009), (dipped, slopes, 0.049), (values, wrong, 1e-9)]
+    for v, g, floor in cases:
+        assert check_lagrangian_gap(GridFn(v), g).worst_violation > floor

@@ -12,6 +12,7 @@ from dsbs_envelopes import (
     DsbsParams,
     GridFn,
     InputDomainError,
+    check_lagrangian_gap,
     check_midpoint_concave,
     check_midpoint_convex,
     check_monotone,
@@ -30,6 +31,19 @@ from dsbs_envelopes import envelopes, hulls
 # ---------------------------------------------------------------------------
 
 
+def _legendre_slopes(f: GridFn, n_slopes: int) -> tuple:
+    """The biconjugate's slope grid: per axis, n_slopes over the forward-difference range."""
+    h = 1.0 / (f.n - 1)
+
+    def slope_axis(diffs: np.ndarray) -> np.ndarray:
+        lo, hi = float(np.min(diffs)), float(np.max(diffs))
+        if hi - lo < 1e-12:
+            lo, hi = lo - 1.0, hi + 1.0
+        return np.linspace(lo, hi, n_slopes)
+
+    return slope_axis(np.diff(f.values, axis=0) / h), slope_axis(np.diff(f.values, axis=1) / h)
+
+
 def _legendre_envelope_2d(f: GridFn, n_slopes: int) -> np.ndarray:
     """Approximate 2-D biconjugate over a dense factorized slope grid.
 
@@ -41,16 +55,7 @@ def _legendre_envelope_2d(f: GridFn, n_slopes: int) -> np.ndarray:
     v = f.values
     x = f.axis()
     n = v.shape[0]
-    h = x[1] - x[0]
-
-    def slope_axis(diffs: np.ndarray) -> np.ndarray:
-        lo, hi = float(np.min(diffs)), float(np.max(diffs))
-        if hi - lo < 1e-12:
-            lo, hi = lo - 1.0, hi + 1.0
-        return np.linspace(lo, hi, n_slopes)
-
-    sx = slope_axis(np.diff(v, axis=0) / h)
-    sy = slope_axis(np.diff(v, axis=1) / h)
+    sx, sy = _legendre_slopes(f, n_slopes)
     # conj[a, b] = max_{i,j} sx_a x_i + sy_b x_j - v_ij, factorized per axis
     # and chunked to keep the broadcast temporaries small.
     inner = np.empty((n_slopes, n))  # inner[b, i] = max_j sy_b x_j - v[i, j]
@@ -131,7 +136,7 @@ def test_double_well_bridged():
     assert np.all(env.values <= f.values + 1e-12)
     i = np.argmin(np.abs(f.axis() - 0.5))
     np.testing.assert_allclose(env.values[i], (f.axis() - 0.5) ** 2, atol=1e-12)  # on the bridge
-    assert check_midpoint_convex(env).worst_violation <= 1e-9
+    assert hulls._midpoint_convex_full(env.values).worst_violation <= 1e-9
 
 
 def test_upper_concave_envelope_mirrors():
@@ -217,11 +222,15 @@ def test_midpoint_convex_accepts_and_rejects():
 
 
 def test_midpoint_convex_2d_full_enumeration():
-    rep = check_midpoint_convex(_grid2(lambda x, y: x**2 + y**2 + x * y, n=21))
+    # the 2-D enumeration is the tests' oracle for the Lagrangian certificate;
+    # the public midpoint certifier takes curves only
+    rep = hulls._midpoint_convex_full(_grid2(lambda x, y: x**2 + y**2 + x * y, n=21).values)
     assert rep.worst_violation <= 1e-9
     # saddle is not convex and the full sweep must find it
-    rep2 = check_midpoint_convex(_grid2(lambda x, y: x * y - x**2 - y**2, n=21))
+    rep2 = hulls._midpoint_convex_full(_grid2(lambda x, y: x * y - x**2 - y**2, n=21).values)
     assert rep2.worst_violation > 1e-9
+    with pytest.raises(InputDomainError, match="1-D"):
+        check_midpoint_convex(_grid2(lambda x, y: x + y, n=5))
 
 
 def _midpoint_oracle_2d(v: np.ndarray) -> tuple:
@@ -292,7 +301,7 @@ def _assert_same_report(rep, oracle, name):
 def test_midpoint_2d_full_matches_slicing_oracle(n):
     for name, v in _midpoint_grids(n).items():
         v.flags.writeable = False  # the certifier must only read its input
-        _assert_same_report(check_midpoint_convex(GridFn(v)), _midpoint_oracle_2d(v), name)
+        _assert_same_report(hulls._midpoint_convex_full(v), _midpoint_oracle_2d(v), name)
 
 
 @pytest.mark.parametrize("n", [7, 20, 21])
@@ -307,7 +316,7 @@ def test_midpoint_2d_chunk_edges_bit_identical(n, monkeypatch):
         monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
         for name, v in grids.items():
             v.flags.writeable = False
-            _assert_same_report(check_midpoint_convex(GridFn(v)), want[name], (name, budget))
+            _assert_same_report(hulls._midpoint_convex_full(v), want[name], (name, budget))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 101, 501])
@@ -331,22 +340,23 @@ def test_midpoint_concave_goes_through_convex(monkeypatch):
     calls = []
     convex = hulls.check_midpoint_convex
 
-    def spy(f, *, seed=0):
+    def spy(f):
         calls.append(f.values.shape)
-        return convex(f, seed=seed)
+        return convex(f)
 
     monkeypatch.setattr(hulls, "check_midpoint_convex", spy)
-    rep = check_midpoint_concave(_grid2(lambda x, y: -(x**2) - y**2, n=9))
-    assert calls == [(9, 9)] and rep.worst_violation <= 1e-9
+    rep = check_midpoint_concave(_grid(lambda x: -(x**2), n=9))
+    assert calls == [(9,)] and rep.worst_violation <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
 @pytest.mark.parametrize("n", [5, 203])
 def test_midpoint_bad_seed_rejected(seed, n):
-    with pytest.raises(InputDomainError):
-        check_midpoint_convex(GridFn(np.zeros((n, n))), seed=seed)
-    with pytest.raises(InputDomainError):
-        check_midpoint_concave(GridFn(np.zeros(n)), seed=seed)
+    # the midpoint certifiers enumerate every pair and draw nothing, so they
+    # take no seed: any seed, good or bad, is refused rather than ignored
+    for check in (check_midpoint_convex, check_midpoint_concave):
+        with pytest.raises(TypeError, match="seed"):
+            check(GridFn(np.zeros(n)), seed=seed)
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, "1", None])
@@ -374,17 +384,6 @@ def test_midpoint_concave_mirrors_convex():
     assert rep.worst_violation <= 1e-9
 
 
-def test_midpoint_subsampled_2d_catches_gross_violation(monkeypatch):
-    # above n = 201 the pairs are sampled; fewer pairs keep the test quick
-    monkeypatch.setattr(hulls, "_DEFAULT_SUBSAMPLE", 2_000_000)
-    x = np.linspace(0.0, 1.0, 301)
-    vals = x[:, None] ** 2 + x[None, :] ** 2
-    vals[150, 150] += 0.5
-    rep = check_midpoint_convex(GridFn(vals), seed=3)
-    assert rep.worst_violation > 0.4  # the 0.5 bump, less the bowl's curvature
-    assert rep.n_pairs == 2_000_000
-
-
 @given(st.integers(min_value=3, max_value=40))
 @settings(max_examples=30, deadline=None)
 def test_envelope_below_and_convex(n):
@@ -392,7 +391,7 @@ def test_envelope_below_and_convex(n):
     f = GridFn(rng.uniform(0.0, 1.0, (n, n)))
     env = lower_convex_envelope(f)
     assert np.all(env.values <= f.values + 1e-12)
-    assert check_midpoint_convex(env).worst_violation <= 1e-9
+    assert hulls._midpoint_convex_full(env.values).worst_violation <= 1e-9
 
 
 def test_slope_bounds_conventions():
@@ -423,3 +422,168 @@ def test_monotone_check():
     bad = check_monotone(GridFn(vals))
     assert bad.worst_violation == pytest.approx(1e-8, rel=1e-6)
     assert bad.witness[0] == 0  # axis of the drop
+
+
+# ---------------------------------------------------------------------------
+# the Lagrangian certificate
+# ---------------------------------------------------------------------------
+
+
+def _plain_lower_hull(y: np.ndarray) -> list:
+    """Andrew's monotone chain on one curve, a point at a time, collinear points dropped."""
+    hull = []
+    for j in range(y.size):
+        while len(hull) >= 2 and (y[hull[-1]] - y[hull[-2]]) * (j - hull[-2]) >= (y[j] - y[hull[-2]]) * (
+            hull[-1] - hull[-2]
+        ):
+            hull.pop()
+        hull.append(j)
+    return hull
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 40])
+def test_lockstep_hulls_match_the_monotone_chain(n):
+    # integer values keep every cross product exact, so the vertex sets must agree
+    rng = np.random.default_rng(n)
+    v = np.concatenate([
+        rng.integers(0, 4, size=(20, n)),  # many collinear and tied points
+        rng.integers(-50, 50, size=(20, n)),
+        np.zeros((1, n)),
+        (np.arange(n) - n // 3)[None, :] ** 2,  # convex: every point a vertex
+        -((np.arange(n) - n // 3)[None, :] ** 2),  # concave: only the ends
+    ]).astype(float)
+    got = hulls._lower_hulls(v)
+    assert [h.tolist() for h in got] == [_plain_lower_hull(row) for row in v]
+
+
+def _exact(n, f, fx, fy):
+    x = np.linspace(0.0, 1.0, n)
+    s, t = np.meshgrid(x, x, indexing="ij")
+    return GridFn(f(s, t)), np.stack([fx(s, t), fy(s, t)])
+
+
+CONVEX_CASES = {
+    "exp": (
+        lambda s, t: np.exp(s + 2 * t),
+        lambda s, t: np.exp(s + 2 * t),
+        lambda s, t: 2 * np.exp(s + 2 * t),
+    ),
+    "bowl": (
+        lambda s, t: (s - 0.3) ** 2 + (t - 0.6) ** 2 + s * t,
+        lambda s, t: 2 * (s - 0.3) + t,
+        lambda s, t: 2 * (t - 0.6) + s,
+    ),
+    "affine": (
+        lambda s, t: 0.25 + 2.0 * s - 3.0 * t,
+        lambda s, t: np.full_like(s, 2.0),
+        lambda s, t: np.full_like(s, -3.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONVEX_CASES)
+@pytest.mark.parametrize("n", [3, 4, 41, 101])
+def test_lagrangian_gap_of_convex_functions_with_exact_gradients(name, n):
+    # within one rounding of the size of its terms: f and the two slopes
+    # (exp reaches e^3 with slopes up to 2e^3, and measures 1.4e-14)
+    f, g = _exact(n, *CONVEX_CASES[name])
+    scale = np.abs(f.values).max() + np.abs(g).max(axis=(1, 2)).sum()
+    rep = check_lagrangian_gap(f, g)
+    assert abs(rep.worst_violation) <= np.finfo(float).eps * scale
+    assert rep.n_pairs == (n - 2) ** 2 * n * n + 4 * (n - 2) * n
+
+
+def test_lagrangian_gap_matches_the_brute_force_conjugate():
+    # f* as the plain max over every lattice point, per point; the edges
+    # along their own line
+    rng = np.random.default_rng(4)
+    for n in (3, 5, 12):
+        v = rng.normal(size=(n, n))
+        g = 3.0 * rng.normal(size=(2, n, n))
+        x = np.linspace(0.0, 1.0, n)
+        want = np.full((n, n), -np.inf)
+        for i in range(n):
+            for j in range(n):
+                if i in (0, n - 1) and j in (0, n - 1):
+                    continue
+                if i in (0, n - 1):
+                    want[i, j] = v[i, j] - g[1, i, j] * x[j] + np.max(g[1, i, j] * x - v[i])
+                elif j in (0, n - 1):
+                    want[i, j] = v[i, j] - g[0, i, j] * x[i] + np.max(g[0, i, j] * x - v[:, j])
+                else:
+                    conj = np.max(g[0, i, j] * x[:, None] + g[1, i, j] * x[None, :] - v)
+                    want[i, j] = v[i, j] - g[0, i, j] * x[i] - g[1, i, j] * x[j] + conj
+        got = hulls._lagrangian_gaps(v, g)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def test_lagrangian_gap_bounds_the_envelope_gap_for_any_slope():
+    # the double well is not convex; at every point the gap must cover f
+    # minus the qhull envelope whatever the slope, and f minus the Legendre
+    # biconjugate when the slope lies on that biconjugate's own slope grid
+    f = _grid2(lambda x, y: ((x - 0.2) * (x - 0.8)) ** 2 + (y - 0.5) ** 2)
+    n = f.n
+    corners = np.zeros((n, n), dtype=bool)
+    corners[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    above_hull = np.where(corners, -np.inf, f.values - lower_convex_envelope(f).values)
+    above_legendre = np.where(corners, -np.inf, f.values - _legendre_envelope_2d(f, 65))
+    assert above_hull.max() > 1e-3  # the bridge between the wells
+    sx, sy = _legendre_slopes(f, 65)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        g = rng.normal(scale=2.0, size=(2, n, n))
+        assert np.all(hulls._lagrangian_gaps(f.values, g) >= above_hull - 1e-12)
+        g = np.stack([rng.choice(sx, size=(n, n)), rng.choice(sy, size=(n, n))])
+        assert np.all(hulls._lagrangian_gaps(f.values, g) >= above_legendre - 1e-12)
+
+
+def test_lagrangian_gap_checks_each_edge_along_the_edge():
+    # a bump on an edge point is caught there, with the tangential slope;
+    # a bump on a corner, an extreme point, breaks no convexity
+    f, g = _exact(21, *CONVEX_CASES["bowl"])
+    for where in ((0, 7), (20, 7), (7, 0), (7, 20)):
+        v = f.values.copy()
+        v[where] += 0.01
+        rep = check_lagrangian_gap(GridFn(v), g)
+        # less the bowl's rise to the neighbouring point, 2 * 0.05^2 / 2
+        assert rep.witness == where and rep.worst_violation >= 0.0075 - 1e-12
+    v = f.values.copy()
+    v[0, 0] += 0.01
+    assert check_lagrangian_gap(GridFn(v), g).worst_violation <= 1e-14
+    # the normal slope on an edge is never read
+    g_edge = g.copy()
+    g_edge[0, [0, -1], :] = np.inf
+    g_edge[1, :, [0, -1]] = np.nan
+    assert check_lagrangian_gap(f, g_edge).worst_violation <= 1e-14
+
+
+def test_lagrangian_gap_ties_and_non_finite_slopes():
+    # all gaps 0: the first non-corner point in row-major order
+    zeros = GridFn(np.zeros((5, 5)))
+    rep = check_lagrangian_gap(zeros, np.zeros((2, 5, 5)))
+    assert (rep.worst_violation, rep.witness) == (0.0, (0, 1))
+    # a non-finite slope off the corners fails closed, silently
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ((0, 2, 2), (1, 0, 2), (0, 3, 0)):
+            g = np.zeros((2, 5, 5))
+            g[where] = bad
+            rep = check_lagrangian_gap(zeros, g)
+            assert np.isnan(rep.worst_violation) and rep.witness == where[1:]
+
+
+def test_lagrangian_gap_rejects_bad_shapes():
+    with pytest.raises(InputDomainError, match="2-D"):
+        check_lagrangian_gap(_grid(lambda x: x**2), np.zeros((2, 101, 101)))
+    with pytest.raises(InputDomainError, match="shape"):
+        check_lagrangian_gap(GridFn(np.zeros((5, 5))), np.zeros((2, 5, 4)))
+    with pytest.raises(InputDomainError, match="reals"):
+        check_lagrangian_gap(GridFn(np.zeros((3, 3))), np.full((2, 3, 3), "1"))
+
+
+def test_lagrangian_gap_catches_gross_violation_above_grid_201():
+    # every point of a large grid is certified, nothing is sampled
+    f, g = _exact(301, *CONVEX_CASES["bowl"])
+    v = f.values.copy()
+    v[150, 150] += 0.5
+    rep = check_lagrangian_gap(GridFn(v), g)
+    assert rep.witness == (150, 150) and rep.worst_violation >= 0.49

@@ -179,17 +179,19 @@ def _dd2_mp(a, b, rho):
     return mpmath.fsum(c * mpmath.log(c / w) for c, w in cells if c) / mpmath.log(2)
 
 
-@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, 0.9999, 0.99999, 0.999998])
 def test_dd2_slope_against_mpmath(rho):
     # the bound the _dd2_slope docstring states, against 50-digit numerical
     # derivatives of dd2 (no envelope theorem): random points, b near 0 and
-    # near 1, a at and near 1/2, a at and near 0
+    # near 1, a at and near 1/2, a at and near 0, and b at and near a, where
+    # the terms of a plain discriminant T^2 - 4k(k-1)ab cancel at high rho
     params = DsbsParams(rho)
     rng = np.random.default_rng(17)
     points = list(zip(rng.uniform(0.0, 0.5, 20), rng.uniform(0.0, 1.0, 20)))
     points += [(a, b) for a in (0.1, 0.3, 0.5) for b in (1e-10, 1e-6, 1 - 1e-3, 1 - 1e-6)]
     points += [(0.5 - g, b) for g in (0.0, 1e-12, 1e-8, 1e-4) for b in (0.01, 0.3, 0.5, 0.7)]
     points += [(a, b) for a in (0.0, 1e-12) for b in (1e-8, 0.2, 0.9)]
+    points += [(a, a + d) for a in (0.005, 0.05, 0.3) for d in (0.0, 1e-6, 1e-3)]
     a = np.array([p[0] for p in points])
     b = np.array([p[1] for p in points])
     slope, curvature = _dd2_slope(a, b, params)
@@ -255,7 +257,11 @@ def _reference_p_star(av, bv, params):
     """p* computed with one fresh array per operation, in the kernel's order."""
     k = params.k
     t = (k - 1.0) * (av + bv) + 1.0
-    delta = t * t - 4.0 * k * (k - 1.0) * av * bv
+    if k > 1.0:
+        d = (av - bv) * (k - 1.0)
+        delta = d * d + (av * bv * -2.0 + (av + bv)) * (2.0 * (k - 1.0)) + 1.0
+    else:
+        delta = t * t - 4.0 * k * (k - 1.0) * av * bv
     p = 2.0 * k * av * bv / (t + np.sqrt(np.maximum(delta, 0.0)))
     return np.clip(p, np.maximum(0.0, av + bv - 1.0), np.minimum(av, bv))
 
