@@ -13,7 +13,8 @@ every midpoint violation by ε, and a wrong slope can only fail it.  The
 conjugate f* is exact: the max over rows of the rows' 1-D conjugates,
 each read off its row's lower hull, all hulls built in lockstep.  A point
 on an edge of the square takes the 1-D gap along its edge.  ``verify``
-runs it on phi_tilde and, negated, on psi (claims T1 and T2).
+runs it once on phi_tilde and, negated, on psi, and claims T1, T2 and E
+read those two reports.
 
 :func:`lower_convex_envelope` takes the geometric route on 2-D grids: the
 lower facets of the Qhull convex hull of the graph points, interpolated

@@ -22,7 +22,8 @@ a sum of nonnegative terms, at least 1 on the unit square.  The plain
 ``T^2 - 4*k*(k-1)*a*b`` subtracts two terms of about ``k^2`` that cancel
 near ``a = b``, and left p* within only a relative ``2*eps*k`` (1.3e-12 at
 rho 0.9999).  The value of dd2 does not see that error (p* minimizes it),
-but its slope does, through ``q01 = b - p*`` (`_dd2_slope`).  The mirrored
+but its slope would, through ``q01 = b - p*``; `_dd2_slope` takes that cell
+as the root of its own quadratic instead (`_differ_cell`).  The mirrored
 source of psi (`binary._mirror`, ``k < 1``) has ``T >= k > 0`` on
 ``a + b <= 1`` and ``Delta = T^2 + 4*k*(1-k)*a*b``, a sum of nonnegative
 terms.
@@ -223,6 +224,25 @@ def dd2_value(a, b, params: DsbsParams):
     return _divergence(av, bv, _p_star(av, bv, params), params)
 
 
+def _differ_cell(a, b, k: float):
+    """The cell ``q01 = b - p*`` of the optimal coupling, for ``k > 1``, to a few ulps.
+
+    Put into the cross-ratio condition, ``x = b - p*`` solves
+    ``(k-1)*x^2 + B*x - (1-a)*b = 0`` with ``B = k*(a-b) + 1 - a + b``,
+    whose one nonnegative root is taken in the form that adds terms of one
+    sign: ``2*(1-a)*b / (B + sqrt(D))`` for ``B >= 0``, else
+    ``(sqrt(D) - B) / (2*(k-1))``, where ``D = B^2 + 4*(k-1)*(1-a)*b``.
+    ``b - p*`` itself keeps only a relative ``eps*b/q01``; near ``a = b``
+    at rho 0.999998 that put phi_tilde's slope off by 6.3e-10 at
+    s = t = 0.005.  ``q10`` is ``_differ_cell(b, a, k)``.
+    """
+    c = (1.0 - a) * b
+    big_b = k * (a - b) + (1.0 - a + b)
+    root = np.sqrt(big_b * big_b + 4.0 * (k - 1.0) * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(big_b >= 0.0, 2.0 * c / (big_b + root), (root - big_b) / (2.0 * (k - 1.0)))
+
+
 def _dd2_slope(a, b, params: DsbsParams):
     """First and second derivatives of dd2(a, b) in b, in bits (vectorized).
 
@@ -237,17 +257,20 @@ def _dd2_slope(a, b, params: DsbsParams):
     infinite or NaN derivative without a warning, whose sign callers must
     not trust.
 
-    Precision is set by the cells ``q00 = 1 + p - a - b`` and
-    ``q01 = b - p``, whose rounding errors are about eps and ``eps*b``:
-    against 50-digit mpmath the slope is within ``4e-15 * (1/q00 + b/q01)``
-    absolute and the curvature within the same bound relative (measured
-    2.8e-15 and 1.8e-15 over that scale), for rho from 0.5 up to 0.999998,
-    b near a included; that takes the sum form of Delta in `_p_star`.  On the mirrored source (``k < 1``)
-    ``p* < a*b``, so ``b/q01 < 1/(1-a) <= 2`` for ``a <= 1/2``: psi's
-    b-slope keeps its digits as ``b`` nears 0 (within 1e-14; measured
-    3.4e-15).
+    Precision is set by the cells.  ``q00 = 1 + p - a - b`` is within
+    about eps; for ``k > 1``, ``q01`` and ``q10`` come from
+    `_differ_cell`, within a few ulps relative.  Against 50-digit mpmath
+    the slope is within ``4e-15 * (1 + 1/q00)`` absolute and the curvature
+    within the same bound relative (measured 3.0e-15 and 2.4e-16 over that
+    scale), for rho from 0.5 up to 0.999998, b at and near a included.  On
+    the mirrored source (``k < 1``) ``q01 = b - p*`` as it is: ``p* <
+    a*b``, so ``b/q01 < 1/(1-a) <= 2`` for ``a <= 1/2``, and psi's b-slope
+    keeps its digits as ``b`` nears 0 (within 1e-14; measured 3.4e-15; on
+    biases up to 1/2 within the bound above, measured 2.8e-15).
     """
     q00, q01, q10, q11 = _cells(a, b, _p_star(a, b, params))
+    if params.k > 1.0:
+        q01, q10 = _differ_cell(a, b, params.k), _differ_cell(b, a, params.k)
     agree, differ = params.joint_cells()[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.log((q01 * agree) / (q00 * differ)) / _LN2

@@ -180,13 +180,15 @@ def default_tolerances() -> dict:
     """
     return {
         # float bound: three values within 1e-14 each (q-family optima too); affine runs <= 1e-15.
-        # T1/T2 judge a Lagrangian gap by it, which bounds every midpoint violation: measured
-        # <= 3.6e-15 up to rho 0.99999, and 3.4e-12 at rho 1 - 2e-6 (grid 201)
+        # T1/T2 judge a Lagrangian gap by it, which bounds every midpoint violation
         "midpoint": 1e-9,
         # float bound: two value errors of 1e-14 over a step >= 1/1000 move a quotient <= 2e-11
         "slope": 1e-8,
         # float bound: a nondecreasing function's computed drop is at most two value errors
         "monotone": 1e-10,
+        # float bound: the Lagrangian gap, f(x0) - g0·x0 + f*(g0), sums three values within
+        # 1e-14 at most; measured <= 3.6e-15 for rho from 1e-4 to 1 - 2e-6 (grids 101, 201)
+        "envelope_fixpoint": 1e-12,
         # oracle bound: the polished golden-section argmin; measured <= 7e-11 (value <= 2e-15)
         "pstar_gap": 1e-9,
         # float bound: a root's residual is aux_phi_h's few-ulp float error; measured <= 4e-15
@@ -213,10 +215,11 @@ def _jsonify(obj):
 
 @dataclass(frozen=True, slots=True)
 class _Context:
-    """Settings, the two shared lattices and the shared q-families of one verification run.
+    """Settings, the two shared lattices and their certificates, and the shared q-families.
 
     ``families`` maps (kind, axis length) to the curves of that family by
-    q, filled by `_family` at its first read.
+    q, filled by `_family` at its first read; ``gaps`` maps a surface name
+    to its Lagrangian-gap report, filled by `_surface_gap` at its first read.
     """
 
     params: DsbsParams
@@ -228,6 +231,7 @@ class _Context:
     phi_tilde: np.ndarray
     psi: np.ndarray
     families: dict = field(default_factory=dict)
+    gaps: dict = field(default_factory=dict)
 
 
 def _family_reads(ctx) -> tuple:
@@ -276,17 +280,34 @@ def _plant(ctx, cid: str, values: np.ndarray, delta: float) -> np.ndarray:
     return values
 
 
+def _surface_gap(ctx, surface: str, values: np.ndarray):
+    """The Lagrangian-gap report of ``values``, the lattice of ``surface`` or a planted copy.
+
+    The report on the shared lattice is computed once, by the first claim
+    that asks (T1/T2 and E read the same certificate); a copy with a fault
+    planted (`_plant`) gets its own.  psi is concave iff -psi, with the
+    slopes negated, passes the convex certificate.
+    """
+    shared = values is getattr(ctx, surface)
+    if shared and surface in ctx.gaps:
+        return ctx.gaps[surface]
+    slopes = _slope_field(ctx.axis, ctx.params, kind=surface)
+    if surface == "psi":
+        values, slopes = -values, -slopes
+    rep = check_lagrangian_gap(GridFn(values), slopes)
+    if shared:
+        ctx.gaps[surface] = rep
+    return rep
+
+
 def _claim_t1(ctx):
     # a Lagrangian gap of at most the tolerance bounds every midpoint violation by it
-    v = _plant(ctx, "T1", ctx.phi_tilde, 0.01)
-    rep = check_lagrangian_gap(GridFn(v), _slope_field(ctx.axis, ctx.params, kind="phi_tilde"))
+    rep = _surface_gap(ctx, "phi_tilde", _plant(ctx, "T1", ctx.phi_tilde, 0.01))
     yield _leg(rep, ctx.tol["midpoint"], n_pairs=rep.n_pairs)
 
 
 def _claim_t2(ctx):
-    # psi is concave iff -psi, with the slopes negated, passes the convex certificate
-    v = _plant(ctx, "T2", ctx.psi, -0.01)
-    rep = check_lagrangian_gap(GridFn(-v), -_slope_field(ctx.axis, ctx.params, kind="psi"))
+    rep = _surface_gap(ctx, "psi", _plant(ctx, "T2", ctx.psi, -0.01))
     yield _leg(rep, ctx.tol["midpoint"], n_pairs=rep.n_pairs)
 
 
@@ -341,6 +362,13 @@ def _claim_l3(ctx):
     for q, curve in zip(_L_Q_NEG, _family(ctx, "phi", ctx.size.master_n, _L_Q_NEG)):
         rep = check_monotone(GridFn(_plant(ctx, "L3", curve, -0.01)))
         yield _leg(rep, ctx.tol["monotone"], q=q)
+
+
+def _claim_e(ctx):
+    # the gap bounds how far f lies above its envelope: T1/T2's certificate, at a float bound
+    planted = {"phi_tilde": _plant(ctx, "E", ctx.phi_tilde, -0.05), "psi": ctx.psi}
+    for surface, values in planted.items():
+        yield _leg(_surface_gap(ctx, surface, values), ctx.tol["envelope_fixpoint"], surface=surface)
 
 
 def _claim_p(ctx):
@@ -444,6 +472,10 @@ _CLAIMS = {
     "L3": (
         "phi_q for q in {-2, -10} is nondecreasing, so each curve is its own upper envelope",
         _claim_l3,
+    ),
+    "E": (
+        "phi_tilde is a fixed point of the lower convex envelope; psi of the upper concave one",
+        _claim_e,
     ),
     "P": ("closed-form inner minimizer matches the brute-force argmin and value", _claim_p),
     "U": ("the stationarity root equation has exactly one root beyond the bend point", _claim_u),

@@ -128,10 +128,10 @@ def test_verify_fast_report(tmp_path, capsys):
     )
     assert code == 0
     lines = [ln for ln in out.splitlines() if " PASS " in ln or " FAIL " in ln]
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(" PASS " in ln for ln in lines)
     doc = json.loads(report.read_text())
-    assert len(doc["claims"]) == 11
+    assert len(doc["claims"]) == 12
 
 
 def test_verify_fault_exit_code(tmp_path, capsys):
@@ -146,21 +146,6 @@ def test_verify_fault_exit_code(tmp_path, capsys):
     doc = json.loads(report.read_text())
     failed = [c["id"] for c in doc["claims"] if not c["passed"]]
     assert failed == ["P"]
-
-
-def test_verify_fault_in_the_retired_claim_e_is_unknown(tmp_path, capsys):
-    # claim E (the qhull envelope fixpoint) left the registry: T1 and T2
-    # certify the same statements through the Lagrangian certificate
-    report = tmp_path / "rep.json"
-    code, out, err = run_cli(
-        capsys,
-        "verify", "--rho", "0.9", "--grid-n", "101", "--fast",
-        "--inject-fault", "E", "--out", str(report),
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: unknown claim id 'E'") and len(err.splitlines()) == 1
-    assert not report.exists()
 
 
 def test_verify_rejects_infinite_tolerance(capsys, tmp_path):

@@ -458,11 +458,13 @@ def test_slope_field_matches_central_differences(kind, rho):
         np.testing.assert_allclose(slopes[0, 1:-1, i], ds, rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("n", [101, 201])
 @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, 0.9999, 0.99999, 0.999998])
 @pytest.mark.parametrize("kind", SURFACES)
-def test_surfaces_pass_their_lagrangian_certificate(kind, rho):
-    # measured at grid 101: phi_tilde <= 5.6e-17, psi <= 3.6e-15
-    values, slopes = _convex_surface(kind, 101, DsbsParams(rho))
+def test_surfaces_pass_their_lagrangian_certificate(kind, rho, n):
+    # measured: phi_tilde <= 5.6e-17, psi <= 3.6e-15; with q01 = b - p* in
+    # the slope, phi_tilde read 3.4e-12 at rho 0.999998, grid 201
+    values, slopes = _convex_surface(kind, n, DsbsParams(rho))
     assert check_lagrangian_gap(GridFn(values), slopes).worst_violation <= 1e-14
 
 

@@ -191,18 +191,40 @@ def test_dd2_slope_against_mpmath(rho):
     points += [(a, b) for a in (0.1, 0.3, 0.5) for b in (1e-10, 1e-6, 1 - 1e-3, 1 - 1e-6)]
     points += [(0.5 - g, b) for g in (0.0, 1e-12, 1e-8, 1e-4) for b in (0.01, 0.3, 0.5, 0.7)]
     points += [(a, b) for a in (0.0, 1e-12) for b in (1e-8, 0.2, 0.9)]
-    points += [(a, a + d) for a in (0.005, 0.05, 0.3) for d in (0.0, 1e-6, 1e-3)]
+    points += [(a, a + d) for a in (0.005, 0.05, 0.3, 0.46) for d in (0.0, -1e-9, 1e-6, 1e-3)]
     a = np.array([p[0] for p in points])
     b = np.array([p[1] for p in points])
     slope, curvature = _dd2_slope(a, b, params)
-    q00, q01, _, _ = _cells(a, b, _p_star(a, b, params))
+    q00 = _cells(a, b, _p_star(a, b, params))[0]
     for i, (ai, bi) in enumerate(points):
         with mpmath.workdps(50):
             f = lambda x: _dd2_mp(mpmath.mpf(ai), x, rho)  # noqa: E731
             d1 = mpmath.diff(f, mpmath.mpf(bi))
             d2 = mpmath.diff(f, mpmath.mpf(bi), 2)
-        # the docstring's scale, and never looser than the smaller cell's
-        bound = 4e-15 * min(1.0 / q00[i] + bi / q01[i], 1.0 / min(q00[i], q01[i]))
+        bound = 4e-15 * (1.0 + 1.0 / q00[i])  # the docstring's scale
+        assert float(abs(slope[i] - d1)) <= bound, (ai, bi)
+        assert float(abs((curvature[i] - d2) / d2)) <= bound, (ai, bi)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.9999, 0.999998])
+def test_mirrored_dd2_slope_against_mpmath(rho):
+    # psi's source keeps q01 = b - p*: on biases up to 1/2, b at and near a
+    # included, its slope and curvature meet the docstring's bound too
+    params = _mirror(DsbsParams(rho))
+    rng = np.random.default_rng(3)
+    points = list(zip(rng.uniform(0.0, 0.5, 20), rng.uniform(0.0, 0.5, 20)))
+    points += [(a, a + d) for a in (0.005, 0.05, 0.3, 0.46) for d in (0.0, 1e-6, 1e-3)]
+    points += [(a, b) for a in (0.1, 0.3, 0.49) for b in (1e-10, 1e-6, 0.5 - 1e-9)]
+    a = np.array([p[0] for p in points])
+    b = np.array([p[1] for p in points])
+    slope, curvature = _dd2_slope(a, b, params)
+    q00 = _cells(a, b, _p_star(a, b, params))[0]
+    for i, (ai, bi) in enumerate(points):
+        with mpmath.workdps(50):
+            f = lambda x: _dd2_mp(mpmath.mpf(ai), x, -rho)  # noqa: E731
+            d1 = mpmath.diff(f, mpmath.mpf(bi))
+            d2 = mpmath.diff(f, mpmath.mpf(bi), 2)
+        bound = 4e-15 * (1.0 + 1.0 / q00[i])
         assert float(abs(slope[i] - d1)) <= bound, (ai, bi)
         assert float(abs((curvature[i] - d2) / d2)) <= bound, (ai, bi)
 

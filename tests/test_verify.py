@@ -45,8 +45,8 @@ REPORT_SCHEMA = {
         },
         "claims": {
             "type": "array",
-            "minItems": 11,
-            "maxItems": 11,
+            "minItems": 12,
+            "maxItems": 12,
             "items": {
                 "type": "object",
                 "required": ["id", "anchor", "passed", "worst_violation", "witness", "runtime_ms"],
@@ -106,12 +106,12 @@ def test_json_round_trip_and_schema(healthy_report):
 
 @pytest.mark.parametrize("rho", [1e-4, 0.01, 0.5, 0.9, 0.99, 0.9999, 0.999998])
 def test_surface_claims_hold_at_every_rho(rho):
-    # T1 and T2 read the Lagrangian certificate, which holds across the
+    # T1, T2 and E read the Lagrangian certificate, which holds across the
     # admitted range.  H, B and T3 still fail on healthy code at high rho
     # (H from 0.93, B from 0.98, T3 at 0.999998); see ROADMAP item 1.
     report = verify_all(DsbsParams(rho), grid_n=101, options=FAST)
     for claim in report.claims:
-        if claim.claim_id in ("T1", "T2"):
+        if claim.claim_id in ("T1", "T2", "E"):
             assert claim.passed, (claim.claim_id, claim.worst_violation, claim.witness)
 
 
@@ -186,6 +186,23 @@ def test_one_q_opt_call_per_family(monkeypatch, grid_n, options, calls):
     assert len(seen) == len(calls) and dict(seen) == calls
 
 
+@pytest.mark.parametrize("fault, calls", [(None, 2), ("T1", 3), ("E", 3)])
+def test_one_certificate_per_surface(monkeypatch, fault, calls):
+    # T1/T2 and E read one Lagrangian certificate per surface; a planted
+    # copy gets its own, so a fault never reaches the shared report
+    seen = []
+    real = verify.check_lagrangian_gap
+
+    def spy(f, slopes):
+        seen.append(f.values.shape)
+        return real(f, slopes)
+
+    monkeypatch.setattr(verify, "check_lagrangian_gap", spy)
+    report = verify_all(RHO, grid_n=101, options=FAST, inject_fault=fault)
+    assert [c.claim_id for c in report.claims if not c.passed] == ([fault] if fault else [])
+    assert seen == [(101, 101)] * calls
+
+
 def _reject_constant(token):
     raise AssertionError(f"non-finite token {token} in report JSON")
 
@@ -252,9 +269,11 @@ def test_default_tolerances_are_fixed_floats():
     assert not inspect.signature(default_tolerances).parameters
     tols = default_tolerances()
     assert sorted(tols) == [
-        "boundary_slope", "midpoint", "monotone", "pstar_gap", "root_residual", "slope",
+        "boundary_slope", "envelope_fixpoint", "midpoint", "monotone",
+        "pstar_gap", "root_residual", "slope",
     ]
     assert all(type(v) is float and 0.0 < v < 1.0 for v in tols.values())
+    assert tols["envelope_fixpoint"] == 1e-12
     assert tols["midpoint"] == 1e-9
 
 
