@@ -53,7 +53,6 @@ from .hulls import (
     check_monotone,
     check_slope_bounds,
     lower_convex_envelope,
-    upper_concave_envelope,
 )
 from .mre import MreResult, dd2, p_star
 from .stationary import (
@@ -122,6 +121,5 @@ __all__ = [
     "psi_q_full",
     "solve_root_z",
     "stationary_point",
-    "upper_concave_envelope",
     "verify_all",
 ]

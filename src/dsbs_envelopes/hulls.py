@@ -28,10 +28,10 @@ The certifiers (`check_lagrangian_gap`, `check_midpoint_convex`,
 measurements: each reports the worst violation found and a witness, with
 deterministic tie-breaking, so failing runs are reproducible bit for bit.
 Among tied cells the first in row-major order wins; the midpoint
-certifier, which takes curves and batches its pairs by parity, picks the
-tied pair with the smallest (half gap, left end) key, the order in which
-a loop over the gaps would visit them.  They hold no threshold; `verify`
-judges the excess against its fixed tolerance table.
+certifier, which takes curves and fills one table of pairs per parity,
+picks the tied pair with the smallest (half gap, left end) key, the order
+in which a loop over the gaps would visit them.  They hold no
+threshold; `verify` judges the excess against its fixed tolerance table.
 """
 
 from __future__ import annotations
@@ -43,14 +43,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .binary import _require_finite_real, _require_int
-from .envelopes import _rows_per_chunk
 from .errors import InputDomainError
 
 __all__ = [
     "GridFn",
     "ConvexityReport",
     "lower_convex_envelope",
-    "upper_concave_envelope",
     "check_lagrangian_gap",
     "check_midpoint_convex",
     "check_midpoint_concave",
@@ -176,11 +174,6 @@ def lower_convex_envelope(f: GridFn) -> GridFn:
     return GridFn(_lower_hull_2d(f.values))
 
 
-def upper_concave_envelope(f: GridFn) -> GridFn:
-    """Pointwise-smallest concave majorant of a 2-D f: exact negation dual of the convex one."""
-    return GridFn(-lower_convex_envelope(GridFn(-f.values)).values)
-
-
 # ---------------------------------------------------------------------------
 # certifiers
 # ---------------------------------------------------------------------------
@@ -190,95 +183,36 @@ def _report(worst: float, witness, n_pairs: int) -> ConvexityReport:
     return ConvexityReport(worst_violation=float(worst), witness=witness, n_pairs=int(n_pairs))
 
 
-def _midpoint_convex_full(v: np.ndarray) -> ConvexityReport:
-    """Every pair of cells of the rows-by-n array ``v`` whose midpoint is a cell.
-
-    A pair is (i, p), (i + 2di, q) with p = 2a + e and q = 2b + e for a
-    column parity e; its midpoint is (i + di, a + b + e).  One batched pass
-    per row offset di and parity e fills the (row, a, b) table of its
-    violations: the pair sums broadcast from the parity's contiguous
-    columns, halved, then subtracted from the midpoints, which a sliding
-    window over the middle rows reads in place.  At di = 0 only b > a
-    counts (b = a is the pair itself, b < a a repeat).  The table is
-    computed in chunks that fit the element budget ``envelopes._BLOCK_ELEMS``
-    (whole rows where a row's table fits, else slices of a), one reused
-    buffer holding each chunk.  `check_midpoint_convex` runs it on a curve,
-    the single-row case; the tests run it on surfaces, as the oracle of
-    `check_lagrangian_gap`.
-
-    The witness is the pair of largest violation with the smallest key
-    (di, b - a, i, min(p, q)).  Only a row offset whose maximum beats the
-    running worst has its tied chunks recomputed to find that key.
-    ``n_pairs`` is counted in closed form.
-    """
-    n_rows, n = v.shape
-    parts = [np.ascontiguousarray(v[:, e::2]) for e in (0, 1)]
-    widths = [part.shape[1] for part in parts]
-    mids = [sliding_window_view(v[:, e:], w, axis=1)[:, :w, :] for e, w in enumerate(widths)]
-    repeats = [np.tri(w, dtype=bool) for w in widths]  # b <= a
-    # (rows, a values) per chunk: whole (a, b) tables where one fits the budget
-    steps = [(_rows_per_chunk(w * w), min(w, _rows_per_chunk(w))) for w in widths]
-    buf = np.empty(max(min(dr, n_rows) * da * w for (dr, da), w in zip(steps, widths)))
-
-    def chunk(di, e, r0, r1, a0, a1):
-        part, w = parts[e], widths[e]
-        out = buf[: (r1 - r0) * (a1 - a0) * w].reshape(r1 - r0, a1 - a0, w)
-        np.add(part[r0:r1, a0:a1, None], part[r0 + 2 * di : r1 + 2 * di, None, :], out=out)
-        out *= 0.5
-        np.subtract(mids[e][r0 + di : r1 + di, a0:a1], out, out=out)
-        if di == 0:
-            np.copyto(out, -np.inf, where=repeats[e][a0:a1])
-        return out
-
-    worst, witness = -np.inf, None
-    half = (n_rows - 1) // 2
-    for di in range(half + 1):
-        m = n_rows - 2 * di
-        spans = [
-            (e, r0, min(r0 + dr, m), a0, min(a0 + da, w))
-            for e, ((dr, da), w) in enumerate(zip(steps, widths))
-            for r0 in range(0, m, dr)
-            for a0 in range(0, w, da)
-        ]
-        tops = [chunk(di, *span).max() for span in spans]
-        top = max(tops)
-        if not top > worst:
-            continue
-        ties = []  # (key, i, p, q, violation) of each tied cell, one tuple per chunk
-        for (e, r0, r1, a0, a1), chunk_top in zip(spans, tops):
-            if chunk_top == top:
-                out = chunk(di, e, r0, r1, a0, a1)
-                r, a, b = np.nonzero(out == top)
-                val = out[r, a, b]
-                i, p, q = r + r0, 2 * (a + a0) + e, 2 * b + e
-                # (b - a, i, min(p, q)) as one integer, ordered the same way
-                key = (((q - p) // 2 + n) * n_rows + i) * n + np.minimum(p, q)
-                ties.append((key, i, p, q, val))
-        key, i, p, q, val = (np.concatenate(col) for col in zip(*ties))
-        k = int(np.argmin(key))
-        worst = float(val[k])
-        witness = ((int(i[k]), int(p[k])), (int(i[k]) + 2 * di, int(q[k])))
-    # b > a in each parity at di = 0, every (a, b) at each of the half row offsets
-    w0, w1 = widths
-    n_pairs = n_rows * (w0 * (w0 - 1) + w1 * (w1 - 1)) // 2
-    n_pairs += half * (n_rows - half - 1) * (w0 * w0 + w1 * w1)
-    return _report(worst, witness, n_pairs)
-
-
 def check_midpoint_convex(f: GridFn) -> ConvexityReport:
     """Measure midpoint convexity of a curve on the lattice.
 
     Enumerates every pair of samples whose midpoint is itself a lattice
-    point and reports the worst ``f(mid) - (f(x)+f(y))/2``.  Among the
-    pairs of worst violation, the witness (p, q) is the one with the
-    smallest key ((q - p)/2, p).  A 2-D grid raises `InputDomainError`:
-    surfaces go through `check_lagrangian_gap`.
+    point and reports the worst ``f(mid) - (f(x)+f(y))/2``: one (a, b)
+    table per parity e holds the pairs (2a + e, 2b + e), about n²/4 floats
+    each.  Among the pairs of worst violation, the witness (p, q) is the
+    one with the smallest key ((q - p)/2, p).  A 2-D grid raises
+    `InputDomainError`: surfaces go through `check_lagrangian_gap`.
     """
     if f.dims != 1:
         raise InputDomainError("the midpoint certifier takes 1-D grids; see check_lagrangian_gap")
-    rep = _midpoint_convex_full(f.values[None, :])
-    witness = rep.witness and (rep.witness[0][1], rep.witness[1][1])
-    return _report(rep.worst_violation, witness, rep.n_pairs)
+    v, n = f.values, f.n
+    tables = []
+    for e in (0, 1):  # the midpoint of (2a + e, 2b + e) is a + b + e; b <= a repeats a pair
+        part = v[e::2]
+        w = part.size
+        table = sliding_window_view(v[e:], w)[:w] - 0.5 * (part[:, None] + part[None, :])
+        table[np.tri(w, dtype=bool)] = -np.inf
+        tables.append(table)
+    worst = max(table.max() for table in tables)
+    witness = None
+    if worst > -np.inf:  # else every pair sum overflowed: no witness
+        # the smallest key (b - a)·n + p of either parity's ties; n² exceeds them all
+        ties = (np.nonzero(table == worst) for table in tables)
+        key = min(int(np.min((b - a) * n + 2 * a + e, initial=n * n)) for e, (a, b) in enumerate(ties))
+        d, p = divmod(key, n)
+        witness = (p, p + 2 * d)
+    w0, w1 = (n + 1) // 2, n // 2
+    return _report(worst, witness, (w0 * (w0 - 1) + w1 * (w1 - 1)) // 2)
 
 
 def check_midpoint_concave(f: GridFn) -> ConvexityReport:
@@ -388,7 +322,10 @@ def check_lagrangian_gap(f: GridFn, slopes) -> ConvexityReport:
     if f.dims != 2:
         raise InputDomainError("the Lagrangian certificate takes 2-D grids")
     n = f.n
-    g = np.asarray(slopes)
+    try:
+        g = np.asarray(slopes)
+    except ValueError as exc:  # ragged nested sequences
+        raise InputDomainError(f"slopes must form an array of shape {(2, n, n)}: {exc}") from None
     if g.dtype.kind not in "biuf" or g.shape != (2, n, n):
         raise InputDomainError(f"slopes must be reals of shape {(2, n, n)}, got {g.dtype} {g.shape}")
     gaps = _lagrangian_gaps(f.values, g.astype(float, copy=False))

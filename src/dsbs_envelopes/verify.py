@@ -499,6 +499,11 @@ def verify_all(
     options: VerifyOptions | None = None,
 ) -> VerificationReport:
     """Run every claim in the registry and assemble the report in fixed order."""
+    # a wrong type would otherwise fail mid-run with a bare AttributeError
+    if not isinstance(params, DsbsParams):
+        raise InputDomainError(f"params must be a DsbsParams, not {type(params).__name__}")
+    if options is not None and not isinstance(options, VerifyOptions):
+        raise InputDomainError(f"options must be a VerifyOptions, not {type(options).__name__}")
     _require_int(grid_n=grid_n)
     if not 51 <= grid_n <= 1001:
         raise InputDomainError("grid_n must be in [51, 1001]")

@@ -18,20 +18,20 @@ from dsbs_envelopes import (
     DsbsParams,
     GridFn,
     QParam,
+    check_lagrangian_gap,
     check_midpoint_concave,
     check_midpoint_convex,
     d2_inv,
     dd2,
-    lower_convex_envelope,
     p_star,
     phi_tilde,
     phi_tilde_grid,
     psi_grid,
     stationary_point,
-    upper_concave_envelope,
     verify_all,
 )
 from dsbs_envelopes.cli import main as cli_main
+from dsbs_envelopes.envelopes import _slope_field
 from dsbs_envelopes.mre import _dd2_oracle_batch, dd2_value
 
 RHO09 = DsbsParams(0.9)
@@ -124,17 +124,18 @@ def test_criterion_08(acceptance, reports):
 
 
 def test_criterion_09(acceptance):
-    # envelope fixpoints with grid refinement.  On an exactly convex grid
-    # both gaps sit at rounding noise, so the refinement ratio only binds
-    # above a 1e-9 floor.
+    # envelope fixpoints with grid refinement, read off the Lagrangian
+    # certificate: its gap bounds f - env from above, for phi_tilde and for
+    # -psi with the slopes negated.  On an exactly convex grid both gaps sit
+    # at rounding noise, so the refinement ratio only binds above a 1e-9 floor.
     gaps = {}
     for n in (201, 401):
         axis = np.linspace(0.0, 1.0, n)
         pt = GridFn(phi_tilde_grid(axis, axis, RHO09))
-        ps = GridFn(psi_grid(axis, axis, RHO09))
-        gap_convex = float(np.max(np.abs(lower_convex_envelope(pt).values - pt.values)))
-        gap_concave = float(np.max(np.abs(upper_concave_envelope(ps).values - ps.values)))
-        gaps[n] = max(gap_convex, gap_concave)
+        ps = GridFn(-psi_grid(axis, axis, RHO09))
+        gap_convex = check_lagrangian_gap(pt, _slope_field(axis, RHO09, kind="phi_tilde"))
+        gap_concave = check_lagrangian_gap(ps, -_slope_field(axis, RHO09, kind="psi"))
+        gaps[n] = max(gap_convex.worst_violation, gap_concave.worst_violation)
     ok = gaps[201] <= 2e-3 and gaps[401] <= max(0.6 * gaps[201], 1e-9)
     acceptance.check(9, ok, f"gap(201) {gaps[201]:.2e}, gap(401) {gaps[401]:.2e}")
 

@@ -30,9 +30,10 @@ from dsbs_envelopes import (
     psi_grid,
     psi_q_full,
 )
-from dsbs_envelopes import envelopes, hulls
+from dsbs_envelopes import envelopes
 from dsbs_envelopes.envelopes import _phi_tilde_oracle_lattice
 from test_binary import _typed_fields
+from test_hulls import _midpoint_oracle_2d
 from test_mre import _dd2_mp
 
 RHO = DsbsParams(0.9)
@@ -478,7 +479,7 @@ def test_midpoint_violation_within_the_lagrangian_gap(kind, rho):
     dipped = values.copy()
     dipped[50, 50] -= 0.05
     for v in (values, dipped):
-        midpoint = hulls._midpoint_convex_full(v).worst_violation
+        midpoint = _midpoint_oracle_2d(v)[0]
         assert midpoint <= check_lagrangian_gap(GridFn(v), slopes).worst_violation + 1e-15
 
 

@@ -20,9 +20,9 @@ from dsbs_envelopes import (
     lower_convex_envelope,
     phi_tilde_grid,
     psi_grid,
-    upper_concave_envelope,
 )
 from dsbs_envelopes import envelopes, hulls
+from dsbs_envelopes.verify import _C_Q_CONCAVE, _C_Q_CONVEX, _T3_Q
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +136,13 @@ def test_double_well_bridged():
     assert np.all(env.values <= f.values + 1e-12)
     i = np.argmin(np.abs(f.axis() - 0.5))
     np.testing.assert_allclose(env.values[i], (f.axis() - 0.5) ** 2, atol=1e-12)  # on the bridge
-    assert hulls._midpoint_convex_full(env.values).worst_violation <= 1e-9
-
-
-def test_upper_concave_envelope_mirrors():
-    f = _grid2(lambda x, y: np.abs(x - 0.5) + np.abs(y - 0.5))
-    upper = upper_concave_envelope(f)
-    lower = lower_convex_envelope(GridFn(-f.values))
-    np.testing.assert_allclose(upper.values, -lower.values, atol=1e-14)
-    # hull of the separable vee from above is the plane through the corners
-    np.testing.assert_allclose(upper.values, np.ones((f.n, f.n)), atol=1e-12)
+    assert _midpoint_oracle_2d(env.values)[0] <= 1e-9
 
 
 def test_envelopes_reject_1d_grid():
     # the hull is built on 2-D grids only; a 1-D grid is refused
-    f = _grid(lambda x: (x - 0.3) ** 2)
-    for envelope in (lower_convex_envelope, upper_concave_envelope):
-        with pytest.raises(InputDomainError, match="2-D"):
-            envelope(f)
+    with pytest.raises(InputDomainError, match="2-D"):
+        lower_convex_envelope(_grid(lambda x: (x - 0.3) ** 2))
 
 
 def test_legendre_2d_lower_bounds_geometric_hull():
@@ -178,13 +167,13 @@ def test_hull_fill_chunk_edges_bit_identical(monkeypatch):
     axis = np.linspace(0.0, 1.0, 101)
     params = DsbsParams(0.9)
     pt = GridFn(phi_tilde_grid(axis, axis, params))
-    ps = GridFn(psi_grid(axis, axis, params))
+    ps = GridFn(-psi_grid(axis, axis, params))
     wells = _grid2(lambda x, y: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y), n=33)
-    cases = [(lower_convex_envelope, pt), (upper_concave_envelope, ps), (lower_convex_envelope, wells)]
-    want = [envelope(f).values for envelope, f in cases]
+    cases = [pt, ps, wells]
+    want = [lower_convex_envelope(f).values for f in cases]
     monkeypatch.setattr(hulls, "_FILL_CHUNK", 7)
-    for (envelope, f), expected in zip(cases, want):
-        assert np.array_equal(envelope(f).values, expected)
+    for f, expected in zip(cases, want):
+        assert np.array_equal(lower_convex_envelope(f).values, expected)
 
 
 def test_hull_fill_matches_per_facet_loop():
@@ -205,7 +194,6 @@ def test_affine_grid_is_its_own_envelope():
     with pytest.raises(QhullError):
         ConvexHull(np.column_stack([x.ravel(), y.ravel(), f.values.ravel()]))
     assert np.array_equal(lower_convex_envelope(f).values, f.values)
-    assert np.array_equal(upper_concave_envelope(f).values, f.values)
 
 
 def test_midpoint_convex_accepts_and_rejects():
@@ -224,11 +212,9 @@ def test_midpoint_convex_accepts_and_rejects():
 def test_midpoint_convex_2d_full_enumeration():
     # the 2-D enumeration is the tests' oracle for the Lagrangian certificate;
     # the public midpoint certifier takes curves only
-    rep = hulls._midpoint_convex_full(_grid2(lambda x, y: x**2 + y**2 + x * y, n=21).values)
-    assert rep.worst_violation <= 1e-9
+    assert _midpoint_oracle_2d(_grid2(lambda x, y: x**2 + y**2 + x * y, n=21).values)[0] <= 1e-9
     # saddle is not convex and the full sweep must find it
-    rep2 = hulls._midpoint_convex_full(_grid2(lambda x, y: x * y - x**2 - y**2, n=21).values)
-    assert rep2.worst_violation > 1e-9
+    assert _midpoint_oracle_2d(_grid2(lambda x, y: x * y - x**2 - y**2, n=21).values)[0] > 1e-9
     with pytest.raises(InputDomainError, match="1-D"):
         check_midpoint_convex(_grid2(lambda x, y: x + y, n=5))
 
@@ -236,10 +222,9 @@ def test_midpoint_convex_2d_full_enumeration():
 def _midpoint_oracle_2d(v: np.ndarray) -> tuple:
     """The full 2-D midpoint enumeration as a plain slicing loop.
 
-    One (di, dj) offset at a time in key order, with fresh temporaries and
-    the same three floating-point operations as the certifier's batched
-    pass (sum, halve, subtract), and first-wins tie-breaking, so the two
-    must report the same (worst, witness, n_pairs) bit for bit.
+    One (di, dj) offset at a time in key order, first wins: the oracle of
+    the Lagrangian certificate and of the geometric hull, which the public
+    midpoint certifier, taking curves only, cannot serve.
     """
     n = v.shape[0]
     worst, witness, n_pairs = -np.inf, None, 0
@@ -274,53 +259,14 @@ def _midpoint_oracle_1d(v: np.ndarray) -> tuple:
     return worst, witness, n_pairs
 
 
-def _midpoint_grids(n: int) -> dict:
-    rng = np.random.default_rng(n)
-    x = np.linspace(0.0, 1.0, n)
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    planted = x[:, None] ** 2 + x[None, :] ** 2
-    planted[n // 2, (n - 1) // 3] += 0.01
-    return {
-        "random": rng.normal(size=(n, n)),
-        # exact integer values: every violation is 0, so only the
-        # tie-breaking picks the witness
-        "affine": 2.0 * i - 3.0 * j + 1.0,
-        # values in {0, 1, 2}: many tied worst pairs in both column parities
-        "small-int": rng.integers(0, 3, size=(n, n)).astype(float),
-        "planted": planted,
-    }
-
-
 def _assert_same_report(rep, oracle, name):
     worst, witness, n_pairs = oracle
     assert np.float64(rep.worst_violation).tobytes() == np.float64(worst).tobytes(), name
     assert (rep.witness, rep.n_pairs) == (witness, n_pairs), name
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 51, 101, 201])
-def test_midpoint_2d_full_matches_slicing_oracle(n):
-    for name, v in _midpoint_grids(n).items():
-        v.flags.writeable = False  # the certifier must only read its input
-        _assert_same_report(hulls._midpoint_convex_full(v), _midpoint_oracle_2d(v), name)
-
-
-@pytest.mark.parametrize("n", [7, 20, 21])
-def test_midpoint_2d_chunk_edges_bit_identical(n, monkeypatch):
-    # Budgets of about three and two rows' tables leave a ragged last row
-    # chunk; budgets below one row's table split it into slices of a.  Ties
-    # then span chunks as well as the two column parities.
-    w = (n + 1) // 2
-    grids = _midpoint_grids(n)
-    want = {name: _midpoint_oracle_2d(v) for name, v in grids.items()}
-    for budget in (3 * w * w + 1, 2 * w * w, 2 * w + 1, 7):
-        monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
-        for name, v in grids.items():
-            v.flags.writeable = False
-            _assert_same_report(hulls._midpoint_convex_full(v), want[name], (name, budget))
-
-
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 101, 501])
-def test_midpoint_1d_matches_loop_oracle(n, monkeypatch):
+def test_midpoint_1d_matches_loop_oracle(n):
     rng = np.random.default_rng(n)
     curves = {
         "random": rng.normal(size=n),
@@ -328,11 +274,17 @@ def test_midpoint_1d_matches_loop_oracle(n, monkeypatch):
         "small-int": rng.integers(0, 3, size=n).astype(float),
         "zeros": np.zeros(n),
     }
-    for budget in (envelopes._BLOCK_ELEMS, 2 * n + 1, 7):
-        monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
-        for name, v in curves.items():
-            v.flags.writeable = False
-            _assert_same_report(check_midpoint_convex(GridFn(v)), _midpoint_oracle_1d(v), name)
+    if n >= 101:
+        # the curves that claims T3 and C certify, each as it is and negated
+        axis = np.linspace(0.0, 1.0, n)
+        for rho in (0.5, 0.9):
+            phi_q = envelopes._q_opt(axis, _T3_Q + _C_Q_CONVEX, DsbsParams(rho), kind="phi")[0]
+            psi_q = envelopes._q_opt(axis, _C_Q_CONCAVE, DsbsParams(rho), kind="psi")[0]
+            for k, curve in enumerate((*phi_q, *psi_q)):
+                curves[rho, k], curves[rho, k, "negated"] = curve.copy(), -curve
+    for name, v in curves.items():
+        v.flags.writeable = False  # the certifier must only read its input
+        _assert_same_report(check_midpoint_convex(GridFn(v)), _midpoint_oracle_1d(v), name)
 
 
 def test_midpoint_concave_goes_through_convex(monkeypatch):
@@ -391,7 +343,7 @@ def test_envelope_below_and_convex(n):
     f = GridFn(rng.uniform(0.0, 1.0, (n, n)))
     env = lower_convex_envelope(f)
     assert np.all(env.values <= f.values + 1e-12)
-    assert hulls._midpoint_convex_full(env.values).worst_violation <= 1e-9
+    assert _midpoint_oracle_2d(env.values)[0] <= 1e-9
 
 
 def test_slope_bounds_conventions():
@@ -578,6 +530,8 @@ def test_lagrangian_gap_rejects_bad_shapes():
         check_lagrangian_gap(GridFn(np.zeros((5, 5))), np.zeros((2, 5, 4)))
     with pytest.raises(InputDomainError, match="reals"):
         check_lagrangian_gap(GridFn(np.zeros((3, 3))), np.full((2, 3, 3), "1"))
+    with pytest.raises(InputDomainError, match="shape"):  # ragged
+        check_lagrangian_gap(GridFn(np.zeros((3, 3))), [[1], [2, 3]])
 
 
 def test_lagrangian_gap_catches_gross_violation_above_grid_201():

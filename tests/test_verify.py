@@ -257,6 +257,14 @@ def test_non_integer_sizes_rejected(call, size, as_bool):
         call(True if as_bool else size)
 
 
+def test_argument_types_rejected(monkeypatch):
+    # refused before any grid is built, not mid-run with a bare AttributeError
+    monkeypatch.setattr(verify, "phi_tilde_grid", lambda *args: pytest.fail("grid built"))
+    for kwargs in ({"params": 0.9}, {"params": RHO, "options": True}, {"params": RHO, "options": {}}):
+        with pytest.raises(InputDomainError, match=next(reversed(kwargs))):
+            verify_all(grid_n=101, **kwargs)
+
+
 def test_grid_bounds_enforced():
     with pytest.raises(InputDomainError):
         verify_all(RHO, grid_n=31, options=FAST)
