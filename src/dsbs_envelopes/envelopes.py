@@ -198,25 +198,29 @@ def phi_tilde_grid(alpha_vals, beta_vals, params: DsbsParams) -> np.ndarray:
     return _outer_eval(av.size, bv.size, block)
 
 
+def _s_slope(a, b, source: DsbsParams):
+    """The slope in s of phi on ``source`` (psi's on the mirror) at biases a = a(s), b = b(t).
+
+    dd2 is symmetric, so it is `_dd2_slope` at (b, a) over ``d2'(a) =
+    log2(a/(1-a))``; infinite or NaN at ``a = 0``, silently.  Broadcasting.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _dd2_slope(b, a, source)[0] / (np.log(a / (1.0 - a)) / _LN2)
+
+
 def _slope_field(axis, params: DsbsParams, *, kind: str) -> np.ndarray:
     """(d/ds, d/dt) of phi_tilde or psi on the grid ``axis x axis``, shape (2, n, n).
 
-    dd2 is symmetric, so its slope in a at (a, b) is `_dd2_slope` at
-    (b, a); with ``d2'(a) = log2(a/(1-a))``, the interior slope in s is
-    ``_dd2_slope(b, a)[0] / log2(a/(1-a))``, and the slope in t the
-    transposed formula.  ``kind`` "phi_tilde" takes it on the source, with
-    the slopes (1, 0) and (0, 1) on the flat branches that `_flat` picks
-    (the first one winning, as in `_phi_tilde_kernel`); "psi" takes it on
-    the mirrored source, where there is no flat branch.  On an edge of the
-    square the normal slope may be infinite or NaN, silently; the
-    tangential one is finite.
+    The interior slope in s is `_s_slope`, and in t its transpose.  ``kind``
+    "phi_tilde" takes it on the source, with the slopes (1, 0) and (0, 1) on
+    the flat branches that `_flat` picks (the first one winning, as in
+    `_phi_tilde_kernel`); "psi" takes it on the mirrored source, where there
+    is no flat branch.  On an edge of the square the normal slope may be
+    infinite or NaN, silently; the tangential one is finite.
     """
     a = np.asarray(d2_inv(np.atleast_1d(_prepare_prob(axis, "axis"))))
-    n = a.size
     source = params if kind == "phi_tilde" else _mirror(params)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ds = _outer_eval(n, n, lambda rows: _dd2_slope(a[None, :], a[rows, None], source)[0])
-        ds /= (np.log(a / (1.0 - a)) / _LN2)[:, None]
+    ds = _outer_eval(a.size, a.size, lambda rows: _s_slope(a[rows, None], a[None, :], source))
     slopes = np.stack([ds, ds.T])  # phi and psi are symmetric in (s, t)
     if kind == "phi_tilde":
         alpha = _flat(a[:, None], a[None, :], params.crossover)  # phi_tilde = s

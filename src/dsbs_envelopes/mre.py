@@ -252,10 +252,10 @@ def _dd2_slope(a, b, params: DsbsParams):
     optimal coupling ``q00*q11 = k*q01*q10``, so ``dp*/db = A/(A+B)`` with
     ``A = 1/q00 + 1/q01`` and ``B = 1/q10 + 1/q11``, and the second
     derivative is ``(A*B/(A+B))/ln 2``, evaluated as ``1/(1/A + 1/B)`` so
-    that ``B = inf`` (at ``a = 0``, where ``p* = 0``) gives ``A/ln 2``.  An
-    empty cell at the ends of the segment (``b = 0`` or ``b = 1``) gives an
-    infinite or NaN derivative without a warning, whose sign callers must
-    not trust.
+    that ``B = inf`` (at ``a = 0``, where ``p* = 0``, or where 1/q10 or
+    1/q11 overflows) gives ``A/ln 2``.  An empty cell at the ends of the
+    segment (``b = 0`` or ``b = 1``) gives an infinite or NaN derivative
+    without a warning, whose sign callers must not trust.
 
     Precision is set by the cells.  ``q00 = 1 + p - a - b`` is within
     about eps; for ``k > 1``, ``q01`` and ``q10`` come from
@@ -272,7 +272,7 @@ def _dd2_slope(a, b, params: DsbsParams):
     if params.k > 1.0:
         q01, q10 = _differ_cell(a, b, params.k), _differ_cell(b, a, params.k)
     agree, differ = params.joint_cells()[:2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slope = np.log((q01 * agree) / (q00 * differ)) / _LN2
         curve_a = 1.0 / q00 + 1.0 / q01
         curve_b = 1.0 / q10 + 1.0 / q11

@@ -28,14 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .binary import DsbsParams, _require_int
+from .binary import DsbsParams, _mirror, _require_int, d2_inv
 from .envelopes import (
     QParam,
     phi,
     phi_tilde_grid,
-    psi,
     psi_grid,
     _q_opt,
+    _s_slope,
     _slope_field,
 )
 from .errors import DsbsError, InputDomainError
@@ -173,16 +173,17 @@ class VerificationReport:
 
 
 def default_tolerances() -> dict:
-    """The claims' tolerances: the only source of thresholds.
+    """The claims' tolerances, fixed float or oracle bounds, listed under ``meta.tolerances``.
 
-    Every claim judges its measured excess against these fixed values, and
-    the report lists them under ``meta.tolerances``.
+    Two bounds sit inline in their claims: H's one cell, ``0.5/(_H_GAMMA_N - 1)``,
+    and U's root count (exactly one, so a count off by one exceeds 0.5).
     """
     return {
         # float bound: three values within 1e-14 each (q-family optima too); affine runs <= 1e-15.
         # T1/T2 judge a Lagrangian gap by it, which bounds every midpoint violation
         "midpoint": 1e-9,
-        # float bound: two value errors of 1e-14 over a step >= 1/1000 move a quotient <= 2e-11
+        # float bound: two value errors of 1e-14 over a step >= 1/1000 move a quotient <= 2e-11;
+        # B's edge residual |(dpsi/ds - 1) ln(1/a) - K| measured <= 4.7e-13, rho 1e-6 to 1 - 2e-6
         "slope": 1e-8,
         # float bound: a nondecreasing function's computed drop is at most two value errors
         "monotone": 1e-10,
@@ -193,8 +194,6 @@ def default_tolerances() -> dict:
         "pstar_gap": 1e-9,
         # float bound: a root's residual is aux_phi_h's few-ulp float error; measured <= 4e-15
         "root_residual": 1e-10,
-        # calibrated: the 1e-7 quotient is 1 + O(1/ln(1/a)), a ~ 4e-9; <= 0.143 measured to rho 0.9
-        "boundary_slope": 0.2,
     }
 
 
@@ -433,23 +432,19 @@ def _claim_h(ctx):
 
 
 def _claim_b(ctx):
-    # The edge slope converges to 1 only logarithmically (the inner bias
-    # enters through its own logarithm), so the certificate is a strictly
-    # shrinking |Q-1| chain over four step sizes plus a calibrated absolute
-    # bound at the finest step — not machine-level closeness.
+    # As the bias a = a(s) -> 0 at the s = 1 edge, psi's exact s-slope (`_s_slope` on the mirror,
+    # as T2 reads it) is 1 + K/ln(1/a) + O(a ln(1/a)), K = ln(((k-1)(1-b) + 1)/sqrt(k)), b = b(t):
+    # a finite K gives the limit 1.  The closed-form K shares no code with `_dd2_slope`.
+    mirror, k = _mirror(ctx.params), ctx.params.k
     for t in _B_T:
-        base = float(psi(1.0, t, ctx.params))
-        quotients = [
-            (base - float(psi(1.0 - eps, t, ctx.params))) / eps
-            for eps in (1e-4, 1e-5, 1e-6, 1e-7)
-        ]
-        if ctx.fault == "B" and t == _B_T[0]:
-            quotients[-1] += 0.1
-        gaps = [abs(qv - 1.0) for qv in quotients]
-        witness = {"check": "psi_slope", "t": t, "quotients": quotients}
-        yield gaps[-1] - ctx.tol["boundary_slope"], witness
-        for cur, nxt in zip(gaps, gaps[1:]):
-            yield nxt - cur, witness
+        b = float(d2_inv(t))
+        limit = math.log(((k - 1.0) * (1.0 - b) + 1.0) / math.sqrt(k))
+        for a in (1e-12, 1e-16):
+            slope = float(_s_slope(a, b, mirror))
+            if ctx.fault == "B" and t == _B_T[0]:
+                slope += 0.1
+            witness = {"check": "psi_slope", "t": t, "a": a, "slope": slope, "K": limit}
+            yield abs((slope - 1.0) * math.log(1.0 / a) - limit) - ctx.tol["slope"], witness
     for p, q in _B_PQ:
         for t in _B_T:
             g_edge = float(phi(1.0, t, ctx.params)) - 1.0 / p - t / q

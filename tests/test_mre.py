@@ -2,6 +2,7 @@
 
 import math
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -262,6 +263,21 @@ def test_dd2_slope_at_an_empty_cell_is_silent():
     slope_0d, curvature_0d = _dd2_slope(np.float64(0.0), np.float64(0.2), RHO)
     assert np.ndim(slope_0d) == np.ndim(curvature_0d) == 0
     assert (slope_0d, curvature_0d) == (slope[1], curvature[1])
+
+
+@pytest.mark.parametrize("rho", [1.0001e-6, 1e-4, 0.5, 0.9, 0.9999, 0.999998])
+def test_dd2_slope_at_a_near_empty_cell_is_silent(rho):
+    # a subnormal a leaves q10 or q11 subnormal, and its reciprocal overflows
+    # to inf; the curvature then takes its a = 0 form, and nothing may warn
+    b = float(d2_inv(0.2))
+    points = [(5e-324, b, source) for source in (DsbsParams(rho), _mirror(DsbsParams(rho)))]
+    if rho == 0.9999:
+        points.append((b, 1e-300, _mirror(DsbsParams(rho))))  # q11 = p* is subnormal here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b_, source in points:
+            slope, curvature = _dd2_slope(a, b_, source)
+            assert math.isfinite(slope) and math.isfinite(curvature), (a, b_, source.rho)
 
 
 @pytest.mark.parametrize("fn", [dd2_value, p_star], ids=["dd2_value", "p_star"])
