@@ -269,6 +269,48 @@ def _q_slope(a, x, q, source: DsbsParams, sign: float):
         return sign * (d2_slope / q - slope), sign * (curvature - d2_curvature / q)
 
 
+def _convex_grid_argmin(a_rows, q_rows, params: DsbsParams):
+    """Seed-grid argmin index and value of ``dd2(a, b_k) - d2(b_k)/q`` per row, for q < 0.
+
+    The objective is convex in b (dd2 is jointly convex, and so is d2), so
+    its slope in ``x = -b`` (`_q_slope`) rises along the grid.  Each row
+    keeps ``lo`` at a point of negative slope (or the sentinel -1) and
+    ``hi`` at a point of slope >= 0 (or the b = 0 end, whose slope is never
+    evaluated), and cuts the points strictly between them at
+    ``ceil(sqrt(_T_GRID_N))`` - 1 evenly spread indices per round; two
+    rounds leave ``lo`` and ``hi`` adjacent.  The argmin is then one of
+    the two, the first on a tie, and its value takes the same float
+    operations as a cell of `_q_opt`'s table.  The slope kernel holds about
+    a dozen temporaries, more than `dd2_value`, so a chunk of rows
+    evaluates about a quarter of the element budget ``_BLOCK_ELEMS`` per
+    round.
+    """
+    x_grid, d2_grid = _seed_grid()
+    fan = math.isqrt(_T_GRID_N - 1) + 1  # fan**2 >= _T_GRID_N: two rounds suffice
+    m = np.arange(1, fan)
+    best_idx = np.empty(a_rows.size, dtype=int)
+    best_val = np.empty(a_rows.size)
+    step = _rows_per_chunk(4 * fan)
+    for start in range(0, a_rows.size, step):
+        rows = slice(start, min(start + step, a_rows.size))
+        a, q = a_rows[rows, None], q_rows[rows, None]
+        r = np.arange(a.size)
+        ends = np.empty((a.size, fan + 1), dtype=int)  # lo, the cuts, hi
+        ends[:, 0], ends[:, -1] = -1, _T_GRID_N - 1
+        rising = np.ones((a.size, fan), dtype=bool)  # its last column stands for hi
+        for _ in range(2):
+            lo, hi = ends[:, :1], ends[:, -1:]
+            ends[:, 1:-1] = lo + 1 + (hi - lo - 1) * m // fan
+            np.greater_equal(_q_slope(a, x_grid[ends[:, 1:-1]], q, params, 1.0)[0], 0.0, out=rising[:, :-1])
+            first = np.argmax(rising, axis=1)  # the first cut of slope >= 0 becomes hi
+            ends[:, 0], ends[:, -1] = ends[r, first], ends[r, first + 1]
+        pair = np.maximum(ends[:, [0, -1]], 0)
+        vals = dd2_value(a, -x_grid[pair], params) - d2_grid[pair] / q
+        pick = np.argmin(vals, axis=1)
+        best_idx[rows], best_val[rows] = pair[r, pick], vals[r, pick]
+    return best_idx, best_val
+
+
 def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     """Optimize ``t -> phi(s, t) - t/q`` or psi's per point of ``s``, for every q in ``qs``.
 
@@ -279,23 +321,33 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     its mirror.  The search runs in bias coordinates, where t comes in closed
     form: with ``b = d2_inv(t)`` in [0, 1/2] the objective is
     ``dd2(a, b) - d2(b)/q``, so ``d2_inv`` is solved once per process, for
-    the 2001-point seeding grid ``b_k = d2_inv(k/2000)`` (which guards
-    against missed basins).  The surface term ``dd2(a, b_k)`` does not
-    depend on q: each chunk of rows evaluates it once as a table, and every
-    q scores its grid cells from that table, in one reused buffer.  A chunk
-    holds as many rows as fit the element budget ``_BLOCK_ELEMS``, so
-    that the table, the score buffer and the surface kernel's temporaries
-    stay in L2 cache.  The winning cell of every (q, point) pair is then
-    refined on the closed-form derivative of the same function of b
-    (`_q_slope`), all q at once: one lockstep safeguarded Newton call
-    (`newton_root_vec`), each pair on the bracket of its two neighbouring
-    grid points, in the search variable ``x = -b`` (exact, and increasing
-    in t), and one evaluation of the refined points.  The sign of the
-    derivative at the grid point picks the half-cell that holds a local
-    minimum (the grid point is the grid's argmin).  A row whose derivative
-    there is 0 or not finite (at ``b = 0``), or whose finite derivative at
-    the far end of that half-cell shows no sign change, keeps its grid
-    point; a NaN at ``b = 0`` as the far end does not stop the search.
+    the 2001-point seeding grid ``b_k = d2_inv(k/2000)``.  For phi with
+    q < 0 the objective is convex in b (dd2 is jointly convex, and so is
+    d2): it has one basin, so a call of two or more points whose every q
+    is of that kind needs no guard against missed basins, and finds each
+    grid argmin by a bracket on the slope (`_convex_grid_argmin`), with
+    no table.  Every other call (psi, phi with some q > 0, or a single
+    point, where one table costs less than the bracket's three kernel
+    calls) evaluates the surface term ``dd2(a, b_k)``, which does not
+    depend on q, once per chunk of rows as a table, and every q scores its
+    grid cells from that table, in one reused buffer.  A chunk holds as
+    many rows as fit the element budget ``_BLOCK_ELEMS``, so that the
+    table, the score buffer and the surface kernel's temporaries stay in
+    L2 cache.  Both routes give the same grid argmin and value, bit for
+    bit.  The winning cell of every (q, point) pair is then refined on the
+    closed-form derivative of the same function of b (`_q_slope`), all q
+    at once: one lockstep safeguarded Newton call (`newton_root_vec`),
+    each pair on the bracket of its two neighbouring grid points, in the
+    search variable ``x = -b`` (exact, and increasing in t), and one
+    evaluation of the refined points.  The sign of the derivative at the
+    grid point picks the half-cell that holds a local minimum (the grid
+    point is the grid's argmin).  A convex row won by the ``b = 0`` end
+    starts from its interior neighbour instead: its derivative in b tends
+    to -inf as b -> 0, so the optimum lies strictly inside the last cell.
+    Any other row whose derivative at the grid point is 0 or not finite
+    (at ``b = 0``), or whose finite derivative at the far end of that
+    half-cell shows no sign change, keeps its grid point; a NaN at
+    ``b = 0`` as the far end does not stop the search.
     Rows freeze at their own convergence, so a row of a batched call equals
     the one-q call bit for bit.  The reported argmin is ``d2(b_opt)``.
     ``s`` and every q are validated here, for all callers: a q of size below
@@ -304,7 +356,10 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     The objective is flat at its optimum but its derivative is not, so the
     argmin is as precise as the value: against 40-digit mpmath, t is within
     1e-13 of the exact argmin and the value within 1e-14 of the optimum
-    (measured at most 3.5e-15 and 7.2e-16 on eight phi and psi settings).
+    (measured at most 1.6e-16 and 1.6e-15 on nine phi and psi settings,
+    one of them phi's last cell at rho 0.999998).  For psi and for phi with
+    q > 0 an optimum inside the last cell is not searched: the grid end is
+    kept, which misses by up to 1.6e-6 (psi, q = 0.5, rho 0.999998).
 
     Ties resolve to the smallest t: the grid argmin takes the first index,
     and the grid candidate wins unless the Newton point is strictly better.
@@ -318,45 +373,53 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     source, sign = (params, 1.0) if kind == "phi" else (_mirror(params), -1.0)
     a_axis = np.asarray(d2_inv(s_vals))
     x_grid, d2_grid = _seed_grid()
-    b_grid = -x_grid
-
+    # flat row i is the pair (q index i // n, point i % n)
     shape = (len(qs), s_vals.size)
-    best_val = np.empty(shape)
-    best_idx = np.empty(shape, dtype=int)
-    d2_over_q = [d2_grid / q for q in qs]
-    step = _rows_per_chunk(_T_GRID_N)
-    score = np.empty((min(step, s_vals.size), _T_GRID_N))
-    for start in range(0, s_vals.size, step):
-        rows = slice(start, min(start + step, s_vals.size))
-        table = dd2_value(a_axis[rows, None], b_grid[None, :], source)
-        block = score[: table.shape[0]]
-        for k in range(len(qs)):
-            np.subtract(table, d2_over_q[k], out=block)
-            if sign < 0.0:
-                np.negative(block, out=block)
-            best_idx[k, rows] = np.argmin(block, axis=1)
-            best_val[k, rows] = np.take_along_axis(block, best_idx[k, rows, None], axis=1)[:, 0]
-    table = block = score = None  # freed before the refinement: peak memory
-    values = sign * best_val
-    t_opt = d2_grid[best_idx]
-    # flat row i of the refinement is the pair (q index i // n, point i % n)
-    best_idx = best_idx.ravel()
     q_rows = np.repeat(np.asarray(qs, dtype=float), s_vals.size)
     a_rows = np.tile(a_axis, len(qs))
+    convex = (q_rows < 0.0) & (kind == "phi")
+
+    # the bracket pays three kernel calls per chunk of rows where the table
+    # pays one: a single point keeps the table, which is cheaper there
+    if convex.all() and s_vals.size > 1:
+        best_idx, best_val = _convex_grid_argmin(a_rows, q_rows, source)
+    else:
+        best_val = np.empty(shape)
+        best_idx = np.empty(shape, dtype=int)
+        d2_over_q = [d2_grid / q for q in qs]
+        step = _rows_per_chunk(_T_GRID_N)
+        score = np.empty((min(step, s_vals.size), _T_GRID_N))
+        for start in range(0, s_vals.size, step):
+            rows = slice(start, min(start + step, s_vals.size))
+            table = dd2_value(a_axis[rows, None], -x_grid[None, :], source)
+            block = score[: table.shape[0]]
+            for k in range(len(qs)):
+                np.subtract(table, d2_over_q[k], out=block)
+                if sign < 0.0:
+                    np.negative(block, out=block)
+                best_idx[k, rows] = np.argmin(block, axis=1)
+                best_val[k, rows] = np.take_along_axis(block, best_idx[k, rows, None], axis=1)[:, 0]
+        table = block = score = None  # freed before the refinement: peak memory
+        best_idx, best_val = best_idx.ravel(), best_val.ravel()
+    values = sign * best_val
+    t_opt = d2_grid[best_idx]
+    # a convex row won by the b = 0 end starts from its interior neighbour:
+    # its slope there is finite and negative, and +inf at b = 0
+    end = convex & (best_idx == _T_GRID_N - 1)
     x_ref, refined = newton_root_vec(
         lambda x, rows: _q_slope(a_rows[rows], x, q_rows[rows], source, sign),
         x_grid[np.maximum(best_idx - 1, 0)],
         x_grid[np.minimum(best_idx + 1, _T_GRID_N - 1)],
-        x_grid[best_idx],
+        x_grid[best_idx - end],
     )
     idx = np.flatnonzero(refined)
     b_ref = -x_ref[idx]
     d2_ref = np.asarray(d2(b_ref))
     f_ref = sign * (dd2_value(a_rows[idx], b_ref, source) - d2_ref / q_rows[idx])
-    better = f_ref < best_val.ravel()[idx]
-    values.flat[idx[better]] = sign * f_ref[better]
-    t_opt.flat[idx[better]] = d2_ref[better]
-    return values, t_opt
+    better = f_ref < best_val[idx]
+    values[idx[better]] = sign * f_ref[better]
+    t_opt[idx[better]] = d2_ref[better]
+    return values.reshape(shape), t_opt.reshape(shape)
 
 
 def phi_q_full(s, qp: QParam, params: DsbsParams):

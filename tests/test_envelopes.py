@@ -32,6 +32,7 @@ from dsbs_envelopes import (
 )
 from dsbs_envelopes import envelopes
 from dsbs_envelopes.envelopes import _phi_tilde_oracle_lattice
+from dsbs_envelopes.mre import dd2_value
 from test_binary import _typed_fields
 from test_hulls import _midpoint_oracle_2d
 from test_mre import _dd2_mp
@@ -286,19 +287,77 @@ def test_q_family_rows_match_one_q_calls(monkeypatch, kind, qs):
     assert ref_points["1-element"][0][0].shape == (1,)
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_q_opt_peak_memory_stays_within_the_element_budget():
     # The element budget sizes _q_opt's own chunks (the surface table, the
     # score buffer and the kernel's temporaries), so a 501-point family of
-    # two q values peaks at a few of those chunks, not at 501 x 2001 tables.
+    # three q values peaks at a few of those chunks, not at 501 x 2001
+    # tables.  The q = 1 row makes the call build the table.
     envelopes._seed_grid()  # built once per process, outside a call's working set
     s = np.linspace(0.0, 1.0, 501)
-    tracemalloc.start()
-    try:
-        envelopes._q_opt(s, (-2.0, -10.0), DsbsParams(0.9), kind="phi")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: envelopes._q_opt(s, (-2.0, -10.0, 1.0), DsbsParams(0.9), kind="phi"))
     assert peak <= 4_000_000
+
+
+def test_convex_q_opt_peaks_well_below_the_table_budget():
+    # a family of q < 0 only builds no table: its slope bracket evaluates
+    # about a quarter of the element budget per chunk (measured 1.1 MB)
+    envelopes._seed_grid()
+    s = np.linspace(0.0, 1.0, 501)
+    peak = _traced_peak(lambda: envelopes._q_opt(s, (-2.0, -10.0), DsbsParams(0.9), kind="phi"))
+    assert peak <= 1_500_000
+
+
+_CONVEX_QS = (-1e-3, -0.5, -2.0, -10.0, -1e3)
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.01, 0.5, 0.9, 0.99, 0.9999, 0.999998])
+def test_convex_bracket_finds_the_table_argmin(rho):
+    # phi's objective is convex in b for q < 0, so the slope bracket lands
+    # on the seeding table's argmin (the first on a tie) and reads the
+    # table's value bit for bit, at every point of both verify axes
+    params = DsbsParams(rho)
+    x_grid, d2_grid = envelopes._seed_grid()
+    for n in (101, 501):
+        a = np.asarray(d2_inv(np.linspace(0.0, 1.0, n)))
+        table = envelopes._outer_eval(
+            n, x_grid.size, lambda rows: dd2_value(a[rows, None], -x_grid[None, :], params)
+        )
+        for q in _CONVEX_QS:
+            scores = table - d2_grid / q
+            want = np.argmin(scores, axis=1)
+            idx, val = envelopes._convex_grid_argmin(a, np.full(n, q), params)
+            assert np.array_equal(idx, want), (n, q, np.flatnonzero(idx != want))
+            assert np.array_equal(val, scores[np.arange(n), want]), (n, q)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.999998])
+def test_convex_rows_match_the_table_route(rho):
+    # a q > 0 in the call makes every row read the table; the q < 0 rows
+    # come out bit-identical to the bracket's, the b = 0 end cell included
+    s = np.linspace(0.0, 1.0, 101)
+    values, t_opt = envelopes._q_opt(s, (-2.0, -10.0), DsbsParams(rho), kind="phi")
+    mixed_values, mixed_t = envelopes._q_opt(s, (-2.0, -10.0, 1.0), DsbsParams(rho), kind="phi")
+    assert np.array_equal(values, mixed_values[:2]) and np.array_equal(t_opt, mixed_t[:2])
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.5, 0.999998])
+def test_convex_bracket_raises_no_warning(rho):
+    # the bracket never evaluates the slope at b = 0, so no log 0 leaks,
+    # from s = 0 (a = 1/2) to s = 1 (a = 0) and over six decades of q
+    s = np.linspace(0.0, 1.0, 501)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, t_opt = envelopes._q_opt(s, _CONVEX_QS, DsbsParams(rho), kind="phi")
+    assert np.all(np.isfinite(values)) and np.all((0.0 <= t_opt) & (t_opt <= 1.0))
 
 
 def _q_family_mp(kind, s, q, rho, b_start):
@@ -306,14 +365,15 @@ def _q_family_mp(kind, s, q, rho, b_start):
 
     The optimum is the root of the objective's numerical derivative in b
     (mpmath's own differencing, not the closed-form slope), with a solved
-    from d2(a) = s and t = d2(b*).
+    from d2(a) = s (a = 0 at s = 1, where d2 has no finite slope) and
+    t = d2(b*).
     """
     def d2_mp(x):  # the secant steps of findroot may leave (0, 1) for a moment
         return 1 + (x * mpmath.log(x) + (1 - x) * mpmath.log(1 - x)) / mpmath.log(2)
 
     with mpmath.workdps(40):
         s = mpmath.mpf(s)
-        a = mpmath.findroot(lambda x: d2_mp(x) - s, mpmath.mpf(d2_inv(float(s))))
+        a = mpmath.mpf(0) if s == 1 else mpmath.findroot(lambda x: d2_mp(x) - s, mpmath.mpf(d2_inv(float(s))))
 
         def objective(b):
             return _dd2_mp(a, b if kind == "phi" else 1 - b, rho) - d2_mp(b) / q
@@ -334,6 +394,8 @@ def _q_family_mp(kind, s, q, rho, b_start):
         ("psi", 0.8, 0.75, 0.9),
         # the grid winner is t = 0.9995, next to b = 0 where the slope is NaN
         ("psi", 0.19069710262066564, 0.75, 0.9591042155889811),
+        # the grid winner is the b = 0 end itself; the optimum lies in the last cell
+        ("phi", 1.0, -10.0, 0.999998),
     ],
 )
 def test_q_family_argmin_against_mpmath(kind, s, q, rho):

@@ -125,7 +125,9 @@ def test_q_family_rows_converge_by_newton(monkeypatch):
     # that rounds onto its bracket end must count as converged: taken as a
     # failed Newton step, it sent rows into 30-45 bisections.  The psi rows
     # need their slope to keep its digits as b nears 0 (the mirrored
-    # source).  Each _q_opt call refines every q in one solver call
+    # source).  Each _q_opt call refines every q in one solver call.  At
+    # rho 0.999998 the q = -10 row at s = 1 is won by the b = 0 end and
+    # starts from its interior neighbour, toward the infinite slope at b = 0
     s = np.linspace(0.0, 1.0, 101)
     most = []
 
@@ -140,7 +142,9 @@ def test_q_family_rows_converge_by_newton(monkeypatch):
         params = DsbsParams(rho)
         envelopes._q_opt(s, (1.0, 2.0, 10.0, -0.5, -2.0, -10.0), params, kind="phi")
         envelopes._q_opt(s, (0.25, 0.5, 0.75), params, kind="psi")
-    assert len(most) == 4 and max(most) <= 13
+    t_end = envelopes._q_opt(1.0, (-10.0,), DsbsParams(0.999998), kind="phi")[1]
+    assert len(most) == 5 and max(most) <= 13
+    assert 0.9995 < t_end[0, 0] < 1.0  # inside the last cell [1999/2000, 1]
 
 
 def test_infinite_derivative_at_b_zero_raises_no_warning():

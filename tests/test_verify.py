@@ -105,11 +105,10 @@ def test_json_round_trip_and_schema(healthy_report):
 
 
 # the claims that fail on healthy code at each rho: H's fixed forward
-# settings stop being hypercontractive from rho = 0.93, and T3 trips on
-# `_q_opt`'s last seeding cell at 0.999998 (ROADMAP item 1).  Mending either
-# must update this table.
+# settings stop being hypercontractive from rho = 0.93 (ROADMAP item 1).
+# Mending it must update this table.
 FAILING_AT_RHO = {
-    1e-4: [], 0.01: [], 0.5: [], 0.9: [], 0.99: ["H"], 0.9999: ["H"], 0.999998: ["T3", "H"],
+    1e-4: [], 0.01: [], 0.5: [], 0.9: [], 0.99: ["H"], 0.9999: ["H"], 0.999998: ["H"],
 }
 
 
@@ -121,10 +120,16 @@ def test_surface_claims_hold_at_every_rho(rho):
 
 
 @pytest.mark.parametrize("rho", [1e-4, 0.999998])
-def test_b_fault_trips_b_at_the_ends_of_the_rho_range(rho):
-    # B's exact edge slope holds at every rho, so its planted fault shows at both ends
-    report = verify_all(DsbsParams(rho), grid_n=101, options=FAST, inject_fault="B")
-    assert [c.claim_id for c in report.claims if not c.passed] == FAILING_AT_RHO[rho] + ["B"]
+def test_every_fault_trips_its_claim_at_the_ends_of_the_rho_range(rho):
+    # each planted fault shows on top of the claims that fail on healthy
+    # code: B's against its exact edge slope, L2's as a step down from its
+    # neighbour, where psi's own steps at high rho exceed the 0.01 it plants
+    for fault in CLAIM_IDS:
+        if fault == "H" and rho * rho <= 0.04:
+            continue  # H's fault at r = 0.04 trips only where rho^2 > r (ROADMAP item 1)
+        report = verify_all(DsbsParams(rho), grid_n=101, options=FAST, inject_fault=fault)
+        failed = {c.claim_id for c in report.claims if not c.passed}
+        assert failed == {*FAILING_AT_RHO[rho], fault}, (fault, failed)
 
 
 def test_fault_injection_trips_exactly_one_claim():
