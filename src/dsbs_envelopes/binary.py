@@ -331,6 +331,3 @@ class Coupling2x2:
         if abs(total - 1.0) > 1e-12:
             raise InputDomainError(f"coupling cells sum to {total!r}, expected 1")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q00, self.q01, self.q10, self.q11])
-

@@ -273,42 +273,28 @@ def _convex_grid_argmin(a_rows, q_rows, params: DsbsParams):
     """Seed-grid argmin index and value of ``dd2(a, b_k) - d2(b_k)/q`` per row, for q < 0.
 
     The objective is convex in b (dd2 is jointly convex, and so is d2), so
-    its slope in ``x = -b`` (`_q_slope`) rises along the grid.  Each row
-    keeps ``lo`` at a point of negative slope (or the sentinel -1) and
-    ``hi`` at a point of slope >= 0 (or the b = 0 end, whose slope is never
-    evaluated), and cuts the points strictly between them at
-    ``ceil(sqrt(_T_GRID_N))`` - 1 evenly spread indices per round; two
-    rounds leave ``lo`` and ``hi`` adjacent.  The argmin is then one of
-    the two, the first on a tie, and its value takes the same float
-    operations as a cell of `_q_opt`'s table.  The slope kernel holds about
-    a dozen temporaries, more than `dd2_value`, so a chunk of rows
-    evaluates about a quarter of the element budget ``_BLOCK_ELEMS`` per
-    round.
+    its slope in ``x = -b`` (`_q_slope`) rises along the grid and changes
+    sign at most once.  A lockstep binary search finds that change: each
+    row keeps ``lo`` at a point of negative slope (or -1 before one is
+    seen) and ``hi`` at a point of slope >= 0 (or the b = 0 end, whose
+    slope is never evaluated), and halves the gap while it exceeds 1.  The argmin is then
+    ``lo`` or ``hi``, the first on a tie, and its value takes the same
+    float operations as a cell of `_q_opt`'s table.
     """
     x_grid, d2_grid = _seed_grid()
-    fan = math.isqrt(_T_GRID_N - 1) + 1  # fan**2 >= _T_GRID_N: two rounds suffice
-    m = np.arange(1, fan)
-    best_idx = np.empty(a_rows.size, dtype=int)
-    best_val = np.empty(a_rows.size)
-    step = _rows_per_chunk(4 * fan)
-    for start in range(0, a_rows.size, step):
-        rows = slice(start, min(start + step, a_rows.size))
-        a, q = a_rows[rows, None], q_rows[rows, None]
-        r = np.arange(a.size)
-        ends = np.empty((a.size, fan + 1), dtype=int)  # lo, the cuts, hi
-        ends[:, 0], ends[:, -1] = -1, _T_GRID_N - 1
-        rising = np.ones((a.size, fan), dtype=bool)  # its last column stands for hi
-        for _ in range(2):
-            lo, hi = ends[:, :1], ends[:, -1:]
-            ends[:, 1:-1] = lo + 1 + (hi - lo - 1) * m // fan
-            np.greater_equal(_q_slope(a, x_grid[ends[:, 1:-1]], q, params, 1.0)[0], 0.0, out=rising[:, :-1])
-            first = np.argmax(rising, axis=1)  # the first cut of slope >= 0 becomes hi
-            ends[:, 0], ends[:, -1] = ends[r, first], ends[r, first + 1]
-        pair = np.maximum(ends[:, [0, -1]], 0)
-        vals = dd2_value(a, -x_grid[pair], params) - d2_grid[pair] / q
-        pick = np.argmin(vals, axis=1)
-        best_idx[rows], best_val[rows] = pair[r, pick], vals[r, pick]
-    return best_idx, best_val
+    lo = np.full(a_rows.size, -1)
+    hi = np.full(a_rows.size, _T_GRID_N - 1)
+    live = np.arange(a_rows.size)  # the rows whose gap still exceeds 1
+    while live.size:
+        mid = (lo[live] + hi[live]) // 2
+        rising = _q_slope(a_rows[live], x_grid[mid], q_rows[live], params, 1.0)[0] >= 0.0
+        hi[live[rising]], lo[live[~rising]] = mid[rising], mid[~rising]
+        live = live[hi[live] - lo[live] > 1]
+    pair = np.maximum(np.stack([lo, hi], axis=1), 0)
+    vals = dd2_value(a_rows[:, None], -x_grid[pair], params) - d2_grid[pair] / q_rows[:, None]
+    pick = np.argmin(vals, axis=1)
+    r = np.arange(a_rows.size)
+    return pair[r, pick], vals[r, pick]
 
 
 def _q_opt(s, qs, params: DsbsParams, *, kind: str):
@@ -323,14 +309,15 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     ``dd2(a, b) - d2(b)/q``, so ``d2_inv`` is solved once per process, for
     the 2001-point seeding grid ``b_k = d2_inv(k/2000)``.  For phi with
     q < 0 the objective is convex in b (dd2 is jointly convex, and so is
-    d2): it has one basin, so a call of two or more points whose every q
-    is of that kind needs no guard against missed basins, and finds each
-    grid argmin by a bracket on the slope (`_convex_grid_argmin`), with
-    no table.  Every other call (psi, phi with some q > 0, or a single
-    point, where one table costs less than the bracket's three kernel
-    calls) evaluates the surface term ``dd2(a, b_k)``, which does not
-    depend on q, once per chunk of rows as a table, and every q scores its
-    grid cells from that table, in one reused buffer.  A chunk holds as
+    d2): its slope changes sign at most once along the grid, so a call of
+    two or more points whose every q is of that kind needs no guard against
+    missed basins, and finds each grid argmin by a binary search on the
+    sign of the slope (`_convex_grid_argmin`), with no table.  Every other
+    call (psi, phi with some q > 0, or a single point, where one table
+    costs less than the search's up to 11 rounds of slope calls) evaluates
+    the surface term ``dd2(a, b_k)``, which does not depend on q, once per
+    chunk of rows as a table, and every q scores its grid cells from that
+    table, in one reused buffer.  A chunk holds as
     many rows as fit the element budget ``_BLOCK_ELEMS``, so that the
     table, the score buffer and the surface kernel's temporaries stay in
     L2 cache.  Both routes give the same grid argmin and value, bit for
@@ -349,20 +336,26 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     half-cell shows no sign change, keeps its grid point; a NaN at
     ``b = 0`` as the far end does not stop the search.
     Rows freeze at their own convergence, so a row of a batched call equals
-    the one-q call bit for bit.  The reported argmin is ``d2(b_opt)``.
+    the one-q call bit for bit.  The value is the lesser of the grid's and
+    the refined point's.  The reported argmin is ``d2`` of the refined
+    point unless its value is worse than the grid's by more than rounding
+    (8 ulps of ``1 + |value|``), and of the grid point otherwise: at a flat
+    optimum the two values tie, and only the root is precise in t.
     ``s`` and every q are validated here, for all callers: a q of size below
     1e-300, where ``d2/q`` would overflow, is refused like q = 0.
 
     The objective is flat at its optimum but its derivative is not, so the
     argmin is as precise as the value: against 40-digit mpmath, t is within
     1e-13 of the exact argmin and the value within 1e-14 of the optimum
-    (measured at most 1.6e-16 and 1.6e-15 on nine phi and psi settings,
-    one of them phi's last cell at rho 0.999998).  For psi and for phi with
-    q > 0 an optimum inside the last cell is not searched: the grid end is
-    kept, which misses by up to 1.6e-6 (psi, q = 0.5, rho 0.999998).
+    (measured at most 2.0e-16 and 1.6e-15 on twelve phi and psi settings,
+    among them phi's last cell at rho 0.999998 and three optima that tie a
+    grid point's value, where the grid's t is up to 1.4e-8 off).  For psi
+    and for phi with q > 0 an optimum inside the last cell is not searched:
+    the grid end is kept, which misses by up to 1.6e-6 (psi, q = 0.5,
+    rho 0.999998).
 
-    Ties resolve to the smallest t: the grid argmin takes the first index,
-    and the grid candidate wins unless the Newton point is strictly better.
+    Ties on the grid resolve to the smallest t: the grid argmin takes the
+    first index.
     """
     tiny = [q for q in qs if abs(q) < _RECIPROCAL_FLOOR]
     if tiny:
@@ -379,8 +372,8 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     a_rows = np.tile(a_axis, len(qs))
     convex = (q_rows < 0.0) & (kind == "phi")
 
-    # the bracket pays three kernel calls per chunk of rows where the table
-    # pays one: a single point keeps the table, which is cheaper there
+    # the search pays up to 11 rounds of slope calls where the table pays one
+    # kernel call: a single point keeps the table, which is cheaper there
     if convex.all() and s_vals.size > 1:
         best_idx, best_val = _convex_grid_argmin(a_rows, q_rows, source)
     else:
@@ -418,7 +411,12 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     f_ref = sign * (dd2_value(a_rows[idx], b_ref, source) - d2_ref / q_rows[idx])
     better = f_ref < best_val[idx]
     values[idx[better]] = sign * f_ref[better]
-    t_opt[idx[better]] = d2_ref[better]
+    # at a flat optimum the Newton root can tie the grid value within its
+    # rounding yet lie closer to the exact argmin, so its t is reported
+    # there too.  dd2 sums cell terms of size up to about 1, so the rounding
+    # is absolute at that scale: 8 ulps of 1 + |value|
+    level = f_ref <= best_val[idx] + 8.0 * np.spacing(1.0 + np.abs(best_val[idx]))
+    t_opt[idx[level]] = d2_ref[level]
     return values.reshape(shape), t_opt.reshape(shape)
 
 

@@ -95,9 +95,6 @@ class GridFn:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def axis(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n)
-
 
 @dataclass(frozen=True)
 class ConvexityReport:

@@ -425,8 +425,9 @@ def _claim_h(ctx):
     # _gamma_extrema takes each sweep from (p, q); the labels name it in the witness
     settings = [(p, q, "forward_min") for (p, q) in _H_FORWARD]
     settings += [(p, q, "reverse_max") for (p, q) in _H_REVERSE]
-    if ctx.fault == "H":
-        settings.append((1.2, 1.2, "forward_min"))
+    if ctx.fault == "H":  # r = rho^2/2, below the regime's rho^2 at every rho
+        p_fault = 1.0 + ctx.params.rho / math.sqrt(2.0)
+        settings.append((p_fault, p_fault, "forward_min"))
     qps = [QParam(p, q) for p, q, _ in settings]
     extrema = _gamma_extrema(qps, ctx.params, _H_GAMMA_N)
     for (p, q, problem), qp, ext in zip(settings, qps, extrema):

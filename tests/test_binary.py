@@ -275,7 +275,7 @@ def test_dsbs_params_rejects_degenerate_rho():
 
 def test_coupling_marginals_and_validation():
     q = Coupling2x2(0.4, 0.1, 0.2, 0.3)
-    np.testing.assert_allclose(q.as_array(), [0.4, 0.1, 0.2, 0.3])
+    assert dataclasses.astuple(q) == (0.4, 0.1, 0.2, 0.3)
     with pytest.raises(InputDomainError):
         Coupling2x2(0.5, 0.5, 0.5, 0.5)
 

@@ -308,12 +308,29 @@ def test_q_opt_peak_memory_stays_within_the_element_budget():
 
 
 def test_convex_q_opt_peaks_well_below_the_table_budget():
-    # a family of q < 0 only builds no table: its slope bracket evaluates
-    # about a quarter of the element budget per chunk (measured 1.1 MB)
+    # a family of q < 0 only builds no table: its binary search holds a few
+    # arrays of one entry per row (measured 0.52 MB)
     envelopes._seed_grid()
     s = np.linspace(0.0, 1.0, 501)
     peak = _traced_peak(lambda: envelopes._q_opt(s, (-2.0, -10.0), DsbsParams(0.9), kind="phi"))
-    assert peak <= 1_500_000
+    assert peak <= 750_000
+
+
+def test_convex_search_takes_at_most_eleven_rounds(monkeypatch):
+    # the binary search halves every row's gap of 2001 seed points per
+    # round, and only rows still open call the slope: ceil(log2 2001) = 11
+    calls = []
+    slope = envelopes._q_slope
+
+    def spy(a, x, q, source, sign):
+        calls.append(np.size(x))
+        return slope(a, x, q, source, sign)
+
+    monkeypatch.setattr(envelopes, "_q_slope", spy)
+    a = np.asarray(d2_inv(np.linspace(0.0, 1.0, 501)))
+    envelopes._convex_grid_argmin(a, np.full(501, -2.0), DsbsParams(0.9))
+    assert 0 < len(calls) <= 11
+    assert all(0 < size <= 501 for size in calls)
 
 
 _CONVEX_QS = (-1e-3, -0.5, -2.0, -10.0, -1e3)
@@ -321,12 +338,15 @@ _CONVEX_QS = (-1e-3, -0.5, -2.0, -10.0, -1e3)
 
 @pytest.mark.parametrize("rho", [1e-4, 0.01, 0.5, 0.9, 0.99, 0.9999, 0.999998])
 def test_convex_bracket_finds_the_table_argmin(rho):
-    # phi's objective is convex in b for q < 0, so the slope bracket lands
+    # phi's objective is convex in b for q < 0, so the binary search lands
     # on the seeding table's argmin (the first on a tie) and reads the
-    # table's value bit for bit, at every point of both verify axes
+    # table's value bit for bit, at every point of the verify axes: fast
+    # verify's 101 and 501 points at every rho, and full verify's 2001
+    # points of L3 at two
+    axes = (101, 501, 2001) if rho in (0.9, 0.999998) else (101, 501)
     params = DsbsParams(rho)
     x_grid, d2_grid = envelopes._seed_grid()
-    for n in (101, 501):
+    for n in axes:
         a = np.asarray(d2_inv(np.linspace(0.0, 1.0, n)))
         table = envelopes._outer_eval(
             n, x_grid.size, lambda rows: dd2_value(a[rows, None], -x_grid[None, :], params)
@@ -342,7 +362,7 @@ def test_convex_bracket_finds_the_table_argmin(rho):
 @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999998])
 def test_convex_rows_match_the_table_route(rho):
     # a q > 0 in the call makes every row read the table; the q < 0 rows
-    # come out bit-identical to the bracket's, the b = 0 end cell included
+    # come out bit-identical to the search's, the b = 0 end cell included
     s = np.linspace(0.0, 1.0, 101)
     values, t_opt = envelopes._q_opt(s, (-2.0, -10.0), DsbsParams(rho), kind="phi")
     mixed_values, mixed_t = envelopes._q_opt(s, (-2.0, -10.0, 1.0), DsbsParams(rho), kind="phi")
@@ -351,7 +371,7 @@ def test_convex_rows_match_the_table_route(rho):
 
 @pytest.mark.parametrize("rho", [1e-4, 0.5, 0.999998])
 def test_convex_bracket_raises_no_warning(rho):
-    # the bracket never evaluates the slope at b = 0, so no log 0 leaks,
+    # the search never evaluates the slope at b = 0, so no log 0 leaks,
     # from s = 0 (a = 1/2) to s = 1 (a = 0) and over six decades of q
     s = np.linspace(0.0, 1.0, 501)
     with warnings.catch_warnings():
@@ -396,6 +416,13 @@ def _q_family_mp(kind, s, q, rho, b_start):
         ("psi", 0.19069710262066564, 0.75, 0.9591042155889811),
         # the grid winner is the b = 0 end itself; the optimum lies in the last cell
         ("phi", 1.0, -10.0, 0.999998),
+        # the grid point t = 0.1675 ties the Newton root's value within its
+        # rounding; the root lies 7.5e-9 away in t
+        ("phi", 0.8375, -100.0, 0.5),
+        ("psi", 0.5285, 0.25, 0.9999),  # the same tie, 1.4e-8 off at the grid point
+        # a tie beyond 8 ulps of the value 0.479 but within 8 ulps of 1; the
+        # grid's t is 7.7e-12 off
+        ("phi", 0.958, 2.0, 0.999998),
     ],
 )
 def test_q_family_argmin_against_mpmath(kind, s, q, rho):

@@ -53,7 +53,7 @@ def _legendre_envelope_2d(f: GridFn, n_slopes: int) -> np.ndarray:
     slope-spacing = (quotient range)/(n_slopes-1).
     """
     v = f.values
-    x = f.axis()
+    x = np.linspace(0.0, 1.0, f.n)
     n = v.shape[0]
     sx, sy = _legendre_slopes(f, n_slopes)
     # conj[a, b] = max_{i,j} sx_a x_i + sy_b x_j - v_ij, factorized per axis
@@ -134,8 +134,9 @@ def test_double_well_bridged():
     f = _grid2(lambda x, y: ((x - 0.2) * (x - 0.8)) ** 2 + (y - 0.5) ** 2)
     env = lower_convex_envelope(f)
     assert np.all(env.values <= f.values + 1e-12)
-    i = np.argmin(np.abs(f.axis() - 0.5))
-    np.testing.assert_allclose(env.values[i], (f.axis() - 0.5) ** 2, atol=1e-12)  # on the bridge
+    axis = np.linspace(0.0, 1.0, f.n)
+    i = np.argmin(np.abs(axis - 0.5))
+    np.testing.assert_allclose(env.values[i], (axis - 0.5) ** 2, atol=1e-12)  # on the bridge
     assert _midpoint_oracle_2d(env.values)[0] <= 1e-9
 
 
@@ -190,7 +191,8 @@ def test_affine_grid_is_its_own_envelope():
     # coplanar graph points: qhull refuses them, and an affine function is
     # returned unchanged as its own envelope
     f = _grid2(lambda x, y: 0.25 + 2.0 * x - 3.0 * y, n=11)
-    x, y = np.meshgrid(f.axis(), f.axis(), indexing="ij")
+    axis = np.linspace(0.0, 1.0, f.n)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
     with pytest.raises(QhullError):
         ConvexHull(np.column_stack([x.ravel(), y.ravel(), f.values.ravel()]))
     assert np.array_equal(lower_convex_envelope(f).values, f.values)

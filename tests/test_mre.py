@@ -1,5 +1,6 @@
 """Minimum-divergence surface: closed-form minimizer vs brute-force oracle."""
 
+import dataclasses
 import math
 import types
 import warnings
@@ -26,7 +27,7 @@ def kl_joint(q: Coupling2x2, params: DsbsParams) -> float:
     The oracle for ``dd2``: the source matrix has full support, so the
     result is always finite.
     """
-    qc = q.as_array()
+    qc = np.array(dataclasses.astuple(q))
     pc = params.joint_cells()
     return float(np.sum(xlogy(qc, qc / pc)) / math.log(2.0))
 

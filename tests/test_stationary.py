@@ -534,7 +534,7 @@ def test_forward_reconstruction_frozen():
     assert st_pt.s == pytest.approx(FWD_ST[0], abs=1e-12)
     assert st_pt.t == pytest.approx(FWD_ST[1], abs=1e-12)
     assert max(st_pt.residual_x, st_pt.residual_y) <= 1e-8
-    cells = st_pt.coupling.as_array()
+    cells = np.array(dataclasses.astuple(st_pt.coupling))
     np.testing.assert_allclose(
         cells,
         [0.994826177, 7.40752314e-4, 3.49390192e-3, 9.39168946e-4],

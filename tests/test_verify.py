@@ -123,10 +123,9 @@ def test_surface_claims_hold_at_every_rho(rho):
 def test_every_fault_trips_its_claim_at_the_ends_of_the_rho_range(rho):
     # each planted fault shows on top of the claims that fail on healthy
     # code: B's against its exact edge slope, L2's as a step down from its
-    # neighbour, where psi's own steps at high rho exceed the 0.01 it plants
+    # neighbour, where psi's own steps at high rho exceed the 0.01 it plants,
+    # and H's at r = rho^2/2, outside the regime however small rho is
     for fault in CLAIM_IDS:
-        if fault == "H" and rho * rho <= 0.04:
-            continue  # H's fault at r = 0.04 trips only where rho^2 > r (ROADMAP item 1)
         report = verify_all(DsbsParams(rho), grid_n=101, options=FAST, inject_fault=fault)
         failed = {c.claim_id for c in report.claims if not c.passed}
         assert failed == {*FAILING_AT_RHO[rho], fault}, (fault, failed)
