@@ -235,6 +235,9 @@ def _slope_field(axis, params: DsbsParams, *, kind: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _T_GRID_N = 2001
+# Seed-grid cells per block of `_bound_grid_argmin`, about sqrt(_T_GRID_N):
+# 50 blocks, so that both grid ends are block ends
+_SEED_BLOCK = 40
 
 
 @functools.lru_cache(maxsize=1)
@@ -297,6 +300,98 @@ def _convex_grid_argmin(a_rows, q_rows, params: DsbsParams):
     return pair[r, pick], vals[r, pick]
 
 
+def _block_bounds(score_end, terms, width):
+    """Lower bound of the score on each block between consecutive block ends, shape (..., ends - 1).
+
+    ``terms`` are the (coefficient, value, b-slope) triples, at the block
+    ends, of the score's convex and concave terms, and ``score_end`` is
+    their sum there.  Each term joins the convex part g or the concave part
+    h by the sign of its coefficient.  On a block, g lies above its tangent
+    at either end and h above its chord, so the tangent at one end plus the
+    chord, a line in b, bounds the score below by the lesser of its two end
+    values; the block's bound is the larger of the two ends' (-inf for an
+    end whose slope is not finite, as at b = 0).  ``width`` is each block's
+    step in b.
+    """
+    g = dg = h = 0.0
+    for coef, val, slope in terms:
+        if coef > 0.0:
+            g, dg = g + coef * val, dg + coef * slope
+        else:
+            h = h + coef * val
+    g, dg, h = np.broadcast_arrays(g, dg, h)
+    lo, hi = (..., slice(None, -1)), (..., slice(1, None))
+    from_lo = np.where(np.isfinite(dg[lo]), g[lo] + dg[lo] * width + h[hi], -np.inf)
+    from_hi = np.where(np.isfinite(dg[hi]), g[hi] - dg[hi] * width + h[lo], -np.inf)
+    return np.maximum(np.minimum(score_end[lo], from_lo), np.minimum(score_end[hi], from_hi))
+
+
+def _bound_grid_argmin(a_axis, qs, source: DsbsParams, sign: float):
+    """Seed-grid argmin index and score of ``sign * (dd2(a, b_k) - d2(b_k)/q)``, shape (len(qs), n).
+
+    A branch and bound over blocks of ``_SEED_BLOCK`` cells.  In b the score
+    is a convex function plus a concave one, since dd2 is jointly convex
+    and d2 is convex, which bounds it below on each block
+    (`_block_bounds`).  dd2 and its b-slope at the block ends are
+    evaluated once per point for every q.  A block whose bound exceeds the
+    best end score by more than ``1e-9 * (1 + |best|)``, far above the
+    float error of scores and bound (about 1e-14), cannot hold the argmin
+    and is skipped.  The cells of every other block are scored with the
+    float operations of `_q_opt`'s single-point table, so index and score
+    are the table's bit for bit, the first index on a tie.  Points are
+    taken in chunks whose few block-end arrays fit the element budget
+    ``_BLOCK_ELEMS`` together, and the kept cells are scored in chunks of
+    at most that many.
+    """
+    x_grid, d2_grid = _seed_grid()
+    ends = np.arange(0, _T_GRID_N, _SEED_BLOCK)
+    b_end = -x_grid[ends]
+    with np.errstate(divide="ignore"):
+        d2_slope = np.log(b_end / (1.0 - b_end)) / _LN2  # -inf at b = 0
+    width = np.diff(b_end)
+    inner = np.arange(1, _SEED_BLOCK)  # a block's cells strictly between its ends
+    best_idx = np.empty((len(qs), a_axis.size), dtype=int)
+    best_val = np.empty((len(qs), a_axis.size))
+    step = _rows_per_chunk(4 * ends.size)  # dd2, its slope, a q's scores and bounds at the ends
+    for start in range(0, a_axis.size, step):
+        pts = slice(start, min(start + step, a_axis.size))
+        a = a_axis[pts, None]
+        dd2_end = dd2_value(a, b_end, source)
+        dd2_slope = _dd2_slope(a, b_end, source)[0]
+        rows = np.arange(a.shape[0])
+        for k, q in enumerate(qs):
+            d2_over_q = d2_grid / q
+            score_end = dd2_end - d2_over_q[ends]
+            if sign < 0.0:
+                np.negative(score_end, out=score_end)
+            terms = ((sign, dd2_end, dd2_slope), (-sign / q, d2_grid[ends], d2_slope))
+            best = score_end.min(axis=1, keepdims=True)
+            bound = _block_bounds(score_end, terms, width)
+            kept_row, kept_block = np.nonzero(~(bound > best + 1e-9 * (1.0 + np.abs(best))))
+            inner_val = np.full(bound.shape, np.inf)
+            inner_idx = np.zeros(bound.shape, dtype=int)
+            bound = None  # freed before the cells are scored: peak memory
+            per = _rows_per_chunk(inner.size)
+            for p in range(0, kept_row.size, per):
+                r, j = kept_row[p : p + per], kept_block[p : p + per]
+                cells = ends[j, None] + inner
+                vals = dd2_value(a[r], -x_grid[cells], source)
+                vals -= d2_over_q[cells]
+                if sign < 0.0:
+                    np.negative(vals, out=vals)
+                pick = np.argmin(vals, axis=1)
+                pairs = np.arange(r.size)
+                inner_idx[r, j], inner_val[r, j] = cells[pairs, pick], vals[pairs, pick]
+            # the ends and the block interiors in grid order: the first minimum is the table's
+            cand_val = np.empty((rows.size, 2 * ends.size - 1))
+            cand_idx = np.empty(cand_val.shape, dtype=int)
+            cand_val[:, ::2], cand_val[:, 1::2] = score_end, inner_val
+            cand_idx[:, ::2], cand_idx[:, 1::2] = ends, inner_idx
+            pick = np.argmin(cand_val, axis=1)
+            best_idx[k, pts], best_val[k, pts] = cand_idx[rows, pick], cand_val[rows, pick]
+    return best_idx, best_val
+
+
 def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     """Optimize ``t -> phi(s, t) - t/q`` or psi's per point of ``s``, for every q in ``qs``.
 
@@ -307,21 +402,25 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     its mirror.  The search runs in bias coordinates, where t comes in closed
     form: with ``b = d2_inv(t)`` in [0, 1/2] the objective is
     ``dd2(a, b) - d2(b)/q``, so ``d2_inv`` is solved once per process, for
-    the 2001-point seeding grid ``b_k = d2_inv(k/2000)``.  For phi with
-    q < 0 the objective is convex in b (dd2 is jointly convex, and so is
-    d2): its slope changes sign at most once along the grid, so a call of
-    two or more points whose every q is of that kind needs no guard against
-    missed basins, and finds each grid argmin by a binary search on the
-    sign of the slope (`_convex_grid_argmin`), with no table.  Every other
-    call (psi, phi with some q > 0, or a single point, where one table
-    costs less than the search's up to 11 rounds of slope calls) evaluates
-    the surface term ``dd2(a, b_k)``, which does not depend on q, once per
-    chunk of rows as a table, and every q scores its grid cells from that
-    table, in one reused buffer.  A chunk holds as
-    many rows as fit the element budget ``_BLOCK_ELEMS``, so that the
-    table, the score buffer and the surface kernel's temporaries stay in
-    L2 cache.  Both routes give the same grid argmin and value, bit for
-    bit.  The winning cell of every (q, point) pair is then refined on the
+    the 2001-point seeding grid ``b_k = d2_inv(k/2000)``.  The grid argmin
+    of each (q, point) pair takes one of three routes, which give the same
+    index and value, bit for bit:
+
+    - A single point evaluates the surface term ``dd2(a, b_k)``, which does
+      not depend on q, as one 2001-cell table and scores every q from it:
+      one kernel call costs less there than either search.
+    - On two or more points, a phi row with q < 0 has an objective convex
+      in b (dd2 is jointly convex, and so is d2), whose slope changes sign
+      at most once along the grid: a binary search on that sign
+      (`_convex_grid_argmin`) finds it in at most 11 slope calls per row.
+    - On two or more points, every other row (psi, and phi with q > 0) is
+      the sum of a convex and a concave function of b, and a branch and
+      bound over blocks of the grid (`_bound_grid_argmin`) scores only
+      the blocks whose lower bound does not rule them out: 13-17 % of the
+      table's cells on 101 points at rho 0.5 and 0.9, and all of them near
+      rho = 0, where the surface is flat within the bound's margin.
+
+    The winning cell of every (q, point) pair is then refined on the
     closed-form derivative of the same function of b (`_q_slope`), all q
     at once: one lockstep safeguarded Newton call (`newton_root_vec`),
     each pair on the bracket of its two neighbouring grid points, in the
@@ -368,32 +467,26 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     x_grid, d2_grid = _seed_grid()
     # flat row i is the pair (q index i // n, point i % n)
     shape = (len(qs), s_vals.size)
-    q_rows = np.repeat(np.asarray(qs, dtype=float), s_vals.size)
+    q_axis = np.asarray(qs, dtype=float)
+    q_rows = np.repeat(q_axis, s_vals.size)
     a_rows = np.tile(a_axis, len(qs))
-    convex = (q_rows < 0.0) & (kind == "phi")
+    convex_q = (q_axis < 0.0) & (kind == "phi")
+    convex = np.repeat(convex_q, s_vals.size)
 
-    # the search pays up to 11 rounds of slope calls where the table pays one
-    # kernel call: a single point keeps the table, which is cheaper there
-    if convex.all() and s_vals.size > 1:
-        best_idx, best_val = _convex_grid_argmin(a_rows, q_rows, source)
+    if s_vals.size == 1:
+        scores = dd2_value(a_axis[:, None], -x_grid[None, :], source) - d2_grid / q_axis[:, None]
+        if sign < 0.0:
+            np.negative(scores, out=scores)
+        best_idx = np.argmin(scores, axis=1)
+        best_val = scores[np.arange(len(qs)), best_idx]
     else:
-        best_val = np.empty(shape)
-        best_idx = np.empty(shape, dtype=int)
-        d2_over_q = [d2_grid / q for q in qs]
-        step = _rows_per_chunk(_T_GRID_N)
-        score = np.empty((min(step, s_vals.size), _T_GRID_N))
-        for start in range(0, s_vals.size, step):
-            rows = slice(start, min(start + step, s_vals.size))
-            table = dd2_value(a_axis[rows, None], -x_grid[None, :], source)
-            block = score[: table.shape[0]]
-            for k in range(len(qs)):
-                np.subtract(table, d2_over_q[k], out=block)
-                if sign < 0.0:
-                    np.negative(block, out=block)
-                best_idx[k, rows] = np.argmin(block, axis=1)
-                best_val[k, rows] = np.take_along_axis(block, best_idx[k, rows, None], axis=1)[:, 0]
-        table = block = score = None  # freed before the refinement: peak memory
-        best_idx, best_val = best_idx.ravel(), best_val.ravel()
+        best_idx = np.empty(q_rows.size, dtype=int)
+        best_val = np.empty(q_rows.size)
+        if convex.any():
+            best_idx[convex], best_val[convex] = _convex_grid_argmin(a_rows[convex], q_rows[convex], source)
+        if not convex.all():
+            idx, val = _bound_grid_argmin(a_axis, q_axis[~convex_q], source, sign)
+            best_idx[~convex], best_val[~convex] = idx.ravel(), val.ravel()
     values = sign * best_val
     t_opt = d2_grid[best_idx]
     # a convex row won by the b = 0 end starts from its interior neighbour:

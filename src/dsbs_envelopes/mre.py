@@ -45,7 +45,7 @@ perform the same floating-point operations, in the same order, as the
 plain array expressions they stand for, so their results do not depend on
 how an input is split; 0-d biases take the same path.  Each temporary has
 the broadcast shape of the input, so the dense grid evaluators of
-`envelopes` call the kernel in row chunks of at most
+`envelopes` and its q-family search call the kernel in chunks of at most
 ``envelopes._BLOCK_ELEMS`` = 2^15 elements: one chunk's temporaries
 (256 KB each) then stay in a core's L2 cache, where a whole-table
 evaluation streamed every temporary through memory.

@@ -31,6 +31,7 @@ from dsbs_envelopes import (
     psi_q_full,
 )
 from dsbs_envelopes import envelopes
+from dsbs_envelopes.binary import _mirror
 from dsbs_envelopes.envelopes import _phi_tilde_oracle_lattice
 from dsbs_envelopes.mre import dd2_value
 from test_binary import _typed_fields
@@ -259,10 +260,12 @@ def test_phi_q_tilde_matches_phi_q_for_convex_q():
     "kind, qs", [("phi", (-0.5, -2.0, -10.0)), ("phi", (1.0, 2.0, 10.0)), ("psi", (0.25, 0.5, 0.75))]
 )
 def test_q_family_rows_match_one_q_calls(monkeypatch, kind, qs):
-    # One surface table per row chunk scores every q, and each q keeps its
-    # own refinement, so a batched row is the one-q answer bit for bit, also
-    # when the rows cross chunk edges (an element budget of 7 rows of the
-    # seeding grid against the default budget's 16-row chunks).
+    # Every q of a call shares the block ends of the bound search (or the
+    # single point's table) and keeps its own refinement, so a batched row
+    # is the one-q answer bit for bit, also when the points and the kept
+    # blocks cross chunk edges: an element budget of 1500 takes 7 points per
+    # chunk of block ends and 38 blocks per chunk of kept cells, against one
+    # chunk of each at the default budget.
     one_q = phi_q_full if kind == "phi" else psi_q_full
     s = np.linspace(0.0, 1.0, 23)
     ref = [one_q(s, QParam.from_q(q), RHO) for q in qs]
@@ -270,8 +273,7 @@ def test_q_family_rows_match_one_q_calls(monkeypatch, kind, qs):
     ref_points = {
         name: [one_q(point, QParam.from_q(q), RHO) for q in qs] for name, point in points.items()
     }
-    monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", 7 * envelopes._T_GRID_N)
-    assert envelopes._rows_per_chunk(envelopes._T_GRID_N) == 7
+    monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", 1500)
     values, t_opt = envelopes._q_opt(s, qs, RHO, kind=kind)
     assert values.shape == t_opt.shape == (len(qs), s.size)
     for k, (v_ref, t_ref) in enumerate(ref):
@@ -297,14 +299,16 @@ def _traced_peak(call) -> int:
 
 
 def test_q_opt_peak_memory_stays_within_the_element_budget():
-    # The element budget sizes _q_opt's own chunks (the surface table, the
-    # score buffer and the kernel's temporaries), so a 501-point family of
-    # three q values peaks at a few of those chunks, not at 501 x 2001
-    # tables.  The q = 1 row makes the call build the table.
+    # The element budget sizes the chunks of the bound search (the block-end
+    # arrays of a chunk of points, and the kept cells with the kernel's
+    # temporaries), so a 501-point family of three q values peaks at a few
+    # of those chunks, not at 501 x 2001 tables (measured 2.2 MB for each).
+    # The q = 1 row and the psi rows take the bound search.
     envelopes._seed_grid()  # built once per process, outside a call's working set
     s = np.linspace(0.0, 1.0, 501)
-    peak = _traced_peak(lambda: envelopes._q_opt(s, (-2.0, -10.0, 1.0), DsbsParams(0.9), kind="phi"))
-    assert peak <= 4_000_000
+    for kind, qs in (("phi", (-2.0, -10.0, 1.0)), ("psi", (0.25, 0.5, 0.75))):
+        peak = _traced_peak(lambda: envelopes._q_opt(s, qs, DsbsParams(0.9), kind=kind))
+        assert peak <= 4_000_000, kind
 
 
 def test_convex_q_opt_peaks_well_below_the_table_budget():
@@ -361,12 +365,16 @@ def test_convex_bracket_finds_the_table_argmin(rho):
 
 @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999998])
 def test_convex_rows_match_the_table_route(rho):
-    # a q > 0 in the call makes every row read the table; the q < 0 rows
-    # come out bit-identical to the search's, the b = 0 end cell included
+    # a mixed call splits by row: its q < 0 rows take the binary search and
+    # its q = 1 row the bound search, and every row comes out bit-identical
+    # to the single-point table's, the b = 0 end cell included
     s = np.linspace(0.0, 1.0, 101)
-    values, t_opt = envelopes._q_opt(s, (-2.0, -10.0), DsbsParams(rho), kind="phi")
-    mixed_values, mixed_t = envelopes._q_opt(s, (-2.0, -10.0, 1.0), DsbsParams(rho), kind="phi")
-    assert np.array_equal(values, mixed_values[:2]) and np.array_equal(t_opt, mixed_t[:2])
+    qs = (-2.0, -10.0, 1.0)
+    values, t_opt = envelopes._q_opt(s, qs, DsbsParams(rho), kind="phi")
+    for i in range(0, s.size, 10):
+        point_values, point_t = envelopes._q_opt(s[i], qs, DsbsParams(rho), kind="phi")
+        assert np.array_equal(values[:, i : i + 1], point_values), (i, values[:, i], point_values)
+        assert np.array_equal(t_opt[:, i : i + 1], point_t), i
 
 
 @pytest.mark.parametrize("rho", [1e-4, 0.5, 0.999998])
@@ -380,17 +388,72 @@ def test_convex_bracket_raises_no_warning(rho):
     assert np.all(np.isfinite(values)) and np.all((0.0 <= t_opt) & (t_opt <= 1.0))
 
 
-def _q_family_mp(kind, s, q, rho, b_start):
-    """40-digit (value, argmin t) of the q-family at s, from a start b_start.
+_BOUND_QS = {"phi": (0.3, 1.0, 2.0, 10.0, 100.0), "psi": (-1.0, 0.05, 0.25, 0.75, 0.999, 3.0)}
+
+
+@pytest.mark.parametrize("rho", [1.0001e-6, 0.5, 0.9, 0.999998])
+def test_bound_search_finds_the_table_argmin(rho):
+    # the bound search skips only blocks that cannot hold the table's
+    # minimum, and scores the rest with the table's float operations: index
+    # and value are the table's bit for bit, the first index on a tie, also
+    # at s = 0 and s = 1, and an empty s gives rows of length 0
+    x_grid, d2_grid = envelopes._seed_grid()
+    for n in (0, 1, 2, 101, 501):
+        s = np.array([1.0]) if n == 1 else np.linspace(0.0, 1.0, n)
+        a = np.asarray(d2_inv(s))
+        for kind, qs in _BOUND_QS.items():
+            source, sign = (DsbsParams(rho), 1.0) if kind == "phi" else (_mirror(DsbsParams(rho)), -1.0)
+            table = envelopes._outer_eval(
+                n, x_grid.size, lambda rows: dd2_value(a[rows, None], -x_grid[None, :], source)
+            )
+            idx, val = envelopes._bound_grid_argmin(a, qs, source, sign)
+            assert idx.shape == val.shape == (len(qs), n)
+            for k, q in enumerate(qs):
+                scores = table - d2_grid / q
+                if kind == "psi":
+                    scores = -scores
+                want = np.argmin(scores, axis=1)
+                assert np.array_equal(idx[k], want), (kind, n, q, np.flatnonzero(idx[k] != want))
+                assert np.array_equal(val[k], scores[np.arange(n), want]), (kind, n, q)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_bound_search_scores_under_a_third_of_the_table(monkeypatch, rho):
+    # the 101-point families of figure and claims T3 and C evaluate the
+    # surface on at most a third of the 101 x 2001 table's cells, block ends
+    # and refinement included (measured 13-17 %)
+    real = envelopes.dd2_value
+    elems = []
+
+    def spy(a, b, params):
+        elems.append(np.broadcast(a, b).size)
+        return real(a, b, params)
+
+    monkeypatch.setattr(envelopes, "dd2_value", spy)
+    s = np.linspace(0.0, 1.0, 101)
+    for kind, qs in (("phi", (1.0, 2.0, 10.0)), ("psi", (0.25, 0.5, 0.75))):
+        elems.clear()
+        envelopes._q_opt(s, qs, DsbsParams(rho), kind=kind)
+        assert 0 < sum(elems) <= 101 * envelopes._T_GRID_N // 3, (kind, sum(elems))
+
+
+def _q_family_mp(kind, s, q, rho, t_near):
+    """40-digit (value, argmin t) of the q-family at s, on the seed-grid cells around t_near.
 
     The optimum is the root of the objective's numerical derivative in b
     (mpmath's own differencing, not the closed-form slope), with a solved
     from d2(a) = s (a = 0 at s = 1, where d2 has no finite slope) and
-    t = d2(b*).
+    t = d2(b*).  The root is bracketed by the two grid cells on either side
+    of the grid point nearest t_near (b = 1e-30 stands in for the b = 0
+    end, where d2 has no finite slope), and a bracketing solver keeps every
+    step inside: a secant start at the grid point of a sharp optimum could
+    step far off and fail to converge.
     """
-    def d2_mp(x):  # the secant steps of findroot may leave (0, 1) for a moment
+    def d2_mp(x):
         return 1 + (x * mpmath.log(x) + (1 - x) * mpmath.log(1 - x)) / mpmath.log(2)
 
+    k = round(t_near * (envelopes._T_GRID_N - 1))
+    cells = [min(max(j, 0), envelopes._T_GRID_N - 1) / (envelopes._T_GRID_N - 1) for j in (k - 1, k + 1)]
     with mpmath.workdps(40):
         s = mpmath.mpf(s)
         a = mpmath.mpf(0) if s == 1 else mpmath.findroot(lambda x: d2_mp(x) - s, mpmath.mpf(d2_inv(float(s))))
@@ -398,7 +461,8 @@ def _q_family_mp(kind, s, q, rho, b_start):
         def objective(b):
             return _dd2_mp(a, b if kind == "phi" else 1 - b, rho) - d2_mp(b) / q
 
-        b = mpmath.findroot(lambda x: mpmath.diff(objective, x), mpmath.mpf(b_start))
+        bracket = [max(mpmath.mpf(d2_inv(t)), mpmath.mpf("1e-30")) for t in cells]
+        b = mpmath.findroot(lambda x: mpmath.diff(objective, x), bracket, solver="anderson")
         return objective(b), d2_mp(b)
 
 
@@ -432,8 +496,22 @@ def test_q_family_argmin_against_mpmath(kind, s, q, rho):
     # within 1e-14
     one_q = phi_q_full if kind == "phi" else psi_q_full
     value, t_opt = one_q(s, QParam.from_q(q), DsbsParams(rho))
-    value_ref, t_ref = _q_family_mp(kind, s, q, rho, d2_inv(t_opt))
+    value_ref, t_ref = _q_family_mp(kind, s, q, rho, t_opt)
     assert float(abs(t_opt - t_ref)) <= 1e-13
+    assert float(abs(value - value_ref)) <= 1e-14
+
+
+def test_q_family_oracle_brackets_a_sharp_optimum_from_its_grid_point():
+    # phi at s 0.958, q 2, rho 0.999998 has a sharp optimum 7.7e-12 in t
+    # from the grid point t = 0.958.  A secant search started at the grid
+    # point stepped far off and raised ValueError; the bracket of the two
+    # neighbouring cells finds the optimum from there, so a code that
+    # returned the grid point fails the 1e-13 bound instead of erroring
+    value, t_opt = phi_q_full(0.958, QParam.from_q(2.0), DsbsParams(0.999998))
+    t_grid = round(t_opt * 2000) / 2000
+    assert t_grid == 0.958
+    value_ref, t_ref = _q_family_mp("phi", 0.958, 2.0, 0.999998, t_grid)
+    assert float(abs(t_opt - t_ref)) <= 1e-13 < float(abs(t_grid - t_ref))
     assert float(abs(value - value_ref)) <= 1e-14
 
 
