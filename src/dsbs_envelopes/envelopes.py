@@ -361,9 +361,7 @@ def _bound_grid_argmin(a_axis, qs, source: DsbsParams, sign: float):
         rows = np.arange(a.shape[0])
         for k, q in enumerate(qs):
             d2_over_q = d2_grid / q
-            score_end = dd2_end - d2_over_q[ends]
-            if sign < 0.0:
-                np.negative(score_end, out=score_end)
+            score_end = sign * (dd2_end - d2_over_q[ends])
             terms = ((sign, dd2_end, dd2_slope), (-sign / q, d2_grid[ends], d2_slope))
             best = score_end.min(axis=1, keepdims=True)
             bound = _block_bounds(score_end, terms, width)
@@ -375,10 +373,7 @@ def _bound_grid_argmin(a_axis, qs, source: DsbsParams, sign: float):
             for p in range(0, kept_row.size, per):
                 r, j = kept_row[p : p + per], kept_block[p : p + per]
                 cells = ends[j, None] + inner
-                vals = dd2_value(a[r], -x_grid[cells], source)
-                vals -= d2_over_q[cells]
-                if sign < 0.0:
-                    np.negative(vals, out=vals)
+                vals = sign * (dd2_value(a[r], -x_grid[cells], source) - d2_over_q[cells])
                 pick = np.argmin(vals, axis=1)
                 pairs = np.arange(r.size)
                 inner_idx[r, j], inner_val[r, j] = cells[pairs, pick], vals[pairs, pick]
@@ -474,9 +469,7 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     convex = np.repeat(convex_q, s_vals.size)
 
     if s_vals.size == 1:
-        scores = dd2_value(a_axis[:, None], -x_grid[None, :], source) - d2_grid / q_axis[:, None]
-        if sign < 0.0:
-            np.negative(scores, out=scores)
+        scores = sign * (dd2_value(a_axis[:, None], -x_grid[None, :], source) - d2_grid / q_axis[:, None])
         best_idx = np.argmin(scores, axis=1)
         best_val = scores[np.arange(len(qs)), best_idx]
     else:

@@ -18,10 +18,9 @@ read those two reports.
 
 :func:`lower_convex_envelope` takes the geometric route on 2-D grids: the
 lower facets of the Qhull convex hull of the graph points, interpolated
-back onto the lattice, every facet filling its lattice bounding box in
-chunked array passes.  No claim calls it: the tests read it as an oracle
-of the certificate, beside a double discrete Legendre transform that
-shares no code with either.
+back onto the lattice, every facet filling its lattice bounding box.  No
+claim calls it: the tests read it as an oracle of the certificate, beside
+a double discrete Legendre transform that shares no code with either.
 
 The certifiers (`check_lagrangian_gap`, `check_midpoint_convex`,
 `check_midpoint_concave`, `check_slope_bounds`, `check_monotone`) are pure
@@ -36,6 +35,7 @@ threshold; `verify` judges the excess against its fixed tolerance table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,9 +55,6 @@ __all__ = [
     "check_slope_bounds",
     "check_monotone",
 ]
-
-_FILL_CHUNK = 1 << 16  # (facet, lattice point) pairs per pass of the 2-D hull fill
-
 
 @dataclass(frozen=True)
 class GridFn:
@@ -110,12 +107,24 @@ class ConvexityReport:
 # ---------------------------------------------------------------------------
 
 
-def _lower_hull_2d(v: np.ndarray) -> np.ndarray:
+def lower_convex_envelope(f: GridFn) -> GridFn:
+    """Pointwise-largest convex minorant of a 2-D f representable on the lattice.
+
+    The lower facets of the 3-D convex hull of the graph; the envelope at a
+    lattice point is the max over the lower facet planes whose lattice
+    bounding box holds it (every lower facet plane supports the hull from
+    below, so the covering facet's plane is that maximum).  Each lower
+    facet, in qhull's order, raises its box to its plane in place.  The
+    result is clipped to ``min(env, f)`` so floating-point spill never
+    breaks dominance.  A 1-D f raises `InputDomainError`.
+    """
+    if f.dims != 2:
+        raise InputDomainError("envelopes are built on 2-D grids only")
     # qhull is the package's one scipy use; importing it here keeps scipy
     # out of every process that builds no 2-D hull.
     from scipy.spatial import ConvexHull, QhullError
 
-    n = v.shape[0]
+    v, n = f.values, f.n
     x = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(x, x, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel(), v.ravel()])
@@ -124,51 +133,20 @@ def _lower_hull_2d(v: np.ndarray) -> np.ndarray:
     except QhullError:
         # All graph points coplanar: the function is affine, hence its own
         # envelope.
-        return v.copy()
-    eqs = hull.equations
-    lower = eqs[:, 2] < -1e-12
+        return GridFn(v.copy())
+    lower = hull.equations[:, 2] < -1e-12
     h = 1.0 / (n - 1)
-    # Each lower facet's lattice bounding box, rows lo[:, 0]..hi[:, 0] and
-    # columns lo[:, 1]..hi[:, 1]; facets whose box is empty cover no point.
-    c0, c1, c2 = pts[hull.simplices[lower], :2].transpose(1, 0, 2)
-    lo = np.maximum(np.ceil(np.minimum(np.minimum(c0, c1), c2) / h - 1e-9), 0).astype(np.intp)
-    hi = np.minimum(np.floor(np.maximum(np.maximum(c0, c1), c2) / h + 1e-9), n - 1).astype(np.intp)
-    keep = (hi[:, 0] >= lo[:, 0]) & (hi[:, 1] >= lo[:, 1])
-    nx, ny, nz, off = eqs[lower][keep].T
-    (i0, j0), (ni, nj) = lo[keep].T, (hi - lo + 1)[keep].T
-    # Pair p in [starts[f], ends[f]) is facet f at box offset p - starts[f].
-    # Chunks of pairs bound the memory; maximum.at applies planes in facet order.
-    ends = np.cumsum(ni * nj)
-    starts = ends - ni * nj
-    total = int(ends[-1]) if ends.size else 0
-    env = np.full(n * n, -np.inf)
-    for s in range(0, total, _FILL_CHUNK):
-        e = min(s + _FILL_CHUNK, total)
-        fr = np.arange(np.searchsorted(ends, s, side="right"), np.searchsorted(starts, e))
-        f = np.repeat(fr, np.minimum(ends[fr], e) - np.maximum(starts[fr], s))
-        k = np.arange(s, e) - starts[f]
-        ii, jj = i0[f] + k // nj[f], j0[f] + k % nj[f]
-        np.maximum.at(env, ii * n + jj, -(nx[f] * x[ii] + ny[f] * x[jj] + off[f]) / nz[f])
-    env = env.reshape(n, n)
-    env = np.where(np.isneginf(env), v, env)
-    return np.minimum(env, v)
-
-
-def lower_convex_envelope(f: GridFn) -> GridFn:
-    """Pointwise-largest convex minorant of a 2-D f representable on the lattice.
-
-    The lower facets of the 3-D convex hull of the graph; the envelope at a
-    lattice point is the max over the lower facet planes whose lattice
-    bounding box holds it (every lower facet plane supports the hull from
-    below, so the covering facet's plane is that maximum).  The (facet,
-    lattice point) pairs are evaluated as arrays, a bounded chunk at a time,
-    and reduced with ``np.maximum.at``.  The result is clipped to
-    ``min(env, f)`` so floating-point spill never breaks dominance.  A 1-D
-    f raises `InputDomainError`.
-    """
-    if f.dims != 2:
-        raise InputDomainError("envelopes are built on 2-D grids only")
-    return GridFn(_lower_hull_2d(f.values))
+    env = np.full((n, n), -np.inf)
+    for simplex, (nx, ny, nz, off) in zip(hull.simplices[lower], hull.equations[lower]):
+        # the facet's lattice bounding box; an empty box covers no point
+        i0 = max(0, math.ceil(pts[simplex, 0].min() / h - 1e-9))
+        i1 = min(n - 1, math.floor(pts[simplex, 0].max() / h + 1e-9))
+        j0 = max(0, math.ceil(pts[simplex, 1].min() / h - 1e-9))
+        j1 = min(n - 1, math.floor(pts[simplex, 1].max() / h + 1e-9))
+        if i1 >= i0 and j1 >= j0:
+            box = env[i0 : i1 + 1, j0 : j1 + 1]
+            np.maximum(box, -(nx * x[i0 : i1 + 1, None] + ny * x[None, j0 : j1 + 1] + off) / nz, out=box)
+    return GridFn(np.minimum(np.where(np.isneginf(env), v, env), v))
 
 
 # ---------------------------------------------------------------------------

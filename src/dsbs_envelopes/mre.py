@@ -166,7 +166,9 @@ def _divergence(a, b, p, params: DsbsParams):
     broadcast shape.  Every log is taken in one unmasked pass over the
     stacked cells: an empty cell gives ``0 * log 0 = NaN`` there, which a
     fix-up replaces by the cell's own zero.  The terms are summed in cell
-    order.
+    order, and the sum is clipped at 0: a relative entropy is never
+    negative, but where it is 0 (a = b = 1/2, where the source itself has
+    the marginals) rounding takes the sum to about -1e-16.
     """
     q = _cells(a, b, p)
     refs = params.joint_cells().reshape((4,) + (1,) * (q.ndim - 1))
@@ -180,6 +182,7 @@ def _divergence(a, b, p, params: DsbsParams):
     total += terms[2]
     total += terms[3]
     total /= _LN2
+    total = np.maximum(total, 0.0, out=total if q.ndim > 1 else None)  # 0-d sums are numpy scalars
     return _scalarize(total, q.ndim == 1)
 
 

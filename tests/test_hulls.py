@@ -18,8 +18,6 @@ from dsbs_envelopes import (
     check_monotone,
     check_slope_bounds,
     lower_convex_envelope,
-    phi_tilde_grid,
-    psi_grid,
 )
 from dsbs_envelopes import envelopes, hulls
 from dsbs_envelopes.verify import _C_Q_CONCAVE, _C_Q_CONVEX, _T3_Q
@@ -74,31 +72,6 @@ def _legendre_envelope_2d(f: GridFn, n_slopes: int) -> np.ndarray:
     for i in range(n):
         env[i] = np.max(back[i][:, None] + sy[:, None] * x[None, :], axis=0)
     return np.minimum(env, v)
-
-
-def _per_facet_fill(v: np.ndarray) -> np.ndarray:
-    """The 2-D hull's facet fill written as a loop, one lower facet at a time.
-
-    Same boxes, same plane arithmetic and same facet order as the chunked
-    fill, so the two must agree bit for bit.
-    """
-    n = v.shape[0]
-    x = np.linspace(0.0, 1.0, n)
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel(), v.ravel()])
-    hull = ConvexHull(pts)
-    lower = hull.equations[:, 2] < -1e-12
-    env = np.full((n, n), -np.inf)
-    h = 1.0 / (n - 1)
-    for simplex, (nx, ny, nz, off) in zip(hull.simplices[lower], hull.equations[lower]):
-        i0 = max(0, math.ceil(pts[simplex, 0].min() / h - 1e-9))
-        i1 = min(n - 1, math.floor(pts[simplex, 0].max() / h + 1e-9))
-        j0 = max(0, math.ceil(pts[simplex, 1].min() / h - 1e-9))
-        j1 = min(n - 1, math.floor(pts[simplex, 1].max() / h + 1e-9))
-        if i1 >= i0 and j1 >= j0:
-            plane = -(nx * x[i0 : i1 + 1, None] + ny * x[None, j0 : j1 + 1] + off) / nz
-            np.maximum(env[i0 : i1 + 1, j0 : j1 + 1], plane, out=env[i0 : i1 + 1, j0 : j1 + 1])
-    return np.minimum(np.where(np.isneginf(env), v, env), v)
 
 
 def _grid(fn, n=101):
@@ -160,31 +133,6 @@ def test_envelope_idempotent_2d():
     env = lower_convex_envelope(f)
     again = lower_convex_envelope(env)
     assert np.max(np.abs(env.values - again.values)) <= 1e-10
-
-
-def test_hull_fill_chunk_edges_bit_identical(monkeypatch):
-    # A 7-pair chunk splits facet boxes across chunk edges and ends on a
-    # partial chunk; the fill must not depend on where the chunks fall.
-    axis = np.linspace(0.0, 1.0, 101)
-    params = DsbsParams(0.9)
-    pt = GridFn(phi_tilde_grid(axis, axis, params))
-    ps = GridFn(-psi_grid(axis, axis, params))
-    wells = _grid2(lambda x, y: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y), n=33)
-    cases = [pt, ps, wells]
-    want = [lower_convex_envelope(f).values for f in cases]
-    monkeypatch.setattr(hulls, "_FILL_CHUNK", 7)
-    for f, expected in zip(cases, want):
-        assert np.array_equal(lower_convex_envelope(f).values, expected)
-
-
-def test_hull_fill_matches_per_facet_loop():
-    axis = np.linspace(0.0, 1.0, 51)
-    params = DsbsParams(0.9)
-    rng = np.random.default_rng(5)
-    grids = [phi_tilde_grid(axis, axis, params), -psi_grid(axis, axis, params)]
-    grids += [rng.normal(size=(n, n)) for n in (3, 4, 17)]
-    for v in grids:
-        assert np.array_equal(lower_convex_envelope(GridFn(v)).values, _per_facet_fill(v))
 
 
 def test_affine_grid_is_its_own_envelope():

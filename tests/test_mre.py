@@ -113,7 +113,19 @@ def test_dd2_symmetric_in_marginals(a, b, rho):
 @given(probs, probs, rhos)
 @settings(max_examples=200, deadline=None)
 def test_dd2_nonnegative(a, b, rho):
-    assert dd2_value(a, b, DsbsParams(rho)) >= -1e-15
+    assert dd2_value(a, b, DsbsParams(rho)) >= 0.0
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.3, 0.5, 0.9, 0.99, 0.9999, 0.999998])
+def test_dd2_is_not_negative_where_it_is_zero(rho):
+    # At a = b = 1/2 (s = t = 0) the source itself has the marginals, so
+    # dd2 is exactly 0 there, on the source and on its mirror, and so is the
+    # s = 0 entry of phi_q for q = 2 and q = -2 (its t = 0 end).  Unclipped,
+    # the rounding of the KL sum took each to about -1e-16.
+    params = DsbsParams(rho)
+    values = [dd2_value(0.5, 0.5, params), envelopes.phi(0.0, 0.0, params), envelopes.psi(0.0, 0.0, params)]
+    values += list(envelopes._q_opt(np.linspace(0.0, 1.0, 101), (2.0, -2.0), params, kind="phi")[0][:, 0])
+    assert min(values) >= 0.0, values
 
 
 @given(st.floats(min_value=0.5, max_value=1.0), probs, rhos)
@@ -306,7 +318,7 @@ def _reference_p_star(av, bv, params):
 
 
 def _reference_dd2(av, bv, params):
-    """dd2 as the cells-then-KL composition, one fresh array per operation."""
+    """dd2 as the cells-then-KL composition clipped at 0, one fresh array per operation."""
     p = _reference_p_star(av, bv, params)
     agree = 0.25 * (1.0 + params.rho)
     differ = 0.25 * (1.0 - params.rho)
@@ -320,7 +332,7 @@ def _reference_dd2(av, bv, params):
         + _xlogy(q10, q10 / differ)
         + _xlogy(q11, q11 / agree)
     )
-    return total / math.log(2.0)
+    return np.maximum(total / math.log(2.0), 0.0)
 
 
 def _folded_reference(av, bv, params):

@@ -28,7 +28,6 @@ from dsbs_envelopes import (
     stationary_point,
 )
 from dsbs_envelopes import stationary
-from dsbs_envelopes._optim import bisect_root
 from dsbs_envelopes.mre import dd2_value
 from dsbs_envelopes.stationary import (
     _EPS,
@@ -176,28 +175,24 @@ def test_no_root_at_regime_boundary():
         solve_root_z(prob)
 
 
-def _pow_or_inf(base, exponent):
-    """base**exponent for base > 0, overflowing to inf instead of raising."""
-    y = exponent * math.log(base)
-    return math.inf if y > 709.0 else math.exp(y)
-
-
 def _h0_eta_oracle(prob):
-    """The bend point through the eta-substitution eta = 1/w(e^h).
+    """The bend point through the eta-substitution eta = 1/w(e^h), at 25 digits.
 
     g(h) = 0 reads r*(eta^|v| + eta^-|v|) + eta + 1/eta = (1-r)*(theta +
     1/theta) for eta0 in (theta, 1), where the left side is convex with its
-    minimum at eta = 1, hence decreasing; bisected there and mapped back
-    through h0 = ln((1 - eta0*theta)/(eta0 - theta)).
+    minimum at eta = 1, hence decreasing; bisected there by
+    ``mpmath.findroot`` and mapped back through
+    h0 = ln((1 - eta0*theta)/(eta0 - theta)).
     """
-    theta, v, r = prob.theta, abs(prob.v), prob.r
-    target = (1.0 - r) * (theta + 1.0 / theta)
+    with mpmath.workdps(25):
+        theta, v, r = mpmath.mpf(prob.theta), abs(mpmath.mpf(prob.v)), mpmath.mpf(prob.r)
+        target = (1 - r) * (theta + 1 / theta)
 
-    def gap(eta):
-        return r * (_pow_or_inf(eta, v) + _pow_or_inf(eta, -v)) + eta + 1.0 / eta - target
+        def gap(eta):
+            return r * (eta**v + eta**-v) + eta + 1 / eta - target
 
-    eta0 = bisect_root(gap, theta, 1.0)
-    return math.log((1.0 - eta0 * theta) / (eta0 - theta))
+        eta0 = mpmath.findroot(gap, (theta, mpmath.mpf(1)), solver="bisect")
+        return float(mpmath.log((1 - eta0 * theta) / (eta0 - theta)))
 
 
 def test_h0_matches_eta_equation_oracle():
