@@ -5,8 +5,9 @@ marching-squares contour chart for surfaces on a rectangular lattice.
 The contour chart runs marching squares on arrays: one case index per
 cell and level from the corner comparisons, and interpolation on the
 crossed edges only, in the float operations and segment order of a
-per-cell loop.  Output is plain string assembly; no drawing library
-involved.
+per-cell loop.  Output is plain string assembly, the numbers of each
+polyline and contour level written by one ``%`` format template; no
+drawing library involved.
 """
 
 from __future__ import annotations
@@ -134,7 +135,15 @@ class _Frame:
 
 
 def _poly_points(frame: _Frame, xs, ys) -> str:
-    return " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in zip(xs, ys))
+    """``x,y`` pixel pairs with 2 decimals, space-separated, for a polyline.
+
+    ``px``/``py`` map the arrays in the float operations they take on one
+    value, and one ``%`` template of ``%.2f,%.2f`` slots, filled from the
+    interleaved pixel coordinates, writes the text; it matches one
+    f-string per point byte for byte.
+    """
+    pts = np.stack([frame.px(np.asarray(xs, dtype=float)), frame.py(np.asarray(ys, dtype=float))], axis=-1)
+    return " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
 
 
 def polyline_plot(series, *, title="", xlabel="", ylabel="", width=720, height=480) -> str:
@@ -210,6 +219,7 @@ def _segment_table():
 
 
 _SEG_COUNT, _SEG_OFFSETS = _segment_table()
+_LINE = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>'
 
 
 def _crossings(xs, ys, z, level, i, j, off):
@@ -239,7 +249,9 @@ def contour_plot(
     a corner value is >= level) comes from one array expression, only the
     crossed cells are kept, in (i, j) row-major order, and only their
     crossed edges are interpolated.  Segments are written cell by cell in
-    that order, a saddle's two in table order.
+    that order, a saddle's two in table order: one ``%`` template of
+    ``<line>`` elements per level, filled from the interleaved pixel ends,
+    which matches one f-string per segment byte for byte.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -266,11 +278,10 @@ def contour_plot(
         x, y = _crossings(
             xs, ys, z, level, i[cell, None], j[cell, None], _SEG_OFFSETS[case[cell], seg]
         )
+        ends = np.stack([frame.px(x), frame.py(y)], axis=-1)  # (segment, end, x|y)
         parts.append(f'<g stroke="{color}" stroke-width="1.2">')
-        parts.extend(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"/>'
-            for (x1, x2), (y1, y2) in zip(frame.px(x).tolist(), frame.py(y).tolist())
-        )
+        if len(ends):
+            parts.append("\n".join([_LINE] * len(ends)) % tuple(ends.ravel().tolist()))
         parts.append("</g>")
         ly = frame.top + 16 + 15 * k
         lx = frame.width - frame.right - 110

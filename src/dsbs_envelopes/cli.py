@@ -137,23 +137,41 @@ def cmd_eval(args) -> int:
 
 
 def _surface_csv(axis, grid) -> str:
+    """The surface as ``s,t,value`` lines, s-major, every number with 12 significant digits.
+
+    The text comes from one ``%`` template: each row's lines are one
+    `str.join` over the `_g12` axis labels, with a ``%.12g`` slot for each
+    value, and a single ``%`` over ``grid``'s `tolist` fills every slot in C.
+    ``%.12g`` and ``format(v, ".12g")`` give the same text for every float,
+    NaN, infinities and -0.0 included, so the file matches a per-cell
+    formatter byte for byte.
+    """
     labels = [_g12(x) for x in axis]
-    rows = ["s,t,value"]
-    for s, values in zip(labels, grid.tolist()):
-        rows.extend(f"{s},{t},{v:.12g}" for t, v in zip(labels, values))
-    return "\n".join(rows) + "\n"
+    template = ["s,t,value\n"]
+    for s in labels:
+        template += (s, ",", f",%.12g\n{s},".join(labels), ",%.12g\n")
+    return "".join(template) % tuple(grid.ravel().tolist())
 
 
 def _q_family_rows(axis, params):
-    rows = ["q_conj,s,value,family"]
+    """The q-family CSV text and its curves ``(q_conj, q, values, family)``.
+
+    Like `_surface_csv`, the text is one ``%`` template, a `str.join` per
+    curve over the `_g12` labels of ``axis`` with a ``%.12g`` slot per
+    value, filled by a single ``%`` over all curves' values; it matches
+    formatting every field with `_g12` byte for byte.
+    """
     curves = []
     for kind, qs in (("phi", _FIG_Q_PHI), ("psi", _FIG_Q_PSI)):
         for q, vals in zip(qs, _q_opt(axis, qs, params, kind=kind)[0]):
             curves.append((QParam.from_q(q).q_conj, q, vals, f"{kind}_q"))
-    for q_conj, _q, vals, family in curves:
-        for s, v in zip(axis, vals):
-            rows.append(f"{_g12(q_conj)},{_g12(s)},{_g12(v)},{family}")
-    return "\n".join(rows) + "\n", curves
+    labels = [_g12(s) for s in axis]
+    template = ["q_conj,s,value,family\n"]
+    for q_conj, _q, _vals, family in curves:
+        head = f"{_g12(q_conj)},"
+        template += (head, f",%.12g,{family}\n{head}".join(labels), f",%.12g,{family}\n")
+    values = np.concatenate([vals for _qc, _q, vals, _f in curves])
+    return "".join(template) % tuple(values.tolist()), curves
 
 
 def _contour_levels(grid) -> list:

@@ -205,7 +205,7 @@ def _s_slope(a, b, source: DsbsParams):
     log2(a/(1-a))``; infinite or NaN at ``a = 0``, silently.  Broadcasting.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _dd2_slope(b, a, source)[0] / (np.log(a / (1.0 - a)) / _LN2)
+        return _dd2_slope(b, a, source, curvature=False) / (np.log(a / (1.0 - a)) / _LN2)
 
 
 def _slope_field(axis, params: DsbsParams, *, kind: str) -> np.ndarray:
@@ -253,7 +253,7 @@ def _seed_grid() -> tuple:
     return x, d2_b
 
 
-def _q_slope(a, x, q, source: DsbsParams, sign: float):
+def _q_slope(a, x, q, source: DsbsParams, sign: float, *, curvature: bool = True):
     """Derivative and curvature in ``x = -b`` of the `_q_opt` objective.
 
     The objective is ``sign * (dd2(a, b) - d2(b)/q)`` on ``source``: the
@@ -262,14 +262,17 @@ def _q_slope(a, x, q, source: DsbsParams, sign: float):
     ``d2'(b) = log2(b/(1-b))`` and ``d2''(b) = 1/(b(1-b) ln 2)``; in x the
     derivative changes sign and the curvature does not.  ``q`` is a float
     or an array of one q per row of ``a`` and ``x``.  At ``b = 0`` the
-    result is NaN or infinite, silently.
+    result is NaN or infinite, silently.  ``curvature=False`` returns the
+    derivative alone, without computing the curvature.
     """
     b = -x
-    slope, curvature = _dd2_slope(a, b, source)
     with np.errstate(divide="ignore", invalid="ignore"):
         d2_slope = np.log(b / (1.0 - b)) / _LN2
+        if not curvature:
+            return sign * (d2_slope / q - _dd2_slope(a, b, source, curvature=False))
+        slope, dd2_curvature = _dd2_slope(a, b, source)
         d2_curvature = 1.0 / (b * (1.0 - b) * _LN2)
-        return sign * (d2_slope / q - slope), sign * (curvature - d2_curvature / q)
+        return sign * (d2_slope / q - slope), sign * (dd2_curvature - d2_curvature / q)
 
 
 def _convex_grid_argmin(a_rows, q_rows, params: DsbsParams):
@@ -290,7 +293,7 @@ def _convex_grid_argmin(a_rows, q_rows, params: DsbsParams):
     live = np.arange(a_rows.size)  # the rows whose gap still exceeds 1
     while live.size:
         mid = (lo[live] + hi[live]) // 2
-        rising = _q_slope(a_rows[live], x_grid[mid], q_rows[live], params, 1.0)[0] >= 0.0
+        rising = _q_slope(a_rows[live], x_grid[mid], q_rows[live], params, 1.0, curvature=False) >= 0.0
         hi[live[rising]], lo[live[~rising]] = mid[rising], mid[~rising]
         live = live[hi[live] - lo[live] > 1]
     pair = np.maximum(np.stack([lo, hi], axis=1), 0)
@@ -357,7 +360,7 @@ def _bound_grid_argmin(a_axis, qs, source: DsbsParams, sign: float):
         pts = slice(start, min(start + step, a_axis.size))
         a = a_axis[pts, None]
         dd2_end = dd2_value(a, b_end, source)
-        dd2_slope = _dd2_slope(a, b_end, source)[0]
+        dd2_slope = _dd2_slope(a, b_end, source, curvature=False)
         rows = np.arange(a.shape[0])
         for k, q in enumerate(qs):
             d2_over_q = d2_grid / q

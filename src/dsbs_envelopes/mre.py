@@ -246,8 +246,13 @@ def _differ_cell(a, b, k: float):
         return np.where(big_b >= 0.0, 2.0 * c / (big_b + root), (root - big_b) / (2.0 * (k - 1.0)))
 
 
-def _dd2_slope(a, b, params: DsbsParams):
+def _dd2_slope(a, b, params: DsbsParams, *, curvature: bool = True):
     """First and second derivatives of dd2(a, b) in b, in bits (vectorized).
+
+    With ``curvature=False`` only the first derivative is returned, and the
+    cells that only the second one reads (``q10`` from `_differ_cell`,
+    ``q11``'s sum) are not formed; the slope takes the same operations
+    either way.
 
     ``a`` and ``b`` must already be validated biases.  By the envelope
     theorem the first derivative is the partial derivative of the coupling
@@ -273,14 +278,17 @@ def _dd2_slope(a, b, params: DsbsParams):
     """
     q00, q01, q10, q11 = _cells(a, b, _p_star(a, b, params))
     if params.k > 1.0:
-        q01, q10 = _differ_cell(a, b, params.k), _differ_cell(b, a, params.k)
+        q01 = _differ_cell(a, b, params.k)
     agree, differ = params.joint_cells()[:2]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slope = np.log((q01 * agree) / (q00 * differ)) / _LN2
+        if not curvature:
+            return slope
+        if params.k > 1.0:
+            q10 = _differ_cell(b, a, params.k)
         curve_a = 1.0 / q00 + 1.0 / q01
         curve_b = 1.0 / q10 + 1.0 / q11
-        curvature = 1.0 / (1.0 / curve_a + 1.0 / curve_b) / _LN2
-    return slope, curvature
+        return slope, 1.0 / (1.0 / curve_a + 1.0 / curve_b) / _LN2
 
 
 def dd2(a: float, b: float, params: DsbsParams) -> MreResult:

@@ -322,19 +322,20 @@ def test_convex_q_opt_peaks_well_below_the_table_budget():
 
 def test_convex_search_takes_at_most_eleven_rounds(monkeypatch):
     # the binary search halves every row's gap of 2001 seed points per
-    # round, and only rows still open call the slope: ceil(log2 2001) = 11
+    # round, and only rows still open call the slope: ceil(log2 2001) = 11.
+    # It reads the slope's sign only, so it never asks for the curvature
     calls = []
     slope = envelopes._q_slope
 
-    def spy(a, x, q, source, sign):
-        calls.append(np.size(x))
-        return slope(a, x, q, source, sign)
+    def spy(a, x, q, source, sign, **kwargs):
+        calls.append((np.size(x), kwargs))
+        return slope(a, x, q, source, sign, **kwargs)
 
     monkeypatch.setattr(envelopes, "_q_slope", spy)
     a = np.asarray(d2_inv(np.linspace(0.0, 1.0, 501)))
     envelopes._convex_grid_argmin(a, np.full(501, -2.0), DsbsParams(0.9))
     assert 0 < len(calls) <= 11
-    assert all(0 < size <= 501 for size in calls)
+    assert all(0 < size <= 501 and kwargs == {"curvature": False} for size, kwargs in calls)
 
 
 _CONVEX_QS = (-1e-3, -0.5, -2.0, -10.0, -1e3)

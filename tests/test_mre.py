@@ -293,6 +293,21 @@ def test_dd2_slope_at_a_near_empty_cell_is_silent(rho):
             assert math.isfinite(slope) and math.isfinite(curvature), (a, b_, source.rho)
 
 
+@pytest.mark.parametrize("rho", [1e-4, 0.5, 0.9, 0.999998])
+def test_dd2_slope_without_curvature_is_the_same_slope(rho):
+    # the slope-only call skips the curvature's cells, not the slope's:
+    # bit for bit the pair's first entry, on the source and its mirror,
+    # empty cells (b = 0, a = 0) and 0-d biases included
+    a = np.concatenate([[0.0, 0.3, 0.5], np.linspace(0.0, 0.5, 41)])[:, None]
+    b = np.concatenate([[0.0, 0.2, 0.5], np.linspace(0.0, 0.5, 37)])[None, :]
+    for source in (DsbsParams(rho), _mirror(DsbsParams(rho))):
+        with np.errstate(all="raise"):
+            alone = _dd2_slope(a, b, source, curvature=False)
+            pair = _dd2_slope(a, b, source)[0]
+        np.testing.assert_array_equal(alone, pair)
+        assert _dd2_slope(np.float64(0.3), np.float64(0.2), source, curvature=False) == pair[1, 1]
+
+
 @pytest.mark.parametrize("fn", [dd2_value, p_star], ids=["dd2_value", "p_star"])
 def test_shapes_that_do_not_broadcast_are_input_errors(fn):
     with pytest.raises(InputDomainError, match=r"shapes \(3,\) and \(4,\)"):

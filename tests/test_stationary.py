@@ -179,19 +179,29 @@ def _h0_eta_oracle(prob):
     """The bend point through the eta-substitution eta = 1/w(e^h), at 25 digits.
 
     g(h) = 0 reads r*(eta^|v| + eta^-|v|) + eta + 1/eta = (1-r)*(theta +
-    1/theta) for eta0 in (theta, 1), where the left side is convex with its
-    minimum at eta = 1, hence decreasing; bisected there by
-    ``mpmath.findroot`` and mapped back through
-    h0 = ln((1 - eta0*theta)/(eta0 - theta)).
+    1/theta) for eta0 in (theta, 1).  In u = ln eta the left side is
+    L(u) = 2r*cosh(|v|u) + 2*cosh(u), decreasing on (ln theta, 0), and
+    ln L is convex there (a log-sum-exp of lines in u), so Newton on
+    ln L(u) - ln((1-r)*(theta + 1/theta)) from u = ln theta, where it is
+    positive, climbs to the root without overshoot.  In the log the steep
+    r*eta^-|v| side is nearly a line, which Newton crosses in one step; on
+    L itself it takes about one step per unit of |v|*|u|.  The root maps
+    back through h0 = ln((1 - eta0*theta)/(eta0 - theta)).
     """
     with mpmath.workdps(25):
         theta, v, r = mpmath.mpf(prob.theta), abs(mpmath.mpf(prob.v)), mpmath.mpf(prob.r)
-        target = (1 - r) * (theta + 1 / theta)
-
-        def gap(eta):
-            return r * (eta**v + eta**-v) + eta + 1 / eta - target
-
-        eta0 = mpmath.findroot(gap, (theta, mpmath.mpf(1)), solver="bisect")
+        log_target = mpmath.log((1 - r) * (theta + 1 / theta))
+        u = mpmath.log(theta)
+        for _ in range(50):
+            lhs = 2 * r * mpmath.cosh(v * u) + 2 * mpmath.cosh(u)
+            slope = 2 * r * v * mpmath.sinh(v * u) + 2 * mpmath.sinh(u)
+            step = (log_target - mpmath.log(lhs)) * lhs / slope  # >= 0 up to rounding
+            u += step
+            if not step > mpmath.mpf(10) ** -22 * abs(u):
+                break
+        else:
+            raise AssertionError(f"no convergence for {prob}")
+        eta0 = mpmath.exp(u)
         return float(mpmath.log((1 - eta0 * theta) / (eta0 - theta)))
 
 

@@ -1,13 +1,13 @@
-"""The figure renderer against its per-cell reference: contour SVGs and surface CSVs."""
+"""The figure renderer against its per-item references: contour and polyline SVGs, surface and q-family CSVs."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dsbs_envelopes import DsbsParams
-from dsbs_envelopes._svg import _FONT, _PALETTE, _Frame, _fmt, contour_plot
-from dsbs_envelopes.cli import _contour_levels, _surface_csv
+from dsbs_envelopes import DsbsParams, cli
+from dsbs_envelopes._svg import _FONT, _PALETTE, _Frame, _escape, _fmt, contour_plot, polyline_plot
+from dsbs_envelopes.cli import _contour_levels, _g12, _q_family_rows, _surface_csv
 from dsbs_envelopes.envelopes import phi_grid, phi_tilde_grid, psi_grid
 
 SURFACES = {"phi": phi_grid, "phi_tilde": phi_tilde_grid, "psi": psi_grid}
@@ -112,6 +112,43 @@ def _per_cell_csv(axis, grid) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _per_row_q_csv(axis, curves) -> str:
+    """The q-family CSV with every field formatted by `_g12`, one row at a time."""
+    rows = ["q_conj,s,value,family"]
+    for q_conj, _q, vals, family in curves:
+        rows.extend(f"{_g12(q_conj)},{_g12(s)},{_g12(v)},{family}" for s, v in zip(axis, vals))
+    return "\n".join(rows) + "\n"
+
+
+def _per_point_polyline_plot(series, *, title="", xlabel="", ylabel="", width=720, height=480) -> str:
+    """The polyline chart with one f-string per point, non-finite points dropped."""
+    series = [(list(map(float, xs)), list(map(float, ys)), str(lbl)) for xs, ys, lbl in series]
+    finite = [
+        (x, y) for xs, ys, _ in series for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)
+    ]
+    x_range = (min(x for x, _ in finite), max(x for x, _ in finite))
+    y_range = (min(y for _, y in finite), max(y for _, y in finite))
+    frame = _Frame(x_range, y_range, width, height, title, xlabel, ylabel)
+    parts = frame.chrome()
+    for k, (xs, ys, label) in enumerate(series):
+        color = _PALETTE[k % len(_PALETTE)]
+        points = " ".join(
+            f"{frame.px(x):.2f},{frame.py(y):.2f}"
+            for x, y in zip(xs, ys)
+            if math.isfinite(x) and math.isfinite(y)
+        )
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>')
+        ly = frame.top + 16 + 15 * k
+        lx = frame.width - frame.right - 150
+        parts.append(
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="1.6"/>'
+        )
+        parts.append(f'<text x="{lx + 27}" y="{ly}" {_FONT} font-size="11">{_escape(label)}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
 def _cases_hit(z, levels) -> set:
     """Case indices of every cell at every level, corner bits as in `_cell_segments`."""
     hit = set()
@@ -181,3 +218,54 @@ def test_surface_csv_matches_per_cell_formatter():
     odd = np.random.default_rng(3).normal(size=(51, 51)) * 1e-7
     odd[0, :4] = [-0.0, math.inf, -math.inf, math.nan]
     assert _surface_csv(axis, odd) == _per_cell_csv(axis, odd)
+
+
+def test_contour_plot_matches_per_cell_reference_with_levels_that_cross_no_cell():
+    # a level below or above every value crosses no cell: its group has no
+    # <line> elements, and its empty template adds no line to the text
+    xs, ys, z, levels = _random_grid(nx=9, ny=7)
+    levels = [-1.0, levels[0], 2.0, math.nan]
+    svg = contour_plot(xs, ys, z, levels)
+    assert svg == _per_cell_contour_plot(xs, ys, z, levels)
+    assert svg.count('stroke-width="1.2">\n</g>') == 3
+
+
+def test_q_family_csv_matches_per_row_formatter(monkeypatch):
+    params = DsbsParams(0.9)
+    axis = np.linspace(0.0, 1.0, 51)
+    text, curves = _q_family_rows(axis, params)
+    assert len(curves) == 9 and text == _per_row_q_csv(axis, curves)
+    # NaN, infinities and -0.0 among the values and on the axis
+    rng = np.random.default_rng(5)
+
+    def odd_q_opt(s, qs, params, *, kind):
+        vals = rng.normal(size=(len(qs), s.size)) * 1e-7
+        vals[0, :4] = [-0.0, math.inf, -math.inf, math.nan]
+        return vals, None
+
+    monkeypatch.setattr(cli, "_q_opt", odd_q_opt)
+    axis[0] = -0.0
+    text, curves = _q_family_rows(axis, params)
+    assert text == _per_row_q_csv(axis, curves)
+    head = "q_conj,s,value,family\ninf,-0,-0,phi_q\ninf,0.02,inf,phi_q\ninf,0.04,-inf,phi_q\ninf,0.06,nan,phi_q\n"
+    assert text.startswith(head)  # q = 1 has q_conj = inf
+
+
+def test_polyline_plot_matches_per_point_reference():
+    params = DsbsParams(0.5)
+    axis = np.linspace(0.0, 1.0, 101)
+    _, curves = _q_family_rows(axis, params)
+    series = [(axis, vals, f"{family} q = {q:g}") for (_qc, q, vals, family) in curves]
+    kw = dict(title="slope-family envelopes (rho = 0.5)", xlabel="s", ylabel="value")
+    assert polyline_plot(series, **kw) == _per_point_polyline_plot(series, **kw)
+    # non-finite points are dropped, -0.0 is kept; a series with no finite
+    # point draws an empty polyline
+    xs = np.array([-0.0, 0.5, 1.0, 1.5, 2.0, math.nan])
+    series = [
+        (xs, [math.nan, -0.0, 3.0, math.inf, -math.inf, 1.0], "a"),
+        (xs, [1.0, 2.0, -1.0, -0.0, 0.25, 0.5], "b & c"),
+        ([math.inf], [0.0], "empty"),
+    ]
+    svg = polyline_plot(series, width=500, height=300)
+    assert svg == _per_point_polyline_plot(series, width=500, height=300)
+    assert 'points=""' in svg
