@@ -11,10 +11,11 @@ Fenchel–Young gap ``f(x0) - g0·x0 + f*(g0)`` bounds how far f lies above
 its lower convex envelope at x0, so a gap of at most ε everywhere bounds
 every midpoint violation by ε, and a wrong slope can only fail it.  The
 conjugate f* is exact: the max over rows of the rows' 1-D conjugates,
-each read off its row's lower hull, all hulls built in lockstep.  A point
-on an edge of the square takes the 1-D gap along its edge.  ``verify``
-runs it once on phi_tilde and, negated, on psi, and claims T1, T2 and E
-read those two reports.
+each read off its row's lower hull, all hulls built in lockstep.  On an
+exactly symmetric surface with transposed slopes, one triangle of points
+is queried and mirrored.  A point on an edge of the square takes the 1-D
+gap along its edge.  ``verify`` runs it once on phi_tilde and, negated,
+on psi, and claims T1, T2 and E read those two reports.
 
 :func:`lower_convex_envelope` takes the geometric route on 2-D grids: the
 lower facets of the Qhull convex hull of the graph points, interpolated
@@ -226,22 +227,31 @@ def _conjugate_2d(v: np.ndarray, x: np.ndarray, hulls: list, lam: np.ndarray, mu
 
     As the max over rows i of ``lam*x_i + c_i(mu)``, where ``c_i`` is row
     i's 1-D conjugate, read off its lower hull ``hulls[i]``.  The queries
-    are sorted by mu once; then each row hull's edge slopes cut the sorted
-    mu into one run per hull vertex (one `searchsorted`), and the vertex's
-    plane is repeated over its run and folded into a running max in place.
+    are sorted by mu once.  Then, for all rows at once, each hull's edge
+    slopes (kept nondecreasing against rounding) cut the sorted mu into one
+    run per vertex (one `searchsorted`), and the row loop only repeats each
+    vertex's plane over its run and folds it into a running max in place.
+    The hulls are padded to the longest by repeating their last vertex,
+    whose copies share its plane, so however the padded edges split the
+    last vertex's run, every query gets the same value.  Each query's
+    value takes the same operations whatever the other queries are.
     """
     order = np.argsort(mu, kind="stable")
     lam, mu = lam[order], mu[order]
+    sizes = np.array([hull.size for hull in hulls])
+    starts = np.cumsum(sizes) - sizes
+    col = np.concatenate(hulls)[starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
+    x_hull, v_hull = x[col], v[np.arange(len(hulls))[:, None], col]
+    dx = np.diff(x_hull, axis=1)
+    dx[dx == 0.0] = 1.0  # a padded edge (hull abscissae are distinct): flat, not 0/0
+    slopes = np.maximum.accumulate(np.diff(v_hull, axis=1) / dx, axis=1)
+    runs = np.diff(np.searchsorted(mu, slopes, side="right"), axis=1, prepend=0, append=mu.size)
     best = np.full(mu.size, -np.inf)
     plane = np.empty(mu.size)
     lift = np.empty(mu.size)
-    for i, hull in enumerate(hulls):
-        # the hull's edge slopes, kept nondecreasing against rounding
-        slopes = np.maximum.accumulate(np.diff(v[i, hull]) / np.diff(x[hull]))
-        ends = np.searchsorted(mu, slopes, side="right")
-        runs = np.diff(ends, prepend=0, append=mu.size)
-        np.multiply(mu, np.repeat(x[hull], runs), out=plane)
-        plane -= np.repeat(v[i, hull], runs)
+    for i, run in enumerate(runs):
+        np.multiply(mu, np.repeat(x_hull[i], run), out=plane)
+        plane -= np.repeat(v_hull[i], run)
         np.multiply(lam, x[i], out=lift)
         plane += lift
         np.maximum(best, plane, out=best)
@@ -251,7 +261,14 @@ def _conjugate_2d(v: np.ndarray, x: np.ndarray, hulls: list, lam: np.ndarray, mu
 
 
 def _lagrangian_gaps(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gap of every point of `check_lagrangian_gap`, -inf at the corners."""
+    """The gap of every point of `check_lagrangian_gap`, -inf at the corners.
+
+    When ``v`` equals its transpose and the interior slopes are each
+    other's transpose (``g[1] == g[0].T``), both exactly, the gap at (j, i)
+    equals the one at (i, j) up to rounding: only the interior points
+    i <= j are queried, and their gaps are mirrored.  Any other input, a
+    NaN slope included, queries every interior point.
+    """
     n = v.shape[0]
     x = np.linspace(0.0, 1.0, n)
     inner = slice(1, n - 1)
@@ -263,8 +280,14 @@ def _lagrangian_gaps(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     gaps = np.full((n, n), -np.inf)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite slope gives NaN
         lam, mu = g[0, inner, inner], g[1, inner, inner]
-        fstar = _conjugate_2d(v, x, rows, lam.ravel(), mu.ravel()).reshape(lam.shape)
-        gaps[inner, inner] = v[inner, inner] - lam * x[inner, None] - mu * x[None, inner] + fstar
+        plane_gap = v[inner, inner] - lam * x[inner, None] - mu * x[None, inner]
+        if np.array_equal(v, v.T) and np.array_equal(mu, lam.T):
+            half = np.triu_indices(n - 2)
+            gap = plane_gap[half] + _conjugate_2d(v, x, rows, lam[half], mu[half])
+            gaps[inner, inner][half] = gap
+            gaps[inner, inner][half[::-1]] = gap
+        else:
+            gaps[inner, inner] = plane_gap + _conjugate_2d(v, x, rows, lam.ravel(), mu.ravel()).reshape(lam.shape)
         for edge, hull, axis in edges:
             # the 1-D conjugate: one row, whose lam term is 0
             line, slope = v[edge], g[axis][edge][inner]
@@ -289,6 +312,12 @@ def check_lagrangian_gap(f: GridFn, slopes) -> ConvexityReport:
     edge, with the tangential slope only (the normal one may be infinite
     there); the corners, extreme points, are skipped.  A non-finite slope
     off the corners gives a NaN gap, which is reported as the worst.
+
+    When the values equal their transpose and the interior slopes satisfy
+    ``slopes[1] == slopes[0].T``, both exactly, the gap is symmetric up to
+    rounding, and only the interior points i <= j are queried; their gaps,
+    bit for bit those of a query of every point, are mirrored to (j, i).
+    Any other input, a NaN slope included, queries every interior point.
 
     The witness is the (i, j) of the worst gap, the first in row-major
     order among ties.  ``n_pairs`` counts the (point, lattice point) pairs

@@ -50,6 +50,15 @@ the broadcast shape of the input, so the dense grid evaluators of
 (256 KB each) then stay in a core's L2 cache, where a whole-table
 evaluation streamed every temporary through memory.
 
+dd2 is symmetric in its biases, and the kernel is so bit for bit: it forms
+each quantity that is symmetric in ``a`` and ``b`` in a symmetric order.
+`_p_star` takes both products as ``(a*b)*c``, `_cells` takes ``q00`` as
+``(p + 1) - (a + b)``, and `_divergence` sums the two off-diagonal terms
+first, ``(t01 + t10) + t00 + t11``; swapping the biases then only swaps
+``q01`` and ``q10``, whose KL terms share the reference cell.  The grids
+of `envelopes` rely on it: on equal axes they evaluate one triangle and
+mirror it.
+
 A vectorized brute-force minimizer over the segment
 (`_dd2_oracle_batch`, used by claim P) is the independent check of the
 closed form; it keeps its own golden-section p and never consults the
@@ -125,14 +134,16 @@ def _p_star(a, b, params: DsbsParams):
         delta += 1.0
     else:
         delta = np.multiply(t, t)
-        p = np.multiply(a * (4.0 * k * (k - 1.0)), b)
+        p = np.multiply(a, b)
+        p *= 4.0 * k * (k - 1.0)
         delta -= p
     if delta.min(initial=0.0) < -1e-12:
         raise InconsistencyError(_BROKEN_DISCRIMINANT)
     np.maximum(delta, 0.0, out=delta)
     np.sqrt(delta, out=delta)
     delta += t
-    np.multiply(a * (2.0 * k), b, out=p)
+    np.multiply(a, b, out=p)
+    p *= 2.0 * k
     p /= delta
     s -= 1.0
     lo = np.maximum(0.0, s, out=s)
@@ -149,9 +160,8 @@ def _cells(a, b, p):
     """
     q = np.empty((4,) + np.broadcast(a, b, p).shape)
     cell = [q[i, ...] for i in range(4)]  # views, also for 0-d input
-    np.add(p, 1.0, out=cell[0])
-    cell[0] -= a
-    cell[0] -= b
+    np.add(p, 1.0, out=cell[1])  # (p + 1) - (a + b): symmetric in a and b
+    np.subtract(cell[1], np.add(a, b, out=cell[0]), out=cell[0])
     np.subtract(b, p, out=cell[1])
     np.subtract(a, p, out=cell[2])
     cell[3][...] = p
@@ -165,10 +175,11 @@ def _divergence(a, b, p, params: DsbsParams):
     float for 0-d ``a``, ``b`` and ``p``; otherwise a new array of their
     broadcast shape.  Every log is taken in one unmasked pass over the
     stacked cells: an empty cell gives ``0 * log 0 = NaN`` there, which a
-    fix-up replaces by the cell's own zero.  The terms are summed in cell
-    order, and the sum is clipped at 0: a relative entropy is never
-    negative, but where it is 0 (a = b = 1/2, where the source itself has
-    the marginals) rounding takes the sum to about -1e-16.
+    fix-up replaces by the cell's own zero.  The terms are summed as
+    ``(t01 + t10) + t00 + t11``, symmetric in ``a`` and ``b``, and the sum
+    is clipped at 0: a relative entropy is never negative, but where it is
+    0 (a = b = 1/2, where the source itself has the marginals) rounding
+    takes the sum to about -1e-16.
     """
     q = _cells(a, b, p)
     refs = params.joint_cells().reshape((4,) + (1,) * (q.ndim - 1))
@@ -178,8 +189,8 @@ def _divergence(a, b, p, params: DsbsParams):
         terms *= q
     if q.min(initial=1.0) == 0.0:
         np.copyto(terms, q, where=q == 0.0)
-    total = np.add(terms[0], terms[1])
-    total += terms[2]
+    total = np.add(terms[1], terms[2])  # the two differ cells first: symmetric in a and b
+    total += terms[0]
     total += terms[3]
     total /= _LN2
     total = np.maximum(total, 0.0, out=total if q.ndim > 1 else None)  # 0-d sums are numpy scalars

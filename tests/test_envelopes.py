@@ -77,6 +77,73 @@ def test_grids_match_pointwise():
             assert sg[i, j] == pytest.approx(psi(s[i], t[j], RHO), abs=1e-14)
 
 
+GRIDS = {"phi_grid": (phi_grid, "s_vals", "t_vals"), "psi_grid": (psi_grid, "s_vals", "t_vals")}
+GRIDS["phi_tilde_grid"] = (phi_tilde_grid, "alpha_vals", "beta_vals")
+
+
+@pytest.mark.parametrize("name", GRIDS)
+@pytest.mark.parametrize("first, second, bad", [
+    (np.full((2, 2), 0.3), np.linspace(0.0, 1.0, 4), 0),
+    (np.linspace(0.0, 1.0, 4), np.full((3, 1), 0.3), 1),
+    (np.full((1, 1), 0.3), np.full((1, 1), 0.3), 0),
+])
+def test_grid_evaluators_reject_two_dimensional_axes(name, first, second, bad):
+    # a (2, 2) axis used to fail with a bare numpy broadcast error, a (3, 1)
+    # one with a misleading broadcast message, and (1, 1) axes returned a
+    # 1 x 1 grid
+    grid, *axis_names = GRIDS[name]
+    with pytest.raises(InputDomainError, match=rf"^{axis_names[bad]} must be a scalar or 1-D, got shape"):
+        grid(first, second, RHO)
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.5, 0.9, 0.999998])
+def test_grids_on_equal_axes_are_exactly_symmetric(rho):
+    # one more t point makes the axes unequal, so every cell of the square
+    # is computed: it equals its transpose, and the mirrored fill
+    params = DsbsParams(rho)
+    for n in (101, 501):
+        axis = np.linspace(0.0, 1.0, n)
+        for grid, *_ in GRIDS.values():
+            full = grid(axis, np.append(axis, 0.5), params)[:, :-1]
+            assert np.array_equal(full, full.T), (grid.__name__, n)
+            assert np.array_equal(grid(axis, axis, params), full), (grid.__name__, n)
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.9, 0.999998])
+def test_triangle_fill_matches_the_full_fill_bit_for_bit(monkeypatch, rho):
+    # row slices of 7 rows (the last one ragged) and of the whole grid: the
+    # mirrored triangle equals every cell computed by the same kernel
+    params = DsbsParams(rho)
+    axis = np.linspace(0.0, 1.0, 61)
+    a = np.asarray(d2_inv(axis))
+    kernels = {
+        phi_grid: lambda rows: dd2_value(a[rows, None], a[None, :], params),
+        psi_grid: lambda rows: dd2_value(a[rows, None], a[None, :], _mirror(params)),
+        phi_tilde_grid: lambda rows: envelopes._phi_tilde_kernel(
+            a[rows, None], a[None, :], axis[rows, None], axis[None, :], params
+        ),
+    }
+    for budget in (7 * axis.size, envelopes._BLOCK_ELEMS):
+        monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
+        for grid, kernel in kernels.items():
+            full = envelopes._outer_eval(axis.size, axis.size, kernel)
+            assert full.tobytes() == grid(axis, axis, params).tobytes(), (grid.__name__, budget)
+            # unequal axes take the full fill
+            assert np.array_equal(grid(axis, axis[:-1], params), full[:, :-1]), grid.__name__
+    # equal axes evaluate each 7-row slice from its diagonal on
+    sizes = []
+    real = envelopes.dd2_value
+
+    def spy(a, b, source):
+        sizes.append(np.broadcast(a, b).size)
+        return real(a, b, source)
+
+    monkeypatch.setattr(envelopes, "dd2_value", spy)
+    monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", 7 * axis.size)
+    phi_grid(axis, axis, params)
+    assert sizes == [min(7, 61 - start) * (61 - start) for start in range(0, 61, 7)]
+
+
 # ---------------------------------------------------------------------------
 # monotone rearrangement
 # ---------------------------------------------------------------------------

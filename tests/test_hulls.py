@@ -491,3 +491,124 @@ def test_lagrangian_gap_catches_gross_violation_above_grid_201():
     v[150, 150] += 0.5
     rep = check_lagrangian_gap(GridFn(v), g)
     assert rep.witness == (150, 150) and rep.worst_violation >= 0.49
+
+
+# ---------------------------------------------------------------------------
+# the certificate on exactly symmetric input: one triangle of queries
+# ---------------------------------------------------------------------------
+
+
+def _reference_conjugate(v, x, row_hulls, lam, mu):
+    """`_conjugate_2d` as one searchsorted and two repeats per row, all in the loop."""
+    order = np.argsort(mu, kind="stable")
+    lam, mu = lam[order], mu[order]
+    best = np.full(mu.size, -np.inf)
+    for i, hull in enumerate(row_hulls):
+        slopes = np.maximum.accumulate(np.diff(v[i, hull]) / np.diff(x[hull]))
+        runs = np.diff(np.searchsorted(mu, slopes, side="right"), prepend=0, append=mu.size)
+        best = np.maximum(best, mu * np.repeat(x[hull], runs) - np.repeat(v[i, hull], runs) + lam * x[i])
+    out = np.empty(mu.size)
+    out[order] = best
+    return out
+
+
+def _all_query_gaps(v, g):
+    """The interior gaps with every interior point queried, by the reference conjugate."""
+    x = np.linspace(0.0, 1.0, v.shape[0])
+    lam, mu = g[0, 1:-1, 1:-1], g[1, 1:-1, 1:-1]
+    with np.errstate(invalid="ignore"):
+        fstar = _reference_conjugate(v, x, hulls._lower_hulls(v), lam.ravel(), mu.ravel()).reshape(lam.shape)
+        return v[1:-1, 1:-1] - lam * x[1:-1, None] - mu * x[None, 1:-1] + fstar
+
+
+def _query_spy(monkeypatch) -> list:
+    """The query count of every `_conjugate_2d` call, in call order."""
+    counts = []
+    real = hulls._conjugate_2d
+
+    def spy(v, x, row_hulls, lam, mu):
+        counts.append(lam.size)
+        return real(v, x, row_hulls, lam, mu)
+
+    monkeypatch.setattr(hulls, "_conjugate_2d", spy)
+    return counts
+
+
+def _symmetric_cases(n=41):
+    """Exactly symmetric values with transposed slopes: a bowl, phi_tilde and -psi at rho 0.9."""
+    bowl = (
+        lambda s, t: (s - 0.4) ** 2 + (t - 0.4) ** 2 + s * t,
+        lambda s, t: 2 * (s - 0.4) + t,
+        lambda s, t: 2 * (t - 0.4) + s,
+    )
+    f, g = _exact(n, *bowl)
+    yield "bowl", f.values, g
+    axis = np.linspace(0.0, 1.0, n)
+    params = DsbsParams(0.9)
+    for kind, grid, sign in (("phi_tilde", envelopes.phi_tilde_grid, 1.0), ("psi", envelopes.psi_grid, -1.0)):
+        yield kind, sign * grid(axis, axis, params), sign * envelopes._slope_field(axis, params, kind=kind)
+
+
+def test_conjugate_matches_the_per_row_loop_bit_for_bit():
+    # the edge slopes, their running max and the runs of every row are
+    # formed before the row loop; hulls of every length, one-row calls too
+    rng = np.random.default_rng(35)
+    for n in (3, 5, 17, 60):
+        x = np.linspace(0.0, 1.0, n)
+        for v in (rng.normal(size=(n, n)), rng.normal(size=(n, n)).cumsum(axis=1) ** 2, rng.normal(size=(1, n))):
+            row_hulls = hulls._lower_hulls(v)
+            lam, mu = 3.0 * rng.normal(size=(2, 2 * n))
+            want = _reference_conjugate(v, x, row_hulls, lam, mu)
+            assert hulls._conjugate_2d(v, x, row_hulls, lam, mu).tobytes() == want.tobytes(), n
+
+
+def test_symmetric_input_queries_one_triangle(monkeypatch):
+    # the gap at (j, i) is the one at (i, j) up to rounding: the points
+    # i <= j are queried, bit for bit as among all queries, and mirrored;
+    # the four edges keep their own 1-D queries.  The phi_tilde slopes are
+    # not transposes at the (0, 0) corner, which the check skips
+    counts = _query_spy(monkeypatch)
+    n = 41
+    for name, v, g in _symmetric_cases(n):
+        counts.clear()
+        got = hulls._lagrangian_gaps(v, g)
+        assert counts == [(n - 2) * (n - 1) // 2] + [n - 2] * 4, name
+        assert np.array_equal(got, got.T), name
+        want = _all_query_gaps(v, g)
+        upper = np.triu_indices(n - 2)
+        assert got[1:-1, 1:-1][upper].tobytes() == want[upper].tobytes(), name
+        scale = np.abs(v).max() + np.abs(g[:, 1:-1, 1:-1]).max(axis=(1, 2)).sum()
+        assert np.abs(got[1:-1, 1:-1] - want).max() <= np.finfo(float).eps * scale, name
+
+
+def test_symmetric_tie_picks_the_row_major_first_witness(monkeypatch):
+    # a bump at (5, 12) and its mirror (12, 5): equal gaps, and the witness
+    # is the first in row-major order
+    counts = _query_spy(monkeypatch)
+    _, v, g = next(_symmetric_cases())
+    v = v.copy()
+    v[5, 12] += 0.01
+    v[12, 5] += 0.01
+    rep = check_lagrangian_gap(GridFn(v), g)
+    assert counts[0] == 39 * 40 // 2
+    assert rep.witness == (5, 12) and rep.worst_violation >= 0.005
+
+
+@pytest.mark.parametrize("breach", ["bumped off-diagonal value", "NaN slope", "slopes not transposed"])
+def test_asymmetric_input_queries_every_point(monkeypatch, breach):
+    # any break of the exact symmetry falls back to every interior query,
+    # which gives the per-row loop's gaps bit for bit
+    counts = _query_spy(monkeypatch)
+    n = 41
+    for name, v, g in _symmetric_cases(n):
+        v, g = v.copy(), g.copy()
+        if breach == "bumped off-diagonal value":
+            v[5, 12] += 1e-3
+        elif breach == "NaN slope":
+            g[0, 7, 9] = np.nan
+        else:
+            g[1, 7, 9] += 1e-12
+        counts.clear()
+        got = hulls._lagrangian_gaps(v, g)
+        assert counts == [(n - 2) ** 2] + [n - 2] * 4, name
+        np.testing.assert_array_equal(got[1:-1, 1:-1], _all_query_gaps(v, g), err_msg=name)

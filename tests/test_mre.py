@@ -110,6 +110,25 @@ def test_dd2_symmetric_in_marginals(a, b, rho):
     assert dd2_value(a, b, params) == pytest.approx(dd2_value(b, a, params), abs=1e-12)
 
 
+@pytest.mark.parametrize("rho", [1e-5, 0.5, 0.9, 0.999998])
+def test_dd2_and_p_star_are_bitwise_symmetric(rho):
+    # the kernel forms every symmetric quantity in a symmetric order, so
+    # swapping the biases swaps q01 and q10 and nothing else: on random
+    # biases (the fold region a + b > 1 among them), along the edges and at
+    # 0-d input, on the source (k > 1) and on its mirror (k < 1)
+    rng = np.random.default_rng(35)
+    a, b = rng.uniform(0.0, 1.0, (2, 4000))
+    a[:500], b[:500] = rng.uniform(0.0, 1e-6, (2, 500))  # near the b = 0, a = 0 edges
+    edges = np.array([0.0, 1e-300, 1e-12, 0.25, 0.5, 0.5 + 1e-16, 0.75, 1.0 - 1e-16, 1.0])
+    a = np.concatenate([a, np.repeat(edges, edges.size)])
+    b = np.concatenate([b, np.tile(edges, edges.size)])
+    assert (a + b > 1.0).sum() > 1000
+    for source in (DsbsParams(rho), _mirror(DsbsParams(rho))):
+        for fn in (dd2_value, p_star):
+            assert fn(a, b, source).tobytes() == fn(b, a, source).tobytes(), fn.__name__
+            assert fn(0.3, 0.1, source) == fn(0.1, 0.3, source), fn.__name__
+
+
 @given(probs, probs, rhos)
 @settings(max_examples=200, deadline=None)
 def test_dd2_nonnegative(a, b, rho):
@@ -327,8 +346,8 @@ def _reference_p_star(av, bv, params):
         d = (av - bv) * (k - 1.0)
         delta = d * d + (av * bv * -2.0 + (av + bv)) * (2.0 * (k - 1.0)) + 1.0
     else:
-        delta = t * t - 4.0 * k * (k - 1.0) * av * bv
-    p = 2.0 * k * av * bv / (t + np.sqrt(np.maximum(delta, 0.0)))
+        delta = t * t - av * bv * (4.0 * k * (k - 1.0))
+    p = av * bv * (2.0 * k) / (t + np.sqrt(np.maximum(delta, 0.0)))
     return np.clip(p, np.maximum(0.0, av + bv - 1.0), np.minimum(av, bv))
 
 
@@ -337,14 +356,13 @@ def _reference_dd2(av, bv, params):
     p = _reference_p_star(av, bv, params)
     agree = 0.25 * (1.0 + params.rho)
     differ = 0.25 * (1.0 - params.rho)
-    q00 = np.maximum(1.0 + p - av - bv, 0.0)
+    q00 = np.maximum((p + 1.0) - (av + bv), 0.0)
     q01 = np.maximum(bv - p, 0.0)
     q10 = np.maximum(av - p, 0.0)
     q11 = np.maximum(p, 0.0)
     total = (
-        _xlogy(q00, q00 / agree)
-        + _xlogy(q01, q01 / differ)
-        + _xlogy(q10, q10 / differ)
+        (_xlogy(q01, q01 / differ) + _xlogy(q10, q10 / differ))
+        + _xlogy(q00, q00 / agree)
         + _xlogy(q11, q11 / agree)
     )
     return np.maximum(total / math.log(2.0), 0.0)
