@@ -43,17 +43,37 @@ _LN2 = math.log(2.0)
 _SLACK = 1e-12  # absolute slack accepted (and clipped) on probability inputs
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array (0-d for a scalar), or `InputDomainError`.
+
+    Booleans, integers and reals convert.  A ragged nested sequence, and
+    any array of strings, complex numbers, None or other objects, is
+    refused: a cast would raise numpy's bare error or, for complex input,
+    drop the imaginary part with only a warning.
+    """
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # ragged nested sequences
+        raise InputDomainError(f"{name} must form an array: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise InputDomainError(f"{name} must be reals, not {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _prepare_prob(x, name: str):
     """Validate an array-or-scalar probability and clip it into [0, 1].
 
     Returns ``np.float64`` for 0-d input and a new float array otherwise.
-    This runs on every call of every public function, so an accepted input
-    costs one range test: plain float comparisons for 0-d input, one
-    min/max pair for arrays (NaN fails both).  Only a rejected or empty
-    array goes through the elementwise checks.
+    Anything `_real_array` refuses (a ragged list, a string, a complex
+    number, None), a non-finite value and a value outside [0, 1] by more
+    than the slack raise `InputDomainError`.  This runs on every call of
+    every public function, so an accepted input costs one range test: plain
+    float comparisons for 0-d input, one min/max pair for arrays (NaN fails
+    both).  Only a rejected or empty array goes through the elementwise
+    checks.
     """
     if not isinstance(x, float):
-        x = np.asarray(x, dtype=float)
+        x = _real_array(x, name)
         if x.ndim:
             return _prepare_prob_array(x, name)
     return np.float64(_require_prob_scalar(x, name))
@@ -137,8 +157,9 @@ def _xlogy(x, y):
 
 def h2(a):
     """Entropy of a bit with bias ``a``, in bits.  ``h2(0) = h2(1) = 0``."""
-    scalar = np.ndim(a) == 0
-    p = np.atleast_1d(_prepare_prob(a, "a"))
+    p = _prepare_prob(a, "a")
+    scalar = p.ndim == 0
+    p = np.atleast_1d(p)
     return _scalarize(-(_xlogy(p, p) + _xlogy(1.0 - p, 1.0 - p)) / _LN2, scalar)
 
 
@@ -162,8 +183,9 @@ def d2(a):
     direct form ``a*log2(2a) + (1-a)*log2(2-2a)``.  The relative error is at
     most 1e-15 for every ``a`` (at most 6.8e-16 against 50-digit mpmath).
     """
-    scalar = np.ndim(a) == 0
-    p = np.atleast_1d(_prepare_prob(a, "a"))
+    p = _prepare_prob(a, "a")
+    scalar = p.ndim == 0
+    p = np.atleast_1d(p)
     x = 1.0 - 2.0 * p
     out = _deficit_kernel(np.clip(x, -0.5, 0.5))[0]  # replaced where |x| > 1/2
     far = np.abs(x) > 0.5
@@ -171,6 +193,12 @@ def d2(a):
         pf = p[far]
         out[far] = _xlogy(pf, 2.0 * pf) + _xlogy(1.0 - pf, 2.0 - 2.0 * pf)
     return _scalarize(out / _LN2, scalar)
+
+
+def _d2_slope(b):
+    """The slope of d2 in its bias, ``d2'(b) = log2(b/(1-b))``, on arrays; -inf at b = 0, silently."""
+    with np.errstate(divide="ignore"):
+        return np.log(b / (1.0 - b)) / _LN2
 
 
 # Newton steps per regime of d2_inv.  From their seeds both regimes are
@@ -231,8 +259,9 @@ def d2_inv(s):
     ``|d2(a) - s| <= 5e-16`` (at most 3.3e-16 measured).  Endpoints are
     exact: ``d2_inv(0) = 1/2`` and ``d2_inv(1) = 0``.
     """
-    scalar = np.ndim(s) == 0
-    sv = np.atleast_1d(_prepare_prob(s, "s"))
+    sv = _prepare_prob(s, "s")
+    scalar = sv.ndim == 0
+    sv = np.atleast_1d(sv)
     out = np.empty_like(sv)
     flat = sv <= 0.5
     if flat.any():
@@ -250,10 +279,9 @@ def d2_inv(s):
 
 def bconv(x, y):
     """Bias of the XOR of independent bits with biases ``x`` and ``y``."""
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     xv = _prepare_prob(x, "x")
     yv = _prepare_prob(y, "y")
-    return _scalarize(xv + yv - 2.0 * xv * yv, scalar)
+    return _scalarize(xv + yv - 2.0 * xv * yv, xv.ndim == 0 and yv.ndim == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .envelopes import (
     _q_opt,
 )
 from .errors import DsbsError, InputDomainError
-from .mre import dd2, dd2_value, p_star
+from .mre import dd2
 from .stationary import (
     RootProblem,
     _f_pad,
@@ -109,8 +109,8 @@ def cmd_eval(args) -> int:
         elif fn == "phi_tilde" and _flat(b, a, c):
             value, lines = t, ["branch = beta-plane"]
         else:
-            value = dd2_value(a, b, source)
-            p = p_star(a, b, source)
+            res = dd2(a, b, source)
+            value, p = res.value, res.p_star
             lines = ["branch = interior"] if fn == "phi_tilde" else []
             # P(1,1) in the labels of Y, the mirror's cell (1,0) for psi
             lines.append(f"p_star = {_g12(a - p if fn == 'psi' else p)}")

@@ -43,7 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import newton_root_vec
-from .binary import _LN2, DsbsParams, bconv, d2, d2_inv, _mirror, _prepare_prob, _scalarize, _store_finite_reals
+from .binary import (
+    _LN2, DsbsParams, bconv, d2, d2_inv, _d2_slope, _mirror, _prepare_prob, _scalarize, _store_finite_reals
+)
 from .errors import InputDomainError
 from .mre import _dd2_slope, dd2_value
 
@@ -155,35 +157,25 @@ def _rows_per_chunk(n_cols: int) -> int:
     return max(1, _BLOCK_ELEMS // max(n_cols, 1))
 
 
-def _outer_eval(n_rows: int, n_cols: int, block) -> np.ndarray:
-    """An n_rows x n_cols grid filled by ``block(rows)``, one row slice at a time.
+def _outer_eval(n_rows: int, n_cols: int, block, symmetric: bool) -> np.ndarray:
+    """An n_rows x n_cols grid filled by ``block(rows, cols)``, one row slice at a time.
 
     Each slice holds as many rows as fit the element budget
     ``_BLOCK_ELEMS``, so that the surface kernel's temporaries for one
-    slice stay in L2 cache.
+    slice stay in L2 cache.  A ``symmetric`` grid (square, of a bitwise
+    symmetric kernel, as `mre`'s dd2 is) fills each slice from its
+    diagonal on and mirrors the part right of the slice's own square below
+    it: about half the cells are computed, and the grid equals the full
+    fill bit for bit.
     """
     out = np.empty((n_rows, n_cols))
     step = _rows_per_chunk(n_cols)
     for start in range(0, n_rows, step):
         rows = slice(start, min(start + step, n_rows))
-        out[rows] = block(rows)
-    return out
-
-
-def _triangle_eval(n: int, block) -> np.ndarray:
-    """The n x n grid of a symmetric kernel, about half of it computed.
-
-    The row slices of `_outer_eval`, each filled from its diagonal on by
-    ``block(rows, cols)``; the part right of the slice's own square is
-    mirrored below it.  Equal to `_outer_eval`'s full fill bit for bit
-    when the kernel is bitwise symmetric, as `mre`'s dd2 is.
-    """
-    out = np.empty((n, n))
-    step = _rows_per_chunk(n)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        out[rows, start:] = block(rows, slice(start, None))
-        out[rows.stop :, rows] = out[rows, rows.stop :].T
+        cols = slice(start if symmetric else 0, None)
+        out[rows, cols] = block(rows, cols)
+        if symmetric:
+            out[rows.stop :, rows] = out[rows, rows.stop :].T
     return out
 
 
@@ -208,14 +200,14 @@ def phi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
     """phi on the grid ``s_vals x t_vals``; axis 0 indexes s.
 
     phi is symmetric, and dd2 bitwise so: on equal axes one triangle is
-    evaluated and mirrored (`_triangle_eval`).
+    evaluated and mirrored (`_outer_eval`).
     """
     sv, tv, a, b, same = _grid_axes(s_vals, t_vals)
 
-    def block(rows, cols=slice(None)):
+    def block(rows, cols):
         return dd2_value(a[rows, None], b[None, cols], params)
 
-    return _triangle_eval(sv.size, block) if same else _outer_eval(sv.size, tv.size, block)
+    return _outer_eval(sv.size, tv.size, block, same)
 
 
 def psi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
@@ -231,20 +223,21 @@ def phi_tilde_grid(alpha_vals, beta_vals, params: DsbsParams) -> np.ndarray:
     """
     av, bv, a, b, same = _grid_axes(alpha_vals, beta_vals, ("alpha_vals", "beta_vals"))
 
-    def block(rows, cols=slice(None)):
+    def block(rows, cols):
         return _phi_tilde_kernel(a[rows, None], b[None, cols], av[rows, None], bv[None, cols], params)
 
-    return _triangle_eval(av.size, block) if same else _outer_eval(av.size, bv.size, block)
+    return _outer_eval(av.size, bv.size, block, same)
 
 
 def _s_slope(a, b, source: DsbsParams):
     """The slope in s of phi on ``source`` (psi's on the mirror) at biases a = a(s), b = b(t).
 
     dd2 is symmetric, so it is `_dd2_slope` at (b, a) over ``d2'(a) =
-    log2(a/(1-a))``; infinite or NaN at ``a = 0``, silently.  Broadcasting.
+    log2(a/(1-a))`` (`binary._d2_slope`); infinite or NaN at ``a = 0``,
+    silently.  Broadcasting.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _dd2_slope(b, a, source, curvature=False) / (np.log(a / (1.0 - a)) / _LN2)
+        return _dd2_slope(b, a, source, curvature=False) / _d2_slope(a)
 
 
 def _slope_field(axis, params: DsbsParams, *, kind: str) -> np.ndarray:
@@ -259,7 +252,7 @@ def _slope_field(axis, params: DsbsParams, *, kind: str) -> np.ndarray:
     """
     a = np.asarray(d2_inv(np.atleast_1d(_prepare_prob(axis, "axis"))))
     source = params if kind == "phi_tilde" else _mirror(params)
-    ds = _outer_eval(a.size, a.size, lambda rows: _s_slope(a[rows, None], a[None, :], source))
+    ds = _outer_eval(a.size, a.size, lambda rows, cols: _s_slope(a[rows, None], a[None, cols], source), False)
     slopes = np.stack([ds, ds.T])  # phi and psi are symmetric in (s, t)
     if kind == "phi_tilde":
         alpha = _flat(a[:, None], a[None, :], params.crossover)  # phi_tilde = s
@@ -306,7 +299,7 @@ def _q_slope(a, x, q, source: DsbsParams, sign: float, *, curvature: bool = True
     """
     b = -x
     with np.errstate(divide="ignore", invalid="ignore"):
-        d2_slope = np.log(b / (1.0 - b)) / _LN2
+        d2_slope = _d2_slope(b)
         if not curvature:
             return sign * (d2_slope / q - _dd2_slope(a, b, source, curvature=False))
         slope, dd2_curvature = _dd2_slope(a, b, source)
@@ -388,8 +381,7 @@ def _bound_grid_argmin(a_axis, qs, source: DsbsParams, sign: float):
     x_grid, d2_grid = _seed_grid()
     ends = np.arange(0, _T_GRID_N, _SEED_BLOCK)
     b_end = -x_grid[ends]
-    with np.errstate(divide="ignore"):
-        d2_slope = np.log(b_end / (1.0 - b_end)) / _LN2  # -inf at b = 0
+    d2_slope = _d2_slope(b_end)  # -inf at b = 0
     width = np.diff(b_end)
     inner = np.arange(1, _SEED_BLOCK)  # a block's cells strictly between its ends
     best_idx = np.empty((len(qs), a_axis.size), dtype=int)
@@ -496,9 +488,10 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     tiny = [q for q in qs if abs(q) < _RECIPROCAL_FLOOR]
     if tiny:
         raise InputDomainError(f"q={tiny[0]!r} must be nonzero with |q| >= {_RECIPROCAL_FLOOR!r}")
-    if np.ndim(s) > 1:
-        raise InputDomainError(f"s must be a scalar or 1-D, got shape {np.shape(s)}")
-    s_vals = np.atleast_1d(_prepare_prob(s, "s"))
+    s_vals = _prepare_prob(s, "s")
+    if s_vals.ndim > 1:
+        raise InputDomainError(f"s must be a scalar or 1-D, got shape {s_vals.shape}")
+    s_vals = np.atleast_1d(s_vals)
     source, sign = (params, 1.0) if kind == "phi" else (_mirror(params), -1.0)
     a_axis = np.asarray(d2_inv(s_vals))
     x_grid, d2_grid = _seed_grid()
@@ -548,8 +541,14 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     return values.reshape(shape), t_opt.reshape(shape)
 
 
+def _require_qparam(qp) -> None:
+    if not isinstance(qp, QParam):
+        raise InputDomainError(f"qp must be a QParam, not {type(qp).__name__}")
+
+
 def phi_q_full(s, qp: QParam, params: DsbsParams):
     """Value and minimizing t of ``min_t phi(s, t) - t/q``."""
+    _require_qparam(qp)
     value, t_opt = _q_opt(s, (qp.q,), params, kind="phi")
     scalar = np.ndim(s) == 0
     return _scalarize(value[0], scalar), _scalarize(t_opt[0], scalar)
@@ -557,6 +556,7 @@ def phi_q_full(s, qp: QParam, params: DsbsParams):
 
 def psi_q_full(s, qp: QParam, params: DsbsParams):
     """Value and maximizing t of ``max_t psi(s, t) - t/q``."""
+    _require_qparam(qp)
     value, t_opt = _q_opt(s, (qp.q,), params, kind="psi")
     scalar = np.ndim(s) == 0
     return _scalarize(value[0], scalar), _scalarize(t_opt[0], scalar)
@@ -569,9 +569,9 @@ def psi_q_full(s, qp: QParam, params: DsbsParams):
 
 def phi_tilde(alpha, beta, params: DsbsParams):
     """Nondecreasing envelope of phi, evaluated by its piecewise form."""
-    scalar = np.ndim(alpha) == 0 and np.ndim(beta) == 0
     av = _prepare_prob(alpha, "alpha")
     bv = _prepare_prob(beta, "beta")
+    scalar = av.ndim == 0 and bv.ndim == 0
     out = _phi_tilde_kernel(np.asarray(d2_inv(av)), np.asarray(d2_inv(bv)), av, bv, params)
     return _scalarize(np.asarray(out, dtype=float), scalar)
 
@@ -584,9 +584,9 @@ def phi_tilde_ab(a, b, params: DsbsParams):
     ``phi_tilde(d2(a), d2(b))`` but without the round trip through the
     deficit coordinates; used by the Lagrangian sweeps.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
+    scalar = av.ndim == 0 and bv.ndim == 0
     out = _phi_tilde_kernel(av, bv, np.asarray(d2(av)), np.asarray(d2(bv)), params)
     return _scalarize(np.asarray(out, dtype=float), scalar)
 

@@ -11,11 +11,13 @@ Fenchel–Young gap ``f(x0) - g0·x0 + f*(g0)`` bounds how far f lies above
 its lower convex envelope at x0, so a gap of at most ε everywhere bounds
 every midpoint violation by ε, and a wrong slope can only fail it.  The
 conjugate f* is exact: the max over rows of the rows' 1-D conjugates,
-each read off its row's lower hull, all hulls built in lockstep.  On an
-exactly symmetric surface with transposed slopes, one triangle of points
-is queried and mirrored.  A point on an edge of the square takes the 1-D
-gap along its edge.  ``verify`` runs it once on phi_tilde and, negated,
-on psi, and claims T1, T2 and E read those two reports.
+each read off its row's lower hull, all hulls built in lockstep into one
+int array padded with the last column.  One query path answers the
+interior points; the symmetry picks its index set: one triangle, mirrored,
+on an exactly symmetric surface with transposed slopes, every point on
+any other.  A point on an edge of the square takes the 1-D gap along its
+edge.  ``verify`` runs it once on phi_tilde and, negated, on psi, and
+claims T1, T2 and E read those two reports.
 
 :func:`lower_convex_envelope` takes the geometric route on 2-D grids: the
 lower facets of the Qhull convex hull of the graph points, interpolated
@@ -43,7 +45,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .binary import _require_finite_real, _require_int
+from .binary import _real_array, _require_finite_real, _require_int
 from .errors import InputDomainError
 
 __all__ = [
@@ -68,13 +70,7 @@ class GridFn:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            arr = np.asarray(self.values)
-        except ValueError as exc:  # ragged nested sequences
-            raise InputDomainError(f"GridFn values must form an array: {exc}") from None
-        if arr.dtype.kind not in "biuf":  # strings, complex or objects would cast or fail
-            raise InputDomainError(f"GridFn values must be real numbers, not {arr.dtype}")
-        arr = arr.astype(float, copy=False)
+        arr = _real_array(self.values, "GridFn values")
         if arr.ndim not in (1, 2):
             raise InputDomainError("GridFn values must be 1-D or 2-D")
         if arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
@@ -196,16 +192,17 @@ def check_midpoint_concave(f: GridFn) -> ConvexityReport:
     return check_midpoint_convex(GridFn(-f.values))
 
 
-def _lower_hulls(v: np.ndarray) -> list:
-    """The lower convex hull of every row of the rows-by-n array ``v``.
+def _lower_hulls(v: np.ndarray) -> np.ndarray:
+    """The lower convex hull of every row of the rows-by-n array ``v``, in one int array.
 
-    One array of increasing column indices per row: the hull's vertices,
-    points on a hull edge dropped.  All rows are pruned in lockstep: each
-    pass drops every interior point that lies on or above the chord between
-    its kept neighbours (no such point is a vertex, whatever else the same
-    pass drops), until a pass drops none; what is left is convex, hence the
-    hull.  The cross products take integer column differences, so the
-    abscissae carry no rounding.
+    Row k holds row k's hull vertices, points on a hull edge dropped, as
+    increasing column indices padded to the longest hull with column n - 1,
+    which is always a vertex (only interior points are pruned).  All rows
+    are pruned in lockstep: each pass drops every interior point that lies
+    on or above the chord between its kept neighbours (no such point is a
+    vertex, whatever else the same pass drops), until a pass drops none;
+    what is left is convex, hence the hull.  The cross products take
+    integer column differences, so the abscissae carry no rounding.
     """
     n_rows, n = v.shape
     j = np.arange(n)
@@ -218,30 +215,28 @@ def _lower_hulls(v: np.ndarray) -> list:
         above = (v[:, 1:-1] - y) * (right - left) >= (np.take_along_axis(v, right, axis=1) - y) * (j[1:-1] - left)
         above &= keep[:, 1:-1]
         if not above.any():
-            return [np.flatnonzero(row) for row in keep]
+            # a dropped column reads n - 1, so sorting puts each row's vertices first
+            return np.sort(np.where(keep, j, n - 1), axis=1)[:, : keep.sum(axis=1).max()]
         keep[:, 1:-1] &= ~above
 
 
-def _conjugate_2d(v: np.ndarray, x: np.ndarray, hulls: list, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _conjugate_2d(v: np.ndarray, x: np.ndarray, hulls: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """``f*(lam, mu) = max_ij lam*x_i + mu*x_j - v[i, j]`` per query.
 
     As the max over rows i of ``lam*x_i + c_i(mu)``, where ``c_i`` is row
-    i's 1-D conjugate, read off its lower hull ``hulls[i]``.  The queries
-    are sorted by mu once.  Then, for all rows at once, each hull's edge
-    slopes (kept nondecreasing against rounding) cut the sorted mu into one
-    run per vertex (one `searchsorted`), and the row loop only repeats each
-    vertex's plane over its run and folds it into a running max in place.
-    The hulls are padded to the longest by repeating their last vertex,
-    whose copies share its plane, so however the padded edges split the
-    last vertex's run, every query gets the same value.  Each query's
-    value takes the same operations whatever the other queries are.
+    i's 1-D conjugate, read off its lower hull: row i of the padded
+    `_lower_hulls` array ``hulls``.  The queries are sorted by mu once.
+    Then, for all rows at once, each hull's edge slopes (kept nondecreasing
+    against rounding) cut the sorted mu into one run per vertex (one
+    `searchsorted`), and the row loop only repeats each vertex's plane over
+    its run and folds it into a running max in place.  The padding copies
+    of the last vertex share its plane, so however their edges split its
+    run, every query gets the same value.  Each query's value takes the
+    same operations whatever the other queries are.
     """
     order = np.argsort(mu, kind="stable")
     lam, mu = lam[order], mu[order]
-    sizes = np.array([hull.size for hull in hulls])
-    starts = np.cumsum(sizes) - sizes
-    col = np.concatenate(hulls)[starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
-    x_hull, v_hull = x[col], v[np.arange(len(hulls))[:, None], col]
+    x_hull, v_hull = x[hulls], np.take_along_axis(v, hulls, axis=1)
     dx = np.diff(x_hull, axis=1)
     dx[dx == 0.0] = 1.0  # a padded edge (hull abscissae are distinct): flat, not 0/0
     slopes = np.maximum.accumulate(np.diff(v_hull, axis=1) / dx, axis=1)
@@ -265,9 +260,9 @@ def _lagrangian_gaps(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     When ``v`` equals its transpose and the interior slopes are each
     other's transpose (``g[1] == g[0].T``), both exactly, the gap at (j, i)
-    equals the one at (i, j) up to rounding: only the interior points
-    i <= j are queried, and their gaps are mirrored.  Any other input, a
-    NaN slope included, queries every interior point.
+    equals the one at (i, j) up to rounding: the one `_conjugate_2d` call
+    queries the interior points i <= j, and their gaps are mirrored.  Any
+    other input, a NaN slope included, queries every interior point.
     """
     n = v.shape[0]
     x = np.linspace(0.0, 1.0, n)
@@ -275,23 +270,23 @@ def _lagrangian_gaps(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     hulls = _lower_hulls(np.concatenate([v, v[:, [0, -1]].T]))
     rows, cols = hulls[:n], hulls[n:]
     # (edge, its hull, the slope component along it): s = 0 and s = 1 run along t
-    edges = ((np.s_[0, :], rows[0], 1), (np.s_[-1, :], rows[-1], 1))
-    edges += ((np.s_[:, 0], cols[0], 0), (np.s_[:, -1], cols[1], 0))
+    edges = ((np.s_[0, :], rows[:1], 1), (np.s_[-1, :], rows[-1:], 1))
+    edges += ((np.s_[:, 0], cols[:1], 0), (np.s_[:, -1], cols[1:], 0))
     gaps = np.full((n, n), -np.inf)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite slope gives NaN
         lam, mu = g[0, inner, inner], g[1, inner, inner]
         plane_gap = v[inner, inner] - lam * x[inner, None] - mu * x[None, inner]
-        if np.array_equal(v, v.T) and np.array_equal(mu, lam.T):
-            half = np.triu_indices(n - 2)
-            gap = plane_gap[half] + _conjugate_2d(v, x, rows, lam[half], mu[half])
-            gaps[inner, inner][half] = gap
-            gaps[inner, inner][half[::-1]] = gap
-        else:
-            gaps[inner, inner] = plane_gap + _conjugate_2d(v, x, rows, lam.ravel(), mu.ravel()).reshape(lam.shape)
+        symmetric = np.array_equal(v, v.T) and np.array_equal(mu, lam.T)
+        # i <= j, or every point in row-major order: the diagonal -n lies below the square
+        query = np.triu_indices(n - 2, 0 if symmetric else -n)
+        gap = plane_gap[query] + _conjugate_2d(v, x, rows, lam[query], mu[query])
+        gaps[inner, inner][query] = gap
+        if symmetric:
+            gaps[inner, inner][query[::-1]] = gap
         for edge, hull, axis in edges:
             # the 1-D conjugate: one row, whose lam term is 0
             line, slope = v[edge], g[axis][edge][inner]
-            conj = _conjugate_2d(line[None, :], x, [hull], np.zeros_like(slope), slope)
+            conj = _conjugate_2d(line[None, :], x, hull, np.zeros_like(slope), slope)
             gaps[edge][inner] = line[inner] - slope * x[inner] + conj
     return gaps
 
@@ -313,11 +308,14 @@ def check_lagrangian_gap(f: GridFn, slopes) -> ConvexityReport:
     there); the corners, extreme points, are skipped.  A non-finite slope
     off the corners gives a NaN gap, which is reported as the worst.
 
-    When the values equal their transpose and the interior slopes satisfy
-    ``slopes[1] == slopes[0].T``, both exactly, the gap is symmetric up to
-    rounding, and only the interior points i <= j are queried; their gaps,
-    bit for bit those of a query of every point, are mirrored to (j, i).
-    Any other input, a NaN slope included, queries every interior point.
+    The interior points take one query path (`_lagrangian_gaps`), whose
+    index set the symmetry picks.  When the values equal their transpose
+    and the interior slopes satisfy ``slopes[1] == slopes[0].T``, both
+    exactly, the gap is symmetric up to rounding: the points i <= j are
+    queried, and their gaps, bit for bit those of a query of every point,
+    are mirrored to (j, i).  Any other input, a NaN slope included,
+    queries every interior point.  Slopes that do not form a real array
+    of shape (2, n, n) raise `InputDomainError`.
 
     The witness is the (i, j) of the worst gap, the first in row-major
     order among ties.  ``n_pairs`` counts the (point, lattice point) pairs
@@ -326,13 +324,10 @@ def check_lagrangian_gap(f: GridFn, slopes) -> ConvexityReport:
     if f.dims != 2:
         raise InputDomainError("the Lagrangian certificate takes 2-D grids")
     n = f.n
-    try:
-        g = np.asarray(slopes)
-    except ValueError as exc:  # ragged nested sequences
-        raise InputDomainError(f"slopes must form an array of shape {(2, n, n)}: {exc}") from None
-    if g.dtype.kind not in "biuf" or g.shape != (2, n, n):
-        raise InputDomainError(f"slopes must be reals of shape {(2, n, n)}, got {g.dtype} {g.shape}")
-    gaps = _lagrangian_gaps(f.values, g.astype(float, copy=False))
+    g = _real_array(slopes, f"slopes of shape {(2, n, n)}")
+    if g.shape != (2, n, n):
+        raise InputDomainError(f"slopes must have shape {(2, n, n)}, got {g.shape}")
+    gaps = _lagrangian_gaps(f.values, g)
     flat = int(np.argmax(gaps))
     witness = tuple(int(c) for c in np.unravel_index(flat, gaps.shape))
     n_pairs = (n - 2) ** 2 * n * n + 4 * (n - 2) * n

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import newton_root_vec
-from .binary import Coupling2x2, DsbsParams, _require_int, _store_finite_reals, d2
+from .binary import Coupling2x2, DsbsParams, _real_array, _require_int, _store_finite_reals, d2
 from .envelopes import QParam, phi_tilde_ab
 from .errors import InconsistencyError, InputDomainError, NoRootError
 from .mre import dd2_value
@@ -222,12 +222,11 @@ def aux_phi_h(h, prob: RootProblem):
     mpmath the error stays below 3 of those eps units (2.56 at most over
     4000 draws).
     """
-    scalar = np.ndim(h) == 0
-    hv = np.asarray(h, dtype=float)
+    hv = _real_array(h, "h")
     if np.any(hv < 0.0):
         raise InputDomainError("aux_phi_h is defined for h >= 0")
     out = _aux_terms(hv, prob)[0]
-    return float(out) if scalar else out
+    return float(out) if hv.ndim == 0 else out
 
 
 def _f_pad(h, prob: RootProblem):

@@ -9,7 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from dsbs_envelopes import DsbsParams, QParam, RootProblem, phi_q_full, stationary_point
+from dsbs_envelopes import (
+    DsbsParams, QParam, RootProblem, d2_inv, p_star, phi, phi_q_full, phi_tilde, psi, stationary_point
+)
+from dsbs_envelopes.binary import _mirror
 from dsbs_envelopes.cli import _build_parser, _extra_sign_changes, main
 from dsbs_envelopes.mre import dd2
 
@@ -27,6 +30,27 @@ def test_eval_dd2_bit_for_bit(capsys):
     res = dd2(0.3, 0.4, DsbsParams(0.9))
     assert lines[0] == f"{res.value:.12g}"
     assert lines[1] == f"p_star = {res.p_star:.12g}"
+
+
+@pytest.mark.parametrize(
+    "fn, rho, s, t",
+    [("phi", 0.9, 0.3, 0.4), ("psi", 0.9, 0.3, 0.4), ("phi_tilde", 0.5, 0.2, 0.25), ("psi", 0.999998, 0.01, 0.9)],
+)
+def test_eval_surface_bit_for_bit(capsys, fn, rho, s, t):
+    # the value is the library's, and p_star that of the optimal coupling at
+    # the biases d2_inv(s), d2_inv(t); psi's is P(X=1, Y=1) in the labels of
+    # Y, the mirror's cell (1, 0): a minus the mirror's p_star
+    code, out, _ = run_cli(capsys, "eval", fn, "--rho", str(rho), "--s", str(s), "--t", str(t))
+    assert code == 0
+    params = DsbsParams(rho)
+    a, b = d2_inv(s), d2_inv(t)
+    value = {"phi": phi, "psi": psi, "phi_tilde": phi_tilde}[fn](s, t, params)
+    want = [f"{value:.12g}"] + (["branch = interior"] if fn == "phi_tilde" else [])
+    if fn == "psi":
+        want.append(f"p_star = {a - p_star(a, b, _mirror(params)):.12g}")
+    else:
+        want.append(f"p_star = {p_star(a, b, params):.12g}")
+    assert out.strip().splitlines() == want
 
 
 def test_eval_phi_q_reports_argmin(capsys):

@@ -117,16 +117,16 @@ def test_triangle_fill_matches_the_full_fill_bit_for_bit(monkeypatch, rho):
     axis = np.linspace(0.0, 1.0, 61)
     a = np.asarray(d2_inv(axis))
     kernels = {
-        phi_grid: lambda rows: dd2_value(a[rows, None], a[None, :], params),
-        psi_grid: lambda rows: dd2_value(a[rows, None], a[None, :], _mirror(params)),
-        phi_tilde_grid: lambda rows: envelopes._phi_tilde_kernel(
-            a[rows, None], a[None, :], axis[rows, None], axis[None, :], params
+        phi_grid: lambda rows, cols: dd2_value(a[rows, None], a[None, cols], params),
+        psi_grid: lambda rows, cols: dd2_value(a[rows, None], a[None, cols], _mirror(params)),
+        phi_tilde_grid: lambda rows, cols: envelopes._phi_tilde_kernel(
+            a[rows, None], a[None, cols], axis[rows, None], axis[None, cols], params
         ),
     }
     for budget in (7 * axis.size, envelopes._BLOCK_ELEMS):
         monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
         for grid, kernel in kernels.items():
-            full = envelopes._outer_eval(axis.size, axis.size, kernel)
+            full = envelopes._outer_eval(axis.size, axis.size, kernel, False)
             assert full.tobytes() == grid(axis, axis, params).tobytes(), (grid.__name__, budget)
             # unequal axes take the full fill
             assert np.array_equal(grid(axis, axis[:-1], params), full[:, :-1]), grid.__name__
@@ -421,7 +421,7 @@ def test_convex_bracket_finds_the_table_argmin(rho):
     for n in axes:
         a = np.asarray(d2_inv(np.linspace(0.0, 1.0, n)))
         table = envelopes._outer_eval(
-            n, x_grid.size, lambda rows: dd2_value(a[rows, None], -x_grid[None, :], params)
+            n, x_grid.size, lambda rows, cols: dd2_value(a[rows, None], -x_grid[None, cols], params), False
         )
         for q in _CONVEX_QS:
             scores = table - d2_grid / q
@@ -472,7 +472,7 @@ def test_bound_search_finds_the_table_argmin(rho):
         for kind, qs in _BOUND_QS.items():
             source, sign = (DsbsParams(rho), 1.0) if kind == "phi" else (_mirror(DsbsParams(rho)), -1.0)
             table = envelopes._outer_eval(
-                n, x_grid.size, lambda rows: dd2_value(a[rows, None], -x_grid[None, :], source)
+                n, x_grid.size, lambda rows, cols: dd2_value(a[rows, None], -x_grid[None, cols], source), False
             )
             idx, val = envelopes._bound_grid_argmin(a, qs, source, sign)
             assert idx.shape == val.shape == (len(qs), n)

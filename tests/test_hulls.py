@@ -343,19 +343,41 @@ def _plain_lower_hull(y: np.ndarray) -> list:
     return hull
 
 
-@pytest.mark.parametrize("n", [3, 4, 9, 40])
-def test_lockstep_hulls_match_the_monotone_chain(n):
-    # integer values keep every cross product exact, so the vertex sets must agree
+def _hull_prefix(padded: np.ndarray, n: int) -> np.ndarray:
+    """A row of the `_lower_hulls` array up to its first n - 1: the row's hull."""
+    return padded[: np.argmax(padded == n - 1) + 1]
+
+
+def _hull_rows(n):
+    """Integer rows, so every cross product is exact: ties, collinear runs, and the extremes."""
     rng = np.random.default_rng(n)
-    v = np.concatenate([
+    return np.concatenate([
         rng.integers(0, 4, size=(20, n)),  # many collinear and tied points
         rng.integers(-50, 50, size=(20, n)),
         np.zeros((1, n)),
         (np.arange(n) - n // 3)[None, :] ** 2,  # convex: every point a vertex
         -((np.arange(n) - n // 3)[None, :] ** 2),  # concave: only the ends
     ]).astype(float)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 40])
+def test_lockstep_hulls_match_the_monotone_chain(n):
+    # integer values keep every cross product exact, so the vertex sets must agree
+    v = _hull_rows(n)
     got = hulls._lower_hulls(v)
-    assert [h.tolist() for h in got] == [_plain_lower_hull(row) for row in v]
+    assert [_hull_prefix(h, n).tolist() for h in got] == [_plain_lower_hull(row) for row in v]
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 40])
+def test_lower_hulls_pad_to_the_longest_hull_with_the_last_column(n):
+    # one int array: each row's hull, then n - 1 up to the longest hull's width
+    for v in (_hull_rows(n), _hull_rows(n)[-1:], np.zeros((3, n))):
+        got = hulls._lower_hulls(v)
+        chains = [_plain_lower_hull(row) for row in v]
+        assert got.dtype.kind == "i" and got.shape == (v.shape[0], max(map(len, chains)))
+        for row, chain in zip(got, chains):
+            assert row[: len(chain)].tolist() == chain
+            assert np.all(row[len(chain) :] == n - 1)
 
 
 def _exact(n, f, fx, fy):
@@ -503,7 +525,8 @@ def _reference_conjugate(v, x, row_hulls, lam, mu):
     order = np.argsort(mu, kind="stable")
     lam, mu = lam[order], mu[order]
     best = np.full(mu.size, -np.inf)
-    for i, hull in enumerate(row_hulls):
+    for i, padded in enumerate(row_hulls):
+        hull = _hull_prefix(padded, v.shape[1])
         slopes = np.maximum.accumulate(np.diff(v[i, hull]) / np.diff(x[hull]))
         runs = np.diff(np.searchsorted(mu, slopes, side="right"), prepend=0, append=mu.size)
         best = np.maximum(best, mu * np.repeat(x[hull], runs) - np.repeat(v[i, hull], runs) + lam * x[i])
