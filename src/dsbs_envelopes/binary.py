@@ -125,6 +125,17 @@ def _require_int(**values) -> None:
             raise InputDomainError(f"{name}={val!r} must be an int")
 
 
+def _require_instance(cls: type, **values) -> None:
+    """Reject any keyword value that is not a ``cls``: the one check of a structured parameter.
+
+    A `DsbsParams`, `QParam`, `RootProblem` or `GridFn` of the wrong type
+    would otherwise fail deep inside with a bare AttributeError.
+    """
+    for name, val in values.items():
+        if not isinstance(val, cls):
+            raise InputDomainError(f"{name} must be a {cls.__name__}, not {type(val).__name__}")
+
+
 def _require_prob_scalar(x, name: str) -> float:
     x = float(x)  # numpy scalars are reported and stored as plain floats
     if not -_SLACK <= x <= 1.0 + _SLACK:  # NaN fails this test too

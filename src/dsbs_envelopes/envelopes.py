@@ -27,11 +27,12 @@ bias coordinates applies for `phi_tilde`, `phi_tilde_ab` and
 
 The upper envelopes (the maximum over smaller arguments) of ``psi`` and of
 ``phi_q`` for q < 0 are the functions themselves, because both are
-nondecreasing; the verification layer certifies that by measuring their
-monotonicity directly.  ``phi_tilde`` keeps a brute-force oracle, the
-running-minimum lattice `_phi_tilde_oracle_lattice`, which never consults
-the closed form; the tests treat its agreement as a claim to check, not an
-assumption.
+nondecreasing; the verification layer certifies that, for phi_q by measuring
+the drops of each curve directly, and for psi from its s-slope at the edge
+of the square together with its concavity.  ``phi_tilde`` keeps a
+brute-force oracle, the running-minimum lattice `_phi_tilde_oracle_lattice`,
+which never consults the closed form; the tests treat its agreement as a
+claim to check, not an assumption.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import numpy as np
 
 from ._optim import newton_root_vec
 from .binary import (
-    _LN2, DsbsParams, bconv, d2, d2_inv, _d2_slope, _mirror, _prepare_prob, _scalarize, _store_finite_reals
+    _LN2, DsbsParams, bconv, d2, d2_inv, _d2_slope, _mirror, _prepare_prob, _require_instance, _scalarize,
+    _store_finite_reals,
 )
 from .errors import InputDomainError
 from .mre import _dd2_slope, dd2_value
@@ -142,6 +144,7 @@ def _phi_tilde_kernel(a, b, val_a, val_b, params: DsbsParams):
 
 def phi(s, t, params: DsbsParams):
     """Surface value at same-side marginal deficits (s, t).  Symmetric."""
+    _require_instance(DsbsParams, params=params)
     sv = _prepare_prob(s, "s")
     tv = _prepare_prob(t, "t")
     return dd2_value(d2_inv(sv), d2_inv(tv), params)
@@ -149,6 +152,7 @@ def phi(s, t, params: DsbsParams):
 
 def psi(s, t, params: DsbsParams):
     """Surface value at opposite-side marginal deficits (s, t): phi of the mirror."""
+    _require_instance(DsbsParams, params=params)
     return phi(s, t, _mirror(params))
 
 
@@ -202,6 +206,7 @@ def phi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
     phi is symmetric, and dd2 bitwise so: on equal axes one triangle is
     evaluated and mirrored (`_outer_eval`).
     """
+    _require_instance(DsbsParams, params=params)
     sv, tv, a, b, same = _grid_axes(s_vals, t_vals)
 
     def block(rows, cols):
@@ -212,6 +217,7 @@ def phi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
 
 def psi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
     """psi on the grid ``s_vals x t_vals`` (axis 0 indexes s): phi_grid of the mirror."""
+    _require_instance(DsbsParams, params=params)
     return phi_grid(s_vals, t_vals, _mirror(params))
 
 
@@ -221,6 +227,7 @@ def phi_tilde_grid(alpha_vals, beta_vals, params: DsbsParams) -> np.ndarray:
     Symmetric like phi (its two flat branches are each other's transpose),
     so equal axes fill one triangle and mirror it.
     """
+    _require_instance(DsbsParams, params=params)
     av, bv, a, b, same = _grid_axes(alpha_vals, beta_vals, ("alpha_vals", "beta_vals"))
 
     def block(rows, cols):
@@ -541,14 +548,10 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
     return values.reshape(shape), t_opt.reshape(shape)
 
 
-def _require_qparam(qp) -> None:
-    if not isinstance(qp, QParam):
-        raise InputDomainError(f"qp must be a QParam, not {type(qp).__name__}")
-
-
 def phi_q_full(s, qp: QParam, params: DsbsParams):
     """Value and minimizing t of ``min_t phi(s, t) - t/q``."""
-    _require_qparam(qp)
+    _require_instance(QParam, qp=qp)
+    _require_instance(DsbsParams, params=params)
     value, t_opt = _q_opt(s, (qp.q,), params, kind="phi")
     scalar = np.ndim(s) == 0
     return _scalarize(value[0], scalar), _scalarize(t_opt[0], scalar)
@@ -556,7 +559,8 @@ def phi_q_full(s, qp: QParam, params: DsbsParams):
 
 def psi_q_full(s, qp: QParam, params: DsbsParams):
     """Value and maximizing t of ``max_t psi(s, t) - t/q``."""
-    _require_qparam(qp)
+    _require_instance(QParam, qp=qp)
+    _require_instance(DsbsParams, params=params)
     value, t_opt = _q_opt(s, (qp.q,), params, kind="psi")
     scalar = np.ndim(s) == 0
     return _scalarize(value[0], scalar), _scalarize(t_opt[0], scalar)
@@ -569,6 +573,7 @@ def psi_q_full(s, qp: QParam, params: DsbsParams):
 
 def phi_tilde(alpha, beta, params: DsbsParams):
     """Nondecreasing envelope of phi, evaluated by its piecewise form."""
+    _require_instance(DsbsParams, params=params)
     av = _prepare_prob(alpha, "alpha")
     bv = _prepare_prob(beta, "beta")
     scalar = av.ndim == 0 and bv.ndim == 0
@@ -584,6 +589,7 @@ def phi_tilde_ab(a, b, params: DsbsParams):
     ``phi_tilde(d2(a), d2(b))`` but without the round trip through the
     deficit coordinates; used by the Lagrangian sweeps.
     """
+    _require_instance(DsbsParams, params=params)
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
     scalar = av.ndim == 0 and bv.ndim == 0

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .binary import _real_array, _require_finite_real, _require_int
+from .binary import _real_array, _require_finite_real, _require_instance, _require_int
 from .errors import InputDomainError
 
 __all__ = [
@@ -115,6 +115,7 @@ def lower_convex_envelope(f: GridFn) -> GridFn:
     result is clipped to ``min(env, f)`` so floating-point spill never
     breaks dominance.  A 1-D f raises `InputDomainError`.
     """
+    _require_instance(GridFn, f=f)
     if f.dims != 2:
         raise InputDomainError("envelopes are built on 2-D grids only")
     # qhull is the package's one scipy use; importing it here keeps scipy
@@ -165,6 +166,7 @@ def check_midpoint_convex(f: GridFn) -> ConvexityReport:
     one with the smallest key ((q - p)/2, p).  A 2-D grid raises
     `InputDomainError`: surfaces go through `check_lagrangian_gap`.
     """
+    _require_instance(GridFn, f=f)
     if f.dims != 1:
         raise InputDomainError("the midpoint certifier takes 1-D grids; see check_lagrangian_gap")
     v, n = f.values, f.n
@@ -189,6 +191,7 @@ def check_midpoint_convex(f: GridFn) -> ConvexityReport:
 
 def check_midpoint_concave(f: GridFn) -> ConvexityReport:
     """Midpoint concavity: the convex check applied to the negated samples."""
+    _require_instance(GridFn, f=f)
     return check_midpoint_convex(GridFn(-f.values))
 
 
@@ -321,6 +324,7 @@ def check_lagrangian_gap(f: GridFn, slopes) -> ConvexityReport:
     order among ties.  ``n_pairs`` counts the (point, lattice point) pairs
     the gaps cover: each point against every lattice point of its face.
     """
+    _require_instance(GridFn, f=f)
     if f.dims != 2:
         raise InputDomainError("the Lagrangian certificate takes 2-D grids")
     n = f.n
@@ -340,6 +344,7 @@ def check_slope_bounds(f: GridFn, axis: int, bound: float, sense: str) -> Convex
     ``sense`` is "le" (quotients should stay ≤ bound) or "ge" (≥ bound).
     The reported violation is the worst signed excess past the bound.
     """
+    _require_instance(GridFn, f=f)
     if sense not in ("le", "ge"):
         raise InputDomainError("sense must be 'le' or 'ge'")
     _require_finite_real(bound=bound)
@@ -357,6 +362,7 @@ def check_slope_bounds(f: GridFn, axis: int, bound: float, sense: str) -> Convex
 
 def check_monotone(f: GridFn) -> ConvexityReport:
     """Measure nondecreasingness along every axis: the worst forward drop."""
+    _require_instance(GridFn, f=f)
     worst = -np.inf
     witness = None
     total = 0

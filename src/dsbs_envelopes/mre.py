@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import golden_min_vec
-from .binary import _LN2, Coupling2x2, DsbsParams, _prepare_prob, _scalarize
+from .binary import _LN2, Coupling2x2, DsbsParams, _prepare_prob, _require_instance, _scalarize
 from .errors import InconsistencyError, InputDomainError
 
 __all__ = [
@@ -222,6 +222,7 @@ def _unfold_p(a, b, p, flip):
 
 def p_star(a, b, params: DsbsParams):
     """Minimizing cell mass p on the feasible segment, by the stable quadratic root."""
+    _require_instance(DsbsParams, params=params)
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
     _check_broadcast(av, bv)
@@ -231,6 +232,7 @@ def p_star(a, b, params: DsbsParams):
 
 def dd2_value(a, b, params: DsbsParams):
     """Minimum divergence for marginal biases (a, b), in bits (vectorized)."""
+    _require_instance(DsbsParams, params=params)
     av = _prepare_prob(a, "a")
     bv = _prepare_prob(b, "b")
     _check_broadcast(av, bv)
@@ -304,6 +306,7 @@ def _dd2_slope(a, b, params: DsbsParams, *, curvature: bool = True):
 
 def dd2(a: float, b: float, params: DsbsParams) -> MreResult:
     """Minimum divergence together with its minimizer and witness coupling."""
+    _require_instance(DsbsParams, params=params)
     av = float(_prepare_prob(a, "a"))
     bv = float(_prepare_prob(b, "b"))
     fa, fb, flip = _fold(av, bv)

@@ -67,7 +67,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import newton_root_vec
-from .binary import Coupling2x2, DsbsParams, _real_array, _require_int, _store_finite_reals, d2
+from .binary import (
+    Coupling2x2, DsbsParams, _real_array, _require_instance, _require_int, _store_finite_reals, d2
+)
 from .envelopes import QParam, phi_tilde_ab
 from .errors import InconsistencyError, InputDomainError, NoRootError
 from .mre import dd2_value
@@ -222,9 +224,10 @@ def aux_phi_h(h, prob: RootProblem):
     mpmath the error stays below 3 of those eps units (2.56 at most over
     4000 draws).
     """
+    _require_instance(RootProblem, prob=prob)
     hv = _real_array(h, "h")
-    if np.any(hv < 0.0):
-        raise InputDomainError("aux_phi_h is defined for h >= 0")
+    if not np.all(hv >= 0.0):  # NaN fails this test too; h = +inf passes: its value is the limit
+        raise InputDomainError("aux_phi_h is defined for h >= 0, not NaN")
     out = _aux_terms(hv, prob)[0]
     return float(out) if hv.ndim == 0 else out
 
@@ -293,6 +296,7 @@ def _solve_one(prob: RootProblem) -> float:
 
 def solve_root_z(prob: RootProblem) -> float:
     """The unique z > 1 solving the stationarity root equation."""
+    _require_instance(RootProblem, prob=prob)
     return math.exp(_solve_one(prob))
 
 
@@ -399,6 +403,7 @@ def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
     evaluated point by point.  The count is taken over every evaluated
     point in index order (`_scan_sign_changes`).
     """
+    _require_instance(RootProblem, prob=prob)
     return _scan_sign_changes(prob, n)[0].shape[1]
 
 
@@ -498,6 +503,8 @@ def stationary_point(qp: QParam, params: DsbsParams) -> StationaryPoint:
     ln z = u*W(h*) is derived; in the mixed case it is the negative branch,
     h_b = -h*, so ln z = u*W(-h*) = -u*W(h*) > 0.
     """
+    _require_instance(QParam, qp=qp)
+    _require_instance(DsbsParams, params=params)
     case = _posed_case(qp)
     side, exponent = _root_side(qp, case)
     h_a = _solve_one(RootProblem(params.theta, exponent, qp.r))
@@ -514,6 +521,8 @@ def stationary_point(qp: QParam, params: DsbsParams) -> StationaryPoint:
 
 def hypercontractive_regime(qp: QParam, params: DsbsParams) -> bool:
     """True iff r = (p-1)(q-1) strictly exceeds rho^2 (boundary excluded)."""
+    _require_instance(QParam, qp=qp)
+    _require_instance(DsbsParams, params=params)
     return qp.r > params.rho * params.rho
 
 
@@ -552,6 +561,8 @@ def gamma_extremum(qp: QParam, params: DsbsParams, n: int = 401) -> GammaExtremu
     lie in [101, 1001], checked before anything is allocated: the n-by-n
     grid is built whole.
     """
+    _require_instance(QParam, qp=qp)
+    _require_instance(DsbsParams, params=params)
     return _gamma_extrema([qp], params, n)[0]
 
 

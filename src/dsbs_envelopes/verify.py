@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .binary import DsbsParams, _mirror, _require_int, d2_inv
+from .binary import DsbsParams, _mirror, _require_instance, _require_int, d2_inv
 from .envelopes import (
     QParam,
     phi,
@@ -105,7 +105,7 @@ class _Sizes(NamedTuple):
     pstar_samples: int
     root_problems: int
     curve_points: int
-    master_n: int  # the L2 psi grid and the L3 curves
+    master_n: int  # points of the L2 master axis and of the L3 curves
 
 
 # The sweep sizes of the heavier claims, indexed by VerifyOptions.fast.
@@ -352,14 +352,25 @@ def _claim_l1(ctx):
 
 
 def _claim_l2(ctx):
+    # psi is concave (T2), so its s-slope does not increase in s: a slope >= 0 at the last interior
+    # master column s_e, at every master t, makes psi nondecreasing in s on [0, s_e] along each
+    # master line, and the last master step [s_e, 1] is checked directly; t follows by symmetry.
+    # Past the lattice this stands only as far as T2's lattice certificate stands for the theorem.
     axis = np.linspace(0.0, 1.0, ctx.size.master_n)
-    values = psi_grid(axis, axis, ctx.params)
+    s_edge = axis[-2]
+    slopes = _s_slope(float(d2_inv(s_edge)), np.asarray(d2_inv(axis)), _mirror(ctx.params))
     if ctx.fault == "L2":
-        # a step down from the neighbour: at high rho psi rises by more than
-        # 0.01 per step, so a fault added at the centre would not show
-        m = len(axis) // 2
-        values[m, m] = values[m - 1, m] - 0.01
-    yield _leg(check_monotone(GridFn(values)), ctx.tol["monotone"])
+        slopes = slopes.copy()
+        slopes[len(axis) // 2] = -0.01
+    i = int(np.argmin(slopes))  # the first NaN, if any: it ranks as a violation
+    witness = {"leg": "edge_slope", "s": s_edge, "t": axis[i], "slope": slopes[i]}
+    yield -slopes[i] - ctx.tol["slope"], witness
+    last = psi_grid(axis[-2:], axis, ctx.params)
+    drop = last[0] - last[1]
+    j = int(np.argmax(drop))
+    witness = {"leg": "last_step", "s": s_edge, "t": axis[j], "drop": drop[j]}
+    yield drop[j] - ctx.tol["monotone"], witness
+    yield _leg(check_monotone(GridFn(ctx.psi)), ctx.tol["monotone"], leg="lattice")
 
 
 def _claim_l3(ctx):
@@ -469,7 +480,13 @@ _CLAIMS = {
         _claim_c,
     ),
     "L1": ("axis slopes: phi_tilde quotients <= 1; upper envelopes' quotients >= 1", _claim_l1),
-    "L2": ("psi is nondecreasing on the master grid, so it is its own upper envelope", _claim_l2),
+    "L2": (
+        "psi is nondecreasing, so it is its own upper envelope: its s-slope at the last interior"
+        " master column is >= 0 and the last master step does not drop, which with T2's concavity"
+        " (certified on the lattice, so only as far as that stands for the theorem) covers each"
+        " master line; and no drop on the lattice",
+        _claim_l2,
+    ),
     "L3": (
         "phi_q for q in {-2, -10} is nondecreasing, so each curve is its own upper envelope",
         _claim_l3,
@@ -501,10 +518,9 @@ def verify_all(
 ) -> VerificationReport:
     """Run every claim in the registry and assemble the report in fixed order."""
     # a wrong type would otherwise fail mid-run with a bare AttributeError
-    if not isinstance(params, DsbsParams):
-        raise InputDomainError(f"params must be a DsbsParams, not {type(params).__name__}")
-    if options is not None and not isinstance(options, VerifyOptions):
-        raise InputDomainError(f"options must be a VerifyOptions, not {type(options).__name__}")
+    _require_instance(DsbsParams, params=params)
+    if options is not None:
+        _require_instance(VerifyOptions, options=options)
     _require_int(grid_n=grid_n)
     if not 51 <= grid_n <= 1001:
         raise InputDomainError("grid_n must be in [51, 1001]")

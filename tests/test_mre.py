@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import types
 import warnings
 
 import mpmath
@@ -196,7 +195,9 @@ def test_batch_oracle_matches_closed_form():
 def test_p_star_negative_discriminant_is_a_library_error():
     # k = -1 is not a valid cross ratio; at a = b = 1/2 it gives Delta = -1,
     # which must surface as a DsbsError, never as a bare AssertionError.
-    broken = types.SimpleNamespace(k=-1.0)
+    # p_star takes only a DsbsParams, so this one is built past its checks
+    broken = object.__new__(DsbsParams)
+    object.__setattr__(broken, "k", -1.0)
     with pytest.raises(InconsistencyError, match="negative discriminant"):
         p_star(0.5, 0.5, broken)
 

@@ -86,6 +86,15 @@ def test_aux_phi_frozen_value():
     assert aux_phi_h(0.5, prob) == pytest.approx(AUX_AT_HALF, abs=1e-14)
 
 
+def test_aux_phi_h_domain():
+    # h = +inf gives the limit -inf (v > 0); a negative or NaN h, alone or in an array, raises
+    prob = RootProblem(0.3, 2.0, 0.2)
+    assert aux_phi_h(math.inf, prob) == -math.inf
+    for h in (-0.1, math.nan, np.array([0.1, math.nan]), np.array([0.1, -1.0])):
+        with pytest.raises(InputDomainError, match="h >= 0"):
+            aux_phi_h(h, prob)
+
+
 def _random_root_problems(seed, k, v_max=50.0):
     """Problems drawn the way claim U draws them, |v| up to v_max."""
     rng = np.random.default_rng(seed)

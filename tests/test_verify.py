@@ -122,9 +122,9 @@ def test_surface_claims_hold_at_every_rho(rho):
 @pytest.mark.parametrize("rho", [1e-4, 0.999998])
 def test_every_fault_trips_its_claim_at_the_ends_of_the_rho_range(rho):
     # each planted fault shows on top of the claims that fail on healthy
-    # code: B's against its exact edge slope, L2's as a step down from its
-    # neighbour, where psi's own steps at high rho exceed the 0.01 it plants,
-    # and H's at r = rho^2/2, outside the regime however small rho is
+    # code: B's against its exact edge slope, L2's as a negative edge slope,
+    # whatever the size of psi's own steps, and H's at r = rho^2/2, outside
+    # the regime however small rho is
     for fault in CLAIM_IDS:
         report = verify_all(DsbsParams(rho), grid_n=101, options=FAST, inject_fault=fault)
         failed = {c.claim_id for c in report.claims if not c.passed}
@@ -168,9 +168,11 @@ NAN_SOURCES = [
     ("_q_opt", "L3", _nan_arrays),
     ("psi_grid", "L2", _nan_array),
     ("_slope_field", "T1", _nan_array),
+    ("_s_slope", "L2", _nan_array),
 ]
 NAN_IDS = [
-    f"{name}-{cid}" if (name, cid) == ("_q_opt", "L3") else name for name, cid, _ in NAN_SOURCES
+    f"{name}-{cid}" if any(name == seen for seen, _, _ in NAN_SOURCES[:k]) else name
+    for k, (name, cid, _) in enumerate(NAN_SOURCES)
 ]
 
 
@@ -217,6 +219,72 @@ def test_one_certificate_per_surface(monkeypatch, fault, calls):
     report = verify_all(RHO, grid_n=101, options=FAST, inject_fault=fault)
     assert [c.claim_id for c in report.claims if not c.passed] == ([fault] if fault else [])
     assert seen == [(101, 101)] * calls
+
+
+def _plant_edge_slope(out):
+    out = out.copy()
+    out[out.size // 2] = -0.01
+    return out
+
+
+def _plant_psi_step(out):
+    # the two last master columns get a drop in their step; the square
+    # shared lattice gets a step down from its neighbour at the centre
+    out = out.copy()
+    m = out.shape[1] // 2
+    if out.shape[0] == 2:
+        out[1, m] = out[0, m] - 0.01
+    else:
+        out[m, m] = out[m - 1, m] - 0.01
+    return out
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.9])
+@pytest.mark.parametrize(
+    "name, plant, leg, where",
+    [
+        ("_s_slope", _plant_edge_slope, "edge_slope", (501,)),
+        ("psi_grid", _plant_psi_step, "last_step", (2, 501)),
+        ("psi_grid", _plant_psi_step, "lattice", (101, 101)),
+    ],
+    ids=["edge_slope", "last_step", "lattice"],
+)
+def test_each_l2_leg_trips_on_its_own_input(monkeypatch, rho, name, plant, leg, where):
+    # each leg alone sees its fault, planted only into the output of shape
+    # ``where``: dropping a leg from L2 fails its case here
+    real = getattr(verify, name)
+
+    def planted(*args, **kw):
+        out = real(*args, **kw)
+        return plant(out) if np.shape(out) == where else out
+
+    monkeypatch.setattr(verify, name, planted)
+    report = verify_all(DsbsParams(rho), grid_n=101, options=FAST)
+    claim = next(c for c in report.claims if c.claim_id == "L2")
+    assert not claim.passed
+    assert claim.witness["leg"] == leg
+    assert 0.0099 < claim.worst_violation < 0.0101
+
+
+@pytest.mark.parametrize(
+    "grid_n, options, shapes",
+    [(101, FAST, [(101, 101), (2, 501)]), (201, VerifyOptions(), [(201, 201), (2, 2001)])],
+    ids=["small-101", "default-201"],
+)
+def test_l2_fills_no_master_table(monkeypatch, grid_n, options, shapes):
+    # L2 reads psi's edge slope along the master axis and psi on the two last
+    # master columns: the only square psi table is the shared lattice
+    seen = []
+    real = verify.psi_grid
+
+    def spy(s_vals, t_vals, params):
+        out = real(s_vals, t_vals, params)
+        seen.append(out.shape)
+        return out
+
+    monkeypatch.setattr(verify, "psi_grid", spy)
+    assert verify_all(RHO, grid_n=grid_n, options=options).passed
+    assert seen == shapes
 
 
 def _reject_constant(token):
