@@ -1,4 +1,4 @@
-"""Bracketed scalar solvers used throughout the package.
+"""Bracketed scalar solvers.
 
 Plain bisection finds roots, golden-section search finds one-dimensional
 extrema without derivatives, and a safeguarded Newton iteration finds the
@@ -6,6 +6,12 @@ stationary point of an objective whose derivative and curvature are known
 in closed form.  The objectives are piecewise-smooth and are always seeded
 from a dense grid first, so every search runs inside a bracket and is
 deterministic.
+
+The package calls only the two lockstep solvers: `newton_root_vec` (the
+q-family refinement of `envelopes` and the roots of `stationary`) and
+`golden_min_vec` (the dd2 oracle of `mre`).  The scalar `bisect_root` and
+`golden_min` have no caller in the package; they stay only as rows of the
+benchmark tracer's ``TARGETS`` until it drops them (ROADMAP items 2 and 6).
 
 The ``*_vec`` variants run many searches in lockstep on numpy arrays, with
 ``np.where`` advancing each bracket, and keep every result independent of

@@ -94,6 +94,16 @@ def _prepare_prob_array(arr: np.ndarray, name: str) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
+def _check_broadcast(x, y, names=("a", "b")) -> None:
+    """A pair of shapes that do not broadcast together is an input error."""
+    try:
+        np.broadcast(x, y)
+    except ValueError:
+        raise InputDomainError(
+            f"{names[0]} and {names[1]} must broadcast together, got shapes {np.shape(x)} and {np.shape(y)}"
+        ) from None
+
+
 def _scalarize(arr: np.ndarray, scalar_in: bool):
     return float(np.asarray(arr).item()) if scalar_in else arr
 
@@ -292,6 +302,8 @@ def bconv(x, y):
     """Bias of the XOR of independent bits with biases ``x`` and ``y``."""
     xv = _prepare_prob(x, "x")
     yv = _prepare_prob(y, "y")
+    if xv.ndim and yv.ndim:
+        _check_broadcast(xv, yv, ("x", "y"))
     return _scalarize(xv + yv - 2.0 * xv * yv, xv.ndim == 0 and yv.ndim == 0)
 
 

@@ -161,34 +161,23 @@ def _rows_per_chunk(n_cols: int) -> int:
     return max(1, _BLOCK_ELEMS // max(n_cols, 1))
 
 
-def _outer_eval(n_rows: int, n_cols: int, block, symmetric: bool) -> np.ndarray:
-    """An n_rows x n_cols grid filled by ``block(rows, cols)``, one row slice at a time.
+def _outer_eval(n_rows: int, n_cols: int, block) -> np.ndarray:
+    """An n_rows x n_cols grid filled by ``block(rows)``, one row slice at a time.
 
     Each slice holds as many rows as fit the element budget
     ``_BLOCK_ELEMS``, so that the surface kernel's temporaries for one
-    slice stay in L2 cache.  A ``symmetric`` grid (square, of a bitwise
-    symmetric kernel, as `mre`'s dd2 is) fills each slice from its
-    diagonal on and mirrors the part right of the slice's own square below
-    it: about half the cells are computed, and the grid equals the full
-    fill bit for bit.
+    slice stay in L2 cache.
     """
     out = np.empty((n_rows, n_cols))
     step = _rows_per_chunk(n_cols)
     for start in range(0, n_rows, step):
         rows = slice(start, min(start + step, n_rows))
-        cols = slice(start if symmetric else 0, None)
-        out[rows, cols] = block(rows, cols)
-        if symmetric:
-            out[rows.stop :, rows] = out[rows, rows.stop :].T
+        out[rows] = block(rows)
     return out
 
 
 def _grid_axes(s_vals, t_vals, names=("s_vals", "t_vals")):
-    """The validated deficit axes of a grid, their biases d2_inv, and whether the axes are equal.
-
-    Each axis is a scalar or 1-D; equal axes (the same floats, bit for bit)
-    make a square grid of a symmetric surface.
-    """
+    """The validated deficit axes of a grid and their biases d2_inv; each axis is a scalar or 1-D."""
     axes = []
     for vals, name in zip((s_vals, t_vals), names):
         axis = _prepare_prob(vals, name)
@@ -196,23 +185,14 @@ def _grid_axes(s_vals, t_vals, names=("s_vals", "t_vals")):
             raise InputDomainError(f"{name} must be a scalar or 1-D, got shape {np.shape(axis)}")
         axes.append(np.atleast_1d(axis))
     sv, tv = axes
-    same = sv.size == tv.size and sv.tobytes() == tv.tobytes()
-    return sv, tv, np.asarray(d2_inv(sv)), np.asarray(d2_inv(tv)), same
+    return sv, tv, np.asarray(d2_inv(sv)), np.asarray(d2_inv(tv))
 
 
 def phi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
-    """phi on the grid ``s_vals x t_vals``; axis 0 indexes s.
-
-    phi is symmetric, and dd2 bitwise so: on equal axes one triangle is
-    evaluated and mirrored (`_outer_eval`).
-    """
+    """phi on the grid ``s_vals x t_vals``; axis 0 indexes s."""
     _require_instance(DsbsParams, params=params)
-    sv, tv, a, b, same = _grid_axes(s_vals, t_vals)
-
-    def block(rows, cols):
-        return dd2_value(a[rows, None], b[None, cols], params)
-
-    return _outer_eval(sv.size, tv.size, block, same)
+    sv, tv, a, b = _grid_axes(s_vals, t_vals)
+    return _outer_eval(sv.size, tv.size, lambda rows: dd2_value(a[rows, None], b[None, :], params))
 
 
 def psi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
@@ -222,18 +202,14 @@ def psi_grid(s_vals, t_vals, params: DsbsParams) -> np.ndarray:
 
 
 def phi_tilde_grid(alpha_vals, beta_vals, params: DsbsParams) -> np.ndarray:
-    """phi_tilde on the grid ``alpha_vals x beta_vals``; axis 0 indexes alpha.
-
-    Symmetric like phi (its two flat branches are each other's transpose),
-    so equal axes fill one triangle and mirror it.
-    """
+    """phi_tilde on the grid ``alpha_vals x beta_vals``; axis 0 indexes alpha."""
     _require_instance(DsbsParams, params=params)
-    av, bv, a, b, same = _grid_axes(alpha_vals, beta_vals, ("alpha_vals", "beta_vals"))
+    av, bv, a, b = _grid_axes(alpha_vals, beta_vals, ("alpha_vals", "beta_vals"))
 
-    def block(rows, cols):
-        return _phi_tilde_kernel(a[rows, None], b[None, cols], av[rows, None], bv[None, cols], params)
+    def block(rows):
+        return _phi_tilde_kernel(a[rows, None], b[None, :], av[rows, None], bv[None, :], params)
 
-    return _outer_eval(av.size, bv.size, block, same)
+    return _outer_eval(av.size, bv.size, block)
 
 
 def _s_slope(a, b, source: DsbsParams):
@@ -259,7 +235,7 @@ def _slope_field(axis, params: DsbsParams, *, kind: str) -> np.ndarray:
     """
     a = np.asarray(d2_inv(np.atleast_1d(_prepare_prob(axis, "axis"))))
     source = params if kind == "phi_tilde" else _mirror(params)
-    ds = _outer_eval(a.size, a.size, lambda rows, cols: _s_slope(a[rows, None], a[None, cols], source), False)
+    ds = _outer_eval(a.size, a.size, lambda rows: _s_slope(a[rows, None], a[None, :], source))
     slopes = np.stack([ds, ds.T])  # phi and psi are symmetric in (s, t)
     if kind == "phi_tilde":
         alpha = _flat(a[:, None], a[None, :], params.crossover)  # phi_tilde = s
@@ -453,8 +429,10 @@ def _q_opt(s, qs, params: DsbsParams, *, kind: str):
       the sum of a convex and a concave function of b, and a branch and
       bound over blocks of the grid (`_bound_grid_argmin`) scores only
       the blocks whose lower bound does not rule them out: 13-17 % of the
-      table's cells on 101 points at rho 0.5 and 0.9, and all of them near
-      rho = 0, where the surface is flat within the bound's margin.
+      table's cells on 101 points at rho 0.5 and 0.9.  Near rho = 0, where
+      the surface is flat within the bound's margin, it skips no block and
+      scores more cells than the table: 209,979 against its 202,101 for phi
+      with q in {1, 2, 10} on 101 points at rho <= 1e-4 (ROADMAP item 13).
 
     The winning cell of every (q, point) pair is then refined on the
     closed-form derivative of the same function of b (`_q_slope`), all q

@@ -55,9 +55,10 @@ each quantity that is symmetric in ``a`` and ``b`` in a symmetric order.
 `_p_star` takes both products as ``(a*b)*c``, `_cells` takes ``q00`` as
 ``(p + 1) - (a + b)``, and `_divergence` sums the two off-diagonal terms
 first, ``(t01 + t10) + t00 + t11``; swapping the biases then only swaps
-``q01`` and ``q10``, whose KL terms share the reference cell.  The grids
-of `envelopes` rely on it: on equal axes they evaluate one triangle and
-mirror it.
+``q01`` and ``q10``, whose KL terms share the reference cell.  The
+Lagrangian certificate relies on it: on a grid of equal axes, which is
+then exactly symmetric, `hulls._lagrangian_gaps` queries one triangle and
+mirrors it.
 
 A vectorized brute-force minimizer over the segment
 (`_dd2_oracle_batch`, used by claim P) is the independent check of the
@@ -72,8 +73,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import golden_min_vec
-from .binary import _LN2, Coupling2x2, DsbsParams, _prepare_prob, _require_instance, _scalarize
-from .errors import InconsistencyError, InputDomainError
+from .binary import (
+    _LN2, Coupling2x2, DsbsParams, _check_broadcast, _prepare_prob, _require_instance, _scalarize,
+)
+from .errors import InconsistencyError
 
 __all__ = [
     "MreResult",
@@ -96,16 +99,6 @@ class MreResult:
 
 def _feasible_interval(a, b):
     return np.maximum(0.0, a + b - 1.0), np.minimum(a, b)
-
-
-def _check_broadcast(a, b) -> None:
-    """A pair of shapes that do not broadcast together is an input error."""
-    try:
-        np.broadcast(a, b)
-    except ValueError:
-        raise InputDomainError(
-            f"a and b must broadcast together, got shapes {np.shape(a)} and {np.shape(b)}"
-        ) from None
 
 
 def _p_star(a, b, params: DsbsParams):

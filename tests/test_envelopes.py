@@ -98,8 +98,10 @@ def test_grid_evaluators_reject_two_dimensional_axes(name, first, second, bad):
 
 @pytest.mark.parametrize("rho", [1e-4, 0.5, 0.9, 0.999998])
 def test_grids_on_equal_axes_are_exactly_symmetric(rho):
-    # one more t point makes the axes unequal, so every cell of the square
-    # is computed: it equals its transpose, and the mirrored fill
+    # the kernel is bitwise symmetric, so a grid on equal axes equals its
+    # transpose bit for bit: this underpins the one-triangle query of the
+    # Lagrangian certificate of T1 and T2 (`hulls._lagrangian_gaps`).  One
+    # more t point makes the axes unequal and leaves the square unchanged
     params = DsbsParams(rho)
     for n in (101, 501):
         axis = np.linspace(0.0, 1.0, n)
@@ -110,38 +112,18 @@ def test_grids_on_equal_axes_are_exactly_symmetric(rho):
 
 
 @pytest.mark.parametrize("rho", [1e-4, 0.9, 0.999998])
-def test_triangle_fill_matches_the_full_fill_bit_for_bit(monkeypatch, rho):
-    # row slices of 7 rows (the last one ragged) and of the whole grid: the
-    # mirrored triangle equals every cell computed by the same kernel
+def test_row_slices_match_the_whole_grid_fill_bit_for_bit(monkeypatch, rho):
+    # row slices of 7 rows (the last one ragged) and one slice of the whole
+    # grid give the same cells, on equal and on unequal axes
     params = DsbsParams(rho)
     axis = np.linspace(0.0, 1.0, 61)
-    a = np.asarray(d2_inv(axis))
-    kernels = {
-        phi_grid: lambda rows, cols: dd2_value(a[rows, None], a[None, cols], params),
-        psi_grid: lambda rows, cols: dd2_value(a[rows, None], a[None, cols], _mirror(params)),
-        phi_tilde_grid: lambda rows, cols: envelopes._phi_tilde_kernel(
-            a[rows, None], a[None, cols], axis[rows, None], axis[None, cols], params
-        ),
-    }
-    for budget in (7 * axis.size, envelopes._BLOCK_ELEMS):
-        monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", budget)
-        for grid, kernel in kernels.items():
-            full = envelopes._outer_eval(axis.size, axis.size, kernel, False)
-            assert full.tobytes() == grid(axis, axis, params).tobytes(), (grid.__name__, budget)
-            # unequal axes take the full fill
-            assert np.array_equal(grid(axis, axis[:-1], params), full[:, :-1]), grid.__name__
-    # equal axes evaluate each 7-row slice from its diagonal on
-    sizes = []
-    real = envelopes.dd2_value
-
-    def spy(a, b, source):
-        sizes.append(np.broadcast(a, b).size)
-        return real(a, b, source)
-
-    monkeypatch.setattr(envelopes, "dd2_value", spy)
-    monkeypatch.setattr(envelopes, "_BLOCK_ELEMS", 7 * axis.size)
-    phi_grid(axis, axis, params)
-    assert sizes == [min(7, 61 - start) * (61 - start) for start in range(0, 61, 7)]
+    for s_vals, t_vals in ((axis, axis), (axis, axis[:-1]), (axis[:-1], axis)):
+        for grid, *_ in GRIDS.values():
+            whole = grid(s_vals, t_vals, params)
+            with monkeypatch.context() as m:
+                m.setattr(envelopes, "_BLOCK_ELEMS", 7 * t_vals.size)
+                sliced = grid(s_vals, t_vals, params)
+            assert sliced.tobytes() == whole.tobytes(), (grid.__name__, s_vals.size, t_vals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +402,7 @@ def test_convex_bracket_finds_the_table_argmin(rho):
     x_grid, d2_grid = envelopes._seed_grid()
     for n in axes:
         a = np.asarray(d2_inv(np.linspace(0.0, 1.0, n)))
-        table = envelopes._outer_eval(
-            n, x_grid.size, lambda rows, cols: dd2_value(a[rows, None], -x_grid[None, cols], params), False
-        )
+        table = envelopes._outer_eval(n, x_grid.size, lambda rows: dd2_value(a[rows, None], -x_grid[None, :], params))
         for q in _CONVEX_QS:
             scores = table - d2_grid / q
             want = np.argmin(scores, axis=1)
@@ -472,7 +452,7 @@ def test_bound_search_finds_the_table_argmin(rho):
         for kind, qs in _BOUND_QS.items():
             source, sign = (DsbsParams(rho), 1.0) if kind == "phi" else (_mirror(DsbsParams(rho)), -1.0)
             table = envelopes._outer_eval(
-                n, x_grid.size, lambda rows, cols: dd2_value(a[rows, None], -x_grid[None, cols], source), False
+                n, x_grid.size, lambda rows: dd2_value(a[rows, None], -x_grid[None, :], source)
             )
             idx, val = envelopes._bound_grid_argmin(a, qs, source, sign)
             assert idx.shape == val.shape == (len(qs), n)

@@ -558,7 +558,11 @@ def _query_spy(monkeypatch) -> list:
 
 
 def _symmetric_cases(n=41):
-    """Exactly symmetric values with transposed slopes: a bowl, phi_tilde and -psi at rho 0.9."""
+    """Exactly symmetric values with transposed slopes: a bowl, then phi_tilde and -psi at four rho.
+
+    The grids fill every cell, so their exact symmetry rests on the
+    bitwise-symmetric kernel alone, at every rho.
+    """
     bowl = (
         lambda s, t: (s - 0.4) ** 2 + (t - 0.4) ** 2 + s * t,
         lambda s, t: 2 * (s - 0.4) + t,
@@ -567,9 +571,11 @@ def _symmetric_cases(n=41):
     f, g = _exact(n, *bowl)
     yield "bowl", f.values, g
     axis = np.linspace(0.0, 1.0, n)
-    params = DsbsParams(0.9)
-    for kind, grid, sign in (("phi_tilde", envelopes.phi_tilde_grid, 1.0), ("psi", envelopes.psi_grid, -1.0)):
-        yield kind, sign * grid(axis, axis, params), sign * envelopes._slope_field(axis, params, kind=kind)
+    for rho in (1e-4, 0.5, 0.9, 0.999998):
+        params = DsbsParams(rho)
+        for kind, grid, sign in (("phi_tilde", envelopes.phi_tilde_grid, 1.0), ("psi", envelopes.psi_grid, -1.0)):
+            slopes = sign * envelopes._slope_field(axis, params, kind=kind)
+            yield f"{kind} {rho}", sign * grid(axis, axis, params), slopes
 
 
 def test_conjugate_matches_the_per_row_loop_bit_for_bit():

@@ -1,6 +1,7 @@
 """Minimum-divergence surface: closed-form minimizer vs brute-force oracle."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -11,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
-from dsbs_envelopes import Coupling2x2, DsbsParams, InconsistencyError, InputDomainError, d2, d2_inv, dd2, p_star
+from dsbs_envelopes import (
+    Coupling2x2, DsbsParams, InconsistencyError, InputDomainError, bconv, d2, d2_inv, dd2, p_star, phi, phi_tilde,
+    phi_tilde_ab, psi,
+)
 from dsbs_envelopes import envelopes
 from dsbs_envelopes.binary import _mirror, _xlogy
 from dsbs_envelopes.mre import _cells, _dd2_oracle_batch, _dd2_slope, _p_star, dd2_value
@@ -328,10 +332,23 @@ def test_dd2_slope_without_curvature_is_the_same_slope(rho):
         assert _dd2_slope(np.float64(0.3), np.float64(0.2), source, curvature=False) == pair[1, 1]
 
 
-@pytest.mark.parametrize("fn", [dd2_value, p_star], ids=["dd2_value", "p_star"])
-def test_shapes_that_do_not_broadcast_are_input_errors(fn):
-    with pytest.raises(InputDomainError, match=r"shapes \(3,\) and \(4,\)"):
-        fn(np.full(3, 0.2), np.full(4, 0.3), RHO)
+_TWO_INPUT = {
+    "bconv": bconv,
+    "p_star": functools.partial(p_star, params=RHO),
+    "dd2_value": functools.partial(dd2_value, params=RHO),
+    "phi": functools.partial(phi, params=RHO),
+    "psi": functools.partial(psi, params=RHO),
+    "phi_tilde": functools.partial(phi_tilde, params=RHO),
+    "phi_tilde_ab": functools.partial(phi_tilde_ab, params=RHO),
+}
+
+
+@pytest.mark.parametrize("name", _TWO_INPUT)
+def test_shapes_that_do_not_broadcast_are_input_errors(name):
+    # every public evaluator of two array inputs fails closed, not with
+    # numpy's bare ValueError
+    with pytest.raises(InputDomainError, match=r"must broadcast together, got shapes \(3,\) and \(4,\)"):
+        _TWO_INPUT[name](np.full(3, 0.2), np.full(4, 0.3))
 
 
 # ---------------------------------------------------------------------------
