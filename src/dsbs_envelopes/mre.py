@@ -76,7 +76,7 @@ from ._optim import golden_min_vec
 from .binary import (
     _LN2, Coupling2x2, DsbsParams, _check_broadcast, _prepare_prob, _require_instance, _scalarize,
 )
-from .errors import InconsistencyError
+from .errors import InconsistencyError, InputDomainError
 
 __all__ = [
     "MreResult",
@@ -300,8 +300,10 @@ def _dd2_slope(a, b, params: DsbsParams, *, curvature: bool = True):
 def dd2(a: float, b: float, params: DsbsParams) -> MreResult:
     """Minimum divergence together with its minimizer and witness coupling."""
     _require_instance(DsbsParams, params=params)
-    av = float(_prepare_prob(a, "a"))
-    bv = float(_prepare_prob(b, "b"))
+    av, bv = _prepare_prob(a, "a"), _prepare_prob(b, "b")
+    if isinstance(av, np.ndarray) or isinstance(bv, np.ndarray):  # 0-d input comes back as np.float64
+        raise InputDomainError(f"dd2 takes scalars, not shapes {av.shape}, {bv.shape}; use dd2_value or p_star")
+    av, bv = float(av), float(bv)
     fa, fb, flip = _fold(av, bv)
     p = _p_star(fa, fb, params)
     cells = _cells(fa, fb, p)

@@ -23,11 +23,10 @@ rises up to the bend point h0, the zero of g, then falls
 to -inf: one root with h > 0, past h0.  One batched Newton solver,
 `_solve_roots`, finds h0 and the root.  `count_roots_scan` certifies the
 uniqueness on a 10^6-point grid: it counts the grid's sign changes
-exactly, but evaluates only a few hundred points (up to about 1,350 near
-r = rho^2), because the decreasing g encloses the slope on any grid range,
-which proves most ranges free of a sign change; each undecided range is
-cut 16 ways per round, so three batched rounds and one dense block cover
-the grid.
+exactly, but evaluates only a few hundred points (more near r = rho^2),
+because the decreasing g encloses the slope on any grid range, which
+proves most ranges free of a sign change; each undecided range is cut 16
+ways per batched round until single cells remain.
 
 W itself is evaluated as ``log1p(w - 1)`` with the difference written out,
 ``w(e^h) - 1 = (1-theta)*(1 - e)/(theta + e)`` for ``e = exp(-|h|)``
@@ -88,7 +87,7 @@ __all__ = [
 
 _SIGN_SLACK = 1e-9  # tolerance on the case sign patterns, in log-ratio units
 _SCAN_SEEDS = 256  # index ranges seeded per count_roots_scan
-_SCAN_BLOCK = 16  # count_roots_scan evaluates ranges this short point by point
+_SCAN_BLOCK = 16  # ways count_roots_scan cuts each undecided range per round
 _F_PAD = 32.0  # aux_phi_h float pad, in units of eps*(min(ln(1/theta), rho^2*|v|*h) + r*|v|*h)
 _EPS = float(np.finfo(float).eps)
 _WINDOW_K = 17  # points per axis of each gamma_extremum refinement window
@@ -317,8 +316,9 @@ def _scan_points(k: np.ndarray, n: int) -> np.ndarray:
 def _scan_cuts(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The `_SCAN_BLOCK` - 1 cuts floor(i + (j - i)*m/_SCAN_BLOCK), m = 1.., of each range [i, j].
 
-    Row per range.  Every term is exact in floats, and for j - i >
-    `_SCAN_BLOCK` the cuts are distinct and strictly inside (i, j).
+    Row per range.  Every term is exact in floats.  For j - i >
+    `_SCAN_BLOCK` the cuts are distinct and strictly inside (i, j); for
+    shorter ranges they hit every index inside (i, j), some twice.
     """
     fan = np.arange(1, _SCAN_BLOCK) / _SCAN_BLOCK
     return np.floor(i[:, None] + (j - i)[:, None] * fan)
@@ -343,8 +343,7 @@ def _scan_sign_changes(prob: RootProblem, n: int) -> tuple[np.ndarray, np.ndarra
     pts = points(np.unique(np.round(np.linspace(0.0, n - 1.0, _SCAN_SEEDS + 1))))
     evaluated = [pts[:3]]
     lo, hi = pts[:, :-1], pts[:, 1:]
-    block_lo, block_hi = [], []
-    while True:
+    while np.any(hi[0] - lo[0] > 1):
         (i, h_i, f_i, _, g_i), (j, h_j, f_j, g_j, _) = lo, hi
         a_i, a_j = np.abs(f_i), np.abs(f_j)
         spread = abs(prob.v) * np.maximum(np.abs(g_i), np.abs(g_j)) * (h_j - h_i)
@@ -354,10 +353,7 @@ def _scan_sign_changes(prob: RootProblem, n: int) -> tuple[np.ndarray, np.ndarra
             0.5 * (a_i + a_j - spread) - 4.0 * _EPS * (a_i + a_j + spread),
         )
         keep = (np.sign(f_i) != np.sign(f_j)) | (bound <= 2.0 * _f_pad(h_j, prob))
-        short = keep & (j - i <= _SCAN_BLOCK)
-        block_lo.append(i[short])
-        block_hi.append(j[short])
-        split = keep & ~short
+        split = keep & (j - i > 1)
         if not split.any():
             break
         cuts = points(_scan_cuts(i[split], j[split]).ravel())
@@ -365,11 +361,6 @@ def _scan_sign_changes(prob: RootProblem, n: int) -> tuple[np.ndarray, np.ndarra
         cuts = cuts.reshape(5, -1, _SCAN_BLOCK - 1)
         lo = np.concatenate([lo[:, split, None], cuts], axis=2).reshape(5, -1)
         hi = np.concatenate([cuts, hi[:, split, None]], axis=2).reshape(5, -1)
-    i = np.concatenate(block_lo).astype(np.int64)
-    width = np.concatenate(block_hi).astype(np.int64) - i - 1
-    k = np.arange(width.sum()) + np.repeat(i + 1 - (np.cumsum(width) - width), width)
-    h = _scan_points(k, n)
-    evaluated.append(np.stack([k, h, aux_phi_h(h, prob)]))
     k, h, f = np.concatenate(evaluated, axis=1)
     order = np.argsort(k)
     h, f = h[order], f[order]
@@ -386,8 +377,8 @@ def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
     root.  Grid points where the computed function is exactly zero are
     skipped rather than double-counted.  The count is exact with respect to
     the brute-force scan, the sign changes of aux_phi_h evaluated on all n
-    points, while only a few hundred points are evaluated (up to about 1,350
-    near r = rho^2, where the dense blocks around the root grow):
+    points, while only a few hundred points are evaluated (at most about
+    1,400 for r up to rho^2*(1 - 1e-12), 11,500 at rho^2*(1 - 1e-13)):
 
     `_SCAN_SEEDS` index ranges [i, j] are seeded.  On a range, f'/v lies in
     [g(h_j), g(h_i)] (`_aux_terms`; g decreases), so |f| is bounded below
@@ -397,11 +388,11 @@ def count_roots_scan(prob: RootProblem, n: int = 1_000_000) -> int:
     slope and of the rounding.  A range whose ends have the same nonzero
     sign and whose bound exceeds twice the float pad of aux_phi_h at h_j
     (`_f_pad`) holds no computed zero or sign change, and is skipped.  Every
-    other range is cut `_SCAN_BLOCK` ways (`_scan_cuts`), all of them in one
-    vectorised batch per round, so seed ranges of n/256 points reach
-    `_SCAN_BLOCK` points or fewer within two rounds, and those are
-    evaluated point by point.  The count is taken over every evaluated
-    point in index order (`_scan_sign_changes`).
+    other range wider than one cell is cut `_SCAN_BLOCK` ways (`_scan_cuts`),
+    all of them in one vectorised batch per round, until single cells
+    remain: three rounds for seed ranges of n/256 points.  A cut repeated in
+    a short range is evaluated to the same bits, so it adds no sign change.
+    The count is taken over every evaluated point in index order (`_scan_sign_changes`).
     """
     _require_instance(RootProblem, prob=prob)
     return _scan_sign_changes(prob, n)[0].shape[1]

@@ -524,7 +524,7 @@ def verify_all(
     _require_int(grid_n=grid_n)
     if not 51 <= grid_n <= 1001:
         raise InputDomainError("grid_n must be in [51, 1001]")
-    if inject_fault is not None and inject_fault not in _CLAIMS:
+    if inject_fault is not None and (not isinstance(inject_fault, str) or inject_fault not in _CLAIMS):
         raise InputDomainError(f"unknown claim id {inject_fault!r}; known: {sorted(_CLAIMS)}")
     tolerances = default_tolerances()
     options = options if options is not None else VerifyOptions()

@@ -351,6 +351,16 @@ def test_shapes_that_do_not_broadcast_are_input_errors(name):
         _TWO_INPUT[name](np.full(3, 0.2), np.full(4, 0.3))
 
 
+@pytest.mark.parametrize(
+    "a, b", [(np.array([0.3, 0.2]), 0.4), (0.3, np.array([0.4, 0.2])), (np.array([0.3]), np.array([0.4]))]
+)
+def test_dd2_refuses_array_biases(a, b):
+    # dd2 returns one witness coupling, so it takes one pair of biases; the
+    # message names the array entry points instead of numpy's bare TypeError
+    with pytest.raises(InputDomainError, match="use dd2_value or p_star"):
+        dd2(a, b, RHO)
+
+
 # ---------------------------------------------------------------------------
 # the in-place kernel against the allocating composition it replaced
 # ---------------------------------------------------------------------------

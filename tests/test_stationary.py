@@ -39,6 +39,7 @@ from dsbs_envelopes.stationary import (
     _log_w_of_h,
     _scan_cuts,
     _scan_points,
+    _scan_sign_changes,
     _solve_roots,
     _w_prime,
 )
@@ -339,6 +340,28 @@ def _brute_force_count(prob, n=1_000_000):
     return count
 
 
+def _brute_force_pairs(prob, n):
+    """The oracle's sign changes as the (h, f) pairs `_scan_sign_changes` returns."""
+    h = _scan_grid(n)
+    f = np.concatenate([stationary.aux_phi_h(h[k : k + _SCAN_CHUNK], prob) for k in range(0, n, _SCAN_CHUNK)])
+    h, f = h[f != 0.0], f[f != 0.0]
+    at = np.flatnonzero(np.sign(f[1:]) != np.sign(f[:-1]))
+    return np.stack([h[at], h[at + 1]]), np.stack([f[at], f[at + 1]])
+
+
+# (theta, v) of the problems at r = rho^2*(1 - 1e-12), three sign changes at n = 1e6
+_NEAR_RHO_SQUARED = [(0.1, 1.05), (0.1, -3.0), (0.5, 50.0), (0.9, -3.0), (0.9, 50.0)]
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_scan_sign_changes_are_the_whole_grid_pairs(n):
+    # the roots command's noise note reads these pairs, not just their count
+    near = [RootProblem(t, v, ((1 - t) / (1 + t)) ** 2 * (1 - 1e-12)) for t, v in _NEAR_RHO_SQUARED]
+    for prob in _random_root_problems(n + 1, 3, v_max=1000.0) + near:
+        got, want = _scan_sign_changes(prob, n), _brute_force_pairs(prob, n)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), prob
+
+
 @pytest.mark.parametrize("n", [100_000, 100_001, 1_000_000])
 def test_count_roots_scan_matches_whole_grid(n):
     for prob in _random_root_problems(n, 3):
@@ -383,7 +406,7 @@ def test_count_roots_scan_skips_zeros_at_chunk_edge(monkeypatch, zero_span, afte
     assert _brute_force_count(RootProblem(THETA_09, 2.0, 0.5), n) == expected
 
 
-@pytest.mark.parametrize("theta, v", [(0.1, 1.05), (0.1, -3.0), (0.5, 50.0), (0.9, -3.0), (0.9, 50.0)])
+@pytest.mark.parametrize("theta, v", _NEAR_RHO_SQUARED)
 def test_count_roots_scan_reproduces_float_noise_near_rho_squared(theta, v):
     # at r = rho^2*(1 - 1e-12) the root sits near h = 1e-6, where aux_phi_h
     # moves by less than its rounding per grid cell: the brute-force scan
@@ -407,16 +430,24 @@ def test_count_roots_scan_sees_two_close_roots(monkeypatch):
 
 
 def test_scan_cuts_strictly_inside_every_split_range():
-    # every range the scan splits has j - i > _SCAN_BLOCK; its cuts must be
-    # distinct grid indices strictly inside (i, j), wherever it sits
-    width = np.arange(_SCAN_BLOCK + 1, 4001)
+    # the scan splits every kept range with j - i > 1, wherever it sits.  The
+    # cuts are grid indices in [i, j), nondecreasing; past _SCAN_BLOCK they
+    # are distinct and strictly inside (i, j), and up to it they hit every
+    # index strictly inside (i, j), so the next round holds single cells
+    # (a repeated index is one point evaluated twice, bit for bit the same)
+    width = np.arange(2, 4001)
     for i in (np.zeros(width.size), 999_999.0 - width, (width * 7919) % 500_000):
         i = i.astype(float)
         cuts = _scan_cuts(i, i + width)
         assert cuts.shape == (width.size, _SCAN_BLOCK - 1)
         assert np.array_equal(cuts, np.floor(cuts))
-        assert np.all(np.diff(cuts, axis=1) > 0.0)
-        assert np.all(cuts[:, 0] > i) and np.all(cuts[:, -1] < i + width)
+        assert np.all(np.diff(cuts, axis=1) >= 0.0)
+        assert np.all(cuts[:, 0] >= i) and np.all(cuts[:, -1] < i + width)
+        wide = width > _SCAN_BLOCK
+        assert np.all(np.diff(cuts[wide], axis=1) > 0.0) and np.all(cuts[wide, 0] > i[wide])
+        for row in np.flatnonzero(~wide):
+            inside = np.arange(i[row] + 1, i[row] + width[row])
+            assert np.all(np.isin(inside, cuts[row])), (i[row], width[row])
 
 
 def _near_rho_squared_sweep():
@@ -430,9 +461,9 @@ def _near_rho_squared_sweep():
 
 
 def test_count_roots_scan_work_guard(monkeypatch):
-    # one evaluator call per batched round, then one for the dense block:
-    # seed ranges of n/256 points reach _SCAN_BLOCK points within two cut
-    # rounds (measured: 3 rounds and at most 1,346 points over these)
+    # one evaluator call for the seeds, then one per batched cut round: seed
+    # ranges of n/256 points reach single cells within three rounds
+    # (measured: at most 1,397 points over these, repeated cuts included)
     sizes = []
 
     def counting(h, prob, prime=False):

@@ -309,8 +309,10 @@ def test_nan_fails_closed(monkeypatch, name, cid, to_nan):
 
 
 def test_unknown_fault_rejected():
-    with pytest.raises(InputDomainError):
-        verify_all(RHO, grid_n=101, options=FAST, inject_fault="Z9")
+    # an unknown id, and an object that is no claim id at all, unhashable or not
+    for fault in ("Z9", 5, ["T1"], ("T1",)):
+        with pytest.raises(InputDomainError, match="unknown claim id"):
+            verify_all(RHO, grid_n=101, options=FAST, inject_fault=fault)
 
 
 def test_tolerances_are_fixed():
